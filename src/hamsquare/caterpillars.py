@@ -102,6 +102,96 @@ def longest_spine(tree: Graph, prefer_ends: frozenset[int] = frozenset()) -> lis
     return [x0] + core + [xm]
 
 
+class CycleSet:
+    """Cycles kept as edges, so that no cut or join depends on their length.
+
+    Cycles may share vertices (a cutvertex lies on the cycle of every block
+    at it until it is merged) but never an edge. `nbrs[v]` holds v's
+    neighbours over all cycles. Every edge keeps the id of the cycle it was
+    laid on, and a union-find over the ids maps that to the cycle holding it
+    now, so joining cycles relabels no edge. A cycle becomes a vertex list
+    only when it is walked.
+    """
+
+    def __init__(self):
+        self.nbrs: dict[int, set[int]] = {}
+        self.live: set[int] = set()
+        self._laid: dict[tuple[int, int], int] = {}
+        self._parent: list[int] = []
+
+    def new_cycle(self, parts=()) -> int:
+        """A fresh cycle id; the cycles in parts become part of it."""
+        c = len(self._parent)
+        self._parent.append(c)
+        for p in parts:
+            self._parent[p] = c
+            self.live.discard(p)
+        self.live.add(c)
+        return c
+
+    def add(self, order) -> int:
+        """Lay the closed walk order as a new cycle."""
+        c = self.new_cycle()
+        for a, b in zip(order, order[1:] + order[:1]):
+            self.link(a, b, c)
+        return c
+
+    def link(self, a: int, b: int, c: int) -> None:
+        e = edge(a, b)
+        if e in self._laid:
+            raise ConstructionError(f"edge {e} laid twice")
+        self._laid[e] = c
+        self.nbrs.setdefault(a, set()).add(b)
+        self.nbrs.setdefault(b, set()).add(a)
+
+    def cut(self, e: tuple[int, int]) -> None:
+        if self._laid.pop(e, None) is None:
+            raise ConstructionError(f"edge {e} is on no cycle")
+        a, b = e
+        self.nbrs[a].discard(b)
+        self.nbrs[b].discard(a)
+
+    def cycle_of(self, e: tuple[int, int]) -> int | None:
+        """The cycle holding edge e, or None."""
+        c = self._laid.get(e)
+        if c is None:
+            return None
+        parent = self._parent
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def around(self, v: int, c: int) -> list[int]:
+        """v's neighbours on cycle c, ascending."""
+        return sorted(w for w in self.nbrs.get(v, ())
+                      if self.cycle_of(edge(v, w)) == c)
+
+    def splice(self, path: list[int]) -> None:
+        """Replace the cycle edge between path's two ends by path."""
+        e = edge(path[0], path[-1])
+        c = self.cycle_of(e)
+        if c is None:
+            raise ConstructionError(f"edge {e} is on no cycle")
+        self.cut(e)
+        for a, b in zip(path, path[1:]):
+            self.link(a, b, c)
+
+    def walk(self, start: int, before: int) -> list[int]:
+        """The cycle through start as a list, read away from its neighbour
+        before; every vertex met must have exactly two neighbours."""
+        order, prev, cur = [start], before, start
+        while True:
+            nxt = [w for w in self.nbrs[cur] if w != prev]
+            if len(nxt) != 1:
+                raise ConstructionError(
+                    f"vertex {cur} does not lie on exactly one cycle")
+            prev, cur = cur, nxt[0]
+            if cur == start:
+                return order
+            order.append(cur)
+
+
 def replace_edge_with(order: list[int], a: int, b: int,
                       segment: list[int], cyclic: bool = True) -> list[int]:
     """Replace the edge between consecutive a, b in order by the given segment.
@@ -176,10 +266,16 @@ def caterpillar_cycle(tree: Graph,
     leaves = {x[j]: sorted(set(tree.neighbors(x[j])) - spine_set)
               for j in range(1, m - 1)}
 
-    cyc = [x[m - 3], x[m - 2], x[m - 1]] + list(reversed(leaves[x[m - 2]]))
+    # Start from the fan at the far end of the spine, then replace each
+    # spine edge x[j+1] x[j+2] by a detour through x[j] and the leaves of
+    # x[j+1]. No step touches the fan's closing edge, so the list reads
+    # from first[0] away from first[-1].
+    first = [x[m - 3], x[m - 2], x[m - 1]] + list(reversed(leaves[x[m - 2]]))
+    ring = CycleSet()
+    ring.add(first)
     for j in range(m - 4, -1, -1):
-        seg = [x[j + 1], x[j]] + leaves[x[j + 1]] + [x[j + 2]]
-        cyc = replace_edge_with(cyc, x[j + 1], x[j + 2], seg)
+        ring.splice([x[j + 1], x[j]] + leaves[x[j + 1]] + [x[j + 2]])
+    cyc = ring.walk(first[0], first[-1])
 
     pair_edges: dict[int, tuple[int, int]] = {}
     for j in range(1, m - 2):
@@ -221,10 +317,9 @@ def _assign_end_edges(wanted, end_edges):
 def _validate_cat_cycle(tree, cyc, end_edges, pair_edges):
     if set(cyc) != set(tree.vertices) or len(cyc) != tree.n:
         raise ConstructionError("caterpillar cycle does not cover the tree")
-    sq = tree.square()
     cyc_edges = {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
     for e in cyc_edges:
-        if e not in sq.edges:
+        if not tree.square_has_edge(*e):
             raise ConstructionError(f"cycle edge {e} not in the square")
     for e in end_edges:
         if e not in cyc_edges:

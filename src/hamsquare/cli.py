@@ -8,7 +8,8 @@ a single machine-readable object instead (schema in docs/verdict.schema.json).
 Exit codes: 0 positive verdict or plain success, 1 definite negative
 verdict, 2 structurally risky (the block structure admits a failing graph,
 the input itself stays undecided), 64 usage error, 65 unreadable or invalid
-input, 75 oracle budget exhausted without a verdict.
+input, 70 internal error (an unexpected exception, reported in one line on
+stderr), 75 oracle budget exhausted without a verdict.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import Graph, GraphParseError, parse_edge_list, cycle_edges, path_edges
-from .decomposition import decompose, bc_tree
+from .decomposition import decompose, bc_tree, canonical_text
 from .labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONIAN
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
 from .construct import construct_ham_cycle, construct_ham_path
@@ -178,7 +179,7 @@ def _cmd_decompose(g, args):
         "nontrivial_bridges": [list(e) for e in sorted(d.nontrivial_bridges)],
         "bn": {str(v): d.bn[v] for v in sorted(d.bn)},
         "k": {str(v): d.k[v] for v in sorted(d.k)},
-        "bc_canonical": str(bc_tree(d).canonical()),
+        "bc_canonical": canonical_text(bc_tree(d).canonical()),
     }
     if args.dot:
         Path(args.dot).write_text(g.to_dot())
@@ -276,8 +277,8 @@ def _cmd_counterexample(g, args):
         out = counterexample_for(g, cond)
     except ValueError as e:
         raise _InputError(str(e))
-    c1 = str(bc_tree(decompose(g)).canonical())
-    c2 = str(bc_tree(decompose(out)).canonical())
+    c1 = canonical_text(bc_tree(decompose(g)).canonical())
+    c2 = canonical_text(bc_tree(decompose(out)).canonical())
     lines = [out.edge_list_text().rstrip(),
              f"bc-isomorphic to input: {'yes' if c1 == c2 else 'NO'}"]
     if args.dot:
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 65
+    except Exception as e:  # 1 would read as a definite negative
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 70
     if args.as_json:
         print(report.to_json())
     else:

@@ -5,18 +5,28 @@ cycle of its own square carrying, for each cutvertex i with label m_i, that
 many distinct block edges at i (the oracle returns the cycle together with
 the distinct-edge assignment). Every nontrivial caterpillar component of
 the bridge forest gets a hamiltonian cycle of its square through dedicated
-end-edges and neighbor-pair edges. Then cutvertices are processed one at a
-time: each cycle meeting the cutvertex is cut open exactly at that vertex's
-assigned edges, and the resulting fragments, plus any pendant leaves, are
-chained back into a single cycle. Every fragment end is a neighbor of the
-cutvertex, so consecutive fragment ends are adjacent in the square and any
-fixed chaining order works; we use ascending block index with leaves last.
+end-edges and neighbor-pair edges. All these cycles live in one CycleSet
+(see caterpillars): each vertex's cycle neighbors, and an index from every
+edge to the cycle holding it, kept through a union-find over cycle ids.
+Then cutvertices are processed one at a time, in ascending order: each
+cycle meeting the cutvertex is cut open exactly at that vertex's assigned
+edges, found through the index, and the resulting fragments, plus any
+pendant leaves, are chained back into a single cycle by linking fragment
+ends. Every fragment end is a neighbor of the cutvertex, so consecutive
+fragment ends are adjacent in the square and any fixed chaining order
+works; we use ascending block index with leaves last. A step touches only
+the cutvertex's own cycle edges and the fragment ends, and the cycle
+becomes a list once, at the end, so the merge runs in O(n + m) besides the
+per-block oracle calls.
 
 Cutting only at assigned edges is what makes the merge safe: the edges
 assigned to different vertices are globally distinct, so processing one
 cutvertex can never consume an edge that a later cutvertex still needs.
-Each step re-checks that invariant and the final cycle is validated from
-scratch, so a wrong assembly can never be returned silently.
+Each step checks the edges it cuts against the vertices still owed them,
+and the edges it adds against the square. The final cycle is validated
+from scratch, so a wrong assembly can never be returned silently. All
+these checks test square adjacency pairwise; no square of the whole graph
+is built.
 
 The path constructor follows the block tree. Endpoints in different blocks
 split the graph at a separating cutvertex and concatenate the two half
@@ -37,8 +47,7 @@ from .graph import Graph, edge, is_ham_cycle, is_ham_path
 from .decomposition import Decomposition, decompose, compute_P0
 from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
-from .caterpillars import (ConstructionError, caterpillar_cycle,
-                           replace_edge_with)
+from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
 from .oracle import cycle_with, path_with
 
 
@@ -69,78 +78,46 @@ def block_cycle(b: Graph, m_values: dict, index: int = -1) -> BlockCycle:
     return BlockCycle(index, w.order, assigned)
 
 
-# -- cycle surgery helpers -------------------------------------------------
-
-def _cycle_has(order, e) -> bool:
-    n = len(order)
-    return any(edge(order[j], order[(j + 1) % n]) == e for j in range(n))
-
-
-def _find_cycle(cycles, required_edges):
-    hits = [j for j, c in enumerate(cycles)
-            if all(_cycle_has(c, e) for e in required_edges)]
-    if len(hits) > 1:
-        raise ConstructionError(
-            f"edges {required_edges} found on several cycles")
-    return hits[0] if hits else None
-
-
-def _cut_at_edge(order, e):
-    """The cycle opened at edge e: a path whose two ends are e's endpoints."""
-    n = len(order)
-    for j in range(n):
-        if edge(order[j], order[(j + 1) % n]) == e:
-            return order[(j + 1) % n:] + order[:(j + 1) % n] if j + 1 < n \
-                else list(order)
-    raise ConstructionError(f"edge {e} not on the cycle")
-
-
-def _extract_vertex(order, v, expect_edges=None):
-    """The cycle with v removed: a path between v's former neighbors."""
-    j = order.index(v)
-    n = len(order)
-    removed = {edge(order[j - 1], v), edge(v, order[(j + 1) % n])}
-    if expect_edges is not None and removed != set(expect_edges):
-        raise ConstructionError(
-            f"cycle edges {sorted(removed)} at {v} differ from the assigned "
-            f"{sorted(expect_edges)}")
-    return order[j + 1:] + order[:j]
-
+# -- the merge -------------------------------------------------------------
 
 def _oriented(path):
     return list(path) if path[0] <= path[-1] else list(reversed(path))
 
 
-def _anchor_first(path, i):
-    if path[0] == i:
-        return list(path)
-    if path[-1] == i:
-        return list(reversed(path))
-    raise ConstructionError(f"vertex {i} is not an end of the fragment")
-
-
-def _assert_cycle(sq: Graph, order) -> None:
-    if len(order) != len(set(order)):
-        raise ConstructionError("assembled cycle repeats a vertex")
-    if len(order) < 3:
-        raise ConstructionError("assembled cycle is too short")
-    n = len(order)
-    for j in range(n):
-        a, b = order[j], order[(j + 1) % n]
-        if not sq.has_edge(a, b):
-            raise ConstructionError(f"assembled cycle uses non-edge ({a}, {b})")
-
-
-# -- the merge -------------------------------------------------------------
-
 @dataclass
 class _Frag:
+    """One piece of the cycle assembled at a cutvertex.
+
+    Its interior edges stay where they lie in the CycleSet; only its ends,
+    in the orientation it is laid in, and the edges cut to open it are kept.
+    """
     kind: str  # "anch" | "open" | "base2" | "leaf"
-    path: list
+    ends: tuple
     key: tuple
+    cycle: int | None = None  # the cycle it was cut from
+    cut: tuple = ()
+
+
+def _opened(cs: CycleSet, i: int, c: int, key, expect=None) -> _Frag:
+    """Cycle c with i taken out: a path between i's two neighbours on it."""
+    around = cs.around(i, c)
+    cut = tuple(edge(i, w) for w in around)
+    if len(cut) != 2 or (expect is not None and set(cut) != set(expect)):
+        raise ConstructionError(
+            f"cycle edges {sorted(cut)} at {i} differ from the assigned "
+            f"{sorted(expect or ())}")
+    return _Frag("open", tuple(around), key, c, cut)
+
+
+def _anchored(i: int, c: int, e, key) -> _Frag:
+    """Cycle c cut at its edge e at i: a path from i to e's other end."""
+    if i not in e:
+        raise ConstructionError(f"vertex {i} is not an end of the fragment")
+    return _Frag("anch", (i, _partner(e, i)), key, c, (e,))
 
 
 def _assemble(i: int, frags) -> list:
+    """The fragments' (first, last) ends in the order the cycle takes them."""
     base2 = [f for f in frags if f.kind == "base2"]
     anchs = sorted((f for f in frags if f.kind == "anch"), key=lambda f: f.key)
     others = sorted((f for f in frags if f.kind in ("open", "leaf")),
@@ -150,32 +127,60 @@ def _assemble(i: int, frags) -> list:
             f"fragment mix at {i} not realizable: {len(base2)} saturated, "
             f"{len(anchs)} anchored")
     if base2:
-        seq = _oriented(base2[0].path)
+        segs = [base2[0].ends]
     elif len(anchs) == 2:
-        seq = list(reversed(anchs[0].path)) + anchs[1].path[1:]
+        segs = [(anchs[0].ends[1], anchs[1].ends[1])]  # joined at i
     elif len(anchs) == 1:
-        seq = list(anchs[0].path)
+        segs = [anchs[0].ends]
     else:
-        seq = [i]
-    for f in others:
-        seq.extend(_oriented(f.path))
-    return seq
+        segs = [(i, i)]
+    return segs + [f.ends for f in others]
 
 
-def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
-                  sq: Graph) -> list:
+def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
+    """Cut the fragments' cycles open and chain them into one cycle through i.
+
+    Returns the merged cycle's first and last vertex (it reads from the
+    first away from the last) and the edges the step removed for good.
+    """
+    consumed = [f.cycle for f in frags if f.cycle is not None]
+    if len(set(consumed)) != len(consumed):
+        raise ConstructionError(
+            f"two fragments at {i} came from one cycle; they should only "
+            f"meet when {i} itself is merged")
+    segs = _assemble(i, frags)
+    joins = [(last, nxt) for (_, last), (nxt, _)
+             in zip(segs, segs[1:] + segs[:1])]
+    for a, b in joins:
+        if not g.square_has_edge(a, b):
+            raise ConstructionError(f"assembled cycle uses non-edge ({a}, {b})")
+    # a K2 end fragment brings its one edge along
+    joins += [f.ends for f in frags if f.kind == "anch" and f.cycle is None]
+    removed = {e for f in frags for e in f.cut}
+    for e in removed:
+        cs.cut(e)
+    c = cs.new_cycle(consumed)
+    for a, b in joins:
+        cs.link(a, b, c)
+    return segs[0][0], segs[-1][1], removed - {edge(a, b) for a, b in joins}
+
+
+def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling) -> list:
     cat = compute_P0(g, d)
     two = d.two_blocks()
 
-    cycles: list[list] = []
+    cs = CycleSet()
     assigned: dict[tuple[int, int], tuple] = {}
+    blocks_at: dict[int, list] = {}
     for b in two:
         mv = {i: labelling.value(i, b.index)
-              for i in d.cutvertices if i in b.vertices}
+              for i in b.vertices if i in d.cutvertices}
         bc = block_cycle(Graph.from_edges(b.edges), mv, b.index)
-        cycles.append(list(bc.order))
+        cs.add(bc.order)
         for v, es in bc.assigned.items():
             assigned[(v, b.index)] = es
+        for v in mv:
+            blocks_at.setdefault(v, []).append(b)
 
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
@@ -196,109 +201,78 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
         need_pair = frozenset(v for v in comp.vertices
                               if d.bn.get(v, 0) == 2 and d.k.get(v, 0) >= 1)
         cc = caterpillar_cycle(comp_g, need_end, need_pair)
-        cycles.append(list(cc.order))
+        cs.add(cc.order)
         for v in need_end:
             reserved_end[v] = cc.reserved[v]
         for v in need_pair:
             reserved_pair[v] = cc.reserved[v]
 
+    # Every edge still owed to a cutvertex, by owner. A step can only take
+    # away the edges it cuts, so only those are checked against the owners.
+    owed: dict[tuple, list] = {}
+    for (v, _), es in assigned.items():
+        for e in es:
+            owed.setdefault(e, []).append(v)
+    for v, e in (*reserved_end.items(), *reserved_pair.items()):
+        owed.setdefault(e, []).append(v)
+
     to_process = sorted(v for v in d.cutvertices if d.k[v] >= 1)
     processed: set = set()
-    placed = {v for c in cycles for v in c}
-
+    first = last = None
     for i in to_process:
         frags: list[_Frag] = []
-        consumed: list[int] = []
-        for b in two:
-            if i not in b.vertices:
-                continue
+        for b in blocks_at.get(i, ()):
             es = assigned.get((i, b.index))
             if not es:
                 raise ConstructionError(
                     f"cutvertex {i} carries no assigned edges in block {b.index}")
-            ci = _find_cycle(cycles, es)
-            if ci is None:
+            c = cs.cycle_of(es[0])
+            if c is None or any(cs.cycle_of(e) != c for e in es):
                 raise ConstructionError(
                     f"assigned edges {es} of vertex {i} vanished before its turn")
             if len(es) == 2:
-                path = _extract_vertex(cycles[ci], i, es)
-                frags.append(_Frag("open", path, (0, b.index)))
+                frags.append(_opened(cs, i, c, (0, b.index), es))
             else:
-                path = _anchor_first(_cut_at_edge(cycles[ci], es[0]), i)
-                frags.append(_Frag("anch", path, (0, b.index)))
-            consumed.append(ci)
+                frags.append(_anchored(i, c, es[0], (0, b.index)))
         if i in reserved_pair:
             e = reserved_pair[i]
-            ci = _find_cycle(cycles, [e])
-            if ci is None:
+            c = cs.cycle_of(e)
+            if c is None:
                 raise ConstructionError(f"pair edge {e} for {i} vanished")
-            path = _cut_at_edge(cycles[ci], e)
-            if i not in path or path[0] == i or path[-1] == i:
+            if i in e or not cs.around(i, c):
                 raise ConstructionError(f"pair cut at {e} does not keep {i} inside")
-            frags.append(_Frag("base2", path, (1, 0)))
-            consumed.append(ci)
+            frags.append(_Frag("base2", e, (1, 0), c, (e,)))
         elif i in reserved_end:
             e = reserved_end[i]
-            ci = _find_cycle(cycles, [e])
-            if ci is None:
+            c = cs.cycle_of(e)
+            if c is None:
                 if e not in k2_edges:
                     raise ConstructionError(f"end edge {e} for {i} vanished")
-                partner = e[0] if e[1] == i else e[1]
-                frags.append(_Frag("anch", [i, partner], (1, 0)))
+                frags.append(_Frag("anch", (i, _partner(e, i)), (1, 0)))
             else:
-                path = _anchor_first(_cut_at_edge(cycles[ci], e), i)
-                frags.append(_Frag("anch", path, (1, 0)))
-                consumed.append(ci)
+                frags.append(_anchored(i, c, e, (1, 0)))
         for leaf in sorted(g.neighbors(i)):
-            if g.degree(leaf) == 1 and leaf not in placed:
-                frags.append(_Frag("leaf", [leaf], (2, leaf)))
-        if len(set(consumed)) != len(consumed):
-            raise ConstructionError(
-                f"two fragments at {i} came from one cycle; they should only "
-                "meet when {i} itself is merged")
+            if g.degree(leaf) == 1 and leaf not in cs.nbrs:
+                frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
 
-        merged = _assemble(i, frags)
-        _assert_cycle(sq, merged)
-        cycles = [c for j, c in enumerate(cycles) if j not in consumed]
-        cycles.append(merged)
-        placed.update(merged)
+        first, last, removed = _merge_at(cs, g, i, frags)
         processed.add(i)
+        for e in removed:
+            for j in owed.get(e, ()):
+                if j not in processed:
+                    raise ConstructionError(
+                        f"edge {e} owed to pending vertex {j} was consumed")
+        e = reserved_end.get(i)
+        if (e in k2_edges and _partner(e, i) not in processed
+                and cs.cycle_of(e) is None):
+            raise ConstructionError(
+                f"end edge {e} reserved for pending vertex {_partner(e, i)} "
+                "did not appear")
 
-        _check_pending(cycles, assigned, reserved_end, reserved_pair,
-                       k2_edges, processed)
-
-    if len(cycles) != 1:
+    if len(cs.live) != 1 or first is None:
         raise ConstructionError(
-            f"merging finished with {len(cycles)} cycles instead of one")
-    return cycles[0]
-
-
-def _check_pending(cycles, assigned, reserved_end, reserved_pair,
-                   k2_edges, processed) -> None:
-    """Every edge still owed to an unprocessed cutvertex must remain available."""
-    for (j, t), es in assigned.items():
-        if j in processed:
-            continue
-        for e in es:
-            if _find_cycle(cycles, [e]) is None:
-                raise ConstructionError(
-                    f"edge {e} assigned to pending vertex {j} was consumed")
-    for j, e in reserved_end.items():
-        if j in processed:
-            continue
-        if e in k2_edges:
-            other = e[0] if e[1] == j else e[1]
-            if other not in processed:
-                continue  # appears once the first endpoint is merged
-        if _find_cycle(cycles, [e]) is None:
-            raise ConstructionError(
-                f"end edge {e} reserved for pending vertex {j} was consumed")
-    for j, e in reserved_pair.items():
-        if j in processed:
-            continue
-        if _find_cycle(cycles, [e]) is None:
-            raise ConstructionError(
-                f"pair edge {e} reserved for pending vertex {j} was consumed")
+            f"merging finished with {len(cs.live)} cycles instead of one")
+    return cs.walk(first, last)
 
 
 def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
@@ -322,24 +296,18 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
     bad = check_conditions(g, labelling, d)
     if bad:
         raise ValueError(f"labelling violates conditions {bad}")
-    sq = g.square()
 
     if not d.two_blocks():
         cyc = list(caterpillar_cycle(g).order)
     elif len(d.blocks) == 1:
-        w = cycle_with(sq, g)
+        w = cycle_with(g.square(), g)
         if w is None:
             raise ConstructionError("no hamiltonian cycle in the block square")
         cyc = list(w.order)
     else:
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, g.n * 8 + 400))
-        try:
-            cyc = _merge_cycles(g, d, labelling, sq)
-        finally:
-            sys.setrecursionlimit(old)
+        cyc = _merge_cycles(g, d, labelling)
 
-    if not is_ham_cycle(sq, cyc):
+    if not is_ham_cycle(g, cyc, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian cycle")
     return cyc
 
@@ -382,8 +350,10 @@ def _hanging_component(g: Graph, bg: Graph, c: int) -> Graph:
 
 
 def _cycle_with_two_edges_at(g2: Graph, c2: int) -> list:
-    """Hamiltonian cycle of g2**2 whose two cycle edges at c2 are g2-edges."""
+    """Hamiltonian cycle of g2**2, starting at c2, whose two cycle edges at
+    c2 are g2-edges."""
     d2 = decompose(g2)
+    cs = CycleSet()
     frags = []
     for blk in d2.two_blocks():
         if c2 not in blk.vertices:
@@ -400,7 +370,7 @@ def _cycle_with_two_edges_at(g2: Graph, c2: int) -> list:
         if w is None:
             raise ConstructionError(
                 f"no block cycle with two edges at {c2} in block {blk.index}")
-        cyc = list(w.order)
+        c = cs.add(w.order)
         if yi is not None:
             ypi = _partner(w.assignment[yi][0], yi)
             keep = g2.vertices - (blk.vertices - {yi})
@@ -414,19 +384,16 @@ def _cycle_with_two_edges_at(g2: Graph, c2: int) -> list:
                 raise ConstructionError(f"nothing hangs at cutvertex {yi}")
             di = min(hi.neighbors(yi))
             pi = _path_rec(hi, yi, di)
-            cyc = replace_edge_with(cyc, yi, ypi, pi + [ypi], cyclic=True)
-        arc = _extract_vertex(cyc, c2, w.assignment[c2])
-        frags.append((blk.index, arc))
-    frags.sort()
-    seq = [c2]
-    for _, arc in frags:
-        seq.extend(_oriented(arc))
+            cs.splice(pi + [ypi])
+        frags.append(_opened(cs, c2, c, (0, blk.index), w.assignment[c2]))
     for leaf in sorted(g2.neighbors(c2)):
         if g2.degree(leaf) == 1:
-            seq.append(leaf)
-    _assert_cycle(g2.square(), seq)
-    if set(seq) != set(g2.vertices):
-        raise ConstructionError("cycle through the hanging component is short")
+            frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
+    first, last, _ = _merge_at(cs, g2, c2, frags)
+    seq = cs.walk(first, last)
+    if not is_ham_cycle(g2, seq, square=True):
+        raise ConstructionError(
+            "cycle through the hanging component is not hamiltonian")
     return seq
 
 
@@ -524,8 +491,7 @@ def _rescue_through_neighbors(g: Graph, bg: Graph, c1: int, c2: int,
         cp2 = min(g2.neighbors(c2))
         insert = [cp2]
     else:
-        cyc = _cycle_with_two_edges_at(g2, c2)
-        insert = _oriented(_extract_vertex(cyc, c2))
+        insert = _oriented(_cycle_with_two_edges_at(g2, c2)[1:])
     return res[:pos + 1] + insert + res[pos + 1:]
 
 
@@ -589,7 +555,6 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
         path = _path_rec(g, x, y)
     finally:
         sys.setrecursionlimit(old)
-    sq = g.square()
-    if not is_ham_path(sq, path, x, y):
+    if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")
     return path

@@ -8,6 +8,7 @@ blocks with more than two vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
@@ -203,15 +204,70 @@ def bc_tree(d: Decomposition) -> BcTree:
     return BcTree(tuple(nodes), tags, adj)
 
 
+def _canon_cmp(a, b) -> int:
+    """-1, 0 or 1 as canonical form a is below, equal to or above b.
+
+    The same order as comparing the tuples, without the interpreter's
+    recursion, which a form as deep as a long path would exceed.
+    """
+    stack = [((a,), (b,), 0)]
+    while stack:
+        xs, ys, i = stack.pop()
+        if i == len(xs) or i == len(ys):
+            if len(xs) != len(ys):
+                return -1 if len(xs) < len(ys) else 1
+            continue
+        stack.append((xs, ys, i + 1))
+        x, y = xs[i], ys[i]
+        if x is y:
+            continue
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        stack.append((x[1], y[1], 0))
+    return 0
+
+
+def canonical_text(canon) -> str:
+    """str(canon) for a canonical form, built without recursion."""
+    out = []
+    stack = [canon]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif not item:
+            out.append("()")
+        else:
+            tag, kids = item
+            parts = [f"({tag!r}, ("]
+            for j, kid in enumerate(kids):
+                parts += [", ", kid] if j else [kid]
+            parts.append(",))" if len(kids) == 1 else "))")
+            stack.extend(reversed(parts))
+    return "".join(out)
+
+
 def _tree_canonical(nodes, tags, adj):
     if not nodes:
         return ()
     if len(nodes) == 1:
         return (tags[nodes[0]], ())
+    by_form = functools.cmp_to_key(_canon_cmp)
 
-    def canon_from(root, parent):
-        kids = sorted(canon_from(w, root) for w in adj[root] if w != parent)
-        return (tags[root], tuple(kids))
+    def canon_from(root):
+        parent = {root: None}
+        order = [root]
+        for v in order:
+            for w in adj[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    order.append(w)
+        kids: dict = {v: [] for v in order}
+        for v in reversed(order):
+            form = (tags[v], tuple(sorted(kids[v], key=by_form)))
+            if parent[v] is None:
+                return form
+            kids[parent[v]].append(form)
 
     # centers by leaf stripping
     deg = {v: len(adj[v]) for v in nodes}
@@ -230,12 +286,13 @@ def _tree_canonical(nodes, tags, adj):
                         nxt.append(w)
         layer = nxt
     centers = sorted(alive)
-    return min(canon_from(c, None) for c in centers)
+    return min((canon_from(c) for c in centers), key=by_form)
 
 
 def bc_isomorphic(t1: BcTree, t2: BcTree) -> bool:
     """Tag-respecting tree isomorphism via canonical form comparison."""
-    return t1.canonical() == t2.canonical()
+    a, b = t1.canonical(), t2.canonical()
+    return _canon_cmp(a, b) == 0 if a and b else a == b
 
 
 # -- the bridge forest P0 --------------------------------------------------

@@ -91,6 +91,13 @@ class Graph:
             return False
         return edge(u, v) in self.edges
 
+    def square_has_edge(self, u: int, v: int) -> bool:
+        """True iff u and v are adjacent in the square, which is not built."""
+        if u == v:
+            return False
+        nu = self._adj[u]
+        return v in nu or not nu.isdisjoint(self._adj[v])
+
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
 
@@ -299,24 +306,32 @@ def path_edges(order: list[int]) -> list[tuple[int, int]]:
     return [edge(order[i], order[i + 1]) for i in range(len(order) - 1)]
 
 
-def is_ham_cycle(g: Graph, order: list[int]) -> bool:
-    """True iff order is a hamiltonian cycle of g (each vertex once, edges present)."""
+def is_ham_cycle(g: Graph, order: list[int], square: bool = False) -> bool:
+    """True iff order is a hamiltonian cycle of g (each vertex once, edges present).
+
+    With square=True the cycle is checked against g's square, which is not
+    built: see Graph.square_has_edge.
+    """
     if g.n < 3 or len(order) != g.n or set(order) != set(g.vertices):
         return False
-    return all(g.has_edge(order[i], order[(i + 1) % g.n])
+    adjacent = g.square_has_edge if square else g.has_edge
+    return all(adjacent(order[i], order[(i + 1) % g.n])
                for i in range(g.n))
 
 
 def is_ham_path(g: Graph, order: list[int],
-                x: int | None = None, y: int | None = None) -> bool:
+                x: int | None = None, y: int | None = None,
+                square: bool = False) -> bool:
     """True iff order is a hamiltonian path of g whose ends are x and y.
 
     When x or y is given the path must start at x and end at y (either
-    orientation is accepted).
+    orientation is accepted). With square=True the path is checked against
+    g's square, which is not built.
     """
     if len(order) != g.n or set(order) != set(g.vertices):
         return False
-    if not all(g.has_edge(order[i], order[i + 1]) for i in range(g.n - 1)):
+    adjacent = g.square_has_edge if square else g.has_edge
+    if not all(adjacent(order[i], order[i + 1]) for i in range(g.n - 1)):
         return False
     if x is None and y is None:
         return True

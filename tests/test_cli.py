@@ -170,6 +170,19 @@ def test_input_errors(gfile, capsys):
     assert err.count("error:") == 4
 
 
+def test_internal_error_exits_70(gfile, tmp_path, capsys):
+    dot = str(tmp_path / "no-such-dir" / "out.dot")
+    assert main(["check-ham", gfile(BOWTIE_TXT), "--dot", dot]) == 70
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal error:")
+
+
+def test_decompose_deep_path(gfile, capsys):
+    path = "".join(f"{i} {i + 1}\n" for i in range(4999))
+    assert main(["decompose", gfile(path)]) == 0
+    assert "cutvertices: 1 2 3" in capsys.readouterr().out
+
+
 def test_stdin_dash_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hamsquare.cli", "check-ham", "-", "--json"],

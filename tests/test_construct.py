@@ -7,6 +7,7 @@ import pytest
 from hamsquare.graph import (
     Graph, edge, path_graph, cycle_graph, is_ham_cycle, is_ham_path,
 )
+from hamsquare.corpus import corpus
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import Labelling, decide_hamiltonicity
 from hamsquare.hamconn import decide_hamiltonian_connectedness
@@ -15,10 +16,10 @@ from hamsquare.construct import (
     construct_ham_cycle,
     construct_ham_path,
     block_cycle,
-    _cut_at_edge,
-    _extract_vertex,
+    _opened,
     _rescue_through_neighbors,
 )
+from hamsquare.caterpillars import CycleSet
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 DUMBBELL = Graph.from_edges([(0, 1), (1, 2), (0, 2),
@@ -73,20 +74,47 @@ def test_small_input_rejected():
 
 # -- helper surgery --------------------------------------------------------
 
-def test_cut_at_edge_removes_exactly_that_adjacency():
-    order = [0, 1, 2, 3]
-    res = _cut_at_edge(order, edge(1, 2))
-    assert sorted(res) == [0, 1, 2, 3]
-    assert {res[0], res[-1]} == {1, 2}
-    kept = {edge(res[i], res[i + 1]) for i in range(3)}
-    ring = {edge(order[i], order[(i + 1) % 4]) for i in range(4)}
-    assert kept == ring - {edge(1, 2)}
+def test_cycle_set_cut_removes_exactly_that_adjacency():
+    cs = CycleSet()
+    c = cs.add([0, 1, 2, 3])
+    cs.cut(edge(1, 2))
+    assert cs.cycle_of(edge(1, 2)) is None
+    assert all(cs.cycle_of(e) == c for e in [(0, 1), (2, 3), (0, 3)])
+    assert cs.nbrs == {0: {1, 3}, 1: {0}, 2: {3}, 3: {0, 2}}
+    with pytest.raises(ConstructionError):
+        cs.cut(edge(1, 2))
 
 
-def test_extract_vertex_returns_neighbor_ended_path():
-    res = _extract_vertex([0, 1, 2, 3], 1)
-    assert sorted(res) == [0, 2, 3]
-    assert {res[0], res[-1]} == {0, 2}
+def test_opened_fragment_ends_at_the_neighbors():
+    cs = CycleSet()
+    c = cs.add([0, 1, 2, 3])
+    f = _opened(cs, 1, c, (0, 0))
+    assert f.ends == (0, 2)
+    assert set(f.cut) == {edge(0, 1), edge(1, 2)}
+    with pytest.raises(ConstructionError):
+        _opened(cs, 1, c, (0, 0), expect=[edge(0, 1), edge(1, 3)])
+
+
+def test_cycle_set_joins_cycles_and_walks_them():
+    cs = CycleSet()
+    a = cs.add([0, 1, 2])
+    b = cs.add([0, 3, 4])
+    assert cs.around(0, a) == [1, 2] and cs.around(0, b) == [3, 4]
+    for e in [(0, 1), (0, 4)]:
+        cs.cut(e)
+    c = cs.new_cycle([a, b])
+    cs.link(1, 4, c)
+    assert cs.live == {c}
+    assert cs.cycle_of(edge(1, 2)) == cs.cycle_of(edge(3, 4)) == c
+    assert cs.walk(0, 2) == [0, 3, 4, 1, 2]
+    assert cs.walk(0, 3) == [0, 2, 1, 4, 3]
+    cs.splice([4, 9, 1])
+    assert cs.walk(0, 2) == [0, 3, 4, 9, 1, 2]
+    with pytest.raises(ConstructionError):
+        cs.link(0, 3, c)  # already laid
+    cs.link(0, 9, c)
+    with pytest.raises(ConstructionError):
+        cs.walk(0, 2)  # 0 and 9 now have three neighbours
 
 
 def test_block_cycle_demands():
@@ -176,3 +204,77 @@ def test_cycles_on_mixed_small_family():
         if not v.is_hamiltonian:
             continue
         assert is_ham_cycle(g.square(), construct_ham_cycle(g)), g
+
+
+# -- validation without the square, and scale --------------------------------
+
+def _corruptions(order, sq):
+    """order with a vertex dropped, and with two vertices swapped so that
+    two consecutive ones are not adjacent in sq (when such a swap exists)."""
+    out = [order[:-1]]
+    for i, j in itertools.combinations(range(len(order)), 2):
+        bad = list(order)
+        bad[i], bad[j] = bad[j], bad[i]
+        if not all(sq.has_edge(a, b) for a, b in zip(bad, bad[1:])):
+            out.append(bad)
+            break
+    return out
+
+
+def test_square_free_validation_agrees_with_the_square():
+    checked = 0
+    for g in corpus():
+        if g.n < 3:
+            continue
+        sq = g.square()
+        if decide_hamiltonicity(g).is_hamiltonian:
+            cyc = construct_ham_cycle(g)
+            assert is_ham_cycle(g, cyc, square=True)
+            for bad in _corruptions(cyc, sq):
+                assert not is_ham_cycle(sq, bad)
+                assert not is_ham_cycle(g, bad, square=True)
+                checked += 1
+        if not decide_hamiltonian_connectedness(g).is_ham_connected:
+            continue
+        for x, y in itertools.combinations(g.sorted_vertices(), 2):
+            p = construct_ham_path(g, x, y)
+            assert is_ham_path(g, p, x, y, square=True)
+            z = next(v for v in g.sorted_vertices() if v not in (x, y))
+            cases = [(p, x, z)] + [(bad, x, y) for bad in _corruptions(p, sq)]
+            for order, a, b in cases:
+                assert not is_ham_path(sq, order, a, b)
+                assert not is_ham_path(g, order, a, b, square=True)
+                checked += 1
+    assert checked > 5000
+
+
+def _triangle_chain(k):
+    return Graph.from_edges(e for t in range(k) for e in
+                            [(2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2),
+                             (2 * t, 2 * t + 2)])
+
+
+def test_witnesses_at_scale_square_no_more_than_a_block(monkeypatch):
+    squared = []
+    square = Graph.square
+
+    def counted(self):
+        squared.append(self.n)
+        return square(self)
+
+    monkeypatch.setattr(Graph, "square", counted)
+    chain = _triangle_chain(640)
+    star = Graph.from_edges((0, i) for i in range(1, 3000))
+    end = chain.n - 1
+    for g, build, valid in [
+        (chain, construct_ham_cycle,
+         lambda w: is_ham_cycle(chain, w, square=True)),
+        (chain, lambda g: construct_ham_path(g, 0, end),
+         lambda w: is_ham_path(chain, w, 0, end, square=True)),
+        (star, construct_ham_cycle,
+         lambda w: is_ham_cycle(star, w, square=True)),
+    ]:
+        largest = max(len(b.vertices) for b in decompose(g).blocks)
+        squared.clear()
+        assert valid(build(g))
+        assert all(n <= largest for n in squared), (g.n, max(squared))

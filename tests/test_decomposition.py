@@ -10,8 +10,11 @@ from hamsquare.decomposition import (
     decompose,
     bc_tree,
     bc_isomorphic,
+    canonical_text,
     compute_P0,
+    _canon_cmp,
 )
+from hamsquare.corpus import corpus
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 SPIDER = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -174,6 +177,25 @@ def test_bc_isomorphic_invariant_under_relabelling():
     for g in SAMPLES:
         shift = g.relabelled({v: v + 100 for v in g.vertices})
         assert bc_isomorphic(bc_tree(decompose(g)), bc_tree(decompose(shift)))
+
+
+def test_canonical_forms_order_and_print_like_tuples():
+    forms = {bc_tree(decompose(g)).canonical() for g in corpus()}
+    forms = sorted(f for f in forms if f)
+    for a, b in itertools.product(forms, repeat=2):
+        assert _canon_cmp(a, b) == (a > b) - (a < b)
+    for f in forms + [()]:
+        assert canonical_text(f) == str(f)
+
+
+def test_bc_isomorphic_on_a_deep_path():
+    # the canonical form nests once per bc-tree level, deeper than the
+    # interpreter's recursion limit
+    g = path_graph(5000)
+    t = bc_tree(decompose(g))
+    assert bc_isomorphic(t, bc_tree(decompose(g.relabelled(
+        {v: 4999 - v for v in g.vertices}))))
+    assert not bc_isomorphic(t, bc_tree(decompose(path_graph(4999))))
 
 
 # -- bridge forest ---------------------------------------------------------
