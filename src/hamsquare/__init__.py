@@ -11,7 +11,6 @@ from .graph import (
     GraphParseError,
     edge,
     parse_edge_list,
-    edge_list_text,
 )
 from .decomposition import decompose, Decomposition, Block
 from .labelling import decide_hamiltonicity, HamiltonicityVerdict
@@ -30,7 +29,6 @@ __all__ = [
     "GraphParseError",
     "edge",
     "parse_edge_list",
-    "edge_list_text",
     "decompose",
     "Decomposition",
     "Block",

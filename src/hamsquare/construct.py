@@ -28,14 +28,19 @@ from scratch, so a wrong assembly can never be returned silently. All
 these checks test square adjacency pairwise; no square of the whole graph
 is built.
 
-The path constructor follows the block tree. Endpoints in different blocks
-split the graph at a separating cutvertex and concatenate the two half
-paths. Endpoints in the same block take a per-block path with a designated
-block edge at each cutvertex of the block and splice the hanging component
-into that edge; when both endpoints are the block's two cutvertices this
-designated edge may not exist at the far end, in which case a path through
-an edge between two neighbors of that end is used instead, and the hanging
-component is folded in as a cycle opened up between those two neighbors.
+The path constructor works on pieces: sets of blocks that are connected in
+the block-cutvertex tree, all read through one index built from the one
+decomposition of the whole graph. Endpoints in different blocks split the
+piece along the bc-tree path between them: every cutvertex on that path
+separates them, so the path crosses each block of it, together with what
+hangs off that block, in turn, and the part paths are concatenated.
+Endpoints in the same block take a per-block path with a designated block
+edge at each cutvertex of the block and splice into that edge the part
+hanging there, the bc-subtree at the cutvertex away from the block; when
+both endpoints are the block's two cutvertices this designated edge may not
+exist at the far end, in which case a path through an edge between two
+neighbors of that end is used instead, and the hanging part is folded in as
+a cycle opened up between those two neighbors.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .decomposition import Decomposition, decompose, compute_P0
 from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
+from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import cycle_with, path_with
 
 
@@ -314,12 +320,88 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
 
 # -- hamiltonian paths -----------------------------------------------------
 
-def _separates(g: Graph, v: int, x: int, y: int) -> bool:
-    rest = g.subgraph(g.vertices - {v})
-    for comp in rest.components():
-        if x in comp:
-            return y not in comp
-    return False
+@dataclass(frozen=True)
+class _Blocks:
+    """The blocks of the whole graph and, per vertex, the blocks holding it.
+
+    Path construction splits the graph into pieces, sets of block indices
+    that are connected in the bc-tree, and reads every piece through this
+    one index. A piece's blocks keep their order by edge list.
+    """
+    g: Graph
+    blocks: tuple
+    at: dict  # vertex -> indices of its blocks, ascending
+
+    @staticmethod
+    def of(d: Decomposition) -> "_Blocks":
+        at: dict[int, list] = {v: [] for v in d.graph.vertices}
+        for b in d.blocks:
+            for v in b.vertices:
+                at[v].append(b.index)
+        return _Blocks(d.graph, d.blocks, at)
+
+    def at_in(self, v: int, piece) -> list:
+        return [t for t in self.at[v] if t in piece]
+
+    def cuts(self, piece, t: int) -> list:
+        """The cutvertices of the piece in block t, ascending."""
+        return sorted(v for v in self.blocks[t].vertices
+                      if len(self.at_in(v, piece)) > 1)
+
+    def reach(self, piece, starts, c: int, skip=frozenset()) -> frozenset:
+        """The blocks of the piece reached from the start blocks without
+        passing vertex c or entering a block of skip."""
+        seen, todo, passed = set(starts), list(starts), {c}
+        while todo:
+            for v in self.blocks[todo.pop()].vertices:
+                if v in passed:
+                    continue
+                passed.add(v)
+                for s in self.at[v]:
+                    if s in piece and s not in seen and s not in skip:
+                        seen.add(s)
+                        todo.append(s)
+        return frozenset(seen)
+
+    def hanging(self, piece, c: int, t: int) -> frozenset:
+        """The part of the piece hanging at c once block t is taken out."""
+        return self.reach(piece, [s for s in self.at_in(c, piece) if s != t], c)
+
+    def first_neighbor(self, piece, c: int) -> int:
+        nb = self.g.neighbors(c)
+        return min(w for t in self.at_in(c, piece)
+                   for w in nb & self.blocks[t].vertices)
+
+
+def _along(bl: _Blocks, piece, x: int, y: int):
+    """(a, b, part) for each block of the bc-tree path from x to y.
+
+    a and b are the block's ends on the path: x, then every cutvertex
+    between, then y; each of them separates x from y. A part holds its
+    block and what hangs off the block there, so a hamiltonian x-y path
+    crosses the parts in turn, from a to b in each.
+    """
+    block_of: dict[int, int] = {}  # vertex -> block on its way to y
+    from_v: dict[int, int] = {}  # block -> its vertex on the way to y
+    todo = [y]
+    while x not in block_of:
+        v = todo.pop()
+        for t in bl.at[v]:
+            if t in piece and t not in from_v:
+                from_v[t] = v
+                for w in bl.blocks[t].vertices:
+                    if w != y and w not in block_of:
+                        block_of[w] = t
+                        todo.append(w)
+    taken: set = set()
+    a = x
+    while a != y:
+        t = block_of[a]
+        b = from_v[t]
+        part = piece - taken if b == y else bl.reach(piece, [t], b, taken)
+        taken |= part
+        yield a, b, part
+        a = b
 
 
 def _splice_path(order: list, c: int, yp: int, tail: list) -> list:
@@ -340,52 +422,34 @@ def _partner(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _hanging_component(g: Graph, bg: Graph, c: int) -> Graph:
-    """The piece of g attached through c once the block bg is taken out."""
-    gm = g.subtract(bg)
-    for comp in gm.components():
-        if c in comp:
-            return gm.subgraph(comp)
-    raise ConstructionError(f"no component of the remainder contains {c}")
-
-
-def _cycle_with_two_edges_at(g2: Graph, c2: int) -> list:
-    """Hamiltonian cycle of g2**2, starting at c2, whose two cycle edges at
-    c2 are g2-edges."""
-    d2 = decompose(g2)
+def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int) -> list:
+    """Hamiltonian cycle of the piece's square, starting at c2, whose two
+    cycle edges at c2 are edges of the graph."""
+    g2 = Graph.from_edges(e for t in piece for e in bl.blocks[t].edges)
     cs = CycleSet()
     frags = []
-    for blk in d2.two_blocks():
-        if c2 not in blk.vertices:
+    for t in bl.at_in(c2, piece):
+        blk = bl.blocks[t]
+        if blk.is_bridge:
             continue
         blkg = Graph.from_edges(blk.edges)
-        others = [v for v in sorted(d2.cutvertices)
-                  if v in blk.vertices and v != c2]
+        others = [v for v in bl.cuts(piece, t) if v != c2]
         if len(others) > 1:
             raise ConstructionError(
-                f"block {blk.index} has more than two cutvertices")
+                f"block {t} has more than two cutvertices")
         yi = others[0] if others else None
         demands = [(c2, 2)] + ([(yi, 1)] if yi is not None else [])
         w = cycle_with(blkg.square(), blkg, demands)
         if w is None:
             raise ConstructionError(
-                f"no block cycle with two edges at {c2} in block {blk.index}")
+                f"no block cycle with two edges at {c2} in block {t}")
         c = cs.add(w.order)
         if yi is not None:
             ypi = _partner(w.assignment[yi][0], yi)
-            keep = g2.vertices - (blk.vertices - {yi})
-            sub = g2.subgraph(keep)
-            hi = None
-            for comp in sub.components():
-                if yi in comp:
-                    hi = sub.subgraph(comp)
-                    break
-            if hi is None or hi.n < 2:
-                raise ConstructionError(f"nothing hangs at cutvertex {yi}")
-            di = min(hi.neighbors(yi))
-            pi = _path_rec(hi, yi, di)
+            hi = bl.hanging(piece, yi, t)
+            pi = _path_rec(bl, hi, yi, bl.first_neighbor(hi, yi))
             cs.splice(pi + [ypi])
-        frags.append(_opened(cs, c2, c, (0, blk.index), w.assignment[c2]))
+        frags.append(_opened(cs, c2, c, (0, t), w.assignment[c2]))
     for leaf in sorted(g2.neighbors(c2)):
         if g2.degree(leaf) == 1:
             frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
@@ -397,9 +461,15 @@ def _cycle_with_two_edges_at(g2: Graph, c2: int) -> list:
     return seq
 
 
-def _case_same_block(g: Graph, d: Decomposition, blk, x: int, y: int) -> list:
+def _hung_path(bl: _Blocks, piece, res: list, blk, c: int, z: int) -> list:
+    """res with the part of the piece hanging at c spliced into its c-z step."""
+    h = bl.hanging(piece, c, blk.index)
+    return _splice_path(res, c, z, _path_rec(bl, h, c, bl.first_neighbor(h, c)))
+
+
+def _case_same_block(bl: _Blocks, piece, blk, x: int, y: int) -> list:
     bg = Graph.from_edges(blk.edges)
-    cvs = sorted(v for v in d.cutvertices if v in blk.vertices)
+    cvs = bl.cuts(piece, blk.index)
 
     if len(cvs) == 1:
         c = cvs[0]
@@ -418,10 +488,7 @@ def _case_same_block(g: Graph, d: Decomposition, blk, x: int, y: int) -> list:
                 raise ConstructionError("bridge block endpoints are its vertices")
             pb = [x, y]
             yp = x
-        rest = _hanging_component(g, bg, c)
-        cp = min(rest.neighbors(c))
-        pg = _path_rec(rest, c, cp)
-        res = _splice_path(pb, c, yp, pg)
+        res = _hung_path(bl, piece, pb, blk, c, yp)
         return list(reversed(res)) if flip else res
 
     if len(cvs) != 2:
@@ -436,7 +503,7 @@ def _case_same_block(g: Graph, d: Decomposition, blk, x: int, y: int) -> list:
         c1, c2 = x, y
         w = path_with(bg.square(), bg, x, y, [(c1, 1), (c2, 1)])
         if w is None:
-            return _rescue_through_neighbors(g, bg, c1, c2, x, y)
+            return _rescue_through_neighbors(bl, piece, blk, x, y)
     else:
         w = path_with(bg.square(), bg, x, y, [(c1, 1), (c2, 1)])
         if w is None:
@@ -444,42 +511,33 @@ def _case_same_block(g: Graph, d: Decomposition, blk, x: int, y: int) -> list:
                 f"no {x}-{y} path with block edges at {c1} and {c2}")
     res = list(w.order)
     for c in (c1, c2):
-        gi = _hanging_component(g, bg, c)
-        cpi = min(gi.neighbors(c))
-        pgi = _path_rec(gi, c, cpi)
-        zi = _partner(w.assignment[c][0], c)
-        res = _splice_path(res, c, zi, pgi)
+        res = _hung_path(bl, piece, res, blk, c, _partner(w.assignment[c][0], c))
     return res
 
 
-def _rescue_through_neighbors(g: Graph, bg: Graph, c1: int, c2: int,
-                              x: int, y: int) -> list:
-    """x-y path when no block path carries an edge at the far endpoint.
+def _rescue_through_neighbors(bl: _Blocks, piece, blk, x: int, y: int) -> list:
+    """x-y path between the two cutvertices of blk when no block path carries
+    an edge at y.
 
-    A path through some edge between two neighbors of c2 exists instead;
-    the component hanging at c2 enters between those two neighbors.
+    A path through some edge between two neighbors of y exists instead;
+    the part hanging at y enters between those two neighbors.
     """
     import itertools
+    bg = Graph.from_edges(blk.edges)
     found = None
-    for u, v in itertools.combinations(sorted(bg.neighbors(c2)), 2):
-        w = path_with(bg.square(), bg, x, y, [(c1, 1)],
+    for u, v in itertools.combinations(sorted(bg.neighbors(y)), 2):
+        w = path_with(bg.square(), bg, x, y, [(x, 1)],
                       required_edges=[edge(u, v)])
         if w is not None:
             found = (u, v, w)
             break
     if found is None:
         raise ConstructionError(
-            f"neither an edge at {c2} nor a neighbor-pair edge is achievable")
+            f"neither an edge at {y} nor a neighbor-pair edge is achievable")
     u, v, w = found
-    res = list(w.order)
+    res = _hung_path(bl, piece, list(w.order), blk, x,
+                     _partner(w.assignment[x][0], x))
 
-    g1 = _hanging_component(g, bg, c1)
-    cp1 = min(g1.neighbors(c1))
-    pg1 = _path_rec(g1, c1, cp1)
-    z1 = _partner(w.assignment[c1][0], c1)
-    res = _splice_path(res, c1, z1, pg1)
-
-    g2 = _hanging_component(g, bg, c2)
     pos = None
     for j in range(len(res) - 1):
         if edge(res[j], res[j + 1]) == edge(u, v):
@@ -487,51 +545,32 @@ def _rescue_through_neighbors(g: Graph, bg: Graph, c1: int, c2: int,
             break
     if pos is None:
         raise ConstructionError(f"required edge ({u}, {v}) lost while splicing")
-    if g2.n == 2:
-        cp2 = min(g2.neighbors(c2))
-        insert = [cp2]
+    h = bl.hanging(piece, y, blk.index)
+    if len(h) == 1 and bl.blocks[min(h)].is_bridge:
+        insert = [bl.first_neighbor(h, y)]
     else:
-        insert = _oriented(_cycle_with_two_edges_at(g2, c2)[1:])
+        insert = _oriented(_cycle_with_two_edges_at(bl, h, y)[1:])
     return res[:pos + 1] + insert + res[pos + 1:]
 
 
-def _path_rec(g: Graph, x: int, y: int) -> list:
-    if g.n == 2:
-        return [x, y]
-    d = decompose(g)
-    same = None
-    for blk in d.blocks:
-        if x in blk.vertices and y in blk.vertices:
-            same = blk
-            break
-    if same is not None:
-        if len(d.blocks) == 1:
-            w = path_with(g.square(), g, x, y)
-            if w is None:
-                raise ConstructionError(f"no {x}-{y} path in the block square")
-            return list(w.order)
-        return _case_same_block(g, d, same, x, y)
-
-    pg = g.shortest_path(x, y)
-    c = None
-    for v in pg[1:-1]:
-        if v in d.cutvertices and _separates(g, v, x, y):
-            c = v
-            break
-    if c is None:
-        raise ConstructionError(
-            f"no separating cutvertex between {x} and {y} found")
-    rest = g.subgraph(g.vertices - {c})
-    kx = None
-    for comp in rest.components():
-        if x in comp:
-            kx = comp
-            break
-    gx = g.subgraph(kx | {c})
-    gy = g.subgraph(g.vertices - kx)
-    px = _path_rec(gx, x, c)
-    py = _path_rec(gy, c, y)
-    return px + py[1:]
+def _path_rec(bl: _Blocks, piece, x: int, y: int) -> list:
+    """A hamiltonian x-y path of the square of the piece."""
+    if len(piece) == 1:
+        blk = bl.blocks[min(piece)]
+        if blk.is_bridge:
+            return [x, y]
+        bg = Graph.from_edges(blk.edges)
+        w = path_with(bg.square(), bg, x, y)
+        if w is None:
+            raise ConstructionError(f"no {x}-{y} path in the block square")
+        return list(w.order)
+    for t in bl.at_in(x, piece):
+        if y in bl.blocks[t].vertices:
+            return _case_same_block(bl, piece, bl.blocks[t], x, y)
+    path = [x]
+    for a, b, part in _along(bl, piece, x, y):
+        path += _path_rec(bl, part, a, b)[1:]
+    return path
 
 
 def construct_ham_path(g: Graph, x: int, y: int) -> list:
@@ -540,7 +579,6 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     Requires the connectedness decision to pass: no nontrivial bridge and
     at most two cutvertices per block.
     """
-    from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
@@ -549,10 +587,11 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     if verdict.outcome != HAM_CONNECTED:
         raise ValueError(
             f"square not guaranteed hamiltonian connected: {verdict.outcome}")
+    d = decompose(g)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, g.n * 16 + 400))
     try:
-        path = _path_rec(g, x, y)
+        path = _path_rec(_Blocks.of(d), frozenset(range(len(d.blocks))), x, y)
     finally:
         sys.setrecursionlimit(old)
     if not is_ham_path(g, path, x, y, square=True):

@@ -51,19 +51,9 @@ class Decomposition:
     def blocks_at(self, v: int) -> list[Block]:
         return [b for b in self.blocks if v in b.vertices]
 
-    def two_blocks_at(self, v: int) -> list[Block]:
-        return [b for b in self.blocks if b.is_two_block and v in b.vertices]
-
-    def block_of_edge(self, e: tuple[int, int]) -> Block:
-        for b in self.blocks:
-            if e in b.edges:
-                return b
-        raise KeyError(f"edge {e} not in any block")
-
     def endblocks(self) -> list[Block]:
         """Blocks containing at most one cutvertex (leaves of the bc-tree)."""
-        return [b for b in self.blocks
-                if sum(1 for v in b.vertices if v in self.cutvertices) <= 1]
+        return [b for b in self.blocks if self.cvn[b.index] <= 1]
 
 
 def _biconnected(g: Graph):

@@ -228,10 +228,6 @@ class Graph:
         return "\n".join(out) + "\n"
 
 
-def edge_list_text(g: Graph) -> str:
-    return g.edge_list_text()
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format; raises GraphParseError with line numbers."""
     edges: set[tuple[int, int]] = set()

@@ -8,24 +8,22 @@ risk: replacing it by a plain cycle (keeping the block-cutvertex tree) gives
 a graph whose square is not hamiltonian connected, though the given graph's
 square might be.
 
-The decision peels endblocks: drop all endblocks of the input first, then
-repeatedly remove an endblock of what remains, stopping on a surviving
-bridge or an overloaded block. The final verdict is computed from the two
-global facts directly, so it cannot depend on the peeling order; the trace
-of removals is kept for reporting only, with the bridge obstruction taking
-precedence when both kinds are present.
+Both facts come from one decomposition: its nontrivial bridges and its
+per-block cutvertex counts, so the decision costs one decompose plus
+O(n + m). When both obstructions are present the bridge is reported; the
+smallest bridge and the lowest-indexed overloaded block are named.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graph import Graph, edge
+from .graph import Graph
 from .decomposition import decompose
+from .labelling import STRUCTURALLY_RISKY
 
 HAM_CONNECTED = "HAM_CONNECTED"
 NOT_HAM_CONNECTED = "NOT_HAM_CONNECTED"
-STRUCTURALLY_RISKY = "STRUCTURALLY_RISKY"
 
 
 @dataclass(frozen=True)
@@ -35,43 +33,10 @@ class HamConnVerdict:
     risky_block: int | None = None
     risky_cvn: int | None = None
     reason: str | None = None
-    peel_trace: tuple = field(default=(), compare=False)
 
     @property
     def is_ham_connected(self) -> bool:
         return self.outcome == HAM_CONNECTED
-
-
-def _block_graph(b) -> Graph:
-    return Graph.from_edges(b.edges)
-
-
-def _peel_trace(g: Graph, d) -> tuple:
-    """Simulate the endblock peeling for reporting purposes."""
-    trace = []
-    first = d.endblocks()
-    if len(first) == len(d.blocks):
-        for b in first:
-            trace.append(("removed-endblock", tuple(sorted(b.vertices))))
-        return tuple(trace)
-    remainder = g
-    for b in first:
-        trace.append(("removed-endblock", tuple(sorted(b.vertices))))
-        remainder = remainder.subtract(_block_graph(b))
-    while remainder.n > 0:
-        dd = decompose(remainder)
-        blk = dd.endblocks()[0]
-        verts = tuple(sorted(blk.vertices))
-        if blk.is_bridge:
-            trace.append(("stopped-at-bridge", verts))
-            return tuple(trace)
-        cvn = sum(1 for v in blk.vertices if v in d.cutvertices)
-        if cvn > 2:
-            trace.append(("stopped-at-block", verts))
-            return tuple(trace)
-        trace.append(("removed-endblock", verts))
-        remainder = remainder.subtract(_block_graph(blk))
-    return tuple(trace)
 
 
 def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
@@ -81,40 +46,21 @@ def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
     if not g.is_connected():
         raise ValueError("input graph must be connected")
     d = decompose(g)
-    trace = _peel_trace(g, d)
 
     if d.nontrivial_bridges:
         b = min(d.nontrivial_bridges)
         return HamConnVerdict(
-            NOT_HAM_CONNECTED, bridge=b, peel_trace=trace,
+            NOT_HAM_CONNECTED, bridge=b,
             reason=(f"nontrivial bridge {b}: its square has no hamiltonian "
                     f"path between {b[0]} and {b[1]}"))
-    overloaded = [b for b in d.two_blocks()
-                  if sum(1 for v in b.vertices if v in d.cutvertices) > 2]
+    overloaded = [b for b in d.two_blocks() if d.cvn[b.index] > 2]
     if overloaded:
         b = overloaded[0]
-        cvn = sum(1 for v in b.vertices if v in d.cutvertices)
+        cvn = d.cvn[b.index]
         return HamConnVerdict(
             STRUCTURALLY_RISKY, risky_block=b.index, risky_cvn=cvn,
-            peel_trace=trace,
             reason=(f"block {b.index} carries {cvn} cutvertices; replacing it "
                     "by a cycle of that length yields a graph with the same "
                     "block-cutvertex tree whose square is not hamiltonian "
                     "connected"))
-    return HamConnVerdict(HAM_CONNECTED, peel_trace=trace)
-
-
-def check_pair_path(g: Graph, x: int, y: int,
-                    node_budget: int | None = None):
-    """A hamiltonian x-y path of the square, or None. Delegates to the oracle."""
-    from .oracle import path_with
-    if x == y:
-        raise ValueError("endpoints must be distinct")
-    if x not in g.vertices or y not in g.vertices:
-        raise ValueError("endpoints must be vertices of the graph")
-    sq = g.square()
-    w = path_with(sq, g, x, y, node_budget=node_budget)
-    return None if w is None else list(w.order)
-
-
-algorithm2 = decide_hamiltonian_connectedness
+    return HamConnVerdict(HAM_CONNECTED)

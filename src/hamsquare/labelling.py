@@ -55,28 +55,36 @@ def check_conditions(g: Graph, labelling: Labelling,
     if d is None:
         d = decompose(g)
     violated = set()
-    two_blocks = d.two_blocks()
+    two = {b.index: b for b in d.two_blocks()}
+    # per cutvertex, the 2-blocks it holds a value for; values at other
+    # vertices and at bridges take part in no condition but the first
+    rows: dict[int, list] = {}
     for (i, t), v in labelling.m.items():
         if v not in (0, 1, 2):
             violated.add(1)
-    for i in sorted(d.cutvertices):
-        for b in two_blocks:
-            v = labelling.value(i, b.index)
-            inside = i in b.vertices
-            if (v == 0) != (not inside):
+        if i in d.cutvertices and t in two:
+            rows.setdefault(i, []).append(t)
+            if v != 0 and i not in two[t].vertices:
                 violated.add(2)
-            if inside and v < d.bn[i]:
-                violated.add(3)
-        if d.bn[i] > 2:
-            violated.add(4)
-    for b in two_blocks:
-        vals = [labelling.value(i, b.index)
-                for i in d.cutvertices if i in b.vertices]
+    for b in two.values():
+        vals = []
+        for i in b.vertices:
+            if i in d.cutvertices:
+                v = labelling.value(i, b.index)
+                vals.append(v)
+                if v == 0:
+                    violated.add(2)
+                if v < d.bn[i]:
+                    violated.add(3)
         cap = 3 if any(v == 2 for v in vals) else 4
         if sum(vals) > cap:
             violated.add(5)
-    for i in sorted(d.cutvertices):
-        total = sum(labelling.value(i, b.index) for b in two_blocks)
+    for i in d.cutvertices:
+        if d.bn[i] > 2:
+            violated.add(4)
+        # summed in block order, as a row of the whole grid would be
+        total = sum(labelling.value(i, t) for t in sorted(rows[i])) \
+            if i in rows else 0
         if total < 2 * d.k[i] + d.bn[i] - 2:
             violated.add(6)
     return sorted(violated)
@@ -139,11 +147,13 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
 def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     two_idx = [b.index for b in d.two_blocks()]
     block_by_idx = {b.index: b for b in d.blocks}
-    cuts_of = {t: sorted(v for v in d.cutvertices
-                         if v in block_by_idx[t].vertices)
+    cuts_of = {t: sorted(v for v in block_by_idx[t].vertices
+                         if v in d.cutvertices)
                for t in two_idx}
-    blocks_at = {i: [t for t in two_idx if i in block_by_idx[t].vertices]
-                 for i in d.cutvertices}
+    blocks_at: dict[int, list[int]] = {i: [] for i in d.cutvertices}
+    for t in two_idx:
+        for i in cuts_of[t]:
+            blocks_at[i].append(t)
 
     m: dict[tuple[int, int], int] = {}
     labelled: set[int] = set()
@@ -230,5 +240,3 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     return HamiltonicityVerdict(HAMILTONIAN, labelling=labelling,
                                 trace=tuple(trace))
 
-
-algorithm1 = decide_hamiltonicity

@@ -1,5 +1,6 @@
 """Witness construction for cycles and paths in the square."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -10,12 +11,16 @@ from hamsquare.graph import (
 from hamsquare.corpus import corpus
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import Labelling, decide_hamiltonicity
-from hamsquare.hamconn import decide_hamiltonian_connectedness
+from hamsquare import construct, decomposition, hamconn, labelling
+from hamsquare.hamconn import (
+    HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
+)
 from hamsquare.construct import (
     ConstructionError,
     construct_ham_cycle,
     construct_ham_path,
     block_cycle,
+    _Blocks,
     _opened,
     _rescue_through_neighbors,
 )
@@ -170,8 +175,10 @@ def test_rescue_through_neighbor_pair_directly():
     # force the fallback route: the hanging parts enter through an edge
     # joining two neighbors of the far endpoint
     g = _ring_with_triangles()
-    bg = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-    p = _rescue_through_neighbors(g, bg, 0, 2, 0, 2)
+    d = decompose(g)
+    (ring,) = (b for b in d.blocks if len(b.vertices) == 4)
+    whole = frozenset(b.index for b in d.blocks)
+    p = _rescue_through_neighbors(_Blocks.of(d), whole, ring, 0, 2)
     assert is_ham_path(g.square(), p, 0, 2)
 
 
@@ -221,14 +228,22 @@ def _corruptions(order, sq):
     return out
 
 
+# SHA-256 of every corpus witness built below, in corpus order. It pins the
+# exact witnesses: a change that alters any of them updates it and says why.
+CORPUS_WITNESSES_SHA256 = (
+    "1139d872b1497347c262f05286fd3523f70df29a7010637892f3d0f58b089d3c")
+
+
 def test_square_free_validation_agrees_with_the_square():
     checked = 0
+    digest = hashlib.sha256()
     for g in corpus():
         if g.n < 3:
             continue
         sq = g.square()
         if decide_hamiltonicity(g).is_hamiltonian:
             cyc = construct_ham_cycle(g)
+            digest.update(f"{g.sorted_edges()} {cyc}\n".encode())
             assert is_ham_cycle(g, cyc, square=True)
             for bad in _corruptions(cyc, sq):
                 assert not is_ham_cycle(sq, bad)
@@ -238,6 +253,7 @@ def test_square_free_validation_agrees_with_the_square():
             continue
         for x, y in itertools.combinations(g.sorted_vertices(), 2):
             p = construct_ham_path(g, x, y)
+            digest.update(f"{x} {y} {p}\n".encode())
             assert is_ham_path(g, p, x, y, square=True)
             z = next(v for v in g.sorted_vertices() if v not in (x, y))
             cases = [(p, x, z)] + [(bad, x, y) for bad in _corruptions(p, sq)]
@@ -246,6 +262,7 @@ def test_square_free_validation_agrees_with_the_square():
                 assert not is_ham_path(g, order, a, b, square=True)
                 checked += 1
     assert checked > 5000
+    assert digest.hexdigest() == CORPUS_WITNESSES_SHA256
 
 
 def _triangle_chain(k):
@@ -262,7 +279,15 @@ def test_witnesses_at_scale_square_no_more_than_a_block(monkeypatch):
         squared.append(self.n)
         return square(self)
 
+    decomposed = []
+
+    def counted_decompose(g):
+        decomposed.append(g.n)
+        return decompose(g)
+
     monkeypatch.setattr(Graph, "square", counted)
+    for mod in (decomposition, labelling, hamconn, construct):
+        monkeypatch.setattr(mod, "decompose", counted_decompose)
     chain = _triangle_chain(640)
     star = Graph.from_edges((0, i) for i in range(1, 3000))
     end = chain.n - 1
@@ -276,5 +301,16 @@ def test_witnesses_at_scale_square_no_more_than_a_block(monkeypatch):
     ]:
         largest = max(len(b.vertices) for b in decompose(g).blocks)
         squared.clear()
+        decomposed.clear()
         assert valid(build(g))
         assert all(n <= largest for n in squared), (g.n, max(squared))
+        assert len(decomposed) <= 2, (g.n, len(decomposed))
+
+    # one decomposition per verdict, also on a caterpillar with 1500 leaves
+    caterpillar = Graph.from_edges(
+        [(i, i + 1) for i in range(1499)] + [(i, 1500 + i) for i in range(1500)])
+    for g, outcome in [(chain, HAM_CONNECTED),
+                       (caterpillar, NOT_HAM_CONNECTED)]:
+        decomposed.clear()
+        assert decide_hamiltonian_connectedness(g).outcome == outcome
+        assert decomposed == [g.n]

@@ -3,14 +3,12 @@
 import pytest
 
 from hamsquare.graph import Graph, path_graph, cycle_graph, complete_graph
-from hamsquare.oracle import is_ham_connected
+from hamsquare.oracle import is_ham_connected, path_with
 from hamsquare.hamconn import (
     HAM_CONNECTED,
     NOT_HAM_CONNECTED,
     STRUCTURALLY_RISKY,
     decide_hamiltonian_connectedness as decide,
-    check_pair_path,
-    algorithm2,
 )
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -28,8 +26,9 @@ def test_p4_blocked_by_its_inner_bridge():
     assert v.bridge == (1, 2)
     assert not is_ham_connected(path_graph(4).square())
     # the named bridge is precisely the pair without a path
-    assert check_pair_path(path_graph(4), 1, 2) is None
-    assert check_pair_path(path_graph(4), 0, 3) is not None
+    g = path_graph(4)
+    assert path_with(g.square(), g, 1, 2) is None
+    assert path_with(g.square(), g, 0, 3) is not None
 
 
 def test_bowtie_is_ham_connected():
@@ -75,18 +74,6 @@ def test_smallest_bridge_is_reported():
     assert v.bridge == (1, 2)
 
 
-def test_peel_trace_shapes():
-    v = decide(BOWTIE)
-    assert all(step[0] == "removed-endblock" for step in v.peel_trace)
-    assert len(v.peel_trace) == 2
-
-    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
-                          (1, 5), (2, 6)])
-    v = decide(g)
-    kinds = [step[0] for step in v.peel_trace]
-    assert kinds[-1].startswith("stopped-at")
-
-
 def test_trivial_bridges_do_not_block():
     star = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)])
     v = decide(star)
@@ -109,11 +96,3 @@ def test_input_validation():
         decide(Graph(frozenset({0}), frozenset()))
     with pytest.raises(ValueError):
         decide(Graph.from_edges([(0, 1), (2, 3)]))
-    with pytest.raises(ValueError):
-        check_pair_path(path_graph(3), 1, 1)
-    with pytest.raises(ValueError):
-        check_pair_path(path_graph(3), 0, 9)
-
-
-def test_algorithm_alias():
-    assert algorithm2 is decide

@@ -12,7 +12,6 @@ from hamsquare.labelling import (
     Labelling,
     check_conditions,
     decide_hamiltonicity,
-    algorithm1,
 )
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -61,6 +60,31 @@ def test_check_conditions_bridge_floor():
     d2 = decompose(g2)
     (tri2,) = d2.two_blocks()
     assert 3 in check_conditions(g2, Labelling({(0, tri2.index): 1}), d2)
+
+
+def test_check_conditions_grid_is_cutvertices_by_two_blocks():
+    d, t0, t1 = _bowtie_blocks()
+    base = {(0, t0): 2, (0, t1): 2}
+    # a value at a vertex that is not a cutvertex, or at a bridge, takes
+    # part in the range check only
+    assert check_conditions(BOWTIE, Labelling({**base, (1, t0): 2}), d) == []
+    assert check_conditions(BOWTIE, Labelling({**base, (1, t0): 7}), d) == [1]
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    dg = decompose(g)
+    (tri,) = dg.two_blocks()
+    (bridge, _) = dg.bridges()
+    assert check_conditions(
+        g, Labelling({(0, tri.index): 1, (0, bridge.index): 2}), dg) == []
+    # a chain of three triangles: a value of cutvertex 2 in the far triangle
+    # breaks the support rule and still counts toward its column sum
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+                          (4, 5), (5, 6), (4, 6)])
+    dg = decompose(g)
+    a, b, c = (next(blk.index for blk in dg.blocks if v in blk.vertices)
+               for v in (0, 3, 5))
+    lab = {(2, a): 1, (2, b): 0, (2, c): 1, (4, b): 1, (4, c): 1}
+    assert check_conditions(g, Labelling(lab), dg) == [2]
+    assert check_conditions(g, Labelling({**lab, (2, c): 0}), dg) == [2, 6]
 
 
 def test_labelling_value_and_items():
@@ -139,10 +163,6 @@ def test_positive_labellings_pass_their_own_conditions():
         assert check_conditions(g, v.labelling) == []
         for entry in v.trace:
             assert entry[0] in ("d", "e", "f")
-
-
-def test_algorithm_alias():
-    assert algorithm1 is decide_hamiltonicity
 
 
 # -- risky structures ------------------------------------------------------
