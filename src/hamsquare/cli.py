@@ -116,8 +116,7 @@ def _load(path: str) -> Graph:
     return g
 
 
-def _summary(g: Graph) -> dict:
-    d = decompose(g)
+def _summary(g: Graph, d) -> dict:
     return {"vertices": g.n, "edges": g.m, "blocks": len(d.blocks),
             "cutvertices": len(d.cutvertices)}
 
@@ -147,7 +146,7 @@ def _check_pair(g: Graph, pair) -> tuple[int, int]:
     return x, y
 
 
-def _cmd_square(g, args):
+def _cmd_square(g, d, args):
     sq = g.square()
     lines = [sq.edge_list_text().rstrip()]
     if args.dot:
@@ -155,8 +154,7 @@ def _cmd_square(g, args):
     return {"outcome": "OK", "edges": _edge_rows(sq)}, lines
 
 
-def _cmd_decompose(g, args):
-    d = decompose(g)
+def _cmd_decompose(g, d, args):
     lines = []
     for b in d.blocks:
         kind = "2-block" if b.is_two_block else "bridge"
@@ -186,9 +184,9 @@ def _cmd_decompose(g, args):
     return result, lines
 
 
-def _cmd_check_ham(g, args):
+def _cmd_check_ham(g, d, args):
     try:
-        v = decide_hamiltonicity(g)
+        v = decide_hamiltonicity(g, d)
     except ValueError as e:
         raise _InputError(str(e))
     lines = [f"verdict: {v.outcome}"]
@@ -216,9 +214,9 @@ def _cmd_check_ham(g, args):
     return result, lines
 
 
-def _cmd_check_hc(g, args):
+def _cmd_check_hc(g, d, args):
     try:
-        v = decide_hamiltonian_connectedness(g)
+        v = decide_hamiltonian_connectedness(g, d)
     except ValueError as e:
         raise _InputError(str(e))
     lines = [f"verdict: {v.outcome}"]
@@ -237,9 +235,9 @@ def _cmd_check_hc(g, args):
     return result, lines
 
 
-def _cmd_construct_cycle(g, args):
+def _cmd_construct_cycle(g, d, args):
     try:
-        v = decide_hamiltonicity(g)
+        v = decide_hamiltonicity(g, d)
     except ValueError as e:
         raise _InputError(str(e))
     if v.outcome != HAMILTONIAN:
@@ -247,23 +245,23 @@ def _cmd_construct_cycle(g, args):
         if v.violated_condition is not None:
             result["violated_condition"] = v.violated_condition
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_cycle(g, v.labelling)
+    order = construct_ham_cycle(g, v.labelling, d)
     lines = ["cycle: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=cycle_edges(order)))
     return {"outcome": "HAMILTONIAN", "witness": order}, lines
 
 
-def _cmd_construct_path(g, args):
+def _cmd_construct_path(g, d, args):
     x, y = _check_pair(g, args.pair)
     try:
-        v = decide_hamiltonian_connectedness(g)
+        v = decide_hamiltonian_connectedness(g, d)
     except ValueError as e:
         raise _InputError(str(e))
     if v.outcome != HAM_CONNECTED:
         result = {"outcome": v.outcome, "reason": v.reason or ""}
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_path(g, x, y)
+    order = construct_ham_path(g, x, y, d)
     lines = [f"path {x} to {y}: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=path_edges(order)))
@@ -271,13 +269,13 @@ def _cmd_construct_path(g, args):
             "pair": [x, y]}, lines
 
 
-def _cmd_counterexample(g, args):
+def _cmd_counterexample(g, d, args):
     cond = args.condition if args.condition == "hc" else int(args.condition)
     try:
         out = counterexample_for(g, cond)
     except ValueError as e:
         raise _InputError(str(e))
-    c1 = canonical_text(bc_tree(decompose(g)).canonical())
+    c1 = canonical_text(bc_tree(d).canonical())
     c2 = canonical_text(bc_tree(decompose(out)).canonical())
     lines = [out.edge_list_text().rstrip(),
              f"bc-isomorphic to input: {'yes' if c1 == c2 else 'NO'}"]
@@ -287,7 +285,7 @@ def _cmd_counterexample(g, args):
             "bc_isomorphic": c1 == c2}, lines
 
 
-def _cmd_oracle(g, args):
+def _cmd_oracle(g, d, args):
     sq = g.square()
     try:
         if args.pair is None:
@@ -323,11 +321,15 @@ _HANDLERS = {
 
 
 def _execute(args) -> RunReport:
+    """Run one command; the graph is decomposed once, for the handler and
+    the report's summary alike."""
     g = _load(args.file)
     t0 = time.perf_counter()
-    result, lines = _HANDLERS[args.command](g, args)
+    d = decompose(g)
+    result, lines = _HANDLERS[args.command](g, d, args)
     elapsed = time.perf_counter() - t0
-    return RunReport(args.command, _summary(g), result, elapsed, tuple(lines))
+    return RunReport(args.command, _summary(g, d), result, elapsed,
+                     tuple(lines))
 
 
 def run(argv=None) -> RunReport:

@@ -28,28 +28,36 @@ from scratch, so a wrong assembly can never be returned silently. All
 these checks test square adjacency pairwise; no square of the whole graph
 is built.
 
-The path constructor works on pieces: sets of blocks that are connected in
-the block-cutvertex tree, all read through one index built from the one
-decomposition of the whole graph. Endpoints in different blocks split the
-piece along the bc-tree path between them: every cutvertex on that path
-separates them, so the path crosses each block of it, together with what
-hangs off that block, in turn, and the part paths are concatenated.
-Endpoints in the same block take a per-block path with a designated block
-edge at each cutvertex of the block and splice into that edge the part
-hanging there, the bc-subtree at the cutvertex away from the block; when
-both endpoints are the block's two cutvertices this designated edge may not
-exist at the far end, in which case a path through an edge between two
-neighbors of that end is used instead, and the hanging part is folded in as
-a cycle opened up between those two neighbors.
+The path constructor works top down in one CycleSet. The x-y path is
+first laid as the cycle x, y, -1 (vertices are non-negative, so -1 can
+close it), whose edge x-y is a placeholder for the path still to come. A
+task (piece, a, b) replaces a placeholder edge a-b by a hamiltonian a-b
+path of the square of the piece, a set of blocks that is connected in the
+block-cutvertex tree; every piece is read through one index built from
+the one decomposition of the whole graph. Endpoints in different blocks
+split the piece along the bc-tree path between them: every cutvertex on
+that path separates them, so the path crosses each block of it, together
+with what hangs off that block, in turn; the cutvertices are laid in that
+order and each part becomes a task. Endpoints in the same block take a
+per-block path with a designated block edge c-p at each cutvertex c of the
+block. The part hanging there, the bc-subtree at c away from the block,
+enters through that edge: c, fn, p take its place, fn the first neighbour
+of c in the part, and the part becomes the task of the edge c-fn. When
+both endpoints are the block's two cutvertices the designated edge may not
+exist at the far end y; a path through an edge u-v between two neighbours
+of y is used instead, and the part hanging at y goes in between u and v as
+a cycle through y opened up at y. Once no task is left, the path is one
+walk from x away from -1. No step depends on the length of the path laid
+so far, and none recurses.
 """
 
 from __future__ import annotations
 
-import sys
+import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
-from .decomposition import Decomposition, decompose, compute_P0
+from .decomposition import Decomposition, compute_P0, decomposition_of
 from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
@@ -85,10 +93,6 @@ def block_cycle(b: Graph, m_values: dict, index: int = -1) -> BlockCycle:
 
 
 # -- the merge -------------------------------------------------------------
-
-def _oriented(path):
-    return list(path) if path[0] <= path[-1] else list(reversed(path))
-
 
 @dataclass
 class _Frag:
@@ -281,19 +285,21 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling) -> list:
     return cs.walk(first, last)
 
 
-def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
+def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
+                        d: Decomposition | None = None) -> list:
     """A hamiltonian cycle of square(g), built from the labelling's blueprint.
 
     With labelling None the decision procedure is run first and must come
     back positive. A supplied labelling must satisfy all six conditions.
+    d is g's decomposition, if the caller has it.
     """
     if g.n < 3:
         raise ValueError("a hamiltonian cycle needs at least 3 vertices")
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    d = decompose(g)
+    d = decomposition_of(g, d)
     if labelling is None:
-        verdict = decide_hamiltonicity(g)
+        verdict = decide_hamiltonicity(g, d)
         if verdict.outcome != HAMILTONIAN:
             raise ValueError(
                 f"decision procedure returned {verdict.outcome}; no labelling "
@@ -374,7 +380,7 @@ class _Blocks:
 
 
 def _along(bl: _Blocks, piece, x: int, y: int):
-    """(a, b, part) for each block of the bc-tree path from x to y.
+    """(part, a, b) for each block of the bc-tree path from x to y.
 
     a and b are the block's ends on the path: x, then every cutvertex
     between, then y; each of them separates x from y. A part holds its
@@ -400,31 +406,30 @@ def _along(bl: _Blocks, piece, x: int, y: int):
         b = from_v[t]
         part = piece - taken if b == y else bl.reach(piece, [t], b, taken)
         taken |= part
-        yield a, b, part
+        yield part, a, b
         a = b
-
-
-def _splice_path(order: list, c: int, yp: int, tail: list) -> list:
-    """Replace the c-yp step of the path by c, tail interior, tail end, yp."""
-    if tail[0] != c:
-        raise ConstructionError("splice tail must start at the cutvertex")
-    for j in range(len(order) - 1):
-        a, b = order[j], order[j + 1]
-        if (a, b) == (c, yp):
-            return order[:j + 1] + tail[1:] + order[j + 1:]
-        if (a, b) == (yp, c):
-            rt = list(reversed(tail))
-            return order[:j + 1] + rt[:-1] + order[j + 1:]
-    raise ConstructionError(f"edge ({c}, {yp}) not on the path")
 
 
 def _partner(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int) -> list:
-    """Hamiltonian cycle of the piece's square, starting at c2, whose two
-    cycle edges at c2 are edges of the graph."""
+def _hang(bl: _Blocks, cs: CycleSet, todo: list, piece, t: int, c: int,
+          p: int) -> None:
+    """Let the part of the piece hanging at c off block t enter through the
+    block edge c-p: c, fn, p take its place, fn the first neighbour of c in
+    the part, and the part's c-fn path is left as a task."""
+    h = bl.hanging(piece, c, t)
+    fn = bl.first_neighbor(h, c)
+    cs.splice([c, fn, p])
+    todo.append((h, c, fn))
+
+
+def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int, todo: list) -> list:
+    """Hamiltonian cycle of the piece's square whose two cycle edges at c2
+    are edges of the graph, read from c2 towards the smaller of its cycle
+    neighbours. The parts hanging off its blocks are left as tasks on todo,
+    their placeholder edges on the returned cycle."""
     g2 = Graph.from_edges(e for t in piece for e in bl.blocks[t].edges)
     cs = CycleSet()
     frags = []
@@ -445,155 +450,117 @@ def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int) -> list:
                 f"no block cycle with two edges at {c2} in block {t}")
         c = cs.add(w.order)
         if yi is not None:
-            ypi = _partner(w.assignment[yi][0], yi)
-            hi = bl.hanging(piece, yi, t)
-            pi = _path_rec(bl, hi, yi, bl.first_neighbor(hi, yi))
-            cs.splice(pi + [ypi])
+            _hang(bl, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
         frags.append(_opened(cs, c2, c, (0, t), w.assignment[c2]))
     for leaf in sorted(g2.neighbors(c2)):
         if g2.degree(leaf) == 1:
             frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
-    first, last, _ = _merge_at(cs, g2, c2, frags)
-    seq = cs.walk(first, last)
-    if not is_ham_cycle(g2, seq, square=True):
-        raise ConstructionError(
-            "cycle through the hanging component is not hamiltonian")
-    return seq
+    _merge_at(cs, g2, c2, frags)
+    return cs.walk(c2, max(cs.nbrs[c2]))
 
 
-def _hung_path(bl: _Blocks, piece, res: list, blk, c: int, z: int) -> list:
-    """res with the part of the piece hanging at c spliced into its c-z step."""
-    h = bl.hanging(piece, c, blk.index)
-    return _splice_path(res, c, z, _path_rec(bl, h, c, bl.first_neighbor(h, c)))
+def _rescue_through_neighbors(bl: _Blocks, cs: CycleSet, todo: list, piece,
+                              blk, x: int, y: int) -> None:
+    """Lay the x-y path between the two cutvertices of blk when no block
+    path carries an edge at y.
 
-
-def _case_same_block(bl: _Blocks, piece, blk, x: int, y: int) -> list:
-    bg = Graph.from_edges(blk.edges)
-    cvs = bl.cuts(piece, blk.index)
-
-    if len(cvs) == 1:
-        c = cvs[0]
-        flip = x == c
-        if flip:
-            x, y = y, x
-        if blk.is_two_block:
-            w = path_with(bg.square(), bg, x, y, [(c, 1)])
-            if w is None:
-                raise ConstructionError(
-                    f"no {x}-{y} path with a block edge at {c}")
-            pb = list(w.order)
-            yp = _partner(w.assignment[c][0], c)
-        else:
-            if y != c:
-                raise ConstructionError("bridge block endpoints are its vertices")
-            pb = [x, y]
-            yp = x
-        res = _hung_path(bl, piece, pb, blk, c, yp)
-        return list(reversed(res)) if flip else res
-
-    if len(cvs) != 2:
-        raise ConstructionError(
-            f"block carries {len(cvs)} cutvertices; at most two are buildable")
-    c1, c2 = cvs
-    if not blk.is_two_block:
-        raise ConstructionError(
-            f"bridge ({c1}, {c2}) joins two cutvertices; no path between its "
-            "ends exists in the square")
-    if {x, y} == {c1, c2}:
-        c1, c2 = x, y
-        w = path_with(bg.square(), bg, x, y, [(c1, 1), (c2, 1)])
-        if w is None:
-            return _rescue_through_neighbors(bl, piece, blk, x, y)
-    else:
-        w = path_with(bg.square(), bg, x, y, [(c1, 1), (c2, 1)])
-        if w is None:
-            raise ConstructionError(
-                f"no {x}-{y} path with block edges at {c1} and {c2}")
-    res = list(w.order)
-    for c in (c1, c2):
-        res = _hung_path(bl, piece, res, blk, c, _partner(w.assignment[c][0], c))
-    return res
-
-
-def _rescue_through_neighbors(bl: _Blocks, piece, blk, x: int, y: int) -> list:
-    """x-y path between the two cutvertices of blk when no block path carries
-    an edge at y.
-
-    A path through some edge between two neighbors of y exists instead;
-    the part hanging at y enters between those two neighbors.
+    A path through some edge u-v between two neighbours of y exists
+    instead; the part hanging at y enters between u and v, in the order
+    they have on the block path, as its leaf or as a cycle through y with
+    y taken out.
     """
-    import itertools
     bg = Graph.from_edges(blk.edges)
-    found = None
+    sq = bg.square()
     for u, v in itertools.combinations(sorted(bg.neighbors(y)), 2):
-        w = path_with(bg.square(), bg, x, y, [(x, 1)],
-                      required_edges=[edge(u, v)])
+        w = path_with(sq, bg, x, y, [(x, 1)], required_edges=[edge(u, v)])
         if w is not None:
-            found = (u, v, w)
             break
-    if found is None:
+    else:
         raise ConstructionError(
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
-    u, v, w = found
-    res = _hung_path(bl, piece, list(w.order), blk, x,
-                     _partner(w.assignment[x][0], x))
-
-    pos = None
-    for j in range(len(res) - 1):
-        if edge(res[j], res[j + 1]) == edge(u, v):
-            pos = j
-            break
-    if pos is None:
-        raise ConstructionError(f"required edge ({u}, {v}) lost while splicing")
+    cs.splice(list(w.order))
+    _hang(bl, cs, todo, piece, blk.index, x, _partner(w.assignment[x][0], x))
+    a, b = sorted((u, v), key=w.order.index)
     h = bl.hanging(piece, y, blk.index)
     if len(h) == 1 and bl.blocks[min(h)].is_bridge:
         insert = [bl.first_neighbor(h, y)]
     else:
-        insert = _oriented(_cycle_with_two_edges_at(bl, h, y)[1:])
-    return res[:pos + 1] + insert + res[pos + 1:]
+        insert = _cycle_with_two_edges_at(bl, h, y, todo)[1:]
+    cs.splice([a, *insert, b])
 
 
-def _path_rec(bl: _Blocks, piece, x: int, y: int) -> list:
-    """A hamiltonian x-y path of the square of the piece."""
-    if len(piece) == 1:
-        blk = bl.blocks[min(piece)]
+def _fill(bl: _Blocks, cs: CycleSet, todo: list) -> None:
+    """Work off the tasks (piece, a, b): each replaces the placeholder edge
+    a-b of cs by a hamiltonian a-b path of the piece's square, and leaves
+    a task for every part it lets in through a placeholder of its own."""
+    while todo:
+        piece, x, y = todo.pop()
+        t = next((t for t in bl.at_in(x, piece)
+                  if y in bl.blocks[t].vertices), None)
+        if t is None:
+            parts = list(_along(bl, piece, x, y))
+            cs.splice([x] + [b for _, _, b in parts])
+            todo += parts
+            continue
+        blk = bl.blocks[t]
+        cvs = bl.cuts(piece, t)
+        if len(cvs) > 2:
+            raise ConstructionError(
+                f"block carries {len(cvs)} cutvertices; at most two are "
+                "buildable")
         if blk.is_bridge:
-            return [x, y]
+            if len(cvs) == 2:
+                raise ConstructionError(
+                    f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
+                    "path between its ends exists in the square")
+            for c in cvs:
+                _hang(bl, cs, todo, piece, t, c, _partner((x, y), c))
+            continue
+        between_cuts = set(cvs) == {x, y}
+        if between_cuts:
+            demands = [(x, 1), (y, 1)]
+        else:
+            demands = [(c, 1) for c in cvs]
+            if cvs == [x]:
+                x, y = y, x  # the search starts away from the cutvertex
         bg = Graph.from_edges(blk.edges)
-        w = path_with(bg.square(), bg, x, y)
+        w = path_with(bg.square(), bg, x, y, demands)
+        if w is None and between_cuts:
+            _rescue_through_neighbors(bl, cs, todo, piece, blk, x, y)
+            continue
         if w is None:
-            raise ConstructionError(f"no {x}-{y} path in the block square")
-        return list(w.order)
-    for t in bl.at_in(x, piece):
-        if y in bl.blocks[t].vertices:
-            return _case_same_block(bl, piece, bl.blocks[t], x, y)
-    path = [x]
-    for a, b, part in _along(bl, piece, x, y):
-        path += _path_rec(bl, part, a, b)[1:]
-    return path
+            raise ConstructionError(
+                f"no {x}-{y} path in the square of block {t} with a block "
+                f"edge at each of {cvs}")
+        cs.splice(list(w.order))
+        for c in cvs:
+            _hang(bl, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
 
 
-def construct_ham_path(g: Graph, x: int, y: int) -> list:
+def construct_ham_path(g: Graph, x: int, y: int,
+                       d: Decomposition | None = None) -> list:
     """A hamiltonian x-y path of square(g).
 
     Requires the connectedness decision to pass: no nontrivial bridge and
-    at most two cutvertices per block.
+    at most two cutvertices per block. d is g's decomposition, if the
+    caller has it.
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
         raise ValueError("endpoints must be vertices of the graph")
-    verdict = decide_hamiltonian_connectedness(g)
+    if not g.is_connected():
+        raise ValueError("input graph must be connected")
+    d = decomposition_of(g, d)
+    verdict = decide_hamiltonian_connectedness(g, d)
     if verdict.outcome != HAM_CONNECTED:
         raise ValueError(
             f"square not guaranteed hamiltonian connected: {verdict.outcome}")
-    d = decompose(g)
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, g.n * 16 + 400))
-    try:
-        path = _path_rec(_Blocks.of(d), frozenset(range(len(d.blocks))), x, y)
-    finally:
-        sys.setrecursionlimit(old)
+    # vertices are non-negative, so -1 can close the path into a cycle
+    cs = CycleSet()
+    cs.add([x, y, -1])
+    _fill(_Blocks.of(d), cs, [(frozenset(range(len(d.blocks))), x, y)])
+    path = cs.walk(x, -1)[:-1]
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")
     return path

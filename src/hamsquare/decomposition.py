@@ -150,6 +150,15 @@ def decompose(g: Graph) -> Decomposition:
                          bn, k, cvn)
 
 
+def decomposition_of(g: Graph, d: Decomposition | None = None) -> Decomposition:
+    """d, the caller's decomposition of g, or g decomposed when d is None."""
+    if d is None:
+        return decompose(g)
+    if d.graph != g:
+        raise ValueError("the decomposition given is not of this graph")
+    return d
+
+
 # -- block-cutvertex tree --------------------------------------------------
 
 CUT = "cut"
@@ -308,17 +317,10 @@ class CaterpillarAnalysis:
     def all_caterpillars(self) -> bool:
         return all(c.is_caterpillar for c in self.components)
 
-    def component_of(self, v: int) -> P0Component | None:
-        for c in self.components:
-            if v in c.vertices:
-                return c
-        return None
-
 
 def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
     """G minus the union of its 2-blocks: a forest whose edges are the bridges."""
-    if d is None:
-        d = decompose(g)
+    d = decomposition_of(g, d)
     union_edges = set()
     union_vertices = set()
     for b in d.two_blocks():

@@ -142,29 +142,6 @@ class Graph:
                     queue.append(y)
         return dist
 
-    def shortest_path(self, source: int, target: int) -> list[int] | None:
-        """One shortest path as a vertex list, or None if unreachable.
-
-        Deterministic: BFS explores neighbours in sorted order.
-        """
-        if source == target:
-            return [source]
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(self._adj[x]):
-                if y in parent:
-                    continue
-                parent[y] = x
-                if y == target:
-                    path = [y]
-                    while path[-1] != source:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(y)
-        return None
-
     # -- derived graphs ---------------------------------------------------
 
     def square(self) -> "Graph":

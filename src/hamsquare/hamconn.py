@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .decomposition import decompose
+from .decomposition import Decomposition, decomposition_of
 from .labelling import STRUCTURALLY_RISKY
 
 HAM_CONNECTED = "HAM_CONNECTED"
@@ -39,13 +39,17 @@ class HamConnVerdict:
         return self.outcome == HAM_CONNECTED
 
 
-def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
-    """Verdict for a connected graph on at least 2 vertices."""
+def decide_hamiltonian_connectedness(
+        g: Graph, d: Decomposition | None = None) -> HamConnVerdict:
+    """Verdict for a connected graph on at least 2 vertices.
+
+    d is g's decomposition, if the caller has it.
+    """
     if g.n < 2:
         raise ValueError("hamiltonian connectedness needs at least 2 vertices")
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    d = decompose(g)
+    d = decomposition_of(g, d)
 
     if d.nontrivial_bridges:
         b = min(d.nontrivial_bridges)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .decomposition import Decomposition, decompose, compute_P0
+from .decomposition import Decomposition, compute_P0, decomposition_of
 
 HAMILTONIAN = "HAMILTONIAN"
 NOT_HAMILTONIAN = "NOT_HAMILTONIAN"
@@ -52,8 +52,7 @@ class Labelling:
 def check_conditions(g: Graph, labelling: Labelling,
                      d: Decomposition | None = None) -> list[int]:
     """Exactly the condition numbers (1..6) the labelling violates on g."""
-    if d is None:
-        d = decompose(g)
+    d = decomposition_of(g, d)
     violated = set()
     two = {b.index: b for b in d.two_blocks()}
     # per cutvertex, the 2-blocks it holds a value for; values at other
@@ -108,13 +107,17 @@ class HamiltonicityVerdict:
         return self.outcome == HAMILTONIAN
 
 
-def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
-    """Run the peeling labelling construction on a connected graph, n >= 3."""
+def decide_hamiltonicity(g: Graph,
+                         d: Decomposition | None = None) -> HamiltonicityVerdict:
+    """Run the peeling labelling construction on a connected graph, n >= 3.
+
+    d is g's decomposition, if the caller has it.
+    """
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
     if not g.is_connected():
         raise ValueError("input graph must be connected")
-    d = decompose(g)
+    d = decomposition_of(g, d)
     cat = compute_P0(g, d)
 
     for comp in cat.components:

@@ -16,6 +16,7 @@ explicit BudgetExceeded instead of a silent answer.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
@@ -149,11 +150,13 @@ class _Search:
         self.start = start
         self.target = None if self.cyclic else self.spec.endpoints[1]
 
-        order = [start]
-        on_path = {start}
-        used_required = set()
-        out = self._dfs(order, on_path, used_required)
-        return out
+        # _dfs recurses once per vertex laid
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old, n * 8 + 200))
+        try:
+            return self._dfs([start], {start}, set())
+        finally:
+            sys.setrecursionlimit(old)
 
     def _pick_start(self) -> int:
         if self.demands:
@@ -278,13 +281,7 @@ def find_ham_cycle(spec: EdgeConstrainedSearch,
     """A constraint-satisfying hamiltonian cycle of the host, or None."""
     if spec.endpoints is not None:
         raise ValueError("cycle search takes no endpoints")
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, spec.host.n * 8 + 200))
-    try:
-        return _Search(spec, cyclic=True, node_budget=node_budget).run()
-    finally:
-        sys.setrecursionlimit(old)
+    return _Search(spec, cyclic=True, node_budget=node_budget).run()
 
 
 def find_ham_path(spec: EdgeConstrainedSearch,
@@ -295,19 +292,12 @@ def find_ham_path(spec: EdgeConstrainedSearch,
     if spec.host.n == 2:
         x, y = spec.endpoints
         if edge(x, y) in spec.host.edges:
-            w = Witness((x, y), {})
             search = _Search(spec, cyclic=False, node_budget=node_budget)
             if search._obviously_infeasible():
                 return None
             return search._finish([x, y])
         return None
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, spec.host.n * 8 + 200))
-    try:
-        return _Search(spec, cyclic=False, node_budget=node_budget).run()
-    finally:
-        sys.setrecursionlimit(old)
+    return _Search(spec, cyclic=False, node_budget=node_budget).run()
 
 
 def cycle_with(host: Graph, original: Graph,

