@@ -272,7 +272,7 @@ def _cmd_construct_path(g, d, args):
 def _cmd_counterexample(g, d, args):
     cond = args.condition if args.condition == "hc" else int(args.condition)
     try:
-        out = counterexample_for(g, cond)
+        out = counterexample_for(g, cond, d)
     except ValueError as e:
         raise _InputError(str(e))
     c1 = canonical_text(bc_tree(d).canonical())

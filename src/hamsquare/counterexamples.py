@@ -25,7 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, edge, path_graph, cycle_graph
-from .decomposition import decompose, bc_tree, bc_isomorphic, compute_P0
+from .decomposition import (
+    Decomposition, decompose, decomposition_of, bc_tree, bc_isomorphic,
+    compute_P0,
+)
 from .labelling import decide_hamiltonicity, STRUCTURALLY_RISKY
 from .hamconn import decide_hamiltonian_connectedness
 
@@ -73,12 +76,15 @@ def _replacement_edges(recipe: SubstitutionRecipe, cuts: list[int],
     raise ValueError(f"unknown replacement kind {recipe.kind!r}")
 
 
-def substitute_many(g: Graph, recipes) -> Graph:
-    """Exchange several blocks at once, keeping the block-cutvertex tree."""
+def substitute_many(g: Graph, recipes, d: Decomposition | None = None) -> Graph:
+    """Exchange several blocks at once, keeping the block-cutvertex tree.
+
+    d is g's decomposition, if the caller has it.
+    """
     recipes = sorted(recipes, key=lambda r: r.block_index)
     if len({r.block_index for r in recipes}) != len(recipes):
         raise ValueError("one block named by two recipes")
-    d = decompose(g)
+    d = decomposition_of(g, d)
     by_idx = {b.index: b for b in d.blocks}
     for r in recipes:
         if r.block_index not in by_idx:
@@ -97,7 +103,7 @@ def substitute_many(g: Graph, recipes) -> Graph:
         es, fresh = _replacement_edges(r, cuts, fresh)
         new_edges.extend(es)
     out = Graph.from_edges(new_edges)
-    if not bc_isomorphic(bc_tree(decompose(g)), bc_tree(decompose(out))):
+    if not bc_isomorphic(bc_tree(d), bc_tree(decompose(out))):
         raise RuntimeError("substitution changed the block-cutvertex tree")
     return out
 
@@ -220,8 +226,11 @@ def gen_hc_counterexample(r: int, plugs: list | None = None) -> Graph:
     return Graph.from_edges(edges)
 
 
-def counterexample_for(g: Graph, condition) -> Graph:
+def counterexample_for(g: Graph, condition,
+                       d: Decomposition | None = None) -> Graph:
     """A graph bc-isomorphic to g realizing the requested failure.
+
+    d is g's decomposition, if the caller has it.
 
     condition 4: g must already have a vertex with three or more nontrivial
     bridges; any graph with that block-cutvertex tree fails, so a relabelled
@@ -230,7 +239,7 @@ def counterexample_for(g: Graph, condition) -> Graph:
     flag a block with more than two cutvertices.
     """
     if condition == 4:
-        d = decompose(g)
+        d = decomposition_of(g, d)
         p0 = compute_P0(g, d)
         if max(d.bn.values(), default=0) < 3 and p0.all_caterpillars:
             raise ValueError(
@@ -238,21 +247,21 @@ def counterexample_for(g: Graph, condition) -> Graph:
         mapping = {v: j for j, v in enumerate(g.sorted_vertices())}
         return g.relabelled(mapping)
     if condition in (5, 6):
-        verdict = decide_hamiltonicity(g)
+        verdict = decide_hamiltonicity(g, d)
         if (verdict.outcome != STRUCTURALLY_RISKY
                 or verdict.violated_condition != condition):
             raise ValueError(
                 f"decision procedure does not flag condition {condition} "
                 f"on this graph (got {verdict.outcome})")
-        return substitute_many(g, recipes_from_verdict(verdict))
+        return substitute_many(g, recipes_from_verdict(verdict), d)
     if condition == "hc":
-        verdict = decide_hamiltonian_connectedness(g)
+        verdict = decide_hamiltonian_connectedness(g, d)
         if verdict.outcome != STRUCTURALLY_RISKY:
             raise ValueError(
                 "connectedness procedure does not flag this graph "
                 f"(got {verdict.outcome})")
-        return substitute(g, SubstitutionRecipe(
-            verdict.risky_block, "cycle", size=verdict.risky_cvn))
+        return substitute_many(g, [SubstitutionRecipe(
+            verdict.risky_block, "cycle", size=verdict.risky_cvn)], d)
     raise ValueError(f"condition must be 4, 5, 6 or 'hc', not {condition!r}")
 
 

@@ -128,7 +128,7 @@ class Graph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        return len(self.components()) == 1
+        return len(self.distances_from(next(iter(self.vertices)))) == self.n
 
     def distances_from(self, source: int) -> dict[int, int]:
         """BFS distances from source to every reachable vertex."""

@@ -27,6 +27,7 @@ building one.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -161,12 +162,28 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     m: dict[tuple[int, int], int] = {}
     labelled: set[int] = set()
     trace: list[tuple] = []
-
-    def active(c: int, current: int) -> bool:
-        return any(t not in labelled and t != current for t in blocks_at[c])
+    # unl[c]: unlabelled 2-blocks at c; c is active for an unlabelled block
+    # at it while another one is left (unl[c] >= 2). busy[t]: active
+    # cutvertices of t. ready: a min-heap of the unlabelled blocks with
+    # busy <= 1, the blocks that may be peeled next; busy only falls, so
+    # each block enters it once and stays eligible until it is popped.
+    unl = {c: len(ts) for c, ts in blocks_at.items()}
+    busy = {t: sum(1 for c in cuts_of[t] if unl[c] >= 2) for t in two_idx}
+    ready = [t for t in two_idx if busy[t] <= 1]
+    heapq.heapify(ready)
 
     def complete(c: int) -> bool:
-        return all(t in labelled for t in blocks_at[c])
+        return unl[c] == 0
+
+    def label(B: int) -> None:
+        labelled.add(B)
+        for c in cuts_of[B]:
+            unl[c] -= 1
+            if unl[c] == 1:
+                (t,) = (t for t in blocks_at[c] if t not in labelled)
+                busy[t] -= 1
+                if busy[t] == 1:
+                    heapq.heappush(ready, t)
 
     def cond6_ok(c: int) -> bool:
         total = sum(m.get((c, t), 0) for t in blocks_at[c])
@@ -188,9 +205,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         return ("cond6_exchange", c, detail)
 
     while len(labelled) < len(two_idx):
-        candidates = [t for t in two_idx if t not in labelled
-                      and sum(1 for c in cuts_of[t] if active(c, t)) <= 1]
-        B = min(candidates)
+        B = heapq.heappop(ready)
         cuts = cuts_of[B]
         k = len(cuts)
 
@@ -204,7 +219,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         if k == 1:
             c1 = cuts[0]
             m[(c1, B)] = 2
-            labelled.add(B)
+            label(B)
             trace.append(("d", B, ((c1, 2),)))
             if complete(c1) and not cond6_ok(c1):
                 return risky(6, "d", B, c1, cond6_hint(c1))
@@ -216,7 +231,8 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
                 m[(one, B)] = 1
                 m[(two, B)] = 2
             else:
-                done = [c for c in cuts if not active(c, B)]
+                # the cuts where B is the last unlabelled block
+                done = [c for c in cuts if unl[c] == 1]
                 j = min(done)
                 other = c2 if j == c1 else c1
                 m[(j, B)] = 1
@@ -225,7 +241,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
                 else:
                     m[(j, B)] = 2
                     m[(other, B)] = 1
-            labelled.add(B)
+            label(B)
             trace.append(("e", B, tuple(sorted((c, m[(c, B)]) for c in cuts))))
             for c in cuts:
                 if complete(c) and not cond6_ok(c):
@@ -233,7 +249,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         else:  # k in {3, 4}, every bn <= 1
             for c in cuts:
                 m[(c, B)] = 1
-            labelled.add(B)
+            label(B)
             trace.append(("f", B, tuple((c, 1) for c in cuts)))
             for c in cuts:
                 if complete(c) and not cond6_ok(c):

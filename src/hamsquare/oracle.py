@@ -8,10 +8,16 @@ demands. That single mechanism expresses every per-block property used by the
 decision procedures: two original edges at one vertex, four distinct original
 edges at four vertices, endpoint edges on hamiltonian paths, and so on.
 
-Backtracking is depth first over sorted adjacency with pruning on required
-edge viability, degree feasibility and connectivity, so a None result is a
-certificate of absence. An optional node budget turns long searches into an
-explicit BudgetExceeded instead of a silent answer.
+Backtracking is depth first from a fixed start vertex over sorted adjacency,
+so the first complete order accepted is the lexicographically least valid
+one. It prunes on required edge viability, degree feasibility,
+connectivity, and a demand bound: a demanded vertex must still be able to
+reach as many original edges as it asks for (counted one demand at a time;
+distinctness across demands is settled by the matching at the leaf). Each
+prune only drops subtrees that hold no valid order, so pruning never changes
+which order is found, and a None result is a certificate of absence. An
+optional node budget turns long searches into an explicit BudgetExceeded
+instead of a silent answer.
 """
 
 from __future__ import annotations
@@ -45,9 +51,13 @@ class Witness:
     assignment: dict = field(default_factory=dict, compare=False)
 
     def edges(self, cyclic: bool) -> set[tuple[int, int]]:
-        n = len(self.order)
-        top = n if cyclic else n - 1
-        return {edge(self.order[i], self.order[(i + 1) % n]) for i in range(top)}
+        return _order_edges(self.order, cyclic)
+
+
+def _order_edges(order, cyclic: bool) -> set[tuple[int, int]]:
+    n = len(order)
+    top = n if cyclic else n - 1
+    return {edge(order[i], order[(i + 1) % n]) for i in range(top)}
 
 
 def _match_incidences(witness_edges, orig_edges, demands):
@@ -92,7 +102,8 @@ class _Search:
         self.nodes = 0
         g = spec.host
         self.g = g
-        self.orig_edges = spec.orig().edges
+        self.orig = spec.orig()
+        self.orig_edges = self.orig.edges
         self.required = frozenset(edge(*e) for e in spec.required_edges)
         for e in self.required:
             if e not in g.edges:
@@ -119,7 +130,7 @@ class _Search:
             cap = 1 if (not self.cyclic and v in ends) else 2
             if c > cap:
                 return True
-            orig_deg = sum(1 for e in self.orig_edges if v in e)
+            orig_deg = self.orig.degree(v) if v in self.orig.vertices else 0
             if c > orig_deg:
                 return True
         return False
@@ -154,7 +165,7 @@ class _Search:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old, n * 8 + 200))
         try:
-            return self._dfs([start], {start}, set())
+            return self._dfs([start], {start: 0})
         finally:
             sys.setrecursionlimit(old)
 
@@ -166,43 +177,58 @@ class _Search:
             return min(x for e in self.required for x in e)
         return min(self.g.vertices, key=lambda v: (self.g.degree(v), v))
 
-    def _closed(self, v, order, on_path) -> bool:
-        """No further witness edge can ever be added at v."""
-        if v not in on_path:
-            return False
-        if v == order[-1]:
-            return False
-        if self.cyclic and v == self.start:
-            return False
-        return True
+    # The partial order is order, with pos mapping each laid vertex to its
+    # index in order. Its ends are the laid vertices that can still take a
+    # witness edge: the tip order[-1] and, on a cycle, the start order[0].
 
-    def _prune(self, order, on_path, used_required) -> bool:
+    def _orig_edges_laid(self, v, order, pos) -> int:
+        """Original edges at the laid vertex v along the partial order."""
+        i = pos[v]
+        cnt = 0
+        if i > 0 and edge(order[i - 1], v) in self.orig_edges:
+            cnt += 1
+        if i + 1 < len(order) and edge(v, order[i + 1]) in self.orig_edges:
+            cnt += 1
+        return cnt
+
+    def _orig_edges_reachable(self, v, order, pos, unlaid, ends) -> int:
+        """An upper bound on the original edges v can end up with."""
+        nbrs = self.orig.neighbors(v)
+        if v in unlaid or len(order) == 1:
+            # v unlaid, or the lone start: every slot is still open
+            slots = 1 if not self.cyclic and v in (self.start, self.target) else 2
+            return min(slots, len(nbrs & unlaid) + len(nbrs & ends))
+        has = self._orig_edges_laid(v, order, pos)
+        if v not in ends:
+            return has
+        # the tip's next edge goes to an unlaid vertex; the cyclic start's
+        # last one comes from an unlaid vertex or from the tip
+        tip = order[-1]
+        return has + (not nbrs.isdisjoint(unlaid) or (v != tip and tip in nbrs))
+
+    def _prune(self, order, pos) -> bool:
         g = self.g
         tip = order[-1]
+        unlaid = g.vertices.difference(pos)
+        ends = {order[0], tip} if self.cyclic else {tip}
         # unused required edges must stay addable
-        for e in self.required:
-            if e in used_required:
-                continue
-            a, b = e
-            if self._closed(a, order, on_path) or self._closed(b, order, on_path):
+        for a, b in self.required:
+            if a in pos and b in pos and abs(pos[a] - pos[b]) == 1:
+                continue  # already laid
+            if (a in pos and a not in ends) or (b in pos and b not in ends):
+                return True  # an end of it is closed
+        # every demand must stay within reach of its vertex
+        for v, c in self.demands:
+            if self._orig_edges_reachable(v, order, pos, unlaid, ends) < c:
                 return True
         # every unvisited vertex needs enough open neighbors
-        for v in g.vertices:
-            if v in on_path:
-                continue
-            avail = 0
-            for w in g.neighbors(v):
-                if w not in on_path or w == tip:
-                    avail += 1
-                elif self.cyclic and w == self.start:
-                    avail += 1
-            need = 2
-            if not self.cyclic and (v == self.target):
-                need = 1
-            if avail < need:
+        for v in unlaid:
+            nbrs = g.neighbors(v)
+            need = 1 if not self.cyclic and v == self.target else 2
+            if len(nbrs & unlaid) + len(nbrs & ends) < need:
                 return True
         # connectivity of the unexplored region plus the tip
-        rest = (self.g.vertices - on_path) | {tip}
+        rest = unlaid | {tip}
         seen = {tip}
         stack = [tip]
         while stack:
@@ -211,34 +237,21 @@ class _Search:
                 if w in rest and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if seen != rest:
-            return True
-        # closed vertices must already satisfy their incidence counts
-        for v, c in self.demands:
-            if self._closed(v, order, on_path):
-                cnt = 0
-                idx = order.index(v)
-                if idx > 0 and edge(order[idx - 1], v) in self.orig_edges:
-                    cnt += 1
-                if idx + 1 < len(order) and edge(v, order[idx + 1]) in self.orig_edges:
-                    cnt += 1
-                if cnt < c:
-                    return True
-        return False
+        return seen != rest
 
     def _finish(self, order) -> Witness | None:
-        w = Witness(tuple(order), {})
-        wedges = w.edges(self.cyclic)
+        order = tuple(order)
+        wedges = _order_edges(order, self.cyclic)
         if not self.required <= wedges:
             return None
+        assignment = {}
         if self.demands:
             assignment = _match_incidences(wedges, self.orig_edges, self.demands)
             if assignment is None:
                 return None
-            return Witness(tuple(order), assignment)
-        return w
+        return Witness(order, assignment)
 
-    def _dfs(self, order, on_path, used_required) -> Witness | None:
+    def _dfs(self, order, pos) -> Witness | None:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceeded(f"search exceeded {self.budget} nodes")
@@ -255,24 +268,18 @@ class _Search:
             return None
         if not self.cyclic and tip == self.target:
             return None
-        if self._prune(order, on_path, used_required):
+        if self._prune(order, pos):
             return None
         for w in sorted(g.neighbors(tip)):
-            if w in on_path:
+            if w in pos:
                 continue
-            e = edge(tip, w)
-            added = e in self.required
+            pos[w] = len(order)
             order.append(w)
-            on_path.add(w)
-            if added:
-                used_required.add(e)
-            res = self._dfs(order, on_path, used_required)
+            res = self._dfs(order, pos)
             if res is not None:
                 return res
-            if added:
-                used_required.discard(e)
-            on_path.discard(w)
             order.pop()
+            del pos[w]
         return None
 
 

@@ -210,6 +210,18 @@ def test_each_command_decomposes_once(gfile, decompose_calls):
         assert decompose_calls == [5], cmd
 
 
+@pytest.mark.parametrize("text, cond, calls", [
+    (RISKY_TXT, "hc", [6, 6, 6]), (K25P_TXT, "hc", [12, 10, 10]),
+    (K25P_TXT, "5", [12, 12, 12]), (SPIDER_TXT, "4", [7, 7])])
+def test_counterexample_decomposes_input_once(gfile, decompose_calls,
+                                              text, cond, calls):
+    # the input once for the request; the output of a substitution once
+    # for its own bc-tree check, and every output once for the report
+    assert run(["counterexample", gfile(text), "--condition", cond]
+               ).exit_code == 0
+    assert decompose_calls == calls
+
+
 ALL_JSON_COMMANDS = [
     ["square"], ["decompose"], ["check-ham"], ["check-hc"],
     ["construct-cycle"], ["construct-path", "--pair", "1", "4"],

@@ -1,5 +1,8 @@
 """Condition checking and the peeling labelling construction."""
 
+import itertools
+import random
+
 import pytest
 
 from hamsquare.graph import Graph, path_graph, cycle_graph, complete_bipartite
@@ -9,7 +12,9 @@ from hamsquare.labelling import (
     HAMILTONIAN,
     NOT_HAMILTONIAN,
     STRUCTURALLY_RISKY,
+    HamiltonicityVerdict,
     Labelling,
+    _peel,
     check_conditions,
     decide_hamiltonicity,
 )
@@ -222,3 +227,128 @@ def test_risky_verdicts_carry_a_trace_and_reason():
     v = _risky(Graph.from_edges(es))
     assert v.trace
     assert "block-cutvertex tree" in v.reason
+
+
+# -- the heap peel against the quadratic scan it replaced ------------------
+
+def _reference_peel(g, d):
+    """The peel with its first candidate rule: at every step rescan each
+    unlabelled 2-block and take the least one with at most one active
+    cutvertex. Quadratic in the number of blocks; kept as ground truth."""
+    two_idx = [b.index for b in d.two_blocks()]
+    block_by_idx = {b.index: b for b in d.blocks}
+    cuts_of = {t: sorted(v for v in block_by_idx[t].vertices
+                         if v in d.cutvertices)
+               for t in two_idx}
+    blocks_at = {i: [] for i in d.cutvertices}
+    for t in two_idx:
+        for i in cuts_of[t]:
+            blocks_at[i].append(t)
+    m, labelled, trace = {}, set(), []
+
+    def active(c, current):
+        return any(t not in labelled and t != current for t in blocks_at[c])
+
+    def complete(c):
+        return all(t in labelled for t in blocks_at[c])
+
+    def cond6_ok(c):
+        total = sum(m.get((c, t), 0) for t in blocks_at[c])
+        return total >= 2 * d.k[c] + d.bn[c] - 2
+
+    def risky(cond, case, block, cut=None, recipe=None):
+        trace.append((case, block, ()))
+        return HamiltonicityVerdict(
+            STRUCTURALLY_RISKY, violated_condition=cond, risky_case=case,
+            risky_block=block, risky_cutvertex=cut, recipe=recipe,
+            trace=tuple(trace))
+
+    def cond6_hint(c):
+        return ("cond6_exchange", c, tuple(
+            (t, m.get((c, t), 0), len(cuts_of[t])) for t in blocks_at[c]))
+
+    while len(labelled) < len(two_idx):
+        B = min(t for t in two_idx if t not in labelled
+                and sum(1 for c in cuts_of[t] if active(c, t)) <= 1)
+        cuts = cuts_of[B]
+        k = len(cuts)
+        if k >= 5:
+            return risky(5, "a", B, recipe=("complete_bipartite_2k", B, k))
+        if k >= 3 and any(d.bn[c] == 2 for c in cuts):
+            return risky(5, "b", B, recipe=("cycle", B, k))
+        if k == 2 and d.bn[cuts[0]] == 2 and d.bn[cuts[1]] == 2:
+            return risky(5, "c", B, recipe=("k23_marked", B, tuple(cuts)))
+        if k == 1:
+            m[(cuts[0], B)] = 2
+            case = "d"
+        elif k == 2:
+            c1, c2 = cuts
+            if d.bn[c2] == 2 or d.bn[c1] == 2:
+                two = c2 if d.bn[c2] == 2 else c1
+                one = c1 if two == c2 else c2
+                m[(one, B)] = 1
+                m[(two, B)] = 2
+            else:
+                j = min(c for c in cuts if not active(c, B))
+                other = c2 if j == c1 else c1
+                m[(j, B)] = 1
+                if cond6_ok(j):
+                    m[(other, B)] = 2
+                else:
+                    m[(j, B)] = 2
+                    m[(other, B)] = 1
+            case = "e"
+        else:
+            for c in cuts:
+                m[(c, B)] = 1
+            case = "f"
+        labelled.add(B)
+        trace.append((case, B, tuple(sorted((c, m[(c, B)]) for c in cuts))))
+        for c in cuts:
+            if complete(c) and not cond6_ok(c):
+                return risky(6, case, B, c, cond6_hint(c))
+    return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling(dict(m)),
+                                trace=tuple(trace))
+
+
+def _ring(k):
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+# triangle, C4, K4, K2,3, a bridge, and twice a path of two bridges, which
+# makes heavy bridges and with them risky verdicts common
+_PEEL_SHAPES = [_ring(3), _ring(4), list(itertools.combinations(range(4), 2)),
+                [(a, b) for a in (0, 1) for b in (2, 3, 4)], [(0, 1)],
+                [(0, 1), (1, 2)], [(0, 1), (1, 2)]]
+
+
+def _random_block_tree(rng):
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 14)):
+        shape = rng.choice(_PEEL_SHAPES)
+        size = 1 + max(max(e) for e in shape)
+        pos, at = rng.randrange(size), rng.randrange(max(n, 1))
+        fresh = iter(range(n, n + size))
+        label = [at if n and i == pos else next(fresh) for i in range(size)]
+        n = max(label) + 1
+        edges += [(label[a], label[b]) for a, b in shape]
+    return Graph.from_edges(edges)
+
+
+def test_heap_peel_matches_the_quadratic_scan():
+    rng = random.Random(7)
+    outcomes = {HAMILTONIAN: 0, STRUCTURALLY_RISKY: 0}
+    for _ in range(400):
+        g = _random_block_tree(rng)
+        d = decompose(g)
+        if not d.two_blocks():
+            continue
+        got, want = _peel(g, d), _reference_peel(g, d)
+        assert (got.outcome, got.labelling, got.violated_condition,
+                got.risky_case, got.risky_block, got.risky_cutvertex,
+                got.recipe, got.trace) == \
+            (want.outcome, want.labelling, want.violated_condition,
+             want.risky_case, want.risky_block, want.risky_cutvertex,
+             want.recipe, want.trace), g.sorted_edges()
+        outcomes[got.outcome] += 1
+    assert min(outcomes.values()) >= 40, outcomes

@@ -1,6 +1,7 @@
 """Exhaustive search oracle, cross-checked against permutation enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -141,6 +142,91 @@ def test_budget_raises():
     g = cycle_graph(8)
     with pytest.raises(BudgetExceeded):
         cycle_with(g.square(), g, node_budget=2)
+
+
+def _distinct_choice(cands, demands):
+    """Whether each demand (v, c) gets c of cands[v], all globally distinct."""
+    if not demands:
+        return True
+    (v, c), rest = demands[0], demands[1:]
+    for pick in itertools.combinations(cands[v], c):
+        others = {u: [e for e in es if e not in pick] for u, es in cands.items()}
+        if _distinct_choice(others, rest):
+            return True
+    return False
+
+
+def _valid_order(spec, cyclic, order):
+    n = len(order)
+    es = [edge(order[i], order[(i + 1) % n]) for i in range(n if cyclic else n - 1)]
+    if not all(e in spec.host.edges for e in es):
+        return False
+    if not spec.required_edges <= set(es):
+        return False
+    orig = spec.orig().edges
+    cands = {v: [e for e in es if e in orig and v in e]
+             for v, _ in spec.required_incidences}
+    return _distinct_choice(cands, list(spec.required_incidences))
+
+
+def _least_valid_order(spec, cyclic, start):
+    """Brute force: the lexicographically least valid order from start."""
+    rest = sorted(v for v in spec.host.vertices if v != start)
+    if not cyclic:
+        rest.remove(spec.endpoints[1])
+    for mid in itertools.permutations(rest):
+        order = (start, *mid) if cyclic else (start, *mid, spec.endpoints[1])
+        if _valid_order(spec, cyclic, order):
+            return order
+    return None
+
+
+def _random_connected(rng, n):
+    es = {edge(v, rng.randrange(v)) for v in range(1, n)}
+    for _ in range(rng.randrange(n)):
+        es.add(edge(*rng.sample(range(n), 2)))
+    return Graph.from_edges(es)
+
+
+def test_witnesses_are_the_least_valid_orders():
+    rng = random.Random(11)
+    found = absent = 0
+    for _ in range(1500):
+        n = rng.randint(3, 7)
+        g = _random_connected(rng, n)
+        host = g.square() if rng.random() < 0.8 else g
+        vs = host.sorted_vertices()
+        incidences = tuple((v, rng.randint(1, 2))
+                           for v in rng.sample(vs, rng.randint(0, 3)))
+        required = frozenset(rng.sample(sorted(host.edges), rng.randint(0, 2))
+                             if rng.random() < 0.4 else ())
+        cyclic = rng.random() < 0.5
+        spec = EdgeConstrainedSearch(
+            host=host, original=g, required_edges=required,
+            required_incidences=incidences,
+            endpoints=None if cyclic else tuple(rng.sample(vs, 2)))
+        w = find_ham_cycle(spec) if cyclic else find_ham_path(spec)
+        if w is None:
+            # a cycle through any vertex passes through vs[0] as well
+            start = vs[0] if cyclic else spec.endpoints[0]
+            assert _least_valid_order(spec, cyclic, start) is None, spec
+            absent += 1
+        else:
+            assert w.order == _least_valid_order(spec, cyclic, w.order[0]), spec
+            used = [e for v, _ in incidences for e in w.assignment[v]]
+            assert len(used) == len(set(used)) == sum(c for _, c in incidences)
+            found += 1
+    assert min(found, absent) >= 300, (found, absent)
+
+
+def test_demand_bound_cuts_the_grid_search():
+    # 4x5 grid, vertex r*5+c; the search without the demand bound needs
+    # 217,920 nodes for these demands
+    grid = Graph.from_edges(
+        [(v, v + 1) for v in range(20) if v % 5 < 4]
+        + [(v, v + 5) for v in range(15)])
+    w = cycle_with(grid.square(), grid, [(0, 2), (4, 1)], node_budget=1000)
+    assert w is not None and is_ham_cycle(grid.square(), list(w.order))
 
 
 def test_is_ham_connected_examples():
