@@ -11,6 +11,7 @@ also returns them explicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, edge
@@ -238,29 +239,16 @@ class CatCycle:
 
 def caterpillar_cycle(tree: Graph,
                       need_end: frozenset[int] = frozenset(),
-                      need_pair: frozenset[int] = frozenset(),
-                      spine: list[int] | None = None) -> CatCycle:
+                      need_pair: frozenset[int] = frozenset()) -> CatCycle:
     """Hamiltonian cycle of tree**2 through both spine end-edges.
 
     need_end vertices get a dedicated end-edge containing them; need_pair
     vertices (internal on the spine) get their dedicated neighbor-pair edge.
-    A longest path may be supplied as spine; by default one is chosen with
-    the reservations in mind.
+    The spine is a longest path chosen with the end reservations in mind.
     """
     if tree.n < 3:
         raise ValueError("caterpillar cycle needs at least three vertices")
-    if spine is not None:
-        x = list(spine)
-        if len(x) < 3:
-            raise ValueError("a spine has at least three vertices")
-        for a, b in zip(x, x[1:]):
-            if b not in tree.neighbors(a):
-                raise ValueError("spine is not a path in the tree")
-        core = {v for v in tree.vertices if tree.degree(v) >= 2}
-        if not core <= set(x):
-            raise ValueError("spine must contain every non-leaf vertex")
-    else:
-        x = longest_spine(tree, frozenset(need_end))
+    x = longest_spine(tree, frozenset(need_end))
     m = len(x)
     spine_set = set(x)
     leaves = {x[j]: sorted(set(tree.neighbors(x[j])) - spine_set)
@@ -306,7 +294,6 @@ def caterpillar_cycle(tree: Graph,
 
 
 def _assign_end_edges(wanted, end_edges):
-    import itertools
     for perm in itertools.permutations(end_edges, len(wanted)):
         if all(h in perm[idx] for idx, h in enumerate(wanted)):
             if len(set(perm)) == len(wanted):

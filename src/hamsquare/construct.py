@@ -33,12 +33,12 @@ first laid as the cycle x, y, -1 (vertices are non-negative, so -1 can
 close it), whose edge x-y is a placeholder for the path still to come. A
 task (piece, a, b) replaces a placeholder edge a-b by a hamiltonian a-b
 path of the square of the piece, a set of blocks that is connected in the
-block-cutvertex tree; every piece is read through one index built from
-the one decomposition of the whole graph. Endpoints in different blocks
-split the piece along the bc-tree path between them: every cutvertex on
-that path separates them, so the path crosses each block of it, together
-with what hangs off that block, in turn; the cutvertices are laid in that
-order and each part becomes a task. Endpoints in the same block take a
+block-cutvertex tree; every piece is read through the one decomposition's
+own index, the blocks at each vertex and the cutvertices of each block.
+Endpoints in different blocks split the piece along the bc-tree path
+between them: every cutvertex on that path separates them, so the path
+crosses each block of it, together with what hangs off that block, in
+turn; the cutvertices are laid in that order and each part becomes a task. Endpoints in the same block take a
 per-block path with a designated block edge c-p at each cutvertex c of the
 block. The part hanging there, the bc-subtree at c away from the block,
 enters through that edge: c, fn, p take its place, fn the first neighbour
@@ -177,20 +177,14 @@ def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
 
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling) -> list:
     cat = compute_P0(g, d)
-    two = d.two_blocks()
-
     cs = CycleSet()
     assigned: dict[tuple[int, int], tuple] = {}
-    blocks_at: dict[int, list] = {}
-    for b in two:
-        mv = {i: labelling.value(i, b.index)
-              for i in b.vertices if i in d.cutvertices}
+    for b in d.two_blocks():
+        mv = {i: labelling.value(i, b.index) for i in d.cuts_of[b.index]}
         bc = block_cycle(Graph.from_edges(b.edges), mv, b.index)
         cs.add(bc.order)
         for v, es in bc.assigned.items():
             assigned[(v, b.index)] = es
-        for v in mv:
-            blocks_at.setdefault(v, []).append(b)
 
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
@@ -231,19 +225,21 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling) -> list:
     first = last = None
     for i in to_process:
         frags: list[_Frag] = []
-        for b in blocks_at.get(i, ()):
-            es = assigned.get((i, b.index))
+        for t in d.blocks_of[i]:
+            if d.blocks[t].is_bridge:
+                continue
+            es = assigned.get((i, t))
             if not es:
                 raise ConstructionError(
-                    f"cutvertex {i} carries no assigned edges in block {b.index}")
+                    f"cutvertex {i} carries no assigned edges in block {t}")
             c = cs.cycle_of(es[0])
             if c is None or any(cs.cycle_of(e) != c for e in es):
                 raise ConstructionError(
                     f"assigned edges {es} of vertex {i} vanished before its turn")
             if len(es) == 2:
-                frags.append(_opened(cs, i, c, (0, b.index), es))
+                frags.append(_opened(cs, i, c, (0, t), es))
             else:
-                frags.append(_anchored(i, c, es[0], (0, b.index)))
+                frags.append(_anchored(i, c, es[0], (0, t)))
         if i in reserved_pair:
             e = reserved_pair[i]
             c = cs.cycle_of(e)
@@ -326,60 +322,48 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
 
 # -- hamiltonian paths -----------------------------------------------------
 
-@dataclass(frozen=True)
-class _Blocks:
-    """The blocks of the whole graph and, per vertex, the blocks holding it.
+# Path construction splits the graph into pieces, sets of block indices
+# that are connected in the bc-tree, and reads every piece through the
+# decomposition's own index. A piece's blocks keep their order by edge list.
 
-    Path construction splits the graph into pieces, sets of block indices
-    that are connected in the bc-tree, and reads every piece through this
-    one index. A piece's blocks keep their order by edge list.
-    """
-    g: Graph
-    blocks: tuple
-    at: dict  # vertex -> indices of its blocks, ascending
-
-    @staticmethod
-    def of(d: Decomposition) -> "_Blocks":
-        at: dict[int, list] = {v: [] for v in d.graph.vertices}
-        for b in d.blocks:
-            for v in b.vertices:
-                at[v].append(b.index)
-        return _Blocks(d.graph, d.blocks, at)
-
-    def at_in(self, v: int, piece) -> list:
-        return [t for t in self.at[v] if t in piece]
-
-    def cuts(self, piece, t: int) -> list:
-        """The cutvertices of the piece in block t, ascending."""
-        return sorted(v for v in self.blocks[t].vertices
-                      if len(self.at_in(v, piece)) > 1)
-
-    def reach(self, piece, starts, c: int, skip=frozenset()) -> frozenset:
-        """The blocks of the piece reached from the start blocks without
-        passing vertex c or entering a block of skip."""
-        seen, todo, passed = set(starts), list(starts), {c}
-        while todo:
-            for v in self.blocks[todo.pop()].vertices:
-                if v in passed:
-                    continue
-                passed.add(v)
-                for s in self.at[v]:
-                    if s in piece and s not in seen and s not in skip:
-                        seen.add(s)
-                        todo.append(s)
-        return frozenset(seen)
-
-    def hanging(self, piece, c: int, t: int) -> frozenset:
-        """The part of the piece hanging at c once block t is taken out."""
-        return self.reach(piece, [s for s in self.at_in(c, piece) if s != t], c)
-
-    def first_neighbor(self, piece, c: int) -> int:
-        nb = self.g.neighbors(c)
-        return min(w for t in self.at_in(c, piece)
-                   for w in nb & self.blocks[t].vertices)
+def _at_in(d: Decomposition, v: int, piece) -> list:
+    return [t for t in d.blocks_of[v] if t in piece]
 
 
-def _along(bl: _Blocks, piece, x: int, y: int):
+def _cuts(d: Decomposition, piece, t: int) -> list:
+    """The cutvertices of the piece in block t, ascending."""
+    return [v for v in d.cuts_of[t] if len(_at_in(d, v, piece)) > 1]
+
+
+def _reach(d: Decomposition, piece, starts, c: int,
+           skip=frozenset()) -> frozenset:
+    """The blocks of the piece reached from the start blocks without
+    passing vertex c or entering a block of skip."""
+    seen, todo, passed = set(starts), list(starts), {c}
+    while todo:
+        for v in d.blocks[todo.pop()].vertices:
+            if v in passed:
+                continue
+            passed.add(v)
+            for s in d.blocks_of[v]:
+                if s in piece and s not in seen and s not in skip:
+                    seen.add(s)
+                    todo.append(s)
+    return frozenset(seen)
+
+
+def _hanging(d: Decomposition, piece, c: int, t: int) -> frozenset:
+    """The part of the piece hanging at c once block t is taken out."""
+    return _reach(d, piece, [s for s in _at_in(d, c, piece) if s != t], c)
+
+
+def _first_neighbor(d: Decomposition, piece, c: int) -> int:
+    nb = d.graph.neighbors(c)
+    return min(w for t in _at_in(d, c, piece)
+               for w in nb & d.blocks[t].vertices)
+
+
+def _along(d: Decomposition, piece, x: int, y: int):
     """(part, a, b) for each block of the bc-tree path from x to y.
 
     a and b are the block's ends on the path: x, then every cutvertex
@@ -392,10 +376,10 @@ def _along(bl: _Blocks, piece, x: int, y: int):
     todo = [y]
     while x not in block_of:
         v = todo.pop()
-        for t in bl.at[v]:
+        for t in d.blocks_of[v]:
             if t in piece and t not in from_v:
                 from_v[t] = v
-                for w in bl.blocks[t].vertices:
+                for w in d.blocks[t].vertices:
                     if w != y and w not in block_of:
                         block_of[w] = t
                         todo.append(w)
@@ -404,7 +388,7 @@ def _along(bl: _Blocks, piece, x: int, y: int):
     while a != y:
         t = block_of[a]
         b = from_v[t]
-        part = piece - taken if b == y else bl.reach(piece, [t], b, taken)
+        part = piece - taken if b == y else _reach(d, piece, [t], b, taken)
         taken |= part
         yield part, a, b
         a = b
@@ -414,31 +398,32 @@ def _partner(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _hang(bl: _Blocks, cs: CycleSet, todo: list, piece, t: int, c: int,
-          p: int) -> None:
+def _hang(d: Decomposition, cs: CycleSet, todo: list, piece, t: int,
+          c: int, p: int) -> None:
     """Let the part of the piece hanging at c off block t enter through the
     block edge c-p: c, fn, p take its place, fn the first neighbour of c in
     the part, and the part's c-fn path is left as a task."""
-    h = bl.hanging(piece, c, t)
-    fn = bl.first_neighbor(h, c)
+    h = _hanging(d, piece, c, t)
+    fn = _first_neighbor(d, h, c)
     cs.splice([c, fn, p])
     todo.append((h, c, fn))
 
 
-def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int, todo: list) -> list:
+def _cycle_with_two_edges_at(d: Decomposition, piece, c2: int,
+                             todo: list) -> list:
     """Hamiltonian cycle of the piece's square whose two cycle edges at c2
     are edges of the graph, read from c2 towards the smaller of its cycle
     neighbours. The parts hanging off its blocks are left as tasks on todo,
     their placeholder edges on the returned cycle."""
-    g2 = Graph.from_edges(e for t in piece for e in bl.blocks[t].edges)
+    g2 = Graph.from_edges(e for t in piece for e in d.blocks[t].edges)
     cs = CycleSet()
     frags = []
-    for t in bl.at_in(c2, piece):
-        blk = bl.blocks[t]
+    for t in _at_in(d, c2, piece):
+        blk = d.blocks[t]
         if blk.is_bridge:
             continue
         blkg = Graph.from_edges(blk.edges)
-        others = [v for v in bl.cuts(piece, t) if v != c2]
+        others = [v for v in _cuts(d, piece, t) if v != c2]
         if len(others) > 1:
             raise ConstructionError(
                 f"block {t} has more than two cutvertices")
@@ -450,7 +435,7 @@ def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int, todo: list) -> list:
                 f"no block cycle with two edges at {c2} in block {t}")
         c = cs.add(w.order)
         if yi is not None:
-            _hang(bl, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
+            _hang(d, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
         frags.append(_opened(cs, c2, c, (0, t), w.assignment[c2]))
     for leaf in sorted(g2.neighbors(c2)):
         if g2.degree(leaf) == 1:
@@ -459,8 +444,8 @@ def _cycle_with_two_edges_at(bl: _Blocks, piece, c2: int, todo: list) -> list:
     return cs.walk(c2, max(cs.nbrs[c2]))
 
 
-def _rescue_through_neighbors(bl: _Blocks, cs: CycleSet, todo: list, piece,
-                              blk, x: int, y: int) -> None:
+def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
+                              piece, blk, x: int, y: int) -> None:
     """Lay the x-y path between the two cutvertices of blk when no block
     path carries an edge at y.
 
@@ -479,31 +464,31 @@ def _rescue_through_neighbors(bl: _Blocks, cs: CycleSet, todo: list, piece,
         raise ConstructionError(
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
     cs.splice(list(w.order))
-    _hang(bl, cs, todo, piece, blk.index, x, _partner(w.assignment[x][0], x))
+    _hang(d, cs, todo, piece, blk.index, x, _partner(w.assignment[x][0], x))
     a, b = sorted((u, v), key=w.order.index)
-    h = bl.hanging(piece, y, blk.index)
-    if len(h) == 1 and bl.blocks[min(h)].is_bridge:
-        insert = [bl.first_neighbor(h, y)]
+    h = _hanging(d, piece, y, blk.index)
+    if len(h) == 1 and d.blocks[min(h)].is_bridge:
+        insert = [_first_neighbor(d, h, y)]
     else:
-        insert = _cycle_with_two_edges_at(bl, h, y, todo)[1:]
+        insert = _cycle_with_two_edges_at(d, h, y, todo)[1:]
     cs.splice([a, *insert, b])
 
 
-def _fill(bl: _Blocks, cs: CycleSet, todo: list) -> None:
+def _fill(d: Decomposition, cs: CycleSet, todo: list) -> None:
     """Work off the tasks (piece, a, b): each replaces the placeholder edge
     a-b of cs by a hamiltonian a-b path of the piece's square, and leaves
     a task for every part it lets in through a placeholder of its own."""
     while todo:
         piece, x, y = todo.pop()
-        t = next((t for t in bl.at_in(x, piece)
-                  if y in bl.blocks[t].vertices), None)
+        t = next((t for t in _at_in(d, x, piece)
+                  if y in d.blocks[t].vertices), None)
         if t is None:
-            parts = list(_along(bl, piece, x, y))
+            parts = list(_along(d, piece, x, y))
             cs.splice([x] + [b for _, _, b in parts])
             todo += parts
             continue
-        blk = bl.blocks[t]
-        cvs = bl.cuts(piece, t)
+        blk = d.blocks[t]
+        cvs = _cuts(d, piece, t)
         if len(cvs) > 2:
             raise ConstructionError(
                 f"block carries {len(cvs)} cutvertices; at most two are "
@@ -514,7 +499,7 @@ def _fill(bl: _Blocks, cs: CycleSet, todo: list) -> None:
                     f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
                     "path between its ends exists in the square")
             for c in cvs:
-                _hang(bl, cs, todo, piece, t, c, _partner((x, y), c))
+                _hang(d, cs, todo, piece, t, c, _partner((x, y), c))
             continue
         between_cuts = set(cvs) == {x, y}
         if between_cuts:
@@ -526,7 +511,7 @@ def _fill(bl: _Blocks, cs: CycleSet, todo: list) -> None:
         bg = Graph.from_edges(blk.edges)
         w = path_with(bg.square(), bg, x, y, demands)
         if w is None and between_cuts:
-            _rescue_through_neighbors(bl, cs, todo, piece, blk, x, y)
+            _rescue_through_neighbors(d, cs, todo, piece, blk, x, y)
             continue
         if w is None:
             raise ConstructionError(
@@ -534,7 +519,7 @@ def _fill(bl: _Blocks, cs: CycleSet, todo: list) -> None:
                 f"edge at each of {cvs}")
         cs.splice(list(w.order))
         for c in cvs:
-            _hang(bl, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
+            _hang(d, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
 
 
 def construct_ham_path(g: Graph, x: int, y: int,
@@ -559,7 +544,7 @@ def construct_ham_path(g: Graph, x: int, y: int,
     # vertices are non-negative, so -1 can close the path into a cycle
     cs = CycleSet()
     cs.add([x, y, -1])
-    _fill(_Blocks.of(d), cs, [(frozenset(range(len(d.blocks))), x, y)])
+    _fill(d, cs, [(frozenset(range(len(d.blocks))), x, y)])
     path = cs.walk(x, -1)[:-1]
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")

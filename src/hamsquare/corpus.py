@@ -130,17 +130,14 @@ def is_block_chain(g: Graph) -> bool:
     """Blocks arranged in a path: each block at most two cutvertices, each
     cutvertex in exactly two blocks."""
     d = decompose(g)
-    for b in d.blocks:
-        if sum(1 for v in d.cutvertices if v in b.vertices) > 2:
-            return False
-    return all(len(d.blocks_at(v)) == 2 for v in d.cutvertices)
+    return (all(c <= 2 for c in d.cvn.values())
+            and all(len(d.blocks_of[v]) == 2 for v in d.cutvertices))
 
 
 def inner_blocks(g: Graph):
     """Blocks of a chain containing two cutvertices (the non-end blocks)."""
     d = decompose(g)
-    return [b for b in d.blocks
-            if sum(1 for v in d.cutvertices if v in b.vertices) == 2]
+    return [b for b in d.blocks if d.cvn[b.index] == 2]
 
 
 @lru_cache(maxsize=None)

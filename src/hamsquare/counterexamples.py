@@ -85,22 +85,18 @@ def substitute_many(g: Graph, recipes, d: Decomposition | None = None) -> Graph:
     if len({r.block_index for r in recipes}) != len(recipes):
         raise ValueError("one block named by two recipes")
     d = decomposition_of(g, d)
-    by_idx = {b.index: b for b in d.blocks}
     for r in recipes:
-        if r.block_index not in by_idx:
+        if not 0 <= r.block_index < len(d.blocks):
             raise ValueError(f"no block with index {r.block_index}")
-        if not by_idx[r.block_index].is_two_block:
+        if not d.blocks[r.block_index].is_two_block:
             raise ValueError(f"block {r.block_index} is a bridge, not exchangeable")
-    targets = {r.block_index for r in recipes}
     removed = set()
-    for t in targets:
-        removed |= set(by_idx[t].edges)
+    for r in recipes:
+        removed |= d.blocks[r.block_index].edges
     new_edges = [e for e in g.sorted_edges() if e not in removed]
     fresh = max(g.vertices) + 1
     for r in recipes:
-        cuts = sorted(v for v in d.cutvertices
-                      if v in by_idx[r.block_index].vertices)
-        es, fresh = _replacement_edges(r, cuts, fresh)
+        es, fresh = _replacement_edges(r, d.cuts_of[r.block_index], fresh)
         new_edges.extend(es)
     out = Graph.from_edges(new_edges)
     if not bc_isomorphic(bc_tree(d), bc_tree(decompose(out))):

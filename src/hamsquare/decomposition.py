@@ -1,9 +1,12 @@
 """Block-cutvertex structure of a connected graph.
 
-Computes blocks (maximal 2-connected subgraphs and bridges), cutvertices, the
-counters driving the decision procedures (bn, k, cvn), the block-cutvertex
-tree with its node tags, and the bridge forest P0 left after removing all
-blocks with more than two vertices.
+Computes blocks (maximal 2-connected subgraphs and bridges), cutvertices,
+and in the same pass the block-cutvertex index every other module reads:
+blocks_of, the blocks at each vertex, and cuts_of, the cutvertices of each
+block. The counters driving the decision procedures (bn, k, cvn), the
+block-cutvertex tree with its node tags, and the bridge forest P0 left
+after removing all blocks with more than two vertices are read off that
+index; P0 is a walk over the bridge blocks, in O(n + m).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
-from .caterpillars import is_caterpillar, longest_spine
+from .caterpillars import is_caterpillar
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,8 @@ class Decomposition:
     bn: dict[int, int] = field(compare=False)
     k: dict[int, int] = field(compare=False)
     cvn: dict[int, int] = field(compare=False)
+    blocks_of: dict[int, list[int]] = field(compare=False)  # ascending
+    cuts_of: dict[int, list[int]] = field(compare=False)  # ascending
 
     def two_blocks(self) -> list[Block]:
         return [b for b in self.blocks if b.is_two_block]
@@ -49,7 +54,7 @@ class Decomposition:
         return [b for b in self.blocks if b.is_bridge]
 
     def blocks_at(self, v: int) -> list[Block]:
-        return [b for b in self.blocks if v in b.vertices]
+        return [self.blocks[t] for t in self.blocks_of.get(v, ())]
 
     def endblocks(self) -> list[Block]:
         """Blocks containing at most one cutvertex (leaves of the bc-tree)."""
@@ -127,27 +132,30 @@ def decompose(g: Graph) -> Decomposition:
         blocks.append(Block(idx, vs, es))
     cut = frozenset(arts)
     trivial, nontrivial = set(), set()
+    bn = dict.fromkeys(g.vertices, 0)
+    k = dict.fromkeys(g.vertices, 0)
+    blocks_of: dict[int, list[int]] = {v: [] for v in g.vertices}
+    cuts_of: dict[int, list[int]] = {}
     for b in blocks:
-        if b.is_bridge:
-            (e,) = b.edges
-            u, v = e
-            if g.degree(u) == 1 or g.degree(v) == 1:
-                trivial.add(e)
-            else:
-                nontrivial.add(e)
-    bn = {v: 0 for v in g.vertices}
-    k = {v: 0 for v in g.vertices}
-    for e in nontrivial:
-        bn[e[0]] += 1
-        bn[e[1]] += 1
-    for b in blocks:
+        for v in b.vertices:
+            blocks_of[v].append(b.index)
+        cuts_of[b.index] = sorted(cut & b.vertices)
         if b.is_two_block:
             for v in b.vertices:
                 k[v] += 1
-    cvn = {b.index: sum(1 for v in b.vertices if v in cut) for b in blocks}
+            continue
+        (e,) = b.edges
+        u, v = e
+        if g.degree(u) == 1 or g.degree(v) == 1:
+            trivial.add(e)
+        else:
+            nontrivial.add(e)
+            bn[u] += 1
+            bn[v] += 1
+    cvn = {t: len(cs) for t, cs in cuts_of.items()}
     return Decomposition(g, tuple(blocks), cut,
                          frozenset(trivial), frozenset(nontrivial),
-                         bn, k, cvn)
+                         bn, k, cvn, blocks_of, cuts_of)
 
 
 def decomposition_of(g: Graph, d: Decomposition | None = None) -> Decomposition:
@@ -195,11 +203,10 @@ def bc_tree(d: Decomposition) -> BcTree:
         nodes.append(node)
         tags[node] = CUT
         adj[node] = []
-    for b in d.blocks:
-        for v in sorted(b.vertices):
-            if v in d.cutvertices:
-                adj[("block", b.index)].append(("cut", v))
-                adj[("cut", v)].append(("block", b.index))
+    for t, cuts in d.cuts_of.items():
+        for v in cuts:
+            adj[("block", t)].append(("cut", v))
+            adj[("cut", v)].append(("block", t))
     return BcTree(tuple(nodes), tags, adj)
 
 
@@ -301,7 +308,6 @@ class P0Component:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
     is_caterpillar: bool
-    spine: tuple[int, ...] | None  # a longest path, for caterpillars with >= 3 vertices
 
     @property
     def is_trivial(self) -> bool:
@@ -319,21 +325,35 @@ class CaterpillarAnalysis:
 
 
 def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
-    """G minus the union of its 2-blocks: a forest whose edges are the bridges."""
+    """G minus the union of its 2-blocks: a forest whose edges are the bridges.
+
+    Its vertices are those on a bridge, and a lone vertex on no block. The
+    components are walked over the bridge blocks, by least vertex.
+    """
     d = decomposition_of(g, d)
-    union_edges = set()
-    union_vertices = set()
-    for b in d.two_blocks():
-        union_edges |= b.edges
-        union_vertices |= b.vertices
-    h = Graph(frozenset(union_vertices), frozenset(union_edges))
-    p0 = g.subtract(h)
+    bridge = {b.index: min(b.edges) for b in d.blocks if b.is_bridge}
+    keep = sorted({x for e in bridge.values() for x in e}
+                  | {v for v, ts in d.blocks_of.items() if not ts})
+    seen: set = set()
     comps = []
-    for comp in p0.components():
-        sub = p0.subgraph(comp)
-        cat = is_caterpillar(sub)
-        spine = None
-        if cat and sub.n >= 3:
-            spine = tuple(longest_spine(sub))
-        comps.append(P0Component(comp, sub.edges, cat, spine))
+    for root in keep:
+        if root in seen:
+            continue
+        seen.add(root)
+        vs, es, todo = [root], [], [root]
+        while todo:
+            v = todo.pop()
+            for t in d.blocks_of[v]:
+                e = bridge.get(t)
+                if e is None:
+                    continue
+                w = e[0] if e[1] == v else e[1]
+                if w not in seen:  # bridges form a forest: e is new
+                    seen.add(w)
+                    vs.append(w)
+                    es.append(e)
+                    todo.append(w)
+        sub = Graph(frozenset(vs), frozenset(es))
+        comps.append(P0Component(sub.vertices, sub.edges, is_caterpillar(sub)))
+    p0 = Graph(frozenset(keep), frozenset(bridge.values()))
     return CaterpillarAnalysis(p0, tuple(comps))

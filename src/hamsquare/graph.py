@@ -160,20 +160,6 @@ class Graph:
         es = frozenset(e for e in self.edges if e[0] in ks and e[1] in ks)
         return Graph(ks, es)
 
-    def subtract(self, other: "Graph") -> "Graph":
-        """Remove other's edges; drop its vertices whose full degree lived there.
-
-        A vertex v of `other` is deleted exactly when every edge of self at v
-        is an edge of other; remaining vertices stay, possibly isolated.
-        """
-        es = self.edges - other.edges
-        drop = set()
-        for v in other.vertices & self.vertices:
-            if all(edge(v, w) in other.edges for w in self._adj[v]):
-                drop.add(v)
-        return Graph(self.vertices - drop,
-                     frozenset(e for e in es if e[0] not in drop and e[1] not in drop))
-
     def relabelled(self, mapping: dict[int, int]) -> "Graph":
         """Apply an injective vertex relabelling."""
         if len(set(mapping.values())) != len(mapping):

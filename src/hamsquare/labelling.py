@@ -66,16 +66,15 @@ def check_conditions(g: Graph, labelling: Labelling,
             rows.setdefault(i, []).append(t)
             if v != 0 and i not in two[t].vertices:
                 violated.add(2)
-    for b in two.values():
+    for t in two:
         vals = []
-        for i in b.vertices:
-            if i in d.cutvertices:
-                v = labelling.value(i, b.index)
-                vals.append(v)
-                if v == 0:
-                    violated.add(2)
-                if v < d.bn[i]:
-                    violated.add(3)
+        for i in d.cuts_of[t]:
+            v = labelling.value(i, t)
+            vals.append(v)
+            if v == 0:
+                violated.add(2)
+            if v < d.bn[i]:
+                violated.add(3)
         cap = 3 if any(v == 2 for v in vals) else 4
         if sum(vals) > cap:
             violated.add(5)
@@ -150,14 +149,10 @@ def decide_hamiltonicity(g: Graph,
 
 def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     two_idx = [b.index for b in d.two_blocks()]
-    block_by_idx = {b.index: b for b in d.blocks}
-    cuts_of = {t: sorted(v for v in block_by_idx[t].vertices
-                         if v in d.cutvertices)
-               for t in two_idx}
-    blocks_at: dict[int, list[int]] = {i: [] for i in d.cutvertices}
-    for t in two_idx:
-        for i in cuts_of[t]:
-            blocks_at[i].append(t)
+    cuts_of = d.cuts_of
+
+    def two_at(c: int) -> list[int]:
+        return [t for t in d.blocks_of[c] if d.blocks[t].is_two_block]
 
     m: dict[tuple[int, int], int] = {}
     labelled: set[int] = set()
@@ -167,7 +162,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     # cutvertices of t. ready: a min-heap of the unlabelled blocks with
     # busy <= 1, the blocks that may be peeled next; busy only falls, so
     # each block enters it once and stays eligible until it is popped.
-    unl = {c: len(ts) for c, ts in blocks_at.items()}
+    unl = {c: d.k[c] for c in d.cutvertices}
     busy = {t: sum(1 for c in cuts_of[t] if unl[c] >= 2) for t in two_idx}
     ready = [t for t in two_idx if busy[t] <= 1]
     heapq.heapify(ready)
@@ -180,13 +175,13 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         for c in cuts_of[B]:
             unl[c] -= 1
             if unl[c] == 1:
-                (t,) = (t for t in blocks_at[c] if t not in labelled)
+                (t,) = (t for t in two_at(c) if t not in labelled)
                 busy[t] -= 1
                 if busy[t] == 1:
                     heapq.heappush(ready, t)
 
     def cond6_ok(c: int) -> bool:
-        total = sum(m.get((c, t), 0) for t in blocks_at[c])
+        total = sum(m.get((c, t), 0) for t in two_at(c))
         return total >= 2 * d.k[c] + d.bn[c] - 2
 
     def risky(cond, case, block, cut=None, recipe=None):
@@ -201,7 +196,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
 
     def cond6_hint(c: int) -> tuple:
         detail = tuple((t, m.get((c, t), 0), len(cuts_of[t]))
-                       for t in blocks_at[c])
+                       for t in two_at(c))
         return ("cond6_exchange", c, detail)
 
     while len(labelled) < len(two_idx):

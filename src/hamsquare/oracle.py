@@ -22,10 +22,12 @@ instead of a silent answer.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
+from .decomposition import decompose
 
 
 class BudgetExceeded(RuntimeError):
@@ -353,7 +355,6 @@ class PropertyResult:
 
 
 def _check_two_block(b: Graph, min_order: int):
-    from .decomposition import decompose
     if b.n < min_order:
         raise ValueError(f"property needs a 2-block on at least {min_order} vertices")
     d = decompose(b)
@@ -379,7 +380,6 @@ def verify_property(kind: str, b: Graph,
         an original edge at x and either an original edge at y (distinct) or
         an edge of the path joining two neighbors of y.
     """
-    import itertools
     if kind not in PROPERTY_KINDS:
         raise ValueError(f"unknown property kind {kind!r}")
     _check_two_block(b, 4 if kind in ("H4", "H5", "F4") else 3)

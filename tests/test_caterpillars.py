@@ -81,15 +81,6 @@ def test_star_cycle_pairs_through_third_leaf():
     assert is_ham_cycle(k13.square(), list(cc.order))
 
 
-def test_explicit_spine_is_honored():
-    t = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 4)])
-    cc = caterpillar_cycle(t, spine=[0, 1, 2, 3])
-    assert tuple(cc.spine) == (0, 1, 2, 3)
-    assert is_ham_cycle(t.square(), list(cc.order))
-    with pytest.raises(ValueError):
-        caterpillar_cycle(t, spine=[0, 1, 4])  # spine misses non-leaf vertex 2
-
-
 def test_cycle_needs_three_vertices():
     with pytest.raises(ValueError):
         caterpillar_cycle(path_graph(2))

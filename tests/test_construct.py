@@ -21,7 +21,6 @@ from hamsquare.construct import (
     construct_ham_cycle,
     construct_ham_path,
     block_cycle,
-    _Blocks,
     _fill,
     _opened,
     _rescue_through_neighbors,
@@ -176,13 +175,12 @@ def test_path_between_the_two_cutvertices_of_an_inner_block():
 def _forced_rescue(d, blk, x, y):
     """The x-y path laid by the rescue route between the two cutvertices of
     blk, whether or not a block path with an edge at y exists."""
-    bl = _Blocks.of(d)
     cs = CycleSet()
     cs.add([x, y, -1])
     todo = []
     whole = frozenset(range(len(d.blocks)))
-    _rescue_through_neighbors(bl, cs, todo, whole, blk, x, y)
-    _fill(bl, cs, todo)
+    _rescue_through_neighbors(d, cs, todo, whole, blk, x, y)
+    _fill(d, cs, todo)
     return cs.walk(x, -1)[:-1]
 
 

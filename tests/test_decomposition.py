@@ -1,11 +1,13 @@
 """Block-cutvertex decomposition against brute-force references."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_graph
+from hamsquare.caterpillars import is_caterpillar
 from hamsquare.decomposition import (
     decompose,
     bc_tree,
@@ -235,3 +237,75 @@ def test_bn_three_iff_non_caterpillar_component():
         ana = compute_P0(g, d)
         has_heavy = any(v >= 3 for v in d.bn.values())
         assert has_heavy == (not ana.all_caterpillars)
+
+
+# -- the block-cutvertex index against scans -------------------------------
+
+def _ring(k):
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+# C3-C6, a chorded C4, K4, K2,3 and a bridge, listed twice
+_SHAPES = [_ring(3), _ring(4), _ring(5), _ring(6), _ring(4) + [(0, 2)],
+           list(itertools.combinations(range(4), 2)),
+           [(a, b) for a in (0, 1) for b in (2, 3, 4)], [(0, 1)], [(0, 1)]]
+
+
+def _random_block_tree(rng):
+    """1 to 10 random shapes, each glued by a random vertex of its own to a
+    random vertex of the graph so far."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 10)):
+        shape = rng.choice(_SHAPES)
+        size = 1 + max(max(e) for e in shape)
+        pos, at = rng.randrange(size), rng.randrange(max(n, 1))
+        fresh = iter(range(n, n + size))
+        label = [at if n and i == pos else next(fresh) for i in range(size)]
+        n = max(label) + 1
+        edges += [(label[a], label[b]) for a, b in shape]
+    return Graph.from_edges(edges)
+
+
+def _reference_P0(g: Graph, d):
+    """G minus its 2-blocks' edges, a vertex of a 2-block dropped when all
+    its edges lie in 2-blocks, split into components by least vertex."""
+    two_edges = {e for b in d.two_blocks() for e in b.edges}
+    drop = {v for b in d.two_blocks() for v in b.vertices
+            if all(edge(v, w) in two_edges for w in g.neighbors(v))}
+    p0 = Graph(g.vertices - drop, g.edges - two_edges)
+    comps = []
+    for comp in p0.components():
+        sub = p0.subgraph(comp)
+        comps.append((comp, sub.edges, is_caterpillar(sub)))
+    return p0, comps
+
+
+def test_index_P0_and_bc_tree_match_scans():
+    rng = random.Random(11)
+    graphs = (list(corpus()) + [_random_block_tree(rng) for _ in range(300)]
+              + [Graph.from_edges((), isolated=(5,))])
+    for g in graphs:
+        d = decompose(g)
+        assert d.blocks_of == {v: [b.index for b in d.blocks if v in b.vertices]
+                               for v in g.vertices}
+        cuts = {b.index: sorted(v for v in d.cutvertices if v in b.vertices)
+                for b in d.blocks}
+        assert d.cuts_of == cuts
+        assert d.cvn == {t: len(cs) for t, cs in cuts.items()}
+        assert d.k == {v: sum(1 for b in d.two_blocks() if v in b.vertices)
+                       for v in g.vertices}
+
+        ana = compute_P0(g, d)
+        p0, comps = _reference_P0(g, d)
+        assert ana.p0 == p0
+        assert [(c.vertices, c.edges, c.is_caterpillar)
+                for c in ana.components] == comps
+
+        adj = {("block", b.index): [] for b in d.blocks}
+        adj.update({("cut", v): [] for v in d.cutvertices})
+        for b in d.blocks:
+            for v in sorted(b.vertices):
+                if v in d.cutvertices:
+                    adj[("block", b.index)].append(("cut", v))
+                    adj[("cut", v)].append(("block", b.index))
+        assert bc_tree(d).adj == adj

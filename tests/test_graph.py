@@ -1,4 +1,4 @@
-"""Graph container, parsing, squaring, subtraction."""
+"""Graph container, parsing, squaring."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,27 +102,6 @@ def test_square_c5_is_k5():
 ])
 def test_square_matches_bfs_reference(g):
     assert g.square() == _square_by_bfs(g)
-
-
-def test_subtract_triangle_with_pendant():
-    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3)])
-    tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-    left = g.subtract(tri)
-    assert left.edges == frozenset({(0, 3)})
-    assert left.vertices == frozenset({0, 3})
-
-
-def test_subtract_self_gives_empty():
-    g = cycle_graph(4)
-    left = g.subtract(g)
-    assert left.n == 0 and left.m == 0
-
-
-def test_subtract_bowtie_one_triangle():
-    bow = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-    tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-    other = bow.subtract(tri)
-    assert other == Graph.from_edges([(0, 3), (3, 4), (0, 4)])
 
 
 def test_shortest_path_and_distances():
