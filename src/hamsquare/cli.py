@@ -15,6 +15,7 @@ stderr), 75 oracle budget exhausted without a verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -59,7 +60,9 @@ class RunReport:
         return _OUTCOME_CODES[self.result["outcome"]]
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as is."""
     p = argparse.ArgumentParser(
         prog="hamsquare",
         description="Hamiltonicity of graph squares from block-cutvertex "
@@ -103,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
 def _load(path: str) -> Graph:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {path}: {e}")
     try:
         g = parse_edge_list(text)
@@ -111,8 +114,6 @@ def _load(path: str) -> Graph:
         raise _InputError(str(e))
     if g.n == 0:
         raise _InputError("empty graph")
-    if not g.is_connected():
-        raise _InputError("input graph must be connected")
     return g
 
 
@@ -322,10 +323,13 @@ _HANDLERS = {
 
 def _execute(args) -> RunReport:
     """Run one command; the graph is decomposed once, for the handler and
-    the report's summary alike."""
+    the report's summary alike, and that one DFS proves it connected."""
     g = _load(args.file)
     t0 = time.perf_counter()
-    d = decompose(g)
+    try:
+        d = decompose(g)
+    except ValueError:
+        raise _InputError("input graph must be connected")
     result, lines = _HANDLERS[args.command](g, d, args)
     elapsed = time.perf_counter() - t0
     return RunReport(args.command, _summary(g, d), result, elapsed,

@@ -287,11 +287,12 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
 
     With labelling None the decision procedure is run first and must come
     back positive. A supplied labelling must satisfy all six conditions.
-    d is g's decomposition, if the caller has it.
+    d is g's decomposition, if the caller has it; decompose has then
+    proven g connected, and no second search does.
     """
     if g.n < 3:
         raise ValueError("a hamiltonian cycle needs at least 3 vertices")
-    if not g.is_connected():
+    if d is None and not g.is_connected():
         raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     if labelling is None:
@@ -528,13 +529,14 @@ def construct_ham_path(g: Graph, x: int, y: int,
 
     Requires the connectedness decision to pass: no nontrivial bridge and
     at most two cutvertices per block. d is g's decomposition, if the
-    caller has it.
+    caller has it; decompose has then proven g connected, and no second
+    search does.
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
         raise ValueError("endpoints must be vertices of the graph")
-    if not g.is_connected():
+    if d is None and not g.is_connected():
         raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     verdict = decide_hamiltonian_connectedness(g, d)

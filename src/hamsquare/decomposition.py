@@ -1,12 +1,15 @@
 """Block-cutvertex structure of a connected graph.
 
-Computes blocks (maximal 2-connected subgraphs and bridges), cutvertices,
-and in the same pass the block-cutvertex index every other module reads:
-blocks_of, the blocks at each vertex, and cuts_of, the cutvertices of each
-block. The counters driving the decision procedures (bn, k, cvn), the
-block-cutvertex tree with its node tags, and the bridge forest P0 left
-after removing all blocks with more than two vertices are read off that
-index; P0 is a walk over the bridge blocks, in O(n + m).
+Computes blocks (maximal 2-connected subgraphs and bridges) and
+cutvertices in one lowpoint DFS from the least vertex, which also proves
+the graph connected by reaching every vertex. Blocks are indexed in the
+order of their least edge. One loop over them fills the block-cutvertex
+index every other module reads: blocks_of, the blocks at each vertex, and
+cuts_of, the cutvertices of each block. The counters driving the decision
+procedures (bn, k, cvn), the block-cutvertex tree with its node tags, and
+the bridge forest P0 left after removing all blocks with more than two
+vertices are read off that index; P0 is a walk over the bridge blocks, in
+O(n + m).
 """
 
 from __future__ import annotations
@@ -14,11 +17,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .graph import Graph, edge
-from .caterpillars import is_caterpillar
+from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One block of the graph: either a bridge or a 2-block (over two vertices)."""
     index: int
@@ -61,92 +63,102 @@ class Decomposition:
         return [b for b in self.blocks if self.cvn[b.index] <= 1]
 
 
-def _biconnected(g: Graph):
-    """Edge sets of the biconnected components plus the articulation vertices.
+def _blocks(g: Graph):
+    """The blocks as (least edge, edges, vertices), by least edge, and the
+    cutvertices.
 
-    Iterative lowpoint computation; neighbor order is sorted so the output is
-    deterministic for a given labelled graph.
+    One iterative lowpoint DFS from the least vertex over the unsorted
+    adjacency; the blocks do not depend on the visiting order. Raises
+    ValueError when the DFS does not reach every vertex.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comps: list[frozenset[tuple[int, int]]] = []
+    adj = g._adj
+    root = min(g.vertices)
+    disc = {root: 0}
+    low = {root: 0}
     arts: set[int] = set()
-    counter = 0
-    for root in g.sorted_vertices():
-        if root in disc:
-            continue
-        root_children = 0
-        stack = [(root, None, iter(sorted(g.neighbors(root))))]
-        disc[root] = low[root] = counter
-        counter += 1
-        estack: list[tuple[int, int]] = []
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if w not in disc:
-                    estack.append((v, w))
-                    disc[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
-                    advanced = True
-                    break
-                elif disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
+    raw: list = []
+    estack: list[tuple[int, int]] = []
+    stack = [(root, -1, iter(adj[root]))]
+    root_children = 0
+    while stack:
+        v, parent, it = stack[-1]
+        dv = disc[v]
+        for w in it:
+            dw = disc.get(w)
+            if dw is None:
+                estack.append((v, w))
+                disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w])))
+                break
+            if dw < dv and w != parent:
+                estack.append((v, w))
+                if dw < low[v]:
+                    low[v] = dw
+        else:
             stack.pop()
-            if parent is not None:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    comp = []
-                    while estack:
-                        e = estack.pop()
-                        comp.append(edge(*e))
-                        if e == (parent, v):
-                            break
-                    comps.append(frozenset(comp))
-                    if parent != root:
-                        arts.add(parent)
-                if parent == root:
-                    root_children += 1
-        if root_children >= 2:
-            arts.add(root)
-    return comps, arts
+            if parent < 0:
+                continue
+            lv = low[v]
+            if lv < low[parent]:
+                low[parent] = lv
+            if lv < disc[parent]:
+                continue
+            if parent == root:
+                root_children += 1
+            else:
+                arts.add(parent)
+            e = estack.pop()
+            if e == (parent, v):  # a bridge
+                e = (parent, v) if parent < v else (v, parent)
+                raw.append((e, (e,), e))
+                continue
+            es, vs = [], set()
+            while True:
+                a, b = e
+                es.append((a, b) if a < b else (b, a))
+                vs.add(a)
+                vs.add(b)
+                if e == (parent, v):
+                    break
+                e = estack.pop()
+            raw.append((min(es), es, vs))
+    if len(disc) != len(adj):
+        raise ValueError("decompose requires a connected graph")
+    if root_children >= 2:
+        arts.add(root)
+    raw.sort(key=lambda r: r[0])
+    return raw, arts
 
 
 def decompose(g: Graph) -> Decomposition:
-    """Blocks, cutvertices and counters of a connected graph."""
-    if not g.is_connected():
-        raise ValueError("decompose requires a connected graph")
+    """Blocks, cutvertices and counters of a connected graph.
+
+    Blocks are indexed in the order of their least edge; the index, the
+    bridge classes and the counters are filled in one loop over them.
+    """
     if g.n == 0:
         raise ValueError("decompose requires at least one vertex")
-    raw, arts = _biconnected(g)
-    keyed = sorted(raw, key=lambda es: sorted(es))
-    blocks = []
-    for idx, es in enumerate(keyed):
-        vs = frozenset(x for e in es for x in e)
-        blocks.append(Block(idx, vs, es))
+    raw, arts = _blocks(g)
+    adj = g._adj
     cut = frozenset(arts)
+    blocks = []
     trivial, nontrivial = set(), set()
-    bn = dict.fromkeys(g.vertices, 0)
-    k = dict.fromkeys(g.vertices, 0)
-    blocks_of: dict[int, list[int]] = {v: [] for v in g.vertices}
+    bn = dict.fromkeys(adj, 0)
+    k = dict.fromkeys(adj, 0)
+    blocks_of: dict[int, list[int]] = {v: [] for v in adj}
     cuts_of: dict[int, list[int]] = {}
-    for b in blocks:
-        for v in b.vertices:
-            blocks_of[v].append(b.index)
-        cuts_of[b.index] = sorted(cut & b.vertices)
-        if b.is_two_block:
-            for v in b.vertices:
+    for idx, (e, es, vs) in enumerate(raw):
+        blocks.append(Block(idx, frozenset(vs), frozenset(es)))
+        for v in vs:
+            blocks_of[v].append(idx)
+        if len(vs) > 2:
+            cuts_of[idx] = sorted(cut.intersection(vs))
+            for v in vs:
                 k[v] += 1
             continue
-        (e,) = b.edges
         u, v = e
-        if g.degree(u) == 1 or g.degree(v) == 1:
+        cuts_of[idx] = [x for x in e if x in cut]
+        if len(adj[u]) == 1 or len(adj[v]) == 1:
             trivial.add(e)
         else:
             nontrivial.add(e)
@@ -331,7 +343,8 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
     components are walked over the bridge blocks, by least vertex.
     """
     d = decomposition_of(g, d)
-    bridge = {b.index: min(b.edges) for b in d.blocks if b.is_bridge}
+    bridge = {b.index: min(b.edges) for b in d.blocks
+              if len(b.vertices) == 2}
     keep = sorted({x for e in bridge.values() for x in e}
                   | {v for v, ts in d.blocks_of.items() if not ts})
     seen: set = set()
@@ -341,19 +354,32 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
             continue
         seen.add(root)
         vs, es, todo = [root], [], [root]
+        nbrs = {}  # vertex -> its neighbours across bridges
         while todo:
             v = todo.pop()
+            nbrs[v] = nv = []
             for t in d.blocks_of[v]:
                 e = bridge.get(t)
                 if e is None:
                     continue
                 w = e[0] if e[1] == v else e[1]
+                nv.append(w)
                 if w not in seen:  # bridges form a forest: e is new
                     seen.add(w)
                     vs.append(w)
                     es.append(e)
                     todo.append(w)
-        sub = Graph(frozenset(vs), frozenset(es))
-        comps.append(P0Component(sub.vertices, sub.edges, is_caterpillar(sub)))
+        comps.append(P0Component(frozenset(vs), frozenset(es),
+                                 len(vs) <= 2 or _is_caterpillar(nbrs)))
     p0 = Graph(frozenset(keep), frozenset(bridge.values()))
     return CaterpillarAnalysis(p0, tuple(comps))
+
+
+def _is_caterpillar(nbrs: dict[int, list[int]]) -> bool:
+    """Whether the tree with these adjacency lists is a caterpillar.
+
+    Its non-leaf vertices span a subtree, so they lie on a path exactly
+    when none of them has more than two non-leaf neighbours.
+    """
+    return all(sum(len(nbrs[w]) >= 2 for w in nv) <= 2
+               for nv in nbrs.values() if len(nv) >= 2)

@@ -216,11 +216,13 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphParseError("vertices must be non-negative", line_no)
             if u == v:
                 raise GraphParseError(f"self-loop at vertex {u}", line_no)
-            edges.add(edge(u, v))
+            edges.add((u, v) if u < v else (v, u))
         else:
             raise GraphParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line_no)
-    return Graph.from_edges(edges, isolated)
+    # the edges are normalized already: no second pass through edge()
+    ends = itertools.chain.from_iterable(edges)
+    return Graph(frozenset(itertools.chain(ends, isolated)), frozenset(edges))
 
 
 # -- standard builders ----------------------------------------------------

@@ -111,11 +111,12 @@ def decide_hamiltonicity(g: Graph,
                          d: Decomposition | None = None) -> HamiltonicityVerdict:
     """Run the peeling labelling construction on a connected graph, n >= 3.
 
-    d is g's decomposition, if the caller has it.
+    d is g's decomposition, if the caller has it; decompose has then
+    proven g connected, and no second search does.
     """
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
-    if not g.is_connected():
+    if d is None and not g.is_connected():
         raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     cat = compute_P0(g, d)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, JSON schema conformance."""
 
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +9,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hamsquare import cli
 from hamsquare.cli import main, run
+from hamsquare.construct import construct_ham_cycle, construct_ham_path
+from hamsquare.graph import Graph, parse_edge_list
+from hamsquare.hamconn import decide_hamiltonian_connectedness
+from hamsquare.labelling import decide_hamiltonicity
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "verdict.schema.json")
@@ -170,6 +176,18 @@ def test_input_errors(gfile, capsys):
     assert err.count("error:") == 4
 
 
+def test_undecodable_input_is_invalid_input(tmp_path, monkeypatch, capsys):
+    raw = b"\xff\xfe0 1\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    for path in (str(bad), "-"):
+        assert main(["check-ham", path]) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}:")
+
+
 def test_internal_error_exits_70(gfile, tmp_path, capsys):
     dot = str(tmp_path / "no-such-dir" / "out.dot")
     assert main(["check-ham", gfile(BOWTIE_TXT), "--dot", dot]) == 70
@@ -208,6 +226,50 @@ def test_each_command_decomposes_once(gfile, decompose_calls):
         decompose_calls.clear()
         assert run(cmd + [path]).exit_code == 0
         assert decompose_calls == [5], cmd
+
+
+def test_each_request_traverses_the_graph_once(gfile, monkeypatch, capsys):
+    # a caterpillar on 3000 vertices: a spine of 1000, two leaves at each
+    text = "".join(f"{i} {i + 1}\n" for i in range(999)) + "".join(
+        f"{i} {1000 + 2 * i}\n{i} {1001 + 2 * i}\n" for i in range(1000))
+    path = gfile(text)
+    bfs = []
+    distances_from = Graph.distances_from
+
+    def counted(self, source):
+        bfs.append(source)
+        return distances_from(self, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counted)
+    # decompose's one DFS proves connectivity; the caterpillar cycle keeps
+    # its own tree check
+    for cmd, code, most in (("check-ham", 0, 0), ("check-hc", 1, 0),
+                            ("construct-cycle", 0, 1)):
+        bfs.clear()
+        assert run([cmd, path]).exit_code == code, cmd
+        assert len(bfs) <= most, cmd
+
+    assert main(["check-ham", gfile("0 1\n2 3\n", "split.txt")]) == 65
+    assert capsys.readouterr().err == "error: input graph must be connected\n"
+    split = parse_edge_list("0 1\n1 2\n3 4\n4 5\n")
+    for call in (decide_hamiltonicity, decide_hamiltonian_connectedness,
+                 construct_ham_cycle, lambda g: construct_ham_path(g, 0, 5)):
+        with pytest.raises(ValueError, match="^input graph must be connected$"):
+            call(split)
+
+    # the parser is built once; one request leaves no argument to the next
+    pairs = []
+    oracle = cli._HANDLERS["oracle"]
+
+    def spy(g, d, args):
+        pairs.append(args.pair)
+        return oracle(g, d, args)
+
+    monkeypatch.setitem(cli._HANDLERS, "oracle", spy)
+    small = gfile(BOWTIE_TXT, "bowtie.txt")
+    assert run(["construct-path", small, "--pair", "0", "2"]).exit_code == 0
+    assert run(["oracle", small]).exit_code == 0
+    assert pairs == [None]
 
 
 @pytest.mark.parametrize("text, cond, calls", [

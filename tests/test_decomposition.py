@@ -280,9 +280,27 @@ def _reference_P0(g: Graph, d):
     return p0, comps
 
 
+def _random_tree(rng):
+    """A tree on 1 to 60 vertices: a star, a spider or a random
+    attachment tree, its labels shuffled."""
+    n = rng.randint(1, 60)
+    shape = rng.choice(("star", "spider", "random"))
+    if shape == "star":
+        parent = [0] * n
+    elif shape == "spider":
+        legs = rng.randint(1, 6)
+        parent = [0] + [i - legs if i > legs else 0 for i in range(1, n)]
+    else:
+        parent = [0] + [rng.randrange(i) for i in range(1, n)]
+    label = rng.sample(range(2 * n), n)
+    return Graph.from_edges(((label[i], label[parent[i]]) for i in range(1, n)),
+                            isolated=label[:1])
+
+
 def test_index_P0_and_bc_tree_match_scans():
     rng = random.Random(11)
     graphs = (list(corpus()) + [_random_block_tree(rng) for _ in range(300)]
+              + [_random_tree(rng) for _ in range(300)]
               + [Graph.from_edges((), isolated=(5,))])
     for g in graphs:
         d = decompose(g)
@@ -309,3 +327,100 @@ def test_index_P0_and_bc_tree_match_scans():
                     adj[("block", b.index)].append(("cut", v))
                     adj[("cut", v)].append(("block", b.index))
         assert bc_tree(d).adj == adj
+
+
+# -- one DFS against the sorted two-pass algorithm -------------------------
+
+def _biconnected(g: Graph):
+    """Edge sets of the biconnected components plus the articulation
+    vertices, by a lowpoint DFS from every sorted root over sorted
+    neighbours: a reference independent of the adjacency's order."""
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comps: list[frozenset[tuple[int, int]]] = []
+    arts: set[int] = set()
+    counter = 0
+    for root in g.sorted_vertices():
+        if root in disc:
+            continue
+        root_children = 0
+        stack = [(root, None, iter(sorted(g.neighbors(root))))]
+        disc[root] = low[root] = counter
+        counter += 1
+        estack: list[tuple[int, int]] = []
+        while stack:
+            v, parent, it = stack[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if w not in disc:
+                    estack.append((v, w))
+                    disc[w] = low[w] = counter
+                    counter += 1
+                    stack.append((w, v, iter(sorted(g.neighbors(w)))))
+                    advanced = True
+                    break
+                elif disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    comp = []
+                    while estack:
+                        e = estack.pop()
+                        comp.append(edge(*e))
+                        if e == (parent, v):
+                            break
+                    comps.append(frozenset(comp))
+                    if parent != root:
+                        arts.add(parent)
+                if parent == root:
+                    root_children += 1
+        if root_children >= 2:
+            arts.add(root)
+    return comps, arts
+
+
+def _reference_decompose(g: Graph) -> dict:
+    """Every field of decompose(g), by a separate connectivity check, the
+    sorted DFS above, blocks keyed by their sorted edge lists and scans
+    over the blocks."""
+    assert g.is_connected()
+    raw, arts = _biconnected(g)
+    blocks = [(idx, frozenset(x for e in es for x in e), es)
+              for idx, es in enumerate(sorted(raw, key=lambda es: sorted(es)))]
+    two = [(t, vs) for t, vs, es in blocks if len(vs) > 2]
+    bridges = [min(es) for _, vs, es in blocks if len(vs) == 2]
+    trivial = {e for e in bridges if min(map(g.degree, e)) == 1}
+    nontrivial = set(bridges) - trivial
+    cuts_of = {t: sorted(arts & vs) for t, vs, _ in blocks}
+    return {
+        "blocks": blocks,
+        "cutvertices": arts,
+        "trivial_bridges": trivial,
+        "nontrivial_bridges": nontrivial,
+        "bn": {v: sum(v in e for e in nontrivial) for v in g.vertices},
+        "k": {v: sum(v in vs for _, vs in two) for v in g.vertices},
+        "cvn": {t: len(cs) for t, cs in cuts_of.items()},
+        "blocks_of": {v: [t for t, vs, _ in blocks if v in vs]
+                      for v in g.vertices},
+        "cuts_of": cuts_of,
+    }
+
+
+def test_decompose_matches_the_sorted_two_pass_reference():
+    rng = random.Random(23)
+    graphs = (list(corpus()) + [_random_block_tree(rng) for _ in range(300)]
+              + [_random_tree(rng) for _ in range(300)])
+    for g in graphs:
+        d = decompose(g)
+        ref = _reference_decompose(g)
+        assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
+            == ref.pop("blocks")
+        for name, want in ref.items():
+            assert getattr(d, name) == want, name
