@@ -4,7 +4,11 @@
 `perfbench/run.py` prints one JSON line per workload and exits 0 even when
 a line says `"correct": false`. This script runs it with `--seconds 1` from
 the root of the checkout and exits 1 unless there are exactly three result
-lines, each with `"correct": true` and `"failed": 0`.
+lines, each with `"correct": true` and `"failed": 0`. It then runs
+chain-witness once more with `--trace 1` and exits 1 unless that run is
+correct, failed nothing and saw `oracle.search` calls: the tracer rebinds
+the oracle's search functions by name, and a construct that stopped
+calling them by name would hide its block searches from it.
 """
 
 import json
@@ -12,6 +16,29 @@ import subprocess
 import sys
 
 WORKLOADS = 3
+TRACED = "chain-witness"
+
+
+def traced_ok() -> bool:
+    """Whether a traced one-second chain-witness run is correct and reports
+    oracle searches."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", TRACED,
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True)
+    sys.stderr.write(proc.stderr)
+    try:
+        row = json.loads(proc.stdout.strip().splitlines()[-1])
+        searches = row["metrics"]["oracle.search.calls"]["value"]
+    except (IndexError, KeyError, TypeError, ValueError):
+        row, searches = {}, None
+    good = (proc.returncode == 0 and row.get("correct") is True
+            and row.get("failed") == 0 and isinstance(searches, (int, float))
+            and searches > 0)
+    print(f"{TRACED + ' traced':22s} correct={row.get('correct')} "
+          f"failed={row.get('failed')} oracle.search.calls={searches}"
+          f"{'' if good else '  FAILED'}")
+    return good
 
 
 def main() -> int:
@@ -34,9 +61,12 @@ def main() -> int:
         print(f"{row['workload']:14s} correct={row.get('correct')} "
               f"failed={row.get('failed')} attempted={row.get('attempted')}"
               f"{'' if good else '  FAILED'}")
+    traced = traced_ok()
+    ok = ok and traced
     print("benchmark smoke ok" if ok else
           f"BENCHMARK SMOKE FAILED (exit {proc.returncode}, "
-          f"{len(results)} of {WORKLOADS} result lines)")
+          f"{len(results)} of {WORKLOADS} result lines, traced run "
+          f"{'ok' if traced else 'failed'})")
     return 0 if ok else 1
 
 

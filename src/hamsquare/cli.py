@@ -60,6 +60,18 @@ class RunReport:
         return _OUTCOME_CODES[self.result["outcome"]]
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as is."""
@@ -99,7 +111,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--pair", nargs=2, type=int, default=None,
                     metavar=("X", "Y"))
-    sp.add_argument("--node-budget", type=int, default=None)
+    sp.add_argument("--node-budget", type=_positive_int, default=None)
     return p
 
 

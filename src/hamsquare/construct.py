@@ -49,6 +49,19 @@ of y is used instead, and the part hanging at y goes in between u and v as
 a cycle through y opened up at y. Once no task is left, the path is one
 walk from x away from -1. No step depends on the length of the path laid
 so far, and none recurses.
+
+Each request, one call of either constructor, makes one BlockSearch and
+hands it down to every block search it runs, so blocks of one shape with
+one demand pattern are searched once: a chain of 640 triangles takes 3
+searches, not 640. The memo relabels a block by vertex rank and keeps the
+oracle's answer on the rank-space block. That answer maps back to exactly
+the witness a search on the block's own labels would find, because the
+oracle reads labels only through their order: it walks sorted
+neighbourhoods, picks its start by min and max, and matches the demands
+in their given order against the sorted witness edges. An order-preserving
+relabelling therefore relabels the witness and nothing else. The memo
+lives as long as the request, so no answer carries over from one request
+to the next.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
-from .oracle import cycle_with, path_with
+from .oracle import Witness, cycle_with, path_with
 
 
 @dataclass(frozen=True)
@@ -76,14 +89,64 @@ class BlockCycle:
         return self.assigned.get(v, ())
 
 
-def block_cycle(b: Graph, m_values: dict, index: int = -1) -> BlockCycle:
-    """Hamiltonian cycle of b**2 with m distinct b-edges at each labelled vertex."""
+class BlockSearch:
+    """The block searches of one request, each run once per block shape.
+
+    A search is keyed by its block relabelled by vertex rank: the frozenset
+    of rank pairs of the block's edges, the demands in their given order,
+    the endpoints (None for a cycle) and the required edges, all in ranks.
+    The oracle is run on the rank-space block only on a miss, and its answer
+    is kept, None included, since None certifies that no witness exists. A
+    search that raises keeps nothing.
+    """
+
+    def __init__(self):
+        self._found: dict = {}
+
+    def __call__(self, vertices, edges, demands=(), ends=None,
+                 required=()) -> Witness | None:
+        """The search of the block (vertices, edges), in its own labels:
+        a cycle, or with ends (x, y) an x-y path, of the block's square."""
+        label = sorted(vertices)
+        rank = {v: i for i, v in enumerate(label)}
+        es = frozenset([(rank[u], rank[v]) for u, v in edges])
+        demands = tuple([(rank[v], c) for v, c in demands])
+        if ends is not None:
+            ends = (rank[ends[0]], rank[ends[1]])
+        required = tuple([edge(rank[u], rank[v]) for u, v in required])
+        key = (es, demands, ends, required)
+        try:
+            w = self._found[key]
+        except KeyError:
+            # cycle_with and path_with are looked up by name at each call,
+            # so a rebinding of them (as a tracer does) sees every search
+            b = Graph(frozenset(range(len(label))), es)
+            if ends is None:
+                w = cycle_with(b.square(), b, demands, required)
+            else:
+                w = path_with(b.square(), b, *ends, demands, required)
+            self._found[key] = w
+        if w is None:
+            return None
+        return Witness(
+            tuple([label[i] for i in w.order]),
+            {label[v]: [(label[a], label[b]) for a, b in at]
+             for v, at in w.assignment.items()})
+
+
+def block_cycle(b, m_values: dict, index: int = -1,
+                search: BlockSearch | None = None) -> BlockCycle:
+    """Hamiltonian cycle of b**2 with m distinct b-edges at each labelled
+    vertex. b is a Graph or a Block; search is the request's BlockSearch,
+    a fresh one if None."""
     demands = tuple((v, c) for v, c in sorted(m_values.items()) if c > 0)
     total = sum(c for _, c in demands)
     cap = 3 if any(c == 2 for _, c in demands) else 4
     if total > cap:
         raise ValueError(f"block demands {demands} exceed cycle capacity")
-    w = cycle_with(b.square(), b, demands)
+    if search is None:
+        search = BlockSearch()
+    w = search(b.vertices, b.edges, demands)
     if w is None:
         raise ConstructionError(
             f"no block cycle satisfying {demands}; the demands were expected "
@@ -175,13 +238,14 @@ def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
     return segs[0][0], segs[-1][1], removed - {edge(a, b) for a, b in joins}
 
 
-def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling) -> list:
+def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
+                  search: BlockSearch) -> list:
     cat = compute_P0(g, d)
     cs = CycleSet()
     assigned: dict[tuple[int, int], tuple] = {}
     for b in d.two_blocks():
         mv = {i: labelling.value(i, b.index) for i in d.cuts_of[b.index]}
-        bc = block_cycle(Graph.from_edges(b.edges), mv, b.index)
+        bc = block_cycle(b, mv, b.index, search)
         cs.add(bc.order)
         for v, es in bc.assigned.items():
             assigned[(v, b.index)] = es
@@ -306,15 +370,16 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
     if bad:
         raise ValueError(f"labelling violates conditions {bad}")
 
+    search = BlockSearch()
     if not d.two_blocks():
         cyc = list(caterpillar_cycle(g).order)
     elif len(d.blocks) == 1:
-        w = cycle_with(g.square(), g)
+        w = search(g.vertices, g.edges)
         if w is None:
             raise ConstructionError("no hamiltonian cycle in the block square")
         cyc = list(w.order)
     else:
-        cyc = _merge_cycles(g, d, labelling)
+        cyc = _merge_cycles(g, d, labelling, search)
 
     if not is_ham_cycle(g, cyc, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian cycle")
@@ -411,7 +476,7 @@ def _hang(d: Decomposition, cs: CycleSet, todo: list, piece, t: int,
 
 
 def _cycle_with_two_edges_at(d: Decomposition, piece, c2: int,
-                             todo: list) -> list:
+                             todo: list, search: BlockSearch) -> list:
     """Hamiltonian cycle of the piece's square whose two cycle edges at c2
     are edges of the graph, read from c2 towards the smaller of its cycle
     neighbours. The parts hanging off its blocks are left as tasks on todo,
@@ -423,14 +488,13 @@ def _cycle_with_two_edges_at(d: Decomposition, piece, c2: int,
         blk = d.blocks[t]
         if blk.is_bridge:
             continue
-        blkg = Graph.from_edges(blk.edges)
         others = [v for v in _cuts(d, piece, t) if v != c2]
         if len(others) > 1:
             raise ConstructionError(
                 f"block {t} has more than two cutvertices")
         yi = others[0] if others else None
         demands = [(c2, 2)] + ([(yi, 1)] if yi is not None else [])
-        w = cycle_with(blkg.square(), blkg, demands)
+        w = search(blk.vertices, blk.edges, demands)
         if w is None:
             raise ConstructionError(
                 f"no block cycle with two edges at {c2} in block {t}")
@@ -446,19 +510,22 @@ def _cycle_with_two_edges_at(d: Decomposition, piece, c2: int,
 
 
 def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
-                              piece, blk, x: int, y: int) -> None:
+                              piece, blk, x: int, y: int,
+                              search: BlockSearch | None = None) -> None:
     """Lay the x-y path between the two cutvertices of blk when no block
     path carries an edge at y.
 
     A path through some edge u-v between two neighbours of y exists
     instead; the part hanging at y enters between u and v, in the order
     they have on the block path, as its leaf or as a cycle through y with
-    y taken out.
+    y taken out. search is the request's BlockSearch, a fresh one if None.
     """
-    bg = Graph.from_edges(blk.edges)
-    sq = bg.square()
-    for u, v in itertools.combinations(sorted(bg.neighbors(y)), 2):
-        w = path_with(sq, bg, x, y, [(x, 1)], required_edges=[edge(u, v)])
+    if search is None:
+        search = BlockSearch()
+    # a block is an induced subgraph: y's neighbours in it are those in g
+    nbrs = sorted(d.graph.neighbors(y) & blk.vertices)
+    for u, v in itertools.combinations(nbrs, 2):
+        w = search(blk.vertices, blk.edges, [(x, 1)], (x, y), [(u, v)])
         if w is not None:
             break
     else:
@@ -471,14 +538,18 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
     if len(h) == 1 and d.blocks[min(h)].is_bridge:
         insert = [_first_neighbor(d, h, y)]
     else:
-        insert = _cycle_with_two_edges_at(d, h, y, todo)[1:]
+        insert = _cycle_with_two_edges_at(d, h, y, todo, search)[1:]
     cs.splice([a, *insert, b])
 
 
-def _fill(d: Decomposition, cs: CycleSet, todo: list) -> None:
+def _fill(d: Decomposition, cs: CycleSet, todo: list,
+          search: BlockSearch | None = None) -> None:
     """Work off the tasks (piece, a, b): each replaces the placeholder edge
     a-b of cs by a hamiltonian a-b path of the piece's square, and leaves
-    a task for every part it lets in through a placeholder of its own."""
+    a task for every part it lets in through a placeholder of its own.
+    search is the request's BlockSearch, a fresh one if None."""
+    if search is None:
+        search = BlockSearch()
     while todo:
         piece, x, y = todo.pop()
         t = next((t for t in _at_in(d, x, piece)
@@ -509,10 +580,9 @@ def _fill(d: Decomposition, cs: CycleSet, todo: list) -> None:
             demands = [(c, 1) for c in cvs]
             if cvs == [x]:
                 x, y = y, x  # the search starts away from the cutvertex
-        bg = Graph.from_edges(blk.edges)
-        w = path_with(bg.square(), bg, x, y, demands)
+        w = search(blk.vertices, blk.edges, demands, (x, y))
         if w is None and between_cuts:
-            _rescue_through_neighbors(d, cs, todo, piece, blk, x, y)
+            _rescue_through_neighbors(d, cs, todo, piece, blk, x, y, search)
             continue
         if w is None:
             raise ConstructionError(
@@ -546,7 +616,7 @@ def construct_ham_path(g: Graph, x: int, y: int,
     # vertices are non-negative, so -1 can close the path into a cycle
     cs = CycleSet()
     cs.add([x, y, -1])
-    _fill(d, cs, [(frozenset(range(len(d.blocks))), x, y)])
+    _fill(d, cs, [(frozenset(range(len(d.blocks))), x, y)], BlockSearch())
     path = cs.walk(x, -1)[:-1]
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")

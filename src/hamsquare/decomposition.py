@@ -328,8 +328,13 @@ class P0Component:
 
 @dataclass(frozen=True)
 class CaterpillarAnalysis:
-    p0: Graph
     components: tuple[P0Component, ...]
+
+    @functools.cached_property
+    def p0(self) -> Graph:
+        """The forest itself, built on first use: its components together."""
+        return Graph(frozenset().union(*(c.vertices for c in self.components)),
+                     frozenset().union(*(c.edges for c in self.components)))
 
     @property
     def all_caterpillars(self) -> bool:
@@ -371,8 +376,7 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
                     todo.append(w)
         comps.append(P0Component(frozenset(vs), frozenset(es),
                                  len(vs) <= 2 or _is_caterpillar(nbrs)))
-    p0 = Graph(frozenset(keep), frozenset(bridge.values()))
-    return CaterpillarAnalysis(p0, tuple(comps))
+    return CaterpillarAnalysis(tuple(comps))
 
 
 def _is_caterpillar(nbrs: dict[int, list[int]]) -> bool:

@@ -15,9 +15,12 @@ connectivity, and a demand bound: a demanded vertex must still be able to
 reach as many original edges as it asks for (counted one demand at a time;
 distinctness across demands is settled by the matching at the leaf). Each
 prune only drops subtrees that hold no valid order, so pruning never changes
-which order is found, and a None result is a certificate of absence. An
-optional node budget turns long searches into an explicit BudgetExceeded
-instead of a silent answer.
+which order is found, and a None result is a certificate of absence. The
+connectivity prune at the root walks every vertex from the start, so a
+disconnected host is turned down there, with no separate search. An
+optional node budget, a positive count that the root node already uses
+one of, turns long searches into an explicit BudgetExceeded instead of a
+silent answer.
 """
 
 from __future__ import annotations
@@ -153,8 +156,6 @@ class _Search:
                 return None
         if self._obviously_infeasible():
             return None
-        if not g.is_connected():
-            return None
 
         if self.cyclic:
             start = self._pick_start()
@@ -285,9 +286,16 @@ class _Search:
         return None
 
 
+def _check_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(
+            f"node budget must be a positive integer, got {node_budget}")
+
+
 def find_ham_cycle(spec: EdgeConstrainedSearch,
                    node_budget: int | None = None) -> Witness | None:
     """A constraint-satisfying hamiltonian cycle of the host, or None."""
+    _check_budget(node_budget)
     if spec.endpoints is not None:
         raise ValueError("cycle search takes no endpoints")
     return _Search(spec, cyclic=True, node_budget=node_budget).run()
@@ -296,6 +304,7 @@ def find_ham_cycle(spec: EdgeConstrainedSearch,
 def find_ham_path(spec: EdgeConstrainedSearch,
                   node_budget: int | None = None) -> Witness | None:
     """A constraint-satisfying hamiltonian path between the endpoints, or None."""
+    _check_budget(node_budget)
     if spec.endpoints is None:
         raise ValueError("path search needs endpoints")
     if spec.host.n == 2:

@@ -161,6 +161,15 @@ def test_oracle_budget(gfile, capsys):
     assert data["result"]["outcome"] == "BUDGET_EXCEEDED"
 
 
+def test_non_positive_node_budget_is_a_usage_error(gfile, capsys):
+    c4 = gfile("0 1\n1 2\n2 3\n3 0\n")
+    for budget in ("0", "-3", "x"):
+        assert main(["oracle", c4, "--node-budget", budget]) == 64
+        assert "positive integer" in capsys.readouterr().err
+    assert main(["oracle", c4, "--node-budget", "1"]) == 75
+    assert main(["oracle", c4, "--node-budget", "5"]) == 0
+
+
 def test_usage_errors():
     assert main([]) == 64
     assert main(["frobnicate", "x"]) == 64

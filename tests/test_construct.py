@@ -16,7 +16,9 @@ from hamsquare.labelling import Labelling, decide_hamiltonicity
 from hamsquare.hamconn import (
     HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
 )
+from hamsquare import oracle
 from hamsquare.construct import (
+    BlockSearch,
     ConstructionError,
     construct_ham_cycle,
     construct_ham_path,
@@ -26,6 +28,7 @@ from hamsquare.construct import (
     _rescue_through_neighbors,
 )
 from hamsquare.caterpillars import CycleSet
+from hamsquare.oracle import cycle_with, path_with
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 DUMBBELL = Graph.from_edges([(0, 1), (1, 2), (0, 2),
@@ -405,3 +408,111 @@ def test_star_path_leaves_the_recursion_limit_alone(monkeypatch):
     p = construct_ham_path(star, 1, 600)
     assert is_ham_path(star, p, 1, 600, square=True)
     assert all(n <= at_entry for n in limits), max(limits)
+
+
+# -- one search per block shape ----------------------------------------------
+
+def _block_patterns(b, rng):
+    """The kinds of search construct issues on block b, in b's labels:
+    (demands, ends, required edges). Cycles with no demand and with two
+    edges at v and one at w; x-y paths with an edge at both ends, at y
+    alone, at one or two vertices chosen among the others, and the rescue's
+    edge at x with an edge joining two neighbours of y."""
+    vs = b.sorted_vertices()
+    out = [((), None, ())]
+    for x, y in itertools.permutations(vs, 2):
+        out.append((((x, 2), (y, 1)), None, ()))
+        out.append((((x, 1), (y, 1)), (x, y), ()))
+        out.append((((y, 1),), (x, y), ()))
+        rest = [v for v in vs if v not in (x, y)]
+        out.append((((rng.choice(rest), 1),), (x, y), ()))
+        if len(rest) > 1:
+            pair = sorted(rng.sample(rest, 2))
+            out.append((tuple((v, 1) for v in pair), (x, y), ()))
+        for u, v in itertools.combinations(sorted(b.neighbors(y)), 2):
+            out.append((((x, 1),), (x, y), ((u, v),)))
+    return out
+
+
+def _direct(b, demands, ends, required):
+    if ends is None:
+        return cycle_with(b.square(), b, demands, required)
+    return path_with(b.square(), b, *ends, demands, required)
+
+
+def _as_found(w):
+    return None if w is None else (w.order, list(w.assignment.items()))
+
+
+def _relabellings(rng, g, count=3):
+    """g and count copies of it under seeded order-preserving relabellings."""
+    vs = g.sorted_vertices()
+    out = [g]
+    for _ in range(count):
+        new = sorted(rng.sample(range(10 * len(vs) + 100), len(vs)))
+        out.append(g.relabelled(dict(zip(vs, new))))
+    return out
+
+
+def _memo_matches_the_oracle(search, b, seed, sample=None) -> int:
+    """Compare the memo with the oracle on b's search patterns, drawn from
+    the seed: relabelled copies of one block draw the same ones in ranks."""
+    rng = random.Random(seed)
+    patterns = _block_patterns(b, rng)
+    if sample is not None and len(patterns) > sample:
+        patterns = rng.sample(patterns, sample)
+    for demands, ends, required in patterns:
+        got = search(b.vertices, b.edges, demands, ends, required)
+        want = _direct(b, demands, ends, required)
+        assert _as_found(got) == _as_found(want), (b, demands, ends, required)
+    return len(patterns)
+
+
+def test_block_search_memo_returns_what_the_oracle_returns():
+    # One memo serves each block and its relabelled copies, as a request's
+    # memo serves blocks of one shape, so most relabelled searches are hits.
+    rng = random.Random(7)
+    checked = 0
+    blocks = {frozenset(b.edges) for g in corpus() if g.n >= 3
+              for b in decompose(g).two_blocks()}
+    for i, edges in enumerate(sorted(blocks, key=sorted)):
+        search = BlockSearch()
+        for b in _relabellings(rng, Graph.from_edges(edges)):
+            checked += _memo_matches_the_oracle(search, b, i)
+    trees = 0
+    while trees < 100:
+        g = _random_block_tree(rng)
+        if not decompose(g).two_blocks():
+            continue
+        trees += 1
+        search = BlockSearch()
+        for h in _relabellings(rng, g):
+            for i, blk in enumerate(decompose(h).two_blocks()):
+                b = Graph.from_edges(blk.edges)
+                checked += _memo_matches_the_oracle(search, b, 100 * trees + i,
+                                                    sample=12)
+    assert checked > 20000
+
+
+def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
+    searches = []
+
+    def counting(real):
+        def counted(*args, **kwargs):
+            searches.append(real.__name__)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("find_ham_cycle", "find_ham_path"):
+        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
+    chain = _triangle_chain(640)
+    for build in (construct_ham_cycle,
+                  lambda g: construct_ham_path(g, 1, 1280)):
+        searches.clear()
+        first = build(chain)
+        n = len(searches)
+        assert 1 <= n <= 4, searches  # 640 with one search per block
+        # a second request shares nothing with the first: it searches again
+        searches.clear()
+        assert build(chain) == first
+        assert len(searches) == n

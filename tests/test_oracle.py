@@ -144,6 +144,29 @@ def test_budget_raises():
         cycle_with(g.square(), g, node_budget=2)
 
 
+def test_budget_must_be_positive():
+    g = cycle_graph(4)
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            find_ham_cycle(EdgeConstrainedSearch(host=g), budget)
+        with pytest.raises(ValueError, match="positive"):
+            find_ham_path(EdgeConstrainedSearch(host=g, endpoints=(0, 1)),
+                          budget)
+
+
+def test_disconnected_host_has_no_witness():
+    # the root prune sees the second component; the least budget suffices
+    two = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    pair = Graph.from_edges([(0, 1), (2, 3)])
+    for g in (two, pair, Graph(frozenset({0, 1, 2}), frozenset({(0, 1)}))):
+        for budget in (None, 1):
+            assert cycle_with(g, g, node_budget=budget) is None
+            assert cycle_with(g, g, [(0, 1)], node_budget=budget) is None
+            assert path_with(g, g, 0, 1, node_budget=budget) is None
+            assert path_with(g, g, 0, 1, [(1, 1)], required_edges=[(0, 1)],
+                             node_budget=budget) is None
+
+
 def _distinct_choice(cands, demands):
     """Whether each demand (v, c) gets c of cands[v], all globally distinct."""
     if not demands:
