@@ -4,11 +4,12 @@
 `perfbench/run.py` prints one JSON line per workload and exits 0 even when
 a line says `"correct": false`. This script runs it with `--seconds 1` from
 the root of the checkout and exits 1 unless there are exactly three result
-lines, each with `"correct": true` and `"failed": 0`. It then runs
-chain-witness once more with `--trace 1` and exits 1 unless that run is
-correct, failed nothing and saw `oracle.search` calls: the tracer rebinds
-the oracle's search functions by name, and a construct that stopped
-calling them by name would hide its block searches from it.
+lines, each with `"correct": true` and `"failed": 0`. It then runs two
+workloads once more with `--trace 1` and exits 1 unless each run is
+correct, failed nothing and saw its layer: chain-witness must report
+`oracle.search` calls, forest-square `caterpillars.caterpillar_cycle` self
+time. The tracer rebinds these functions by name, and a construct that
+stopped calling them by name would hide them from it.
 """
 
 import json
@@ -16,27 +17,29 @@ import subprocess
 import sys
 
 WORKLOADS = 3
-TRACED = "chain-witness"
+# (workload, per-layer metric that its traced run must report above 0)
+TRACED = (("chain-witness", "oracle.search.calls"),
+          ("forest-square", "caterpillars.caterpillar_cycle.self_ms"))
 
 
-def traced_ok() -> bool:
-    """Whether a traced one-second chain-witness run is correct and reports
-    oracle searches."""
+def traced_ok(workload: str, metric: str) -> bool:
+    """Whether a traced one-second run of the workload is correct and
+    reports the metric above 0."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", TRACED,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
     try:
         row = json.loads(proc.stdout.strip().splitlines()[-1])
-        searches = row["metrics"]["oracle.search.calls"]["value"]
+        value = row["metrics"][metric]["value"]
     except (IndexError, KeyError, TypeError, ValueError):
-        row, searches = {}, None
+        row, value = {}, None
     good = (proc.returncode == 0 and row.get("correct") is True
-            and row.get("failed") == 0 and isinstance(searches, (int, float))
-            and searches > 0)
-    print(f"{TRACED + ' traced':22s} correct={row.get('correct')} "
-          f"failed={row.get('failed')} oracle.search.calls={searches}"
+            and row.get("failed") == 0 and isinstance(value, (int, float))
+            and value > 0)
+    print(f"{workload + ' traced':22s} correct={row.get('correct')} "
+          f"failed={row.get('failed')} {metric}={value}"
           f"{'' if good else '  FAILED'}")
     return good
 
@@ -61,7 +64,7 @@ def main() -> int:
         print(f"{row['workload']:14s} correct={row.get('correct')} "
               f"failed={row.get('failed')} attempted={row.get('attempted')}"
               f"{'' if good else '  FAILED'}")
-    traced = traced_ok()
+    traced = all([traced_ok(*t) for t in TRACED])
     ok = ok and traced
     print("benchmark smoke ok" if ok else
           f"BENCHMARK SMOKE FAILED (exit {proc.returncode}, "

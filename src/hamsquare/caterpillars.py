@@ -1,12 +1,25 @@
-"""Caterpillar trees: recognition, longest paths, and square hamiltonian cycles.
+"""Caterpillar trees: the square's hamiltonian cycle, and CycleSet.
 
-A caterpillar is a tree whose non-leaf vertices induce a path (the derived
-path). The square of any caterpillar on at least three vertices has a
-hamiltonian cycle through both end-edges of a longest path, and that cycle can
-be chosen to contain, for every internal vertex x of the longest path, a
-dedicated edge whose two endpoints are neighbors of x. These dedicated edges
-are what the larger cycle-merging machinery cuts at, so the constructor below
-also returns them explicitly.
+A caterpillar is a tree whose non-leaf vertices, its core, induce a path.
+The square of a tree on at least three vertices is hamiltonian iff the tree
+is a caterpillar (Harary and Schwenk 1971). A longest path, the spine
+x[0..m-1], is the core plus one leaf at each end. With L(v) the sorted
+non-spine neighbours of an inner spine vertex v, this closed walk is a
+hamiltonian cycle of the square:
+
+1. down from x[m-3] in steps of two to x[1] or x[0], with rev L(x[i-1])
+   between x[i] and x[i-2];
+2. up from x[m mod 2] in steps of two to x[m-2], with L(x[i+1]) between
+   x[i] and x[i+2];
+3. x[m-1], then rev L(x[m-2]), which closes at x[m-3].
+
+It runs through both end-edges of the spine, and it holds, for every inner
+spine vertex x, a dedicated edge whose two endpoints are neighbours of x.
+The constructor returns these edges explicitly: the cycle-merging
+machinery cuts at them. It reads the tree as a mapping from each vertex to
+its neighbours and lays the cycle in one pass, O(n) besides sorting the
+leaves. CycleSet, below, is the cycle representation the constructors cut
+and join.
 """
 
 from __future__ import annotations
@@ -14,93 +27,62 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graph import Graph, edge
+from .graph import edge
 
 
 class ConstructionError(RuntimeError):
     """An assembly step could not be carried out; indicates an unmet precondition."""
 
 
-def is_tree(g: Graph) -> bool:
-    return g.is_connected() and g.m == g.n - 1
+def _spine(nbrs, prefer_ends: frozenset[int]):
+    """A longest path of the caterpillar with adjacency nbrs, and its legs:
+    each inner vertex of the path mapped to its neighbours off the path,
+    ascending.
 
-
-def derived_path(tree: Graph) -> list[int] | None:
-    """The non-leaf vertices ordered along their path, or None if not a caterpillar.
-
-    Returns [] for trees with at most two vertices (nothing survives leaf
-    removal). The orientation starts at the smaller end vertex.
+    The inner vertices are the core, the vertices of degree at least 2,
+    walked from the least end of the core. Each end adds one leaf of the
+    core's end vertex: the least, unless a leaf of prefer_ends can sit
+    there. Raises ValueError when the core is not a path.
     """
-    if not is_tree(tree):
-        raise ValueError("derived_path expects a tree")
-    core = [v for v in tree.sorted_vertices() if tree.degree(v) >= 2]
-    if not core:
-        return []
-    core_set = set(core)
-    deg_in_core = {v: sum(1 for w in tree.neighbors(v) if w in core_set)
-                   for v in core}
-    if any(d > 2 for d in deg_in_core.values()):
-        return None
-    ends = [v for v in core if deg_in_core[v] <= 1]
-    if len(core) == 1:
-        return core
-    if len(ends) != 2:
-        return None
-    start = min(ends)
-    path = [start]
-    prev = None
-    while True:
-        nxt = [w for w in sorted(tree.neighbors(path[-1]))
-               if w in core_set and w != prev]
-        if not nxt:
-            break
+    bad = ValueError("not a caterpillar: the non-leaf vertices form no path")
+    core = {v for v, nv in nbrs.items() if len(nv) >= 2}
+    along, legs, ends = {}, {}, []
+    for v in core:
+        nv = nbrs[v]
+        along[v] = on = [w for w in nv if w in core]
+        if len(on) != 2:
+            if len(on) > 2 or not on and len(core) > 1:
+                raise bad
+            ends.append(v)
+        legs[v] = sorted([w for w in nv if w not in core]) \
+            if len(on) < len(nv) else []
+    if not ends or len(ends) > 2:
+        raise bad
+    prev, path = None, [min(ends)]
+    for _ in range(len(core) - 1):
+        on = along[path[-1]]
+        nxt = on[0] if on[0] != prev else on[-1]
+        if nxt == prev:
+            raise bad
         prev = path[-1]
-        path.append(nxt[0])
-    if len(path) != len(core):
-        return None
-    return path
-
-
-def is_caterpillar(tree: Graph) -> bool:
-    return derived_path(tree) is not None
-
-
-def longest_spine(tree: Graph, prefer_ends: frozenset[int] = frozenset()) -> list[int]:
-    """A longest path of a caterpillar, as a vertex list.
-
-    Any longest path consists of the full derived path plus one leaf at each
-    end; the only freedom is which leaf. Vertices in prefer_ends that are
-    leaves are placed at the chosen ends when possible.
-    """
-    core = derived_path(tree)
-    if core is None:
-        raise ValueError("longest_spine expects a caterpillar")
-    if tree.n == 1:
-        return tree.sorted_vertices()
-    if tree.n == 2:
-        return tree.sorted_vertices()
-    leaf_pref = sorted(p for p in prefer_ends if tree.degree(p) == 1)
-    d0, dk = core[0], core[-1]
+        path.append(nxt)
+    leaf_pref = sorted(p for p in prefer_ends if len(nbrs[p]) == 1)
+    d0, dk = path[0], path[-1]
+    p0 = [p for p in leaf_pref if d0 in nbrs[p]]
+    x0 = p0[0] if p0 else legs[d0][0]
+    legs[d0].remove(x0)
     if d0 == dk:
-        cands = sorted(tree.neighbors(d0))
-        pref = [p for p in leaf_pref if p in cands]
-        if len(pref) > 2:
+        if len(p0) > 2:
             raise ConstructionError("more than two end reservations on a star")
-        first = pref[0] if pref else cands[0]
-        rest = [c for c in cands if c != first]
-        second = pref[1] if len(pref) >= 2 else rest[0]
-        return [first] + core + [second]
-    cand0 = sorted(w for w in tree.neighbors(d0) if tree.degree(w) == 1)
-    candk = sorted(w for w in tree.neighbors(dk) if tree.degree(w) == 1)
-    p0 = [p for p in leaf_pref if p in cand0]
-    pk = [p for p in leaf_pref if p in candk]
-    stray = [p for p in leaf_pref if p not in cand0 and p not in candk]
-    if stray or len(p0) > 1 or len(pk) > 1:
-        raise ConstructionError(
-            f"end reservations {sorted(prefer_ends)} cannot all sit at spine ends")
-    x0 = p0[0] if p0 else cand0[0]
-    xm = pk[0] if pk else candk[0]
-    return [x0] + core + [xm]
+        xm = p0[1] if len(p0) >= 2 else legs[d0][0]
+    else:
+        pk = [p for p in leaf_pref if dk in nbrs[p]]
+        if len(p0) + len(pk) < len(leaf_pref) or len(p0) > 1 or len(pk) > 1:
+            raise ConstructionError(
+                f"end reservations {sorted(prefer_ends)} cannot all sit at spine ends")
+        xm = pk[0] if pk else legs[dk][0]
+    legs[dk].remove(xm)
+    return [x0, *path, xm], legs
 
 
 class CycleSet:
@@ -237,44 +219,45 @@ class CatCycle:
     reserved: dict[int, tuple[int, int]]
 
 
-def caterpillar_cycle(tree: Graph,
+def caterpillar_cycle(nbrs,
                       need_end: frozenset[int] = frozenset(),
                       need_pair: frozenset[int] = frozenset()) -> CatCycle:
-    """Hamiltonian cycle of tree**2 through both spine end-edges.
+    """Hamiltonian cycle of the square of a caterpillar through both spine
+    end-edges.
 
-    need_end vertices get a dedicated end-edge containing them; need_pair
-    vertices (internal on the spine) get their dedicated neighbor-pair edge.
-    The spine is a longest path chosen with the end reservations in mind.
+    nbrs maps each vertex of the caterpillar to the set of its neighbours:
+    a tree's own adjacency, or a component of the bridge forest. need_end
+    vertices get a dedicated end-edge containing them; need_pair vertices
+    (internal on the spine) get their dedicated neighbor-pair edge. The
+    spine is a longest path chosen with the end reservations in mind, and
+    the cycle is the closed-form order of the module docstring.
     """
-    if tree.n < 3:
+    if len(nbrs) < 3:
         raise ValueError("caterpillar cycle needs at least three vertices")
-    x = longest_spine(tree, frozenset(need_end))
+    x, legs = _spine(nbrs, frozenset(need_end))
     m = len(x)
-    spine_set = set(x)
-    leaves = {x[j]: sorted(set(tree.neighbors(x[j])) - spine_set)
-              for j in range(1, m - 1)}
 
-    # Start from the fan at the far end of the spine, then replace each
-    # spine edge x[j+1] x[j+2] by a detour through x[j] and the leaves of
-    # x[j+1]. No step touches the fan's closing edge, so the list reads
-    # from first[0] away from first[-1].
-    first = [x[m - 3], x[m - 2], x[m - 1]] + list(reversed(leaves[x[m - 2]]))
-    ring = CycleSet()
-    ring.add(first)
-    for j in range(m - 4, -1, -1):
-        ring.splice([x[j + 1], x[j]] + leaves[x[j + 1]] + [x[j + 2]])
-    cyc = ring.walk(first[0], first[-1])
+    cyc = []  # steps 1, 2 and 3 of the order
+    for i in range(m - 3, -1, -2):
+        cyc.append(x[i])
+        if i >= 2:
+            cyc += reversed(legs[x[i - 1]])
+    for i in range(m % 2, m - 2, 2):
+        cyc.append(x[i])
+        cyc += legs[x[i + 1]]
+    cyc += (x[m - 2], x[m - 1])
+    cyc += reversed(legs[x[m - 2]])
 
     pair_edges: dict[int, tuple[int, int]] = {}
     for j in range(1, m - 2):
-        lj = leaves[x[j]]
+        lj = legs[x[j]]
         pair_edges[x[j]] = edge(x[j - 1], lj[0]) if lj else edge(x[j - 1], x[j + 1])
-    lj = leaves[x[m - 2]]
+    lj = legs[x[m - 2]]
     pair_edges[x[m - 2]] = edge(x[m - 1], lj[-1]) if lj else edge(x[m - 1], x[m - 3])
 
     end_edges = (edge(x[0], x[1]), edge(x[m - 2], x[m - 1]))
 
-    _validate_cat_cycle(tree, cyc, end_edges, pair_edges)
+    _validate_cat_cycle(nbrs, cyc, end_edges, pair_edges)
 
     reserved: dict[int, tuple[int, int]] = {}
     wanted = sorted(need_end)
@@ -301,23 +284,23 @@ def _assign_end_edges(wanted, end_edges):
     return None
 
 
-def _validate_cat_cycle(tree, cyc, end_edges, pair_edges):
-    if set(cyc) != set(tree.vertices) or len(cyc) != tree.n:
+def _validate_cat_cycle(nbrs, cyc, end_edges, pair_edges):
+    succ = dict(zip(cyc, cyc[1:] + cyc[:1]))
+    if len(succ) != len(cyc) or succ.keys() != nbrs.keys():
         raise ConstructionError("caterpillar cycle does not cover the tree")
-    cyc_edges = {edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}
-    for e in cyc_edges:
-        if not tree.square_has_edge(*e):
-            raise ConstructionError(f"cycle edge {e} not in the square")
-    for e in end_edges:
-        if e not in cyc_edges:
-            raise ConstructionError(f"end-edge {e} missing from cycle")
+    for a, b in succ.items():
+        if b not in nbrs[a] and nbrs[a].isdisjoint(nbrs[b]):
+            raise ConstructionError(f"cycle edge {edge(a, b)} not in the square")
+    for u, v in end_edges:
+        if succ[u] != v and succ[v] != u:
+            raise ConstructionError(f"end-edge {(u, v)} missing from cycle")
     seen = set()
     for xj, e in pair_edges.items():
-        if e not in cyc_edges:
+        u, v = e
+        if succ[u] != v and succ[v] != u:
             raise ConstructionError(f"pair edge {e} for {xj} missing from cycle")
         if e in seen or e in end_edges:
             raise ConstructionError(f"pair edge {e} not distinct")
         seen.add(e)
-        u, v = e
-        if u not in tree.neighbors(xj) or v not in tree.neighbors(xj):
+        if u not in nbrs[xj] or v not in nbrs[xj]:
             raise ConstructionError(f"pair edge {e} endpoints not neighbors of {xj}")

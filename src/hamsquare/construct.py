@@ -70,7 +70,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
-from .decomposition import Decomposition, compute_P0, decomposition_of
+from .decomposition import Decomposition, decomposition_of
 from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
@@ -120,7 +120,7 @@ class BlockSearch:
         except KeyError:
             # cycle_with and path_with are looked up by name at each call,
             # so a rebinding of them (as a tracer does) sees every search
-            b = Graph(frozenset(range(len(label))), es)
+            b = Graph._unchecked(frozenset(range(len(label))), es)
             if ends is None:
                 w = cycle_with(b.square(), b, demands, required)
             else:
@@ -240,7 +240,6 @@ def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
 
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                   search: BlockSearch) -> list:
-    cat = compute_P0(g, d)
     cs = CycleSet()
     assigned: dict[tuple[int, int], tuple] = {}
     for b in d.two_blocks():
@@ -253,7 +252,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
     k2_edges: set = set()
-    for comp in cat.components:
+    for comp in d.bridge_forest.components:
         if all(g.degree(a) == 1 or g.degree(b) == 1 for a, b in comp.edges):
             continue  # pendant star; its leaves join as singletons later
         if comp.is_trivial:
@@ -263,12 +262,12 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
             reserved_end[u] = e
             reserved_end[v] = e
             continue
-        comp_g = Graph.from_edges(comp.edges)
         need_end = frozenset(v for v in comp.vertices
                              if d.bn.get(v, 0) == 1 and d.k.get(v, 0) >= 1)
         need_pair = frozenset(v for v in comp.vertices
                               if d.bn.get(v, 0) == 2 and d.k.get(v, 0) >= 1)
-        cc = caterpillar_cycle(comp_g, need_end, need_pair)
+        nbrs = {v: set(ws) for v, ws in comp.nbrs.items()}
+        cc = caterpillar_cycle(nbrs, need_end, need_pair)
         cs.add(cc.order)
         for v in need_end:
             reserved_end[v] = cc.reserved[v]
@@ -372,7 +371,7 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
 
     search = BlockSearch()
     if not d.two_blocks():
-        cyc = list(caterpillar_cycle(g).order)
+        cyc = list(caterpillar_cycle(g._adj).order)  # g is a tree
     elif len(d.blocks) == 1:
         w = search(g.vertices, g.edges)
         if w is None:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .graph import Graph, edge, path_graph, cycle_graph
 from .decomposition import (
     Decomposition, decompose, decomposition_of, bc_tree, bc_isomorphic,
-    compute_P0,
 )
 from .labelling import decide_hamiltonicity, STRUCTURALLY_RISKY
 from .hamconn import decide_hamiltonian_connectedness
@@ -236,8 +235,7 @@ def counterexample_for(g: Graph, condition,
     """
     if condition == 4:
         d = decomposition_of(g, d)
-        p0 = compute_P0(g, d)
-        if max(d.bn.values(), default=0) < 3 and p0.all_caterpillars:
+        if max(d.bn.values(), default=0) < 3 and d.bridge_forest.all_caterpillars:
             raise ValueError(
                 "graph has no vertex with three nontrivial bridges")
         mapping = {v: j for j, v in enumerate(g.sorted_vertices())}

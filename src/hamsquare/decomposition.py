@@ -9,7 +9,7 @@ cuts_of, the cutvertices of each block. The counters driving the decision
 procedures (bn, k, cvn), the block-cutvertex tree with its node tags, and
 the bridge forest P0 left after removing all blocks with more than two
 vertices are read off that index; P0 is a walk over the bridge blocks, in
-O(n + m).
+O(n + m), made once per decomposition and kept on it (bridge_forest).
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ class Decomposition:
     def endblocks(self) -> list[Block]:
         """Blocks containing at most one cutvertex (leaves of the bc-tree)."""
         return [b for b in self.blocks if self.cvn[b.index] <= 1]
+
+    @functools.cached_property
+    def bridge_forest(self) -> CaterpillarAnalysis:
+        """compute_P0 of this decomposition, walked once, on first use."""
+        return compute_P0(self.graph, self)
 
 
 def _blocks(g: Graph):
@@ -317,9 +322,11 @@ def bc_isomorphic(t1: BcTree, t2: BcTree) -> bool:
 
 @dataclass(frozen=True)
 class P0Component:
+    """One tree of the bridge forest; nbrs is its adjacency across bridges."""
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
     is_caterpillar: bool
+    nbrs: dict[int, list[int]] = field(compare=False, repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -375,7 +382,7 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
                     es.append(e)
                     todo.append(w)
         comps.append(P0Component(frozenset(vs), frozenset(es),
-                                 len(vs) <= 2 or _is_caterpillar(nbrs)))
+                                 len(vs) <= 2 or _is_caterpillar(nbrs), nbrs))
     return CaterpillarAnalysis(tuple(comps))
 
 

@@ -52,14 +52,24 @@ class Graph:
         for x in self.vertices:
             if not isinstance(x, int) or x < 0:
                 raise ValueError(f"vertex {x!r} is not a non-negative integer")
-        adj: dict[int, frozenset[int]] = {}
+        self._index()
+
+    @classmethod
+    def _unchecked(cls, vertices, edges) -> "Graph":
+        """A graph the library derives itself, from edges it has normalized
+        on vertices it has declared: built without __post_init__'s checks."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges)
+        g._index()
+        return g
+
+    def _index(self) -> None:
         nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        for v in self.vertices:
-            adj[v] = frozenset(nbrs[v])
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj",
+                           {v: frozenset(nv) for v, nv in nbrs.items()})
 
     # -- construction -----------------------------------------------------
 
@@ -148,10 +158,9 @@ class Graph:
         """The graph on the same vertices joining pairs at distance <= 2."""
         es = set(self.edges)
         for v in self.vertices:
-            nb = sorted(self._adj[v])
-            for a, b in itertools.combinations(nb, 2):
-                es.add(edge(a, b))
-        return Graph(self.vertices, frozenset(es))
+            # pairs of a sorted list come normalized
+            es.update(itertools.combinations(sorted(self._adj[v]), 2))
+        return Graph._unchecked(self.vertices, frozenset(es))
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         ks = frozenset(keep)

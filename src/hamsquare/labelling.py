@@ -31,7 +31,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .decomposition import Decomposition, compute_P0, decomposition_of
+from .decomposition import Decomposition, decomposition_of
 
 HAMILTONIAN = "HAMILTONIAN"
 NOT_HAMILTONIAN = "NOT_HAMILTONIAN"
@@ -119,9 +119,7 @@ def decide_hamiltonicity(g: Graph,
     if d is None and not g.is_connected():
         raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
-    cat = compute_P0(g, d)
-
-    for comp in cat.components:
+    for comp in d.bridge_forest.components:
         if not comp.is_caterpillar:
             return HamiltonicityVerdict(
                 NOT_HAMILTONIAN,

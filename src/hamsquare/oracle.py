@@ -214,6 +214,10 @@ class _Search:
         tip = order[-1]
         unlaid = g.vertices.difference(pos)
         ends = {order[0], tip} if self.cyclic else {tip}
+        # a cycle closes at the start from the last vertex laid, still unlaid
+        if (self.cyclic and len(order) > 1 and unlaid
+                and g.neighbors(order[0]).isdisjoint(unlaid)):
+            return True
         # unused required edges must stay addable
         for a, b in self.required:
             if a in pos and b in pos and abs(pos[a] - pos[b]) == 1:

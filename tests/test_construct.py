@@ -16,7 +16,7 @@ from hamsquare.labelling import Labelling, decide_hamiltonicity
 from hamsquare.hamconn import (
     HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
 )
-from hamsquare import oracle
+from hamsquare import construct, oracle
 from hamsquare.construct import (
     BlockSearch,
     ConstructionError,
@@ -196,6 +196,54 @@ def test_rescue_through_neighbor_pair_directly():
     p = _forced_rescue(d, ring, 0, 2)
     assert p == [0, 5, 4, 1, 6, 7, 3, 2]
     assert is_ham_path(g.square(), p, 0, 2)
+
+
+def _theta(lengths):
+    """Poles 0 and 1 joined by paths of the given lengths."""
+    es, nxt = [], 2
+    for ln in lengths:
+        inner = list(range(nxt, nxt + ln - 1))
+        nxt += ln - 1
+        walk = [0, *inner, 1]
+        es += zip(walk, walk[1:])
+    return es, nxt
+
+
+def _hung_at_poles(lengths, ring):
+    """A theta with a ring of the given length hung at both poles; a ring
+    of 2 is a pendant leaf."""
+    es, nxt = _theta(lengths)
+    for pole in (0, 1):
+        walk = [pole, *range(nxt, nxt + ring - 1)]
+        nxt += ring - 1
+        es += zip(walk, walk[1:])
+        if ring > 2:
+            es.append((walk[-1], pole))
+    return Graph.from_edges(es)
+
+
+@pytest.mark.parametrize("lengths", [(1, 4, 4), (1, 4, 5), (1, 5, 5),
+                                     (1, 4, 6), (1, 5, 6), (1, 3, 5)],
+                         ids=lambda ls: "theta" + "-".join(map(str, ls)))
+def test_rescue_route_reached_unforced(monkeypatch, lengths):
+    # from 8 vertices up, a 0-1 path of the theta's square with an edge of
+    # the theta at both ends may not exist; the path then goes through the
+    # rescue route, once per request. theta(1,3,5) never needs it.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4:7])
+        return _rescue_through_neighbors(*args)
+
+    monkeypatch.setattr(construct, "_rescue_through_neighbors", counted)
+    want = 0 if lengths == (1, 3, 5) else 1
+    for ring in (2, 3, 4):
+        g = _hung_at_poles(lengths, ring)
+        for x, y in ((0, 1), (1, 0)):
+            calls.clear()
+            p = construct_ham_path(g, x, y)
+            assert is_ham_path(g, p, x, y, square=True), (ring, x, y)
+            assert len(calls) == want, (ring, x, y, calls)
 
 
 def test_paths_on_mixed_small_family():

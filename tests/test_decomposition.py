@@ -7,7 +7,6 @@ import networkx as nx
 import pytest
 
 from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_graph
-from hamsquare.caterpillars import is_caterpillar
 from hamsquare.decomposition import (
     decompose,
     bc_tree,
@@ -17,6 +16,7 @@ from hamsquare.decomposition import (
     _canon_cmp,
 )
 from hamsquare.corpus import corpus
+from caterpillar_reference import is_caterpillar
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 SPIDER = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])

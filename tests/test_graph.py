@@ -1,5 +1,7 @@
 """Graph container, parsing, squaring."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +34,27 @@ def test_graph_validates_edges():
         Graph(frozenset({0, 1}), frozenset({(1, 0)}))  # not normalized
     with pytest.raises(ValueError):
         Graph(frozenset({0}), frozenset({(0, 1)}))  # undeclared endpoint
+    with pytest.raises(ValueError):
+        Graph(frozenset({-1, 0}), frozenset({(-1, 0)}))  # negative vertex
+    with pytest.raises(ValueError):
+        Graph(frozenset({0, "a"}), frozenset())  # not an integer
+    with pytest.raises(ValueError):
+        Graph.from_edges([(2, 2)])
+
+
+def test_square_equals_a_validated_build():
+    # square() skips the checks of Graph(...) on edges it normalizes itself
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        vs = rng.sample(range(3 * n), n)
+        es = {edge(*rng.sample(vs, 2)) for _ in range(rng.randint(0, 2 * n))
+              if n > 1}
+        g = Graph(frozenset(vs), frozenset(es))
+        sq = g.square()
+        checked = Graph(sq.vertices, sq.edges)
+        assert sq == checked
+        assert sq._adj == checked._adj
 
 
 def test_equality_ignores_identity_of_adjacency():

@@ -252,6 +252,22 @@ def test_demand_bound_cuts_the_grid_search():
     assert w is not None and is_ham_cycle(grid.square(), list(w.order))
 
 
+def _grid(r, c):
+    return Graph.from_edges(
+        [(v, v + 1) for v in range(r * c) if v % c < c - 1]
+        + [(v, v + c) for v in range((r - 1) * c)])
+
+
+@pytest.mark.parametrize("side", [6, 8, 10])
+def test_closing_prune_cuts_the_lone_grid_search(side):
+    # no demands, so no demand bound; without the check that the start
+    # keeps an unlaid neighbour, each of these takes over 300k nodes
+    g = _grid(side, side)
+    sq = g.square()
+    w = cycle_with(sq, g, node_budget=1000)
+    assert w is not None and is_ham_cycle(sq, list(w.order))
+
+
 def test_is_ham_connected_examples():
     assert is_ham_connected(complete_graph(3))
     assert is_ham_connected(BOWTIE.square())
