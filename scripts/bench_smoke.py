@@ -6,10 +6,11 @@ a line says `"correct": false`. This script runs it with `--seconds 1` from
 the root of the checkout and exits 1 unless there are exactly three result
 lines, each with `"correct": true` and `"failed": 0`. It then runs two
 workloads once more with `--trace 1` and exits 1 unless each run is
-correct, failed nothing and saw its layer: chain-witness must report
-`oracle.search` calls, forest-square `caterpillars.caterpillar_cycle` self
-time. The tracer rebinds these functions by name, and a construct that
-stopped calling them by name would hide them from it.
+correct, failed nothing and saw its layers: chain-witness must report
+`oracle.search` calls, forest-square the self time of
+`caterpillars.caterpillar_cycle`, `decomposition.decompose` and
+`decomposition.compute_P0`. The tracer rebinds these functions by name,
+and a module that stopped calling them by name would hide them from it.
 """
 
 import json
@@ -17,14 +18,18 @@ import subprocess
 import sys
 
 WORKLOADS = 3
-# (workload, per-layer metric that its traced run must report above 0)
-TRACED = (("chain-witness", "oracle.search.calls"),
-          ("forest-square", "caterpillars.caterpillar_cycle.self_ms"))
+# workload -> the per-layer metrics that its traced run must report above 0
+TRACED = {
+    "chain-witness": ("oracle.search.calls",),
+    "forest-square": ("caterpillars.caterpillar_cycle.self_ms",
+                      "decomposition.decompose.self_ms",
+                      "decomposition.compute_P0.self_ms"),
+}
 
 
-def traced_ok(workload: str, metric: str) -> bool:
+def traced_ok(workload: str, metrics) -> bool:
     """Whether a traced one-second run of the workload is correct and
-    reports the metric above 0."""
+    reports each of the metrics above 0."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
@@ -32,15 +37,17 @@ def traced_ok(workload: str, metric: str) -> bool:
     sys.stderr.write(proc.stderr)
     try:
         row = json.loads(proc.stdout.strip().splitlines()[-1])
-        value = row["metrics"][metric]["value"]
-    except (IndexError, KeyError, TypeError, ValueError):
-        row, value = {}, None
+        values = {m: row["metrics"].get(m, {}).get("value") for m in metrics}
+    except (IndexError, AttributeError, KeyError, TypeError, ValueError):
+        row, values = {}, dict.fromkeys(metrics)
     good = (proc.returncode == 0 and row.get("correct") is True
-            and row.get("failed") == 0 and isinstance(value, (int, float))
-            and value > 0)
+            and row.get("failed") == 0
+            and all(isinstance(v, (int, float)) and v > 0
+                    for v in values.values()))
     print(f"{workload + ' traced':22s} correct={row.get('correct')} "
-          f"failed={row.get('failed')} {metric}={value}"
-          f"{'' if good else '  FAILED'}")
+          f"failed={row.get('failed')} "
+          + " ".join(f"{m}={v}" for m, v in values.items())
+          + ("" if good else "  FAILED"))
     return good
 
 
@@ -64,7 +71,7 @@ def main() -> int:
         print(f"{row['workload']:14s} correct={row.get('correct')} "
               f"failed={row.get('failed')} attempted={row.get('attempted')}"
               f"{'' if good else '  FAILED'}")
-    traced = all([traced_ok(*t) for t in TRACED])
+    traced = all([traced_ok(*t) for t in TRACED.items()])
     ok = ok and traced
     print("benchmark smoke ok" if ok else
           f"BENCHMARK SMOKE FAILED (exit {proc.returncode}, "

@@ -130,7 +130,7 @@ def _load(path: str) -> Graph:
 
 
 def _summary(g: Graph, d) -> dict:
-    return {"vertices": g.n, "edges": g.m, "blocks": len(d.blocks),
+    return {"vertices": g.n, "edges": g.m, "blocks": len(d.records),
             "cutvertices": len(d.cutvertices)}
 
 

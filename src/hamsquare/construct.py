@@ -404,13 +404,14 @@ def _reach(d: Decomposition, piece, starts, c: int,
            skip=frozenset()) -> frozenset:
     """The blocks of the piece reached from the start blocks without
     passing vertex c or entering a block of skip."""
+    blocks, blocks_of = d.blocks, d.blocks_of
     seen, todo, passed = set(starts), list(starts), {c}
     while todo:
-        for v in d.blocks[todo.pop()].vertices:
+        for v in blocks[todo.pop()].vertices:
             if v in passed:
                 continue
             passed.add(v)
-            for s in d.blocks_of[v]:
+            for s in blocks_of[v]:
                 if s in piece and s not in seen and s not in skip:
                     seen.add(s)
                     todo.append(s)
@@ -438,13 +439,14 @@ def _along(d: Decomposition, piece, x: int, y: int):
     """
     block_of: dict[int, int] = {}  # vertex -> block on its way to y
     from_v: dict[int, int] = {}  # block -> its vertex on the way to y
+    blocks, blocks_of = d.blocks, d.blocks_of
     todo = [y]
     while x not in block_of:
         v = todo.pop()
-        for t in d.blocks_of[v]:
+        for t in blocks_of[v]:
             if t in piece and t not in from_v:
                 from_v[t] = v
-                for w in d.blocks[t].vertices:
+                for w in blocks[t].vertices:
                     if w != y and w not in block_of:
                         block_of[w] = t
                         todo.append(w)

@@ -3,18 +3,21 @@
 Computes blocks (maximal 2-connected subgraphs and bridges) and
 cutvertices in one lowpoint DFS from the least vertex, which also proves
 the graph connected by reaching every vertex. Blocks are indexed in the
-order of their least edge. One loop over them fills the block-cutvertex
-index every other module reads: blocks_of, the blocks at each vertex, and
-cuts_of, the cutvertices of each block. The counters driving the decision
-procedures (bn, k, cvn), the block-cutvertex tree with its node tags, and
-the bridge forest P0 left after removing all blocks with more than two
-vertices are read off that index; P0 is a walk over the bridge blocks, in
-O(n + m), made once per decomposition and kept on it (bridge_forest).
+order of their least edge. One loop over them builds only what the
+deciders read: the bridge classes, the counters bn and k, the 2-blocks
+and each vertex's neighbours across bridges. The block-cutvertex index
+(Block records, blocks_of, the blocks at each vertex, cuts_of, the
+cutvertices of each block, and cvn) is built on the first read of any of
+its fields, all four in one loop. The block-cutvertex tree and the bridge
+forest P0 left after removing all blocks with more than two vertices are
+read off these; P0 is a walk over the bridge adjacency, in O(n + m),
+made once per decomposition and kept on it (bridge_forest).
 """
 
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -36,31 +39,60 @@ class Block:
         return not self.is_two_block
 
 
+class _Index:
+    """A field of the block index; its first read builds all four. Unlike
+    functools.cached_property it takes no lock, a cost on small graphs."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return self
+        d._index()
+        return d.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class Decomposition:
+    """records[t] is block t: a bridge (u, v), or a 2-block (a, b, edges,
+    vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
+    across maps each vertex on a bridge (or the lone vertex of a graph
+    with no edge) to its neighbours across bridges, in block order."""
     graph: Graph
-    blocks: tuple[Block, ...]
+    records: tuple
     cutvertices: frozenset[int]
     trivial_bridges: frozenset[tuple[int, int]]
     nontrivial_bridges: frozenset[tuple[int, int]]
     bn: dict[int, int] = field(compare=False)
     k: dict[int, int] = field(compare=False)
-    cvn: dict[int, int] = field(compare=False)
-    blocks_of: dict[int, list[int]] = field(compare=False)  # ascending
-    cuts_of: dict[int, list[int]] = field(compare=False)  # ascending
+    two_idx: tuple[int, ...] = field(compare=False)
+    across: dict[int, list[int]] = field(compare=False)
+
+    def _index(self) -> None:
+        """Build blocks, blocks_of, cuts_of and cvn in one loop."""
+        cut = self.cutvertices
+        blocks = []
+        blocks_of: dict[int, list[int]] = {v: [] for v in self.graph._adj}
+        cuts_of: dict[int, list[int]] = {}
+        for t, r in enumerate(self.records):
+            if len(r) == 2:
+                vs, es = frozenset(r), frozenset((r,))
+            else:
+                es, vs = r[2], r[3]
+            blocks.append(Block(t, vs, es))
+            cuts_of[t] = sorted(cut.intersection(vs))
+            for v in vs:
+                blocks_of[v].append(t)
+        self.__dict__.update(blocks=tuple(blocks), blocks_of=blocks_of,
+                             cuts_of=cuts_of,
+                             cvn={t: len(cs) for t, cs in cuts_of.items()})
+
+    # built on first read, all four together; blocks_of and cuts_of ascending
+    blocks, blocks_of, cuts_of, cvn = _Index(), _Index(), _Index(), _Index()
 
     def two_blocks(self) -> list[Block]:
-        return [b for b in self.blocks if b.is_two_block]
-
-    def bridges(self) -> list[Block]:
-        return [b for b in self.blocks if b.is_bridge]
-
-    def blocks_at(self, v: int) -> list[Block]:
-        return [self.blocks[t] for t in self.blocks_of.get(v, ())]
-
-    def endblocks(self) -> list[Block]:
-        """Blocks containing at most one cutvertex (leaves of the bc-tree)."""
-        return [b for b in self.blocks if self.cvn[b.index] <= 1]
+        return [self.blocks[t] for t in self.two_idx]
 
     @functools.cached_property
     def bridge_forest(self) -> CaterpillarAnalysis:
@@ -69,8 +101,7 @@ class Decomposition:
 
 
 def _blocks(g: Graph):
-    """The blocks as (least edge, edges, vertices), by least edge, and the
-    cutvertices.
+    """The block records, by least edge, and the cutvertices.
 
     One iterative lowpoint DFS from the least vertex over the unsorted
     adjacency; the blocks do not depend on the visiting order. Raises
@@ -114,8 +145,7 @@ def _blocks(g: Graph):
                 arts.add(parent)
             e = estack.pop()
             if e == (parent, v):  # a bridge
-                e = (parent, v) if parent < v else (v, parent)
-                raw.append((e, (e,), e))
+                raw.append((parent, v) if parent < v else (v, parent))
                 continue
             es, vs = [], set()
             while True:
@@ -126,53 +156,49 @@ def _blocks(g: Graph):
                 if e == (parent, v):
                     break
                 e = estack.pop()
-            raw.append((min(es), es, vs))
+            raw.append((*min(es), frozenset(es), frozenset(vs)))
     if len(disc) != len(adj):
         raise ValueError("decompose requires a connected graph")
     if root_children >= 2:
         arts.add(root)
-    raw.sort(key=lambda r: r[0])
+    raw.sort()  # the least edges are distinct: no tie reaches the sets
     return raw, arts
 
 
 def decompose(g: Graph) -> Decomposition:
     """Blocks, cutvertices and counters of a connected graph.
 
-    Blocks are indexed in the order of their least edge; the index, the
-    bridge classes and the counters are filled in one loop over them.
+    Blocks are indexed in the order of their least edge; the bridge
+    classes, the counters, the 2-block indices and the bridge adjacency
+    are filled in one loop over them.
     """
     if g.n == 0:
         raise ValueError("decompose requires at least one vertex")
     raw, arts = _blocks(g)
     adj = g._adj
-    cut = frozenset(arts)
-    blocks = []
-    trivial, nontrivial = set(), set()
+    trivial, nontrivial, two = [], [], []
     bn = dict.fromkeys(adj, 0)
     k = dict.fromkeys(adj, 0)
-    blocks_of: dict[int, list[int]] = {v: [] for v in adj}
-    cuts_of: dict[int, list[int]] = {}
-    for idx, (e, es, vs) in enumerate(raw):
-        blocks.append(Block(idx, frozenset(vs), frozenset(es)))
-        for v in vs:
-            blocks_of[v].append(idx)
-        if len(vs) > 2:
-            cuts_of[idx] = sorted(cut.intersection(vs))
-            for v in vs:
+    across = defaultdict(list)
+    for t, r in enumerate(raw):
+        if len(r) > 2:
+            two.append(t)
+            for v in r[3]:
                 k[v] += 1
             continue
-        u, v = e
-        cuts_of[idx] = [x for x in e if x in cut]
+        u, v = r
+        across[u].append(v)
+        across[v].append(u)
         if len(adj[u]) == 1 or len(adj[v]) == 1:
-            trivial.add(e)
+            trivial.append(r)
         else:
-            nontrivial.add(e)
+            nontrivial.append(r)
             bn[u] += 1
             bn[v] += 1
-    cvn = {t: len(cs) for t, cs in cuts_of.items()}
-    return Decomposition(g, tuple(blocks), cut,
-                         frozenset(trivial), frozenset(nontrivial),
-                         bn, k, cvn, blocks_of, cuts_of)
+    # a lone vertex, on no block, is a component of P0 by itself
+    across = dict(across) if raw else {v: [] for v in adj}
+    return Decomposition(g, tuple(raw), frozenset(arts), frozenset(trivial),
+                         frozenset(nontrivial), bn, k, tuple(two), across)
 
 
 def decomposition_of(g: Graph, d: Decomposition | None = None) -> Decomposition:
@@ -337,12 +363,6 @@ class P0Component:
 class CaterpillarAnalysis:
     components: tuple[P0Component, ...]
 
-    @functools.cached_property
-    def p0(self) -> Graph:
-        """The forest itself, built on first use: its components together."""
-        return Graph(frozenset().union(*(c.vertices for c in self.components)),
-                     frozenset().union(*(c.edges for c in self.components)))
-
     @property
     def all_caterpillars(self) -> bool:
         return all(c.is_caterpillar for c in self.components)
@@ -352,37 +372,29 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
     """G minus the union of its 2-blocks: a forest whose edges are the bridges.
 
     Its vertices are those on a bridge, and a lone vertex on no block. The
-    components are walked over the bridge blocks, by least vertex.
+    components are walked over the decomposition's bridge adjacency, by
+    least vertex.
     """
     d = decomposition_of(g, d)
-    bridge = {b.index: min(b.edges) for b in d.blocks
-              if len(b.vertices) == 2}
-    keep = sorted({x for e in bridge.values() for x in e}
-                  | {v for v, ts in d.blocks_of.items() if not ts})
+    across = d.across
     seen: set = set()
     comps = []
-    for root in keep:
+    for root in sorted(across):
         if root in seen:
             continue
         seen.add(root)
-        vs, es, todo = [root], [], [root]
+        es, todo = [], [root]
         nbrs = {}  # vertex -> its neighbours across bridges
         while todo:
             v = todo.pop()
-            nbrs[v] = nv = []
-            for t in d.blocks_of[v]:
-                e = bridge.get(t)
-                if e is None:
-                    continue
-                w = e[0] if e[1] == v else e[1]
-                nv.append(w)
-                if w not in seen:  # bridges form a forest: e is new
+            nbrs[v] = nv = across[v]
+            for w in nv:
+                if w not in seen:  # bridges form a forest: v-w is new
                     seen.add(w)
-                    vs.append(w)
-                    es.append(e)
+                    es.append((v, w) if v < w else (w, v))
                     todo.append(w)
-        comps.append(P0Component(frozenset(vs), frozenset(es),
-                                 len(vs) <= 2 or _is_caterpillar(nbrs), nbrs))
+        comps.append(P0Component(frozenset(nbrs), frozenset(es),
+                                 len(nbrs) <= 2 or _is_caterpillar(nbrs), nbrs))
     return CaterpillarAnalysis(tuple(comps))
 
 
@@ -390,7 +402,10 @@ def _is_caterpillar(nbrs: dict[int, list[int]]) -> bool:
     """Whether the tree with these adjacency lists is a caterpillar.
 
     Its non-leaf vertices span a subtree, so they lie on a path exactly
-    when none of them has more than two non-leaf neighbours.
+    when none of them has more than two neighbours besides its leaves.
     """
-    return all(sum(len(nbrs[w]) >= 2 for w in nv) <= 2
-               for nv in nbrs.values() if len(nv) >= 2)
+    leaves = dict.fromkeys(nbrs, 0)
+    for nv in nbrs.values():
+        if len(nv) == 1:
+            leaves[nv[0]] += 1
+    return all(len(nv) - leaves[v] <= 2 for v, nv in nbrs.items())

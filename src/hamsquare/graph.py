@@ -211,11 +211,12 @@ def parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if len(tokens) == 1:
             try:
-                isolated.add(int(tokens[0]))
+                x = int(tokens[0])
             except ValueError:
                 raise GraphParseError(f"bad vertex token {tokens[0]!r}", line_no)
-            if int(tokens[0]) < 0:
+            if x < 0:
                 raise GraphParseError("vertices must be non-negative", line_no)
+            isolated.add(x)
         elif len(tokens) == 2:
             try:
                 u, v = int(tokens[0]), int(tokens[1])
@@ -229,9 +230,10 @@ def parse_edge_list(text: str) -> Graph:
         else:
             raise GraphParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line_no)
-    # the edges are normalized already: no second pass through edge()
+    # unchecked: every check of __post_init__ is made above
     ends = itertools.chain.from_iterable(edges)
-    return Graph(frozenset(itertools.chain(ends, isolated)), frozenset(edges))
+    return Graph._unchecked(frozenset(itertools.chain(ends, isolated)),
+                            frozenset(edges))
 
 
 # -- standard builders ----------------------------------------------------

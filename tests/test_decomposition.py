@@ -6,9 +6,15 @@ import random
 import networkx as nx
 import pytest
 
-from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_graph
+from hamsquare import cli, decomposition
+from hamsquare.construct import construct_ham_cycle
+from hamsquare.graph import (Graph, edge, path_graph, cycle_graph,
+                             complete_graph, complete_bipartite)
+from hamsquare.hamconn import decide_hamiltonian_connectedness
+from hamsquare.labelling import decide_hamiltonicity
 from hamsquare.decomposition import (
     decompose,
+    _is_caterpillar,
     bc_tree,
     bc_isomorphic,
     canonical_text,
@@ -59,8 +65,8 @@ def test_cutvertices_match_deletion_oracle(g):
 @pytest.mark.parametrize("g", SAMPLES)
 def test_bridges_match_deletion_oracle(g):
     d = decompose(g)
-    got = {b.edges for b in d.bridges()}
-    assert {e for bs in got for e in bs} == brute_bridges(g)
+    assert {e for b in d.blocks if b.is_bridge for e in b.edges} \
+        == brute_bridges(g)
 
 
 @pytest.mark.parametrize("g", SAMPLES)
@@ -113,14 +119,71 @@ def test_cvn_sum_identity():
     for g in SAMPLES:
         d = decompose(g)
         per_block = sum(d.cvn[b.index] for b in d.blocks)
-        per_cut = sum(len(d.blocks_at(v)) for v in d.cutvertices)
+        per_cut = sum(len(d.blocks_of[v]) for v in d.cutvertices)
         assert per_block == per_cut
 
 
 def test_endblocks():
     d = decompose(path_graph(4))
-    ends = {tuple(sorted(b.vertices)) for b in d.endblocks()}
+    # endblocks, the leaves of the bc-tree, hold at most one cutvertex
+    ends = {tuple(sorted(b.vertices)) for b in d.blocks if d.cvn[b.index] <= 1}
     assert ends == {(0, 1), (2, 3)}
+
+
+# -- what decompose builds eagerly and what on first use -------------------
+
+def _caterpillar(spine: int, legs: int) -> Graph:
+    """A path of spine vertices, each with legs leaves."""
+    es = [(i, i + 1) for i in range(spine - 1)]
+    es += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(es)
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """legs paths of length vertices, each joined to the centre 0."""
+    return Graph.from_edges((0 if j == 0 else 1 + leg * length + j - 1,
+                             1 + leg * length + j)
+                            for leg in range(legs) for j in range(length))
+
+
+def test_deciders_on_trees_build_no_block_record(monkeypatch):
+    made = []
+    block = decomposition.Block
+    monkeypatch.setattr(decomposition, "Block",
+                        lambda *a: made.append(a) or block(*a))
+    trees = [path_graph(3000), _caterpillar(1000, 2), complete_bipartite(1, 600),
+             _spider(3, 1000)]
+    index = {"blocks", "blocks_of", "cuts_of", "cvn"}
+    hamiltonian = []
+    for g in trees:
+        d = decompose(g)
+        verdict = decide_hamiltonicity(g, d)
+        decide_hamiltonian_connectedness(g, d)
+        hamiltonian.append(verdict.is_hamiltonian)
+        if verdict.is_hamiltonian:
+            construct_ham_cycle(g, None, d)
+        assert made == []
+        assert not vars(d).keys() & index
+        d.cvn  # one read builds the whole index, a record per bridge
+        assert index <= vars(d).keys() and len(made) == g.m
+        made.clear()
+    assert hamiltonian == [True, True, True, False]
+
+
+def test_decompositions_compare_and_hash_without_the_index():
+    for g in corpus():
+        a, b = decompose(g), decompose(g)
+        assert cli._summary(g, a)["blocks"] == len(a.blocks)
+        assert "blocks" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+
+
+def test_caterpillar_test_from_leaf_counts():
+    for n in range(3, 10):
+        for t in nx.nonisomorphic_trees(n):
+            g = Graph.from_edges(t.edges())
+            nbrs = {v: sorted(g.neighbors(v)) for v in g.vertices}
+            assert _is_caterpillar(nbrs) == is_caterpillar(g)
 
 
 def test_decompose_rejects_disconnected():
@@ -202,16 +265,22 @@ def test_bc_isomorphic_on_a_deep_path():
 
 # -- bridge forest ---------------------------------------------------------
 
+def _forest(ana) -> Graph:
+    """The bridge forest itself: the components of ana together."""
+    return Graph(frozenset().union(*(c.vertices for c in ana.components)),
+                 frozenset().union(*(c.edges for c in ana.components)))
+
+
 def test_p0_of_bowtie_is_empty():
     ana = compute_P0(BOWTIE)
-    assert ana.p0.n == 0
+    assert _forest(ana).n == 0
     assert ana.components == ()
     assert ana.all_caterpillars
 
 
 def test_p0_of_path_is_the_path():
     ana = compute_P0(path_graph(4))
-    assert ana.p0 == path_graph(4)
+    assert _forest(ana) == path_graph(4)
     assert len(ana.components) == 1
     assert ana.components[0].is_caterpillar
 
@@ -219,7 +288,7 @@ def test_p0_of_path_is_the_path():
 def test_p0_triangle_with_pendant_path():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
     ana = compute_P0(g)
-    assert ana.p0 == Graph.from_edges([(0, 3), (3, 4)])
+    assert _forest(ana) == Graph.from_edges([(0, 3), (3, 4)])
 
 
 def test_p0_spider_component_is_not_caterpillar():
@@ -315,7 +384,7 @@ def test_index_P0_and_bc_tree_match_scans():
 
         ana = compute_P0(g, d)
         p0, comps = _reference_P0(g, d)
-        assert ana.p0 == p0
+        assert _forest(ana) == p0
         assert [(c.vertices, c.edges, c.is_caterpillar)
                 for c in ana.components] == comps
 

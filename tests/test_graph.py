@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamsquare.corpus import corpus
 from hamsquare.graph import (
     Graph,
     GraphParseError,
@@ -57,6 +58,27 @@ def test_square_equals_a_validated_build():
         assert sq._adj == checked._adj
 
 
+def test_parse_equals_a_validated_build():
+    # parse_edge_list skips the checks of Graph(...): it has made them all
+    rng = random.Random(5)
+    graphs = list(corpus())
+    for _ in range(100):
+        n = rng.randint(1, 200)
+        label = rng.sample(range(3 * n), n)
+        graphs.append(Graph.from_edges(
+            ((label[i], label[rng.randrange(i)]) for i in range(1, n)),
+            isolated=label[:1]))
+    for g in graphs:
+        rows = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
+                for u, v in g.edges] + [str(v) for v in g.vertices]
+        rng.shuffle(rows)
+        want = Graph.from_edges(g.edges, isolated=g.vertices)
+        for text in (g.edge_list_text(), "# shuffled\n" + "\n".join(rows)):
+            got = parse_edge_list(text)
+            assert got == want
+            assert got._adj == want._adj
+
+
 def test_equality_ignores_identity_of_adjacency():
     a = Graph.from_edges([(0, 1), (1, 2)])
     b = Graph.from_edges([(1, 2), (0, 1)])
@@ -91,6 +113,12 @@ def test_parse_comments_isolated_and_errors():
         parse_edge_list("a b")
     with pytest.raises(GraphParseError):
         parse_edge_list("-1 2")
+    # the parser's own checks are the only ones its graph gets
+    for text, line_no in (("0 1\n-1\n", 2), ("0 1\n\nx\n", 3),
+                          ("0 1\n1 -2\n", 2), ("0 1\n2 2\n", 2)):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line_no == line_no
 
 
 def _square_by_bfs(g: Graph) -> Graph:

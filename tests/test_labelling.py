@@ -77,7 +77,7 @@ def test_check_conditions_grid_is_cutvertices_by_two_blocks():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
     dg = decompose(g)
     (tri,) = dg.two_blocks()
-    (bridge, _) = dg.bridges()
+    (bridge, _) = [b for b in dg.blocks if b.is_bridge]
     assert check_conditions(
         g, Labelling({(0, tri.index): 1, (0, bridge.index): 2}), dg) == []
     # a chain of three triangles: a value of cutvertex 2 in the far triangle
