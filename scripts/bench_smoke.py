@@ -8,9 +8,10 @@ lines, each with `"correct": true` and `"failed": 0`. It then runs two
 workloads once more with `--trace 1` and exits 1 unless each run is
 correct, failed nothing and saw its layers: chain-witness must report
 `oracle.search` calls, forest-square the self time of
-`caterpillars.caterpillar_cycle`, `decomposition.decompose` and
-`decomposition.compute_P0`. The tracer rebinds these functions by name,
-and a module that stopped calling them by name would hide them from it.
+`graph.parse_edge_list`, `caterpillars.caterpillar_cycle`,
+`decomposition.decompose` and `decomposition.compute_P0`. The tracer
+rebinds these functions by name, and a module that stopped calling them
+by name would hide them from it.
 """
 
 import json
@@ -21,7 +22,8 @@ WORKLOADS = 3
 # workload -> the per-layer metrics that its traced run must report above 0
 TRACED = {
     "chain-witness": ("oracle.search.calls",),
-    "forest-square": ("caterpillars.caterpillar_cycle.self_ms",
+    "forest-square": ("graph.parse_edge_list.self_ms",
+                      "caterpillars.caterpillar_cycle.self_ms",
                       "decomposition.decompose.self_ms",
                       "decomposition.compute_P0.self_ms"),
 }

@@ -335,13 +335,13 @@ _HANDLERS = {
 
 def _execute(args) -> RunReport:
     """Run one command; the graph is decomposed once, for the handler and
-    the report's summary alike, and that one DFS proves it connected."""
+    the report's summary alike, and that one traversal proves it connected."""
     g = _load(args.file)
     t0 = time.perf_counter()
     try:
         d = decompose(g)
-    except ValueError:
-        raise _InputError("input graph must be connected")
+    except ValueError as e:  # g is not connected
+        raise _InputError(str(e))
     result, lines = _HANDLERS[args.command](g, d, args)
     elapsed = time.perf_counter() - t0
     return RunReport(args.command, _summary(g, d), result, elapsed,

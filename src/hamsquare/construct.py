@@ -350,13 +350,11 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
 
     With labelling None the decision procedure is run first and must come
     back positive. A supplied labelling must satisfy all six conditions.
-    d is g's decomposition, if the caller has it; decompose has then
-    proven g connected, and no second search does.
+    d is g's decomposition, if the caller has it; otherwise g is
+    decomposed here, and that traversal is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("a hamiltonian cycle needs at least 3 vertices")
-    if d is None and not g.is_connected():
-        raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     if labelling is None:
         verdict = decide_hamiltonicity(g, d)
@@ -600,15 +598,13 @@ def construct_ham_path(g: Graph, x: int, y: int,
 
     Requires the connectedness decision to pass: no nontrivial bridge and
     at most two cutvertices per block. d is g's decomposition, if the
-    caller has it; decompose has then proven g connected, and no second
-    search does.
+    caller has it; otherwise g is decomposed here, and that traversal is
+    the connectivity check.
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
         raise ValueError("endpoints must be vertices of the graph")
-    if d is None and not g.is_connected():
-        raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     verdict = decide_hamiltonian_connectedness(g, d)
     if verdict.outcome != HAM_CONNECTED:

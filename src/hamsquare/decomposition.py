@@ -1,26 +1,35 @@
 """Block-cutvertex structure of a connected graph.
 
 Computes blocks (maximal 2-connected subgraphs and bridges) and
-cutvertices in one lowpoint DFS from the least vertex, which also proves
-the graph connected by reaching every vertex. Blocks are indexed in the
-order of their least edge. One loop over them builds only what the
-deciders read: the bridge classes, the counters bn and k, the 2-blocks
-and each vertex's neighbours across bridges. The block-cutvertex index
-(Block records, blocks_of, the blocks at each vertex, cuts_of, the
-cutvertices of each block, and cvn) is built on the first read of any of
-its fields, all four in one loop. The block-cutvertex tree and the bridge
-forest P0 left after removing all blocks with more than two vertices are
-read off these; P0 is a walk over the bridge adjacency, in O(n + m),
-made once per decomposition and kept on it (bridge_forest).
+cutvertices, and only what the deciders read of them: the bridge
+classes, the counters bn and k, the 2-blocks and each vertex's
+neighbours across bridges. Blocks are indexed in the order of their
+least edge. A tree, known from its counts (n >= 2, m = n - 1) and one
+walk that proves it connected, is read off its degrees: every edge is a
+bridge, the cutvertices are the non-leaves, and the graph is its own
+bridge forest. Any other graph takes one lowpoint DFS from the least
+vertex, which also proves the graph connected by reaching every vertex,
+and one loop over the blocks it finds. The block-cutvertex index (Block
+records, blocks_of, the blocks at each vertex, cuts_of, the cutvertices
+of each block, and cvn) is built on the first read of any of its fields,
+all four in one loop. The block-cutvertex tree and the bridge forest P0
+left after removing all blocks with more than two vertices are read off
+these; P0 is g itself when there is no 2-block, and otherwise a walk
+over the bridge adjacency, in O(n + m), made once per decomposition and
+kept on it (bridge_forest).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .graph import Graph
+
+
+_DISCONNECTED = "input graph must be connected"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +67,8 @@ class Decomposition:
     """records[t] is block t: a bridge (u, v), or a 2-block (a, b, edges,
     vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
     across maps each vertex on a bridge (or the lone vertex of a graph
-    with no edge) to its neighbours across bridges, in block order."""
+    with no edge) to a collection of its neighbours across bridges, in
+    no defined order; for a tree it is g's own adjacency, g._adj."""
     graph: Graph
     records: tuple
     cutvertices: frozenset[int]
@@ -67,7 +77,7 @@ class Decomposition:
     bn: dict[int, int] = field(compare=False)
     k: dict[int, int] = field(compare=False)
     two_idx: tuple[int, ...] = field(compare=False)
-    across: dict[int, list[int]] = field(compare=False)
+    across: dict = field(compare=False)
 
     def _index(self) -> None:
         """Build blocks, blocks_of, cuts_of and cvn in one loop."""
@@ -158,22 +168,56 @@ def _blocks(g: Graph):
                 e = estack.pop()
             raw.append((*min(es), frozenset(es), frozenset(vs)))
     if len(disc) != len(adj):
-        raise ValueError("decompose requires a connected graph")
+        raise ValueError(_DISCONNECTED)
     if root_children >= 2:
         arts.add(root)
     raw.sort()  # the least edges are distinct: no tie reaches the sets
     return raw, arts
 
 
+def _tree(g: Graph) -> Decomposition:
+    """decompose of a graph with n >= 2 and m = n - 1, read off the degrees.
+
+    One walk proves g connected, and so a tree: every edge is a bridge,
+    the cutvertices are the vertices that are no leaf, and a bridge is
+    nontrivial when neither end is a leaf.
+    """
+    adj = g._adj
+    root = min(adj)
+    seen = {root}
+    todo = [root]
+    for v in todo:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    if len(seen) != len(adj):
+        raise ValueError(_DISCONNECTED)
+    leaves = {v for v, nv in adj.items() if len(nv) == 1}
+    nontrivial = frozenset(e for e in g.edges
+                           if e[0] not in leaves and e[1] not in leaves)
+    bn = dict.fromkeys(adj, 0)
+    bn.update(Counter(itertools.chain.from_iterable(nontrivial)))
+    return Decomposition(g, tuple(sorted(g.edges)),
+                         frozenset(adj.keys() - leaves),
+                         g.edges - nontrivial, nontrivial, bn,
+                         dict.fromkeys(adj, 0), (), adj)
+
+
 def decompose(g: Graph) -> Decomposition:
     """Blocks, cutvertices and counters of a connected graph.
 
-    Blocks are indexed in the order of their least edge; the bridge
-    classes, the counters, the 2-block indices and the bridge adjacency
-    are filled in one loop over them.
+    Blocks are indexed in the order of their least edge. A graph with
+    n >= 2 and m = n - 1 is a tree exactly when it is connected, and is
+    read off its degrees (_tree). Any other graph takes the lowpoint DFS
+    (_blocks), and the bridge classes, the counters, the 2-block indices
+    and the bridge adjacency are filled in one loop over its blocks.
+    Raises ValueError when g is empty or not connected.
     """
     if g.n == 0:
         raise ValueError("decompose requires at least one vertex")
+    if g.m == g.n - 1 and g.n >= 2:
+        return _tree(g)
     raw, arts = _blocks(g)
     adj = g._adj
     trivial, nontrivial, two = [], [], []
@@ -352,7 +396,7 @@ class P0Component:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
     is_caterpillar: bool
-    nbrs: dict[int, list[int]] = field(compare=False, repr=False)
+    nbrs: dict = field(compare=False, repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -371,12 +415,16 @@ class CaterpillarAnalysis:
 def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
     """G minus the union of its 2-blocks: a forest whose edges are the bridges.
 
-    Its vertices are those on a bridge, and a lone vertex on no block. The
-    components are walked over the decomposition's bridge adjacency, by
-    least vertex.
+    Its vertices are those on a bridge, and a lone vertex on no block. With
+    no 2-block that is g itself, one component; otherwise the components
+    are walked over the decomposition's bridge adjacency, by least vertex.
     """
     d = decomposition_of(g, d)
     across = d.across
+    if not d.two_idx:
+        return CaterpillarAnalysis((P0Component(
+            g.vertices, g.edges,
+            len(across) <= 2 or _is_caterpillar(across), across),))
     seen: set = set()
     comps = []
     for root in sorted(across):
@@ -398,8 +446,9 @@ def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
     return CaterpillarAnalysis(tuple(comps))
 
 
-def _is_caterpillar(nbrs: dict[int, list[int]]) -> bool:
-    """Whether the tree with these adjacency lists is a caterpillar.
+def _is_caterpillar(nbrs) -> bool:
+    """Whether the tree with this adjacency (each vertex to a collection
+    of its neighbours) is a caterpillar.
 
     Its non-leaf vertices span a subtree, so they lie on a path exactly
     when none of them has more than two neighbours besides its leaves.
@@ -407,5 +456,6 @@ def _is_caterpillar(nbrs: dict[int, list[int]]) -> bool:
     leaves = dict.fromkeys(nbrs, 0)
     for nv in nbrs.values():
         if len(nv) == 1:
-            leaves[nv[0]] += 1
+            for w in nv:
+                leaves[w] += 1
     return all(len(nv) - leaves[v] <= 2 for v, nv in nbrs.items())

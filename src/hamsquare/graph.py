@@ -9,6 +9,8 @@ ignored.
 from __future__ import annotations
 
 import itertools
+import operator
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -200,8 +202,33 @@ class Graph:
         return "\n".join(out) + "\n"
 
 
+# the form edge_list_text writes for a graph with no isolated vertex
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; raises GraphParseError with line numbers."""
+    """Parse the edge-list format; raises GraphParseError with line numbers.
+
+    Text in edge_list_text's own form, ASCII-digit "u v" lines with u < v
+    each ended by a newline, is converted in bulk; anything else, and a
+    token too long for int(), goes to the per-line parser, which gives the
+    same graph or the error with its line number.
+    """
+    if _CANONICAL.fullmatch(text):
+        try:
+            nums = list(map(int, text.split()))
+        except ValueError:  # a token past int()'s digit limit
+            return _parse_lines(text)
+        us, vs = nums[0::2], nums[1::2]
+        if all(map(operator.lt, us, vs)):
+            # unchecked: digits make non-negative vertices, u < v a
+            # normalized edge
+            return Graph._unchecked(frozenset(nums), frozenset(zip(us, vs)))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """The edge-list format line by line, every check made on its line."""
     edges: set[tuple[int, int]] = set()
     isolated: set[int] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):

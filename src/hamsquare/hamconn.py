@@ -43,13 +43,11 @@ def decide_hamiltonian_connectedness(
         g: Graph, d: Decomposition | None = None) -> HamConnVerdict:
     """Verdict for a connected graph on at least 2 vertices.
 
-    d is g's decomposition, if the caller has it; decompose has then
-    proven g connected, and no second search does.
+    d is g's decomposition, if the caller has it; otherwise g is
+    decomposed here, and that traversal is the connectivity check.
     """
     if g.n < 2:
         raise ValueError("hamiltonian connectedness needs at least 2 vertices")
-    if d is None and not g.is_connected():
-        raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
 
     if d.nontrivial_bridges:

@@ -111,13 +111,11 @@ def decide_hamiltonicity(g: Graph,
                          d: Decomposition | None = None) -> HamiltonicityVerdict:
     """Run the peeling labelling construction on a connected graph, n >= 3.
 
-    d is g's decomposition, if the caller has it; decompose has then
-    proven g connected, and no second search does.
+    d is g's decomposition, if the caller has it; otherwise g is
+    decomposed here, and that traversal is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
-    if d is None and not g.is_connected():
-        raise ValueError("input graph must be connected")
     d = decomposition_of(g, d)
     for comp in d.bridge_forest.components:
         if not comp.is_caterpillar:

@@ -181,8 +181,10 @@ def test_input_errors(gfile, capsys):
     assert main(["square", gfile("0 1\n1 two\n")]) == 65  # non-numeric token
     assert main(["square", gfile("0 1\n2 3\n")]) == 65  # disconnected
     assert main(["square", gfile("")]) == 65  # empty
+    # canonical in form, but past int()'s digit limit
+    assert main(["check-ham", gfile("0 1\n1 " + "9" * 5000 + "\n")]) == 65
     err = capsys.readouterr().err
-    assert err.count("error:") == 4
+    assert err.count("error:") == 5
 
 
 def test_undecodable_input_is_invalid_input(tmp_path, monkeypatch, capsys):
@@ -250,8 +252,8 @@ def test_each_request_traverses_the_graph_once(gfile, monkeypatch, capsys):
         return distances_from(self, source)
 
     monkeypatch.setattr(Graph, "distances_from", counted)
-    # decompose's one DFS proves connectivity; the caterpillar cycle keeps
-    # its own tree check
+    # decompose's one traversal, the tree walk or the lowpoint DFS, proves
+    # connectivity; the caterpillar cycle keeps its own tree check
     for cmd, code, most in (("check-ham", 0, 0), ("check-hc", 1, 0),
                             ("construct-cycle", 0, 1)):
         bfs.clear()
@@ -260,11 +262,19 @@ def test_each_request_traverses_the_graph_once(gfile, monkeypatch, capsys):
 
     assert main(["check-ham", gfile("0 1\n2 3\n", "split.txt")]) == 65
     assert capsys.readouterr().err == "error: input graph must be connected\n"
-    split = parse_edge_list("0 1\n1 2\n3 4\n4 5\n")
-    for call in (decide_hamiltonicity, decide_hamiltonian_connectedness,
-                 construct_ham_cycle, lambda g: construct_ham_path(g, 0, 5)):
-        with pytest.raises(ValueError, match="^input graph must be connected$"):
-            call(split)
+    # two paths, and a triangle beside a lone vertex: m = n - 1 but no tree
+    for text in ("0 1\n1 2\n3 4\n4 5\n", "0 1\n1 2\n0 2\n3\n"):
+        split = parse_edge_list(text)
+        last = max(split.vertices)
+        for call in (decide_hamiltonicity, decide_hamiltonian_connectedness,
+                     construct_ham_cycle,
+                     lambda g: construct_ham_path(g, 0, last)):
+            with pytest.raises(ValueError,
+                               match="^input graph must be connected$"):
+                call(split)
+        assert main(["check-ham", gfile(text, "split.txt")]) == 65
+        assert capsys.readouterr().err == \
+            "error: input graph must be connected\n"
 
     # the parser is built once; one request leaves no argument to the next
     pairs = []

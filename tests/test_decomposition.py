@@ -170,6 +170,26 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch):
     assert hamiltonian == [True, True, True, False]
 
 
+def test_trees_take_no_lowpoint_dfs(monkeypatch):
+    runs = []
+    blocks = decomposition._blocks
+    monkeypatch.setattr(decomposition, "_blocks",
+                        lambda g: runs.append(g) or blocks(g))
+    trees = [path_graph(2), path_graph(3000), _caterpillar(1000, 2),
+             complete_bipartite(1, 3000), _spider(3, 1000)]
+    for g in trees:
+        d = decompose(g)
+        assert d.across is g._adj  # a tree is its own bridge forest
+        assert [(c.vertices, c.edges) for c in compute_P0(g, d).components] \
+            == [(g.vertices, g.edges)]
+        decide_hamiltonian_connectedness(g)
+        if g.n >= 3:
+            decide_hamiltonicity(g)
+    assert runs == []
+    decide_hamiltonicity(BOWTIE)
+    assert runs == [BOWTIE]
+
+
 def test_decompositions_compare_and_hash_without_the_index():
     for g in corpus():
         a, b = decompose(g), decompose(g)
@@ -187,9 +207,11 @@ def test_caterpillar_test_from_leaf_counts():
 
 
 def test_decompose_rejects_disconnected():
-    g = Graph.from_edges([(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        decompose(g)
+    # the second has m = n - 1, a tree's counts, and takes the tree walk
+    for g in (Graph.from_edges([(0, 1), (2, 3)]),
+              Graph.from_edges([(0, 1), (1, 2), (0, 2)], isolated=[3])):
+        with pytest.raises(ValueError, match="^input graph must be connected$"):
+            decompose(g)
 
 
 # -- bc-tree ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamsquare import graph
 from hamsquare.corpus import corpus
 from hamsquare.graph import (
     Graph,
@@ -73,10 +74,29 @@ def test_parse_equals_a_validated_build():
                 for u, v in g.edges] + [str(v) for v in g.vertices]
         rng.shuffle(rows)
         want = Graph.from_edges(g.edges, isolated=g.vertices)
-        for text in (g.edge_list_text(), "# shuffled\n" + "\n".join(rows)):
+        canon = g.edge_list_text()
+        first, _, rest = canon.partition("\n")
+        flipped = " ".join(reversed(first.split())) + "\n" + rest
+        # the canonical text, then near misses that take the per-line parser
+        for text in (canon, "# shuffled\n" + "\n".join(rows), flipped,
+                     canon.replace("\n", "\r\n"), canon.replace(" ", "\t"),
+                     canon.replace(" ", "  "), canon.rstrip("\n")):
             got = parse_edge_list(text)
-            assert got == want
+            assert got == want == graph._parse_lines(text)
             assert got._adj == want._adj
+
+
+def test_canonical_text_is_parsed_in_bulk(monkeypatch):
+    texts = []
+    per_line = graph._parse_lines
+    monkeypatch.setattr(graph, "_parse_lines",
+                        lambda text: texts.append(text) or per_line(text))
+    g = path_graph(3000)
+    assert parse_edge_list(g.edge_list_text()) == g
+    assert texts == []
+    for text in ("0 1\n2 1\n", "0 1\n1 2", "0 1\n1 2\n3\n"):
+        parse_edge_list(text)
+    assert len(texts) == 3
 
 
 def test_equality_ignores_identity_of_adjacency():
@@ -114,11 +134,27 @@ def test_parse_comments_isolated_and_errors():
     with pytest.raises(GraphParseError):
         parse_edge_list("-1 2")
     # the parser's own checks are the only ones its graph gets
+    big = "9" * 5000  # past int()'s digit limit
     for text, line_no in (("0 1\n-1\n", 2), ("0 1\n\nx\n", 3),
-                          ("0 1\n1 -2\n", 2), ("0 1\n2 2\n", 2)):
+                          ("0 1\n1 -2\n", 2), ("0 1\n2 2\n", 2),
+                          (f"0 1\n1 {big}\n", 2), (f"{big} 1\n", 1)):
         with pytest.raises(GraphParseError) as exc:
             parse_edge_list(text)
         assert exc.value.line_no == line_no
+    # text near the canonical form, converted in bulk or line by line,
+    # gives what the per-line parser gives
+    for text in ("0 1\n5 2\n", "0 1\n1 2\n", "0 1\r\n1 2\r\n",
+                 "0 1\n1\t2\n", "0 1\n1  2\n", "0 1\n1 2", "0 1\n3 3\n",
+                 "", "\n", f"0 {big}\n", "00 01\n1 2\n"):
+        try:
+            want = graph._parse_lines(text)
+        except GraphParseError as e:
+            with pytest.raises(GraphParseError) as exc:
+                parse_edge_list(text)
+            assert (str(exc.value), exc.value.line_no) == (str(e), e.line_no)
+        else:
+            got = parse_edge_list(text)
+            assert got == want and got._adj == want._adj
 
 
 def _square_by_bfs(g: Graph) -> Graph:
