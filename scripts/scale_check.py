@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time the constructors on graphs with long chains and high-degree
+cutvertices, and check every witness.
+
+Each row builds one witness in this process and validates it in the square
+without building the square (`is_ham_cycle`/`is_ham_path` with
+`square=True`). The rows are a star K1,2999, windmills of 1000 and 2000
+triangles (k triangles sharing vertex 0) and a chain of 2560 triangles
+(each sharing one vertex with the next). A row prints its CPU seconds
+(`time.process_time`). The script exits 1 when a row raises, returns an
+invalid witness, or takes more than LIMIT_S of CPU; a constructor that is
+quadratic at a cutvertex of degree a few thousand takes several seconds.
+Run it from the root of the checkout: `python scripts/scale_check.py`.
+"""
+
+import sys
+import time
+
+sys.path.insert(0, "src")
+
+from hamsquare.construct import construct_ham_cycle, construct_ham_path
+from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
+
+LIMIT_S = 2.0
+
+
+def star(k):
+    return Graph.from_edges((0, i) for i in range(1, k + 1))
+
+
+def windmill(k):
+    return Graph.from_edges(e for i in range(k) for e in
+                            [(0, 2 * i + 1), (2 * i + 1, 2 * i + 2),
+                             (0, 2 * i + 2)])
+
+
+def triangle_chain(k):
+    return Graph.from_edges(e for t in range(k) for e in
+                            [(2 * t, 2 * t + 1), (2 * t + 1, 2 * t + 2),
+                             (2 * t, 2 * t + 2)])
+
+
+def rows():
+    """(name, graph, endpoints or None for the cycle)."""
+    k1 = star(2999)
+    yield "K1,2999 path 1-2999", k1, (1, 2999)
+    for k in (1000, 2000):
+        w = windmill(k)
+        yield f"windmill k={k} cycle", w, None
+        yield f"windmill k={k} path 1-{2 * k}", w, (1, 2 * k)
+    chain = triangle_chain(2560)
+    yield "triangle chain k=2560 cycle", chain, None
+    yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
+    yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
+
+
+def main() -> int:
+    bad = 0
+    for name, g, ends in rows():
+        start = time.process_time()
+        try:
+            if ends is None:
+                w = construct_ham_cycle(g)
+            else:
+                w = construct_ham_path(g, *ends)
+        except Exception as e:  # every failure is reported, then counted
+            print(f"{name}: raised {type(e).__name__}: {e}")
+            bad += 1
+            continue
+        cpu = time.process_time() - start
+        if ends is None:
+            valid = is_ham_cycle(g, w, square=True)
+        else:
+            valid = is_ham_path(g, w, *ends, square=True)
+        verdict = "ok" if valid and cpu <= LIMIT_S else (
+            "INVALID" if not valid else f"over {LIMIT_S} s")
+        print(f"{name}: {cpu:.3f} s CPU, {verdict}")
+        bad += verdict != "ok"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,24 +31,26 @@ is built.
 The path constructor works top down in one CycleSet. The x-y path is
 first laid as the cycle x, y, -1 (vertices are non-negative, so -1 can
 close it), whose edge x-y is a placeholder for the path still to come. A
-task (piece, a, b) replaces a placeholder edge a-b by a hamiltonian a-b
-path of the square of the piece, a set of blocks that is connected in the
-block-cutvertex tree; every piece is read through the one decomposition's
-own index, the blocks at each vertex and the cutvertices of each block.
-Endpoints in different blocks split the piece along the bc-tree path
-between them: every cutvertex on that path separates them, so the path
-crosses each block of it, together with what hangs off that block, in
-turn; the cutvertices are laid in that order and each part becomes a task. Endpoints in the same block take a
-per-block path with a designated block edge c-p at each cutvertex c of the
-block. The part hanging there, the bc-subtree at c away from the block,
-enters through that edge: c, fn, p take its place, fn the first neighbour
-of c in the part, and the part becomes the task of the edge c-fn. When
+task (piece, a, b, t) replaces a placeholder edge a-b by a hamiltonian a-b
+path of the square of the piece, whose block t holds a and b. A piece is a
+handle on the block-cutvertex tree, not a set of blocks: a dict from each
+of its boundary vertices (at most two, both ends of its task) to its
+blocks there; at any other vertex it holds all the vertex's blocks, so the
+whole graph is {}. The bc-tree path from x to y, read off the tree rooted
+at y once per request, splits the graph into one part per block of it:
+every cutvertex on it separates x from y, so the path crosses the parts
+in turn. A task lays a path of its block with a designated block edge c-p
+at each cutvertex c of the block. The part hanging there, {c: the other
+blocks at c}, enters through that edge: c, fn, p take its place, fn the
+least neighbour of c in the part, and the part is the task of the edge
+c-fn. Those blocks are kept ordered by fn, so the next part hanging at c
+drops the first in O(1), and pendant leaves at c go in as one splice. When
 both endpoints are the block's two cutvertices the designated edge may not
 exist at the far end y; a path through an edge u-v between two neighbours
 of y is used instead, and the part hanging at y goes in between u and v as
 a cycle through y opened up at y. Once no task is left, the path is one
-walk from x away from -1. No step depends on the length of the path laid
-so far, and none recurses.
+walk from x away from -1. Nothing recurses, and besides the block searches
+a path costs O(n + m) and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
 hands it down to every block search it runs, so blocks of one shape with
@@ -85,9 +87,6 @@ class BlockCycle:
     order: tuple[int, ...]
     assigned: dict
 
-    def edges_at(self, v: int) -> tuple:
-        return self.assigned.get(v, ())
-
 
 class BlockSearch:
     """The block searches of one request, each run once per block shape.
@@ -97,11 +96,13 @@ class BlockSearch:
     the endpoints (None for a cycle) and the required edges, all in ranks.
     The oracle is run on the rank-space block only on a miss, and its answer
     is kept, None included, since None certifies that no witness exists. A
-    search that raises keeps nothing.
+    search that raises keeps nothing. The rank-space block and its square
+    are kept by edge set, so a miss on a known shape builds neither again.
     """
 
     def __init__(self):
         self._found: dict = {}
+        self._shapes: dict = {}
 
     def __call__(self, vertices, edges, demands=(), ends=None,
                  required=()) -> Witness | None:
@@ -118,13 +119,16 @@ class BlockSearch:
         try:
             w = self._found[key]
         except KeyError:
+            if es not in self._shapes:
+                b = Graph._unchecked(frozenset(range(len(label))), es)
+                self._shapes[es] = b, b.square()
+            b, sq = self._shapes[es]
             # cycle_with and path_with are looked up by name at each call,
             # so a rebinding of them (as a tracer does) sees every search
-            b = Graph._unchecked(frozenset(range(len(label))), es)
             if ends is None:
-                w = cycle_with(b.square(), b, demands, required)
+                w = cycle_with(sq, b, demands, required)
             else:
-                w = path_with(b.square(), b, *ends, demands, required)
+                w = path_with(sq, b, *ends, demands, required)
             self._found[key] = w
         if w is None:
             return None
@@ -171,15 +175,16 @@ class _Frag:
     cut: tuple = ()
 
 
-def _opened(cs: CycleSet, i: int, c: int, key, expect=None) -> _Frag:
-    """Cycle c with i taken out: a path between i's two neighbours on it."""
-    around = cs.around(i, c)
-    cut = tuple(edge(i, w) for w in around)
-    if len(cut) != 2 or (expect is not None and set(cut) != set(expect)):
+def _opened(cs: CycleSet, i: int, c: int, key, es) -> _Frag:
+    """Cycle c with i taken out at its two edges es at i: a path between
+    their other ends. Only es are read, so no other edge at i is visited."""
+    if len(set(es)) != 2 or any(i not in e or cs.cycle_of(e) != c for e in es):
+        cut = [edge(i, w) for w in cs.around(i, c)]
         raise ConstructionError(
             f"cycle edges {sorted(cut)} at {i} differ from the assigned "
-            f"{sorted(expect or ())}")
-    return _Frag("open", tuple(around), key, c, cut)
+            f"{sorted(es)}")
+    ends = tuple(sorted(_partner(e, i) for e in es))
+    return _Frag("open", ends, key, c, tuple(edge(i, w) for w in ends))
 
 
 def _anchored(i: int, c: int, e, key) -> _Frag:
@@ -240,10 +245,12 @@ def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
 
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                   search: BlockSearch) -> list:
+    blocks, blocks_of, cuts_of = d.blocks, d.blocks_of, d.cuts_of
+    bn, k = d.bn, d.k
     cs = CycleSet()
     assigned: dict[tuple[int, int], tuple] = {}
     for b in d.two_blocks():
-        mv = {i: labelling.value(i, b.index) for i in d.cuts_of[b.index]}
+        mv = {i: labelling.value(i, b.index) for i in cuts_of[b.index]}
         bc = block_cycle(b, mv, b.index, search)
         cs.add(bc.order)
         for v, es in bc.assigned.items():
@@ -263,9 +270,9 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
             reserved_end[v] = e
             continue
         need_end = frozenset(v for v in comp.vertices
-                             if d.bn.get(v, 0) == 1 and d.k.get(v, 0) >= 1)
+                             if bn.get(v, 0) == 1 and k.get(v, 0) >= 1)
         need_pair = frozenset(v for v in comp.vertices
-                              if d.bn.get(v, 0) == 2 and d.k.get(v, 0) >= 1)
+                              if bn.get(v, 0) == 2 and k.get(v, 0) >= 1)
         nbrs = {v: set(ws) for v, ws in comp.nbrs.items()}
         cc = caterpillar_cycle(nbrs, need_end, need_pair)
         cs.add(cc.order)
@@ -283,13 +290,13 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     for v, e in (*reserved_end.items(), *reserved_pair.items()):
         owed.setdefault(e, []).append(v)
 
-    to_process = sorted(v for v in d.cutvertices if d.k[v] >= 1)
+    to_process = sorted(v for v in d.cutvertices if k[v] >= 1)
     processed: set = set()
     first = last = None
     for i in to_process:
         frags: list[_Frag] = []
-        for t in d.blocks_of[i]:
-            if d.blocks[t].is_bridge:
+        for t in blocks_of[i]:
+            if blocks[t].is_bridge:
                 continue
             es = assigned.get((i, t))
             if not es:
@@ -385,142 +392,136 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
 
 # -- hamiltonian paths -----------------------------------------------------
 
-# Path construction splits the graph into pieces, sets of block indices
-# that are connected in the bc-tree, and reads every piece through the
-# decomposition's own index. A piece's blocks keep their order by edge list.
+class _Run:
+    """A piece's blocks at its boundary vertex c, as pairs (fn, t) from
+    index i on, ordered by fn, the least neighbour of c in block t. The
+    part hanging at c off the first block is the same pairs from i + 1 on."""
+    __slots__ = ("pairs", "i")
 
-def _at_in(d: Decomposition, v: int, piece) -> list:
-    return [t for t in d.blocks_of[v] if t in piece]
+    def __init__(self, pairs: list, i: int = 0):
+        self.pairs, self.i = pairs, i
+
+    def __len__(self) -> int:
+        return len(self.pairs) - self.i
 
 
-def _cuts(d: Decomposition, piece, t: int) -> list:
+def _cuts(d: Decomposition, piece: dict, t: int) -> list:
     """The cutvertices of the piece in block t, ascending."""
-    return [v for v in d.cuts_of[t] if len(_at_in(d, v, piece)) > 1]
+    return [v for v in d.cuts_of[t] if v not in piece or len(piece[v]) > 1]
 
 
-def _reach(d: Decomposition, piece, starts, c: int,
-           skip=frozenset()) -> frozenset:
-    """The blocks of the piece reached from the start blocks without
-    passing vertex c or entering a block of skip."""
-    blocks, blocks_of = d.blocks, d.blocks_of
-    seen, todo, passed = set(starts), list(starts), {c}
-    while todo:
-        for v in blocks[todo.pop()].vertices:
-            if v in passed:
-                continue
-            passed.add(v)
-            for s in blocks_of[v]:
-                if s in piece and s not in seen and s not in skip:
-                    seen.add(s)
-                    todo.append(s)
-    return frozenset(seen)
+def _rest(d: Decomposition, piece: dict, c: int, t: int) -> _Run:
+    """The run of the piece's blocks at c other than t."""
+    at = piece.get(c)
+    if isinstance(at, _Run):  # a hanging part is laid from its first block
+        return _Run(at.pairs, at.i + 1)
+    nb, blocks = d.graph._adj[c], d.blocks
+    return _Run(sorted([(min(nb & blocks[s].vertices), s)
+                        for s in (d.blocks_of[c] if at is None else at)
+                        if s != t]))
 
 
-def _hanging(d: Decomposition, piece, c: int, t: int) -> frozenset:
-    """The part of the piece hanging at c once block t is taken out."""
-    return _reach(d, piece, [s for s in _at_in(d, c, piece) if s != t], c)
-
-
-def _first_neighbor(d: Decomposition, piece, c: int) -> int:
-    nb = d.graph.neighbors(c)
-    return min(w for t in _at_in(d, c, piece)
-               for w in nb & d.blocks[t].vertices)
-
-
-def _along(d: Decomposition, piece, x: int, y: int):
-    """(part, a, b) for each block of the bc-tree path from x to y.
-
-    a and b are the block's ends on the path: x, then every cutvertex
-    between, then y; each of them separates x from y. A part holds its
-    block and what hangs off the block there, so a hamiltonian x-y path
-    crosses the parts in turn, from a to b in each.
+def _along(d: Decomposition, x: int, y: int) -> list:
+    """The tasks (part, a, b, t) of the blocks t of the bc-tree path from x
+    to y, in order: a and b are t's ends on the path, x, every cutvertex
+    between, then y. The tree is rooted at y and walked until it reaches x.
     """
-    block_of: dict[int, int] = {}  # vertex -> block on its way to y
-    from_v: dict[int, int] = {}  # block -> its vertex on the way to y
-    blocks, blocks_of = d.blocks, d.blocks_of
+    blocks, blocks_of, cuts_of = d.blocks, d.blocks_of, d.cuts_of
+    up: dict[int, int] = {}  # vertex -> its block on the way to y
+    top: dict[int, int] = {}  # block -> its vertex on the way to y
     todo = [y]
-    while x not in block_of:
+    while x not in up:
         v = todo.pop()
         for t in blocks_of[v]:
-            if t in piece and t not in from_v:
-                from_v[t] = v
-                for w in blocks[t].vertices:
-                    if w != y and w not in block_of:
-                        block_of[w] = t
+            if t not in top:
+                top[t] = v
+                if x in blocks[t].vertices:
+                    up[x] = t
+                for w in cuts_of[t]:
+                    if w != v and w not in up:
+                        up[w] = t
                         todo.append(w)
-    taken: set = set()
-    a = x
+    parts, a, prev = [], x, None
     while a != y:
-        t = block_of[a]
-        b = from_v[t]
-        part = piece - taken if b == y else _reach(d, piece, [t], b, taken)
-        taken |= part
-        yield part, a, b
-        a = b
+        t = up[a]
+        b = top[t]
+        part = {a: tuple([s for s in blocks_of[a] if s != prev])}
+        if b != y:
+            part[b] = (t,)
+        parts.append((part, a, b, t))
+        a, prev = b, t
+    return parts
 
 
 def _partner(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _hang(d: Decomposition, cs: CycleSet, todo: list, piece, t: int,
+def _hang(d: Decomposition, cs: CycleSet, todo: list, piece: dict, t: int,
           c: int, p: int) -> None:
     """Let the part of the piece hanging at c off block t enter through the
-    block edge c-p: c, fn, p take its place, fn the first neighbour of c in
-    the part, and the part's c-fn path is left as a task."""
-    h = _hanging(d, piece, c, t)
-    fn = _first_neighbor(d, h, c)
-    cs.splice([c, fn, p])
-    todo.append((h, c, fn))
+    block edge c-p: c, fn, p take its place, fn the least neighbour of c in
+    the part, and the part's c-fn path is left as a task. The leaves of c
+    at the head of the run go in with it, in one splice c, fn, lk, ..., l1,
+    p: the path a task per leaf would lay."""
+    run = _rest(d, piece, c, t)
+    adj, pairs, i = d.graph._adj, run.pairs, run.i
+    laid = [p]
+    while i < len(pairs) and len(adj[pairs[i][0]]) == 1:
+        laid.append(pairs[i][0])
+        i += 1
+    if i < len(pairs):
+        fn, s = pairs[i]
+        laid.append(fn)
+        todo.append(({c: _Run(pairs, i)}, c, fn, s))
+    laid.append(c)
+    cs.splice(laid[::-1])
 
 
-def _cycle_with_two_edges_at(d: Decomposition, piece, c2: int,
+def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
                              todo: list, search: BlockSearch) -> list:
-    """Hamiltonian cycle of the piece's square whose two cycle edges at c2
-    are edges of the graph, read from c2 towards the smaller of its cycle
-    neighbours. The parts hanging off its blocks are left as tasks on todo,
-    their placeholder edges on the returned cycle."""
-    g2 = Graph.from_edges(e for t in piece for e in d.blocks[t].edges)
+    """Hamiltonian cycle of the square of the part {c2: run} whose two
+    cycle edges at c2 are edges of the graph, read from c2 towards the
+    smaller of its cycle neighbours. The parts hanging off its blocks are
+    left as tasks on todo, their placeholder edges on the returned cycle."""
+    blocks, adj = d.blocks, d.graph._adj
+    piece = {c2: run}
     cs = CycleSet()
     frags = []
-    for t in _at_in(d, c2, piece):
-        blk = d.blocks[t]
+    for t in sorted(s for _, s in run.pairs[run.i:]):
+        blk = blocks[t]
         if blk.is_bridge:
             continue
         others = [v for v in _cuts(d, piece, t) if v != c2]
         if len(others) > 1:
-            raise ConstructionError(
-                f"block {t} has more than two cutvertices")
-        yi = others[0] if others else None
-        demands = [(c2, 2)] + ([(yi, 1)] if yi is not None else [])
+            raise ConstructionError(f"block {t} has more than two cutvertices")
+        demands = [(c2, 2)] + [(v, 1) for v in others]
         w = search(blk.vertices, blk.edges, demands)
         if w is None:
             raise ConstructionError(
                 f"no block cycle with two edges at {c2} in block {t}")
         c = cs.add(w.order)
-        if yi is not None:
+        for yi in others:
             _hang(d, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
         frags.append(_opened(cs, c2, c, (0, t), w.assignment[c2]))
-    for leaf in sorted(g2.neighbors(c2)):
-        if g2.degree(leaf) == 1:
+    for leaf, _ in run.pairs[run.i:]:  # ascending
+        if len(adj[leaf]) == 1:
             frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
-    _merge_at(cs, g2, c2, frags)
+    _merge_at(cs, d.graph, c2, frags)
     return cs.walk(c2, max(cs.nbrs[c2]))
 
 
 def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
-                              piece, blk, x: int, y: int,
-                              search: BlockSearch | None = None) -> None:
+                              piece: dict, blk, x: int, y: int,
+                              search: BlockSearch) -> None:
     """Lay the x-y path between the two cutvertices of blk when no block
     path carries an edge at y.
 
     A path through some edge u-v between two neighbours of y exists
     instead; the part hanging at y enters between u and v, in the order
     they have on the block path, as its leaf or as a cycle through y with
-    y taken out. search is the request's BlockSearch, a fresh one if None.
+    y taken out.
     """
-    if search is None:
-        search = BlockSearch()
     # a block is an induced subgraph: y's neighbours in it are those in g
     nbrs = sorted(d.graph.neighbors(y) & blk.vertices)
     for u, v in itertools.combinations(nbrs, 2):
@@ -533,63 +534,58 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
     cs.splice(list(w.order))
     _hang(d, cs, todo, piece, blk.index, x, _partner(w.assignment[x][0], x))
     a, b = sorted((u, v), key=w.order.index)
-    h = _hanging(d, piece, y, blk.index)
-    if len(h) == 1 and d.blocks[min(h)].is_bridge:
-        insert = [_first_neighbor(d, h, y)]
+    h = _rest(d, piece, y, blk.index)
+    fn = h.pairs[h.i][0]
+    if len(h) == 1 and d.graph.degree(fn) == 1:
+        insert = [fn]
     else:
         insert = _cycle_with_two_edges_at(d, h, y, todo, search)[1:]
     cs.splice([a, *insert, b])
 
 
-def _fill(d: Decomposition, cs: CycleSet, todo: list,
-          search: BlockSearch | None = None) -> None:
-    """Work off the tasks (piece, a, b): each replaces the placeholder edge
-    a-b of cs by a hamiltonian a-b path of the piece's square, and leaves
-    a task for every part it lets in through a placeholder of its own.
-    search is the request's BlockSearch, a fresh one if None."""
-    if search is None:
-        search = BlockSearch()
-    while todo:
-        piece, x, y = todo.pop()
-        t = next((t for t in _at_in(d, x, piece)
-                  if y in d.blocks[t].vertices), None)
-        if t is None:
-            parts = list(_along(d, piece, x, y))
-            cs.splice([x] + [b for _, _, b in parts])
-            todo += parts
-            continue
-        blk = d.blocks[t]
-        cvs = _cuts(d, piece, t)
-        if len(cvs) > 2:
+def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
+         piece: dict, x: int, y: int, t: int) -> None:
+    """Replace the placeholder edge x-y of cs by a hamiltonian x-y path of
+    the square of the piece, whose block t holds x and y, and leave a task
+    for every part that enters through a placeholder of its own."""
+    blk = d.blocks[t]
+    cvs = _cuts(d, piece, t)
+    if len(cvs) > 2:
+        raise ConstructionError(f"block carries {len(cvs)} cutvertices; "
+                                "at most two are buildable")
+    if blk.is_bridge:
+        if len(cvs) == 2:
             raise ConstructionError(
-                f"block carries {len(cvs)} cutvertices; at most two are "
-                "buildable")
-        if blk.is_bridge:
-            if len(cvs) == 2:
-                raise ConstructionError(
-                    f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
-                    "path between its ends exists in the square")
-            for c in cvs:
-                _hang(d, cs, todo, piece, t, c, _partner((x, y), c))
-            continue
-        between_cuts = set(cvs) == {x, y}
-        if between_cuts:
-            demands = [(x, 1), (y, 1)]
-        else:
-            demands = [(c, 1) for c in cvs]
-            if cvs == [x]:
-                x, y = y, x  # the search starts away from the cutvertex
-        w = search(blk.vertices, blk.edges, demands, (x, y))
-        if w is None and between_cuts:
-            _rescue_through_neighbors(d, cs, todo, piece, blk, x, y, search)
-            continue
-        if w is None:
-            raise ConstructionError(
-                f"no {x}-{y} path in the square of block {t} with a block "
-                f"edge at each of {cvs}")
-        cs.splice(list(w.order))
+                f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
+                "path between its ends exists in the square")
         for c in cvs:
-            _hang(d, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
+            _hang(d, cs, todo, piece, t, c, _partner((x, y), c))
+        return
+    between_cuts = set(cvs) == {x, y}
+    if between_cuts:
+        demands = [(x, 1), (y, 1)]
+    else:
+        demands = [(c, 1) for c in cvs]
+        if cvs == [x]:
+            x, y = y, x  # the search starts away from the cutvertex
+    w = search(blk.vertices, blk.edges, demands, (x, y))
+    if w is None and between_cuts:
+        _rescue_through_neighbors(d, cs, todo, piece, blk, x, y, search)
+        return
+    if w is None:
+        raise ConstructionError(
+            f"no {x}-{y} path in the square of block {t} with a block "
+            f"edge at each of {cvs}")
+    cs.splice(list(w.order))
+    for c in cvs:
+        _hang(d, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
+
+
+def _fill(d: Decomposition, cs: CycleSet, todo: list,
+          search: BlockSearch) -> None:
+    """Work off the tasks (piece, a, b, t) with _lay, one at a time."""
+    while todo:
+        _lay(d, cs, todo, search, *todo.pop())
 
 
 def construct_ham_path(g: Graph, x: int, y: int,
@@ -613,7 +609,9 @@ def construct_ham_path(g: Graph, x: int, y: int,
     # vertices are non-negative, so -1 can close the path into a cycle
     cs = CycleSet()
     cs.add([x, y, -1])
-    _fill(d, cs, [(frozenset(range(len(d.blocks))), x, y)], BlockSearch())
+    todo = _along(d, x, y)
+    cs.splice([x] + [b for _, _, b, _ in todo])
+    _fill(d, cs, todo, BlockSearch())
     path = cs.walk(x, -1)[:-1]
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")

@@ -146,10 +146,12 @@ def decide_hamiltonicity(g: Graph,
 
 def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     two_idx = [b.index for b in d.two_blocks()]
-    cuts_of = d.cuts_of
+    # bound once: a Decomposition field read costs several times a local's
+    blocks, blocks_of, cuts_of, bn, dk = (d.blocks, d.blocks_of, d.cuts_of,
+                                          d.bn, d.k)
 
     def two_at(c: int) -> list[int]:
-        return [t for t in d.blocks_of[c] if d.blocks[t].is_two_block]
+        return [t for t in blocks_of[c] if blocks[t].is_two_block]
 
     m: dict[tuple[int, int], int] = {}
     labelled: set[int] = set()
@@ -159,7 +161,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
     # cutvertices of t. ready: a min-heap of the unlabelled blocks with
     # busy <= 1, the blocks that may be peeled next; busy only falls, so
     # each block enters it once and stays eligible until it is popped.
-    unl = {c: d.k[c] for c in d.cutvertices}
+    unl = {c: dk[c] for c in d.cutvertices}
     busy = {t: sum(1 for c in cuts_of[t] if unl[c] >= 2) for t in two_idx}
     ready = [t for t in two_idx if busy[t] <= 1]
     heapq.heapify(ready)
@@ -179,7 +181,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
 
     def cond6_ok(c: int) -> bool:
         total = sum(m.get((c, t), 0) for t in two_at(c))
-        return total >= 2 * d.k[c] + d.bn[c] - 2
+        return total >= 2 * dk[c] + bn[c] - 2
 
     def risky(cond, case, block, cut=None, recipe=None):
         trace.append((case, block, ()))
@@ -203,9 +205,9 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
 
         if k >= 5:
             return risky(5, "a", B, recipe=("complete_bipartite_2k", B, k))
-        if k >= 3 and any(d.bn[c] == 2 for c in cuts):
+        if k >= 3 and any(bn[c] == 2 for c in cuts):
             return risky(5, "b", B, recipe=("cycle", B, k))
-        if k == 2 and d.bn[cuts[0]] == 2 and d.bn[cuts[1]] == 2:
+        if k == 2 and bn[cuts[0]] == 2 and bn[cuts[1]] == 2:
             return risky(5, "c", B, recipe=("k23_marked", B, tuple(cuts)))
 
         if k == 1:
@@ -217,8 +219,8 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
                 return risky(6, "d", B, c1, cond6_hint(c1))
         elif k == 2:
             c1, c2 = cuts
-            if d.bn[c2] == 2 or d.bn[c1] == 2:
-                two = c2 if d.bn[c2] == 2 else c1
+            if bn[c2] == 2 or bn[c1] == 2:
+                two = c2 if bn[c2] == 2 else c1
                 one = c1 if two == c2 else c2
                 m[(one, B)] = 1
                 m[(two, B)] = 2

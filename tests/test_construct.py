@@ -97,11 +97,13 @@ def test_cycle_set_cut_removes_exactly_that_adjacency():
 def test_opened_fragment_ends_at_the_neighbors():
     cs = CycleSet()
     c = cs.add([0, 1, 2, 3])
-    f = _opened(cs, 1, c, (0, 0))
+    f = _opened(cs, 1, c, (0, 0), [edge(1, 2), edge(0, 1)])
     assert f.ends == (0, 2)
     assert set(f.cut) == {edge(0, 1), edge(1, 2)}
-    with pytest.raises(ConstructionError):
-        _opened(cs, 1, c, (0, 0), expect=[edge(0, 1), edge(1, 3)])
+    for es in ([edge(0, 1), edge(1, 3)], [edge(0, 1), edge(0, 1)],
+               [edge(0, 1), edge(2, 3)]):
+        with pytest.raises(ConstructionError):
+            _opened(cs, 1, c, (0, 0), es)
 
 
 def test_cycle_set_joins_cycles_and_walks_them():
@@ -180,10 +182,10 @@ def _forced_rescue(d, blk, x, y):
     blk, whether or not a block path with an edge at y exists."""
     cs = CycleSet()
     cs.add([x, y, -1])
-    todo = []
-    whole = frozenset(range(len(d.blocks)))
-    _rescue_through_neighbors(d, cs, todo, whole, blk, x, y)
-    _fill(d, cs, todo)
+    todo, search = [], BlockSearch()
+    # {} is the piece that holds every block of the graph
+    _rescue_through_neighbors(d, cs, todo, {}, blk, x, y, search)
+    _fill(d, cs, todo, search)
     return cs.walk(x, -1)[:-1]
 
 
@@ -456,6 +458,106 @@ def test_star_path_leaves_the_recursion_limit_alone(monkeypatch):
     p = construct_ham_path(star, 1, 600)
     assert is_ham_path(star, p, 1, 600, square=True)
     assert all(n <= at_entry for n in limits), max(limits)
+
+
+# -- cutvertices with many blocks --------------------------------------------
+
+def _hub(k, size):
+    """k rings of the given size sharing vertex 0, ring i on the vertices
+    after those of ring i - 1: a windmill for 3, a flower of C4s for 4.
+    A ring of 2 is a leaf, so size 2 gives the star K1,k."""
+    es = []
+    for i in range(k):
+        walk = [0, *range(1 + (size - 1) * i, 1 + (size - 1) * (i + 1))]
+        es += zip(walk, walk[1:])
+        if size > 2:
+            es.append((walk[-1], 0))
+    return Graph.from_edges(es)
+
+
+def _picked(k):
+    """The blocks whose vertices the pinned paths join: the first two, the
+    two in the middle and the last two of k (all of them up to k = 6)."""
+    mid = (k - 1) // 2
+    return sorted({0, 1, mid, mid + 1, k - 2, k - 1} & set(range(k)))
+
+
+def _high_degree_requests():
+    """(graph, path pairs). Windmills of 2..30 triangles, stars K1,2..K1,40
+    and flowers of 2..12 C4s: every pair of the centre and the vertices of
+    the picked rings. Triangle chains of 1..40: every pair of vertices of
+    the picked triangles with an end in a middle triangle."""
+    for size, ks in ((3, range(2, 31)), (2, range(2, 41)), (4, range(2, 13))):
+        for k in ks:
+            vs = [0] + [1 + (size - 1) * i + j for i in _picked(k)
+                        for j in range(size - 1)]
+            yield _hub(k, size), list(itertools.combinations(vs, 2))
+    for k in range(1, 41):
+        mid = {2 * t + j for t in {(k - 1) // 2, k // 2} for j in range(3)}
+        vs = sorted({2 * t + j for t in _picked(k) for j in range(3)})
+        yield _triangle_chain(k), [(x, y) for x, y in
+                                   itertools.combinations(vs, 2)
+                                   if x in mid or y in mid]
+
+
+# SHA-256 of the cycle (or the class of the exception it raised) and of the
+# paths above, on graphs whose cutvertices carry up to 40 blocks; the
+# constructors' other pins reach at most three cutvertices and six blocks.
+HIGH_DEGREE_WITNESSES_SHA256 = (
+    "9e86d4dca4f587af70f27ae70d867d2ecf9cf4c25c2e194706218cb7be8b3865")
+
+
+def test_high_degree_witnesses():
+    digest = hashlib.sha256()
+    paths = 0
+    for g, pairs in _high_degree_requests():
+        d = decompose(g)
+        cyc = _outcome(lambda: construct_ham_cycle(g, d=d))
+        digest.update(f"{g.sorted_edges()} {cyc}\n".encode())
+        for x, y in pairs:
+            p = _outcome(lambda: construct_ham_path(g, x, y, d))
+            digest.update(f"{x} {y} {p}\n".encode())
+            paths += 1
+    assert paths > 5000
+    assert digest.hexdigest() == HIGH_DEGREE_WITNESSES_SHA256
+
+
+def test_constructors_step_once_per_block(monkeypatch):
+    # Work counted, not timed: every cycle lookup of the CycleSet, every
+    # piece the path constructor lays, and every block sorted into a run of
+    # the blocks at a cutvertex. A cutvertex with k blocks used to cost O(k)
+    # for each of them (8,006,000 lookups on the windmill of 2000's cycle).
+    calls = {"cycle_of": 0, "_lay": 0, "sorted into runs": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    class Run(construct._Run):
+        __slots__ = ()
+
+        def __init__(self, pairs, i=0):
+            if i == 0:
+                calls["sorted into runs"] += len(pairs)
+            super().__init__(pairs, i)
+
+    monkeypatch.setattr(CycleSet, "cycle_of",
+                        counting("cycle_of", CycleSet.cycle_of))
+    monkeypatch.setattr(construct, "_lay", counting("_lay", construct._lay))
+    monkeypatch.setattr(construct, "_Run", Run)
+    windmill, chain = _hub(2000, 3), _triangle_chain(2560)
+    star = _hub(2999, 2)
+    for g, build in [(windmill, construct_ham_cycle),
+                     (windmill, lambda g: construct_ham_path(g, 1, 4000)),
+                     (star, lambda g: construct_ham_path(g, 1, 2999)),
+                     (chain, lambda g: construct_ham_path(g, 2560, 2562))]:
+        blocks = len(decompose(g).blocks)
+        for name in calls:
+            calls[name] = 0
+        build(g)
+        assert all(n <= 8 * blocks for n in calls.values()), (g.n, calls)
 
 
 # -- one search per block shape ----------------------------------------------
