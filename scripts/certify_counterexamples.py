@@ -14,7 +14,7 @@ sys.path.insert(0, "src")
 
 from hamsquare.counterexamples import minimal_families
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
-from hamsquare.oracle import EdgeConstrainedSearch, find_ham_cycle, is_ham_connected
+from hamsquare.oracle import cycle_with, is_ham_connected
 
 
 def main() -> int:
@@ -26,8 +26,7 @@ def main() -> int:
         iso = bc_isomorphic(bc_tree(decompose(f.skeleton)),
                             bc_tree(decompose(f.instance)))
         if f.kind == "cycle":
-            fail = find_ham_cycle(
-                EdgeConstrainedSearch(host=f.instance.square())) is None
+            fail = cycle_with(f.instance.square(), f.instance) is None
         else:
             fail = not is_ham_connected(f.instance.square())
         dt = time.perf_counter() - t0

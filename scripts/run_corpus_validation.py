@@ -19,7 +19,7 @@ from hamsquare.labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONI
 from hamsquare.hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import is_ham_cycle, is_ham_path
-from hamsquare.oracle import EdgeConstrainedSearch, find_ham_cycle, is_ham_connected
+from hamsquare.oracle import cycle_with, is_ham_connected
 import itertools
 
 
@@ -40,7 +40,7 @@ def main() -> int:
             continue
         v = decide_hamiltonicity(g)
         counts[v.outcome] += 1
-        truth = find_ham_cycle(EdgeConstrainedSearch(host=g.square())) is not None
+        truth = cycle_with(g.square(), g) is not None
         if v.outcome == HAMILTONIAN and not truth:
             errors.append(("false positive", g.edge_list_text()))
         if v.outcome == NOT_HAMILTONIAN and truth:

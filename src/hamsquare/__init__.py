@@ -17,8 +17,8 @@ from .labelling import decide_hamiltonicity, HamiltonicityVerdict
 from .hamconn import decide_hamiltonian_connectedness, HamConnVerdict
 from .construct import construct_ham_cycle, construct_ham_path, ConstructionError
 from .oracle import (
-    find_ham_cycle,
-    find_ham_path,
+    cycle_with,
+    path_with,
     verify_property,
     BudgetExceeded,
 )
@@ -39,8 +39,8 @@ __all__ = [
     "construct_ham_cycle",
     "construct_ham_path",
     "ConstructionError",
-    "find_ham_cycle",
-    "find_ham_path",
+    "cycle_with",
+    "path_with",
     "verify_property",
     "BudgetExceeded",
     "counterexample_for",

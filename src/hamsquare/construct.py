@@ -80,14 +80,6 @@ from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, cycle_with, path_with
 
 
-@dataclass(frozen=True)
-class BlockCycle:
-    """A block's cycle plus the distinct block edges assigned per cutvertex."""
-    block_index: int
-    order: tuple[int, ...]
-    assigned: dict
-
-
 class BlockSearch:
     """The block searches of one request, each run once per block shape.
 
@@ -136,27 +128,6 @@ class BlockSearch:
             tuple([label[i] for i in w.order]),
             {label[v]: [(label[a], label[b]) for a, b in at]
              for v, at in w.assignment.items()})
-
-
-def block_cycle(b, m_values: dict, index: int = -1,
-                search: BlockSearch | None = None) -> BlockCycle:
-    """Hamiltonian cycle of b**2 with m distinct b-edges at each labelled
-    vertex. b is a Graph or a Block; search is the request's BlockSearch,
-    a fresh one if None."""
-    demands = tuple((v, c) for v, c in sorted(m_values.items()) if c > 0)
-    total = sum(c for _, c in demands)
-    cap = 3 if any(c == 2 for _, c in demands) else 4
-    if total > cap:
-        raise ValueError(f"block demands {demands} exceed cycle capacity")
-    if search is None:
-        search = BlockSearch()
-    w = search(b.vertices, b.edges, demands)
-    if w is None:
-        raise ConstructionError(
-            f"no block cycle satisfying {demands}; the demands were expected "
-            "to be feasible for any 2-block")
-    assigned = {v: tuple(sorted(es)) for v, es in w.assignment.items()}
-    return BlockCycle(index, w.order, assigned)
 
 
 # -- the merge -------------------------------------------------------------
@@ -248,12 +219,17 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     blocks, blocks_of, cuts_of = d.blocks, d.blocks_of, d.cuts_of
     bn, k = d.bn, d.k
     cs = CycleSet()
-    assigned: dict[tuple[int, int], tuple] = {}
+    assigned: dict[tuple[int, int], list] = {}
     for b in d.two_blocks():
-        mv = {i: labelling.value(i, b.index) for i in cuts_of[b.index]}
-        bc = block_cycle(b, mv, b.index, search)
-        cs.add(bc.order)
-        for v, es in bc.assigned.items():
+        demands = tuple((i, m) for i in cuts_of[b.index]
+                        if (m := labelling.value(i, b.index)) > 0)
+        w = search(b.vertices, b.edges, demands)
+        if w is None:
+            raise ConstructionError(
+                f"no block cycle satisfying {demands}; the demands were "
+                "expected to be feasible for any 2-block")
+        cs.add(w.order)
+        for v, es in w.assignment.items():
             assigned[(v, b.index)] = es
 
     reserved_end: dict[int, tuple] = {}

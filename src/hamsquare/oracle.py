@@ -17,10 +17,13 @@ distinctness across demands is settled by the matching at the leaf). Each
 prune only drops subtrees that hold no valid order, so pruning never changes
 which order is found, and a None result is a certificate of absence. The
 connectivity prune at the root walks every vertex from the start, so a
-disconnected host is turned down there, with no separate search. An
-optional node budget, a positive count that the root node already uses
-one of, turns long searches into an explicit BudgetExceeded instead of a
-silent answer.
+disconnected host is turned down there, with no separate search.
+
+cycle_with and path_with are the only entry points. An optional node
+budget, a positive count, turns a long search into an explicit
+BudgetExceeded instead of a silent answer. Every search, on a host of any
+size, counts one node for its root and one for each vertex it lays after
+that: a path search on two vertices that finds its edge uses two.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .graph import Graph, edge
+from .graph import Graph, cycle_edges, edge, path_edges
 from .decomposition import decompose
 
 
@@ -38,31 +41,9 @@ class BudgetExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EdgeConstrainedSearch:
-    """A hamiltonian cycle/path request with original-edge constraints."""
-    host: Graph
-    original: Graph | None = None
-    required_edges: frozenset = frozenset()
-    required_incidences: tuple = ()
-    endpoints: tuple[int, int] | None = None
-
-    def orig(self) -> Graph:
-        return self.original if self.original is not None else self.host
-
-
-@dataclass(frozen=True)
 class Witness:
     order: tuple[int, ...]
     assignment: dict = field(default_factory=dict, compare=False)
-
-    def edges(self, cyclic: bool) -> set[tuple[int, int]]:
-        return _order_edges(self.order, cyclic)
-
-
-def _order_edges(order, cyclic: bool) -> set[tuple[int, int]]:
-    n = len(order)
-    top = n if cyclic else n - 1
-    return {edge(order[i], order[(i + 1) % n]) for i in range(top)}
 
 
 def _match_incidences(witness_edges, orig_edges, demands):
@@ -99,34 +80,37 @@ def _match_incidences(witness_edges, orig_edges, demands):
 
 
 class _Search:
-    def __init__(self, spec: EdgeConstrainedSearch, cyclic: bool,
-                 node_budget: int | None):
-        self.spec = spec
-        self.cyclic = cyclic
+    """One search: a cycle of host, or with ends (x, y) an x-y path."""
+
+    def __init__(self, host: Graph, original: Graph, incidences,
+                 required_edges, node_budget: int | None, ends=None):
+        if node_budget is not None and node_budget < 1:
+            raise ValueError(
+                f"node budget must be a positive integer, got {node_budget}")
+        self.ends = ends
+        self.cyclic = ends is None
         self.budget = node_budget
         self.nodes = 0
-        g = spec.host
-        self.g = g
-        self.orig = spec.orig()
-        self.orig_edges = self.orig.edges
-        self.required = frozenset(edge(*e) for e in spec.required_edges)
+        self.g = host
+        self.orig = original
+        self.orig_edges = original.edges
+        self.required = frozenset(edge(*e) for e in required_edges)
         for e in self.required:
-            if e not in g.edges:
+            if e not in host.edges:
                 raise ValueError(f"required edge {e} not in host graph")
-        self.demands = tuple((v, c) for v, c in spec.required_incidences if c > 0)
+        self.demands = tuple((v, c) for v, c in incidences if c > 0)
         for v, c in self.demands:
-            if v not in g.vertices:
+            if v not in host.vertices:
                 raise ValueError(f"incidence vertex {v} not in host graph")
 
     # ---- feasibility shortcuts ------------------------------------------
 
     def _obviously_infeasible(self) -> bool:
-        g = self.g
         req_at: dict[int, int] = {}
         for a, b in self.required:
             req_at[a] = req_at.get(a, 0) + 1
             req_at[b] = req_at.get(b, 0) + 1
-        ends = set(self.spec.endpoints or ())
+        ends = set(self.ends or ())
         for v, cnt in req_at.items():
             cap = 1 if (not self.cyclic and v in ends) else 2
             if cnt > cap:
@@ -149,20 +133,17 @@ class _Search:
             if n < 3:
                 return None
         else:
-            x, y = self.spec.endpoints
+            x, y = self.ends
             if x == y or x not in g.vertices or y not in g.vertices:
                 raise ValueError("path search needs two distinct endpoint vertices")
-            if n == 1:
-                return None
         if self._obviously_infeasible():
             return None
 
         if self.cyclic:
-            start = self._pick_start()
+            self.start, self.target = self._pick_start(), None
         else:
-            start = self.spec.endpoints[0]
-        self.start = start
-        self.target = None if self.cyclic else self.spec.endpoints[1]
+            self.start, self.target = self.ends
+        start = self.start
 
         # _dfs recurses once per vertex laid
         old = sys.getrecursionlimit()
@@ -248,8 +229,8 @@ class _Search:
 
     def _finish(self, order) -> Witness | None:
         order = tuple(order)
-        wedges = _order_edges(order, self.cyclic)
-        if not self.required <= wedges:
+        wedges = cycle_edges(order) if self.cyclic else path_edges(order)
+        if not self.required.issubset(wedges):
             return None
         assignment = {}
         if self.demands:
@@ -290,55 +271,22 @@ class _Search:
         return None
 
 
-def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 1:
-        raise ValueError(
-            f"node budget must be a positive integer, got {node_budget}")
-
-
-def find_ham_cycle(spec: EdgeConstrainedSearch,
-                   node_budget: int | None = None) -> Witness | None:
-    """A constraint-satisfying hamiltonian cycle of the host, or None."""
-    _check_budget(node_budget)
-    if spec.endpoints is not None:
-        raise ValueError("cycle search takes no endpoints")
-    return _Search(spec, cyclic=True, node_budget=node_budget).run()
-
-
-def find_ham_path(spec: EdgeConstrainedSearch,
-                  node_budget: int | None = None) -> Witness | None:
-    """A constraint-satisfying hamiltonian path between the endpoints, or None."""
-    _check_budget(node_budget)
-    if spec.endpoints is None:
-        raise ValueError("path search needs endpoints")
-    if spec.host.n == 2:
-        x, y = spec.endpoints
-        if edge(x, y) in spec.host.edges:
-            search = _Search(spec, cyclic=False, node_budget=node_budget)
-            if search._obviously_infeasible():
-                return None
-            return search._finish([x, y])
-        return None
-    return _Search(spec, cyclic=False, node_budget=node_budget).run()
-
-
 def cycle_with(host: Graph, original: Graph,
                incidences=(), required_edges=(),
                node_budget: int | None = None) -> Witness | None:
-    return find_ham_cycle(EdgeConstrainedSearch(
-        host=host, original=original,
-        required_edges=frozenset(edge(*e) for e in required_edges),
-        required_incidences=tuple(incidences)), node_budget)
+    """A hamiltonian cycle of host through every required edge with, for
+    each incidence (v, c), c original edges at v, all distinct; or None."""
+    return _Search(host, original, incidences, required_edges,
+                   node_budget).run()
 
 
 def path_with(host: Graph, original: Graph, x: int, y: int,
               incidences=(), required_edges=(),
               node_budget: int | None = None) -> Witness | None:
-    return find_ham_path(EdgeConstrainedSearch(
-        host=host, original=original,
-        required_edges=frozenset(edge(*e) for e in required_edges),
-        required_incidences=tuple(incidences),
-        endpoints=(x, y)), node_budget)
+    """A hamiltonian x-y path of host under the constraints of cycle_with,
+    or None."""
+    return _Search(host, original, incidences, required_edges,
+                   node_budget, (x, y)).run()
 
 
 def is_ham_connected(g: Graph, node_budget: int | None = None) -> bool:

@@ -159,6 +159,10 @@ def test_oracle_budget(gfile, capsys):
     assert main(["oracle", gfile(cyc8), "--node-budget", "2", "--json"]) == 75
     data = _json_out(capsys)
     assert data["result"]["outcome"] == "BUDGET_EXCEEDED"
+    # a path on the one-edge graph lays two nodes, like any other search
+    k2 = gfile("0 1\n")
+    assert main(["oracle", k2, "--pair", "0", "1", "--node-budget", "1"]) == 75
+    assert main(["oracle", k2, "--pair", "0", "1", "--node-budget", "2"]) == 0
 
 
 def test_non_positive_node_budget_is_a_usage_error(gfile, capsys):

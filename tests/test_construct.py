@@ -16,13 +16,12 @@ from hamsquare.labelling import Labelling, decide_hamiltonicity
 from hamsquare.hamconn import (
     HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
 )
-from hamsquare import construct, oracle
+from hamsquare import construct
 from hamsquare.construct import (
     BlockSearch,
     ConstructionError,
     construct_ham_cycle,
     construct_ham_path,
-    block_cycle,
     _fill,
     _opened,
     _rescue_through_neighbors,
@@ -68,6 +67,16 @@ def test_invalid_labelling_is_rejected():
     t0, t1 = sorted(b.index for b in d.two_blocks())
     with pytest.raises(ValueError, match="violates conditions"):
         construct_ham_cycle(BOWTIE, Labelling({(0, t0): 1, (0, t1): 0}))
+    # a triangle with a triangle hung at each corner: the values 2, 2, 1 on
+    # the middle one sum to 5, over its cap of 3, and break nothing else
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                          (1, 5), (5, 6), (1, 6), (2, 7), (7, 8), (2, 8)])
+    d = decompose(g)
+    m = {(i, b.index): 1 for b in d.two_blocks() for i in d.cuts_of[b.index]}
+    mid = next(b.index for b in d.two_blocks() if b.vertices == {0, 1, 2})
+    m[(0, mid)] = m[(1, mid)] = 2
+    with pytest.raises(ValueError, match=r"violates conditions \[5\]"):
+        construct_ham_cycle(g, Labelling(m))
 
 
 def test_negative_decision_is_rejected():
@@ -126,15 +135,6 @@ def test_cycle_set_joins_cycles_and_walks_them():
     cs.link(0, 9, c)
     with pytest.raises(ConstructionError):
         cs.walk(0, 2)  # 0 and 9 now have three neighbours
-
-
-def test_block_cycle_demands():
-    tri = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-    bc = block_cycle(tri, {0: 2, 1: 1})
-    assert sorted(bc.order) == [0, 1, 2]
-    assert len(bc.assigned[0]) == 2 and len(bc.assigned[1]) == 1
-    with pytest.raises(ValueError):
-        block_cycle(tri, {0: 2, 1: 2, 2: 1})  # sum 5 over the cap
 
 
 # -- paths -----------------------------------------------------------------
@@ -653,8 +653,8 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
             return real(*args, **kwargs)
         return counted
 
-    for name in ("find_ham_cycle", "find_ham_path"):
-        monkeypatch.setattr(oracle, name, counting(getattr(oracle, name)))
+    for name in ("cycle_with", "path_with"):
+        monkeypatch.setattr(construct, name, counting(getattr(construct, name)))
     chain = _triangle_chain(640)
     for build in (construct_ham_cycle,
                   lambda g: construct_ham_path(g, 1, 1280)):

@@ -6,7 +6,7 @@ from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_bipar
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
 from hamsquare.labelling import decide_hamiltonicity
 from hamsquare.hamconn import decide_hamiltonian_connectedness
-from hamsquare.oracle import EdgeConstrainedSearch, find_ham_cycle, is_ham_connected
+from hamsquare.oracle import cycle_with, is_ham_connected
 from hamsquare.counterexamples import (
     SubstitutionRecipe,
     substitute,
@@ -22,7 +22,7 @@ BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
 
 def _square_not_hamiltonian(g):
-    return find_ham_cycle(EdgeConstrainedSearch(host=g.square())) is None
+    return cycle_with(g.square(), g) is None
 
 
 def test_substitute_keeps_bc_tree():

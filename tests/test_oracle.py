@@ -1,5 +1,6 @@
 """Exhaustive search oracle, cross-checked against permutation enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -7,13 +8,10 @@ import pytest
 
 from hamsquare.graph import (
     Graph, edge, path_graph, cycle_graph, complete_graph, complete_bipartite,
-    is_ham_cycle, is_ham_path,
+    cycle_edges, is_ham_cycle, is_ham_path,
 )
 from hamsquare.oracle import (
     BudgetExceeded,
-    EdgeConstrainedSearch,
-    find_ham_cycle,
-    find_ham_path,
     cycle_with,
     path_with,
     is_ham_connected,
@@ -58,7 +56,7 @@ CROSS_CHECK = [
 
 @pytest.mark.parametrize("host", CROSS_CHECK)
 def test_cycle_existence_matches_permutations(host):
-    got = find_ham_cycle(EdgeConstrainedSearch(host=host)) is not None
+    got = cycle_with(host, host) is not None
     assert got == _perm_has_cycle(host)
 
 
@@ -76,20 +74,16 @@ def test_path_existence_matches_permutations(host):
 def test_required_edges_cross_check():
     c4 = cycle_graph(4)
     for req in [{edge(0, 1)}, {edge(0, 1), edge(2, 3)}]:
-        spec = EdgeConstrainedSearch(host=c4, required_edges=frozenset(req))
-        got = find_ham_cycle(spec) is not None
+        got = cycle_with(c4, c4, required_edges=req) is not None
         assert got == _perm_has_cycle(c4, req)
     with pytest.raises(ValueError):
         # chords of the host are rejected up front, not silently unmatched
-        find_ham_cycle(EdgeConstrainedSearch(
-            host=c4, required_edges=frozenset({edge(0, 2)})))
+        cycle_with(c4, c4, required_edges=[(0, 2)])
 
 
 def test_three_required_edges_at_one_vertex_is_infeasible():
     k4 = complete_graph(4)
-    spec = EdgeConstrainedSearch(
-        host=k4, required_edges=frozenset({edge(0, 1), edge(0, 2), edge(0, 3)}))
-    assert find_ham_cycle(spec) is None
+    assert cycle_with(k4, k4, required_edges=[(0, 1), (0, 2), (0, 3)]) is None
 
 
 def test_witness_cycles_are_valid_and_assigned():
@@ -102,7 +96,7 @@ def test_witness_cycles_are_valid_and_assigned():
         es = w.assignment[v]
         assert len(es) == c
         for e in es:
-            assert e in BOWTIE.edges and v in e and e in w.edges(cyclic=True)
+            assert e in BOWTIE.edges and v in e and e in cycle_edges(w.order)
             assert e not in used
             used.add(e)
 
@@ -122,6 +116,15 @@ def test_two_vertex_path_base_case():
     assert w is not None and list(w.order) == [0, 1]
     assert path_with(k2, k2, 0, 1, [(0, 1)]) is not None
     assert path_with(k2, k2, 0, 1, [(0, 1), (1, 1)]) is None
+    # the root and the second vertex are two nodes, as on any host
+    with pytest.raises(BudgetExceeded):
+        path_with(k2, k2, 0, 1, node_budget=1)
+    assert path_with(k2, k2, 0, 1, node_budget=2).order == (0, 1)
+    # a required edge the host lacks is an error, as on any host
+    bare = Graph(frozenset({0, 1}), frozenset())
+    with pytest.raises(ValueError, match="not in host graph"):
+        path_with(bare, bare, 0, 1, required_edges=[(0, 1)])
+    assert path_with(bare, bare, 0, 1) is None
 
 
 def test_p4_square_middle_pair_has_no_path():
@@ -132,10 +135,9 @@ def test_p4_square_middle_pair_has_no_path():
 
 def test_endpoint_argument_validation():
     c4 = cycle_graph(4)
-    with pytest.raises(ValueError):
-        find_ham_cycle(EdgeConstrainedSearch(host=c4, endpoints=(0, 1)))
-    with pytest.raises(ValueError):
-        find_ham_path(EdgeConstrainedSearch(host=c4))
+    for x, y in [(0, 0), (0, 7)]:
+        with pytest.raises(ValueError, match="two distinct endpoint"):
+            path_with(c4, c4, x, y)
 
 
 def test_budget_raises():
@@ -148,10 +150,9 @@ def test_budget_must_be_positive():
     g = cycle_graph(4)
     for budget in (0, -3):
         with pytest.raises(ValueError, match="positive"):
-            find_ham_cycle(EdgeConstrainedSearch(host=g), budget)
+            cycle_with(g, g, node_budget=budget)
         with pytest.raises(ValueError, match="positive"):
-            find_ham_path(EdgeConstrainedSearch(host=g, endpoints=(0, 1)),
-                          budget)
+            path_with(g, g, 0, 1, node_budget=budget)
 
 
 def test_disconnected_host_has_no_witness():
@@ -179,27 +180,29 @@ def _distinct_choice(cands, demands):
     return False
 
 
-def _valid_order(spec, cyclic, order):
+def _valid_order(spec, order):
+    host, g, incidences, required, ends = spec
     n = len(order)
-    es = [edge(order[i], order[(i + 1) % n]) for i in range(n if cyclic else n - 1)]
-    if not all(e in spec.host.edges for e in es):
+    top = n if ends is None else n - 1
+    es = [edge(order[i], order[(i + 1) % n]) for i in range(top)]
+    if not all(e in host.edges for e in es):
         return False
-    if not spec.required_edges <= set(es):
+    if not required <= set(es):
         return False
-    orig = spec.orig().edges
-    cands = {v: [e for e in es if e in orig and v in e]
-             for v, _ in spec.required_incidences}
-    return _distinct_choice(cands, list(spec.required_incidences))
+    cands = {v: [e for e in es if e in g.edges and v in e]
+             for v, _ in incidences}
+    return _distinct_choice(cands, list(incidences))
 
 
-def _least_valid_order(spec, cyclic, start):
+def _least_valid_order(spec, start):
     """Brute force: the lexicographically least valid order from start."""
-    rest = sorted(v for v in spec.host.vertices if v != start)
-    if not cyclic:
-        rest.remove(spec.endpoints[1])
+    host, ends = spec[0], spec[4]
+    rest = sorted(v for v in host.vertices if v != start)
+    if ends is not None:
+        rest.remove(ends[1])
     for mid in itertools.permutations(rest):
-        order = (start, *mid) if cyclic else (start, *mid, spec.endpoints[1])
-        if _valid_order(spec, cyclic, order):
+        order = (start, *mid) if ends is None else (start, *mid, ends[1])
+        if _valid_order(spec, order):
             return order
     return None
 
@@ -211,35 +214,73 @@ def _random_connected(rng, n):
     return Graph.from_edges(es)
 
 
+def _random_spec(rng, max_n):
+    """A random search (host, original, incidences, required edges, ends) on
+    3 to max_n vertices; ends is None for a cycle, else a path's (x, y)."""
+    n = rng.randint(3, max_n)
+    g = _random_connected(rng, n)
+    host = g.square() if rng.random() < 0.8 else g
+    vs = host.sorted_vertices()
+    incidences = tuple((v, rng.randint(1, 2))
+                       for v in rng.sample(vs, rng.randint(0, 3)))
+    required = frozenset(rng.sample(sorted(host.edges), rng.randint(0, 2))
+                         if rng.random() < 0.4 else ())
+    ends = None if rng.random() < 0.5 else tuple(rng.sample(vs, 2))
+    return host, g, incidences, required, ends
+
+
+def _search(spec, node_budget=None):
+    host, g, incidences, required, ends = spec
+    if ends is None:
+        return cycle_with(host, g, incidences, required, node_budget)
+    return path_with(host, g, *ends, incidences, required, node_budget)
+
+
 def test_witnesses_are_the_least_valid_orders():
     rng = random.Random(11)
     found = absent = 0
     for _ in range(1500):
-        n = rng.randint(3, 7)
-        g = _random_connected(rng, n)
-        host = g.square() if rng.random() < 0.8 else g
-        vs = host.sorted_vertices()
-        incidences = tuple((v, rng.randint(1, 2))
-                           for v in rng.sample(vs, rng.randint(0, 3)))
-        required = frozenset(rng.sample(sorted(host.edges), rng.randint(0, 2))
-                             if rng.random() < 0.4 else ())
-        cyclic = rng.random() < 0.5
-        spec = EdgeConstrainedSearch(
-            host=host, original=g, required_edges=required,
-            required_incidences=incidences,
-            endpoints=None if cyclic else tuple(rng.sample(vs, 2)))
-        w = find_ham_cycle(spec) if cyclic else find_ham_path(spec)
+        spec = _random_spec(rng, 7)
+        host, _, incidences, _, ends = spec
+        w = _search(spec)
         if w is None:
-            # a cycle through any vertex passes through vs[0] as well
-            start = vs[0] if cyclic else spec.endpoints[0]
-            assert _least_valid_order(spec, cyclic, start) is None, spec
+            # a cycle through any vertex passes through its least as well
+            start = min(host.vertices) if ends is None else ends[0]
+            assert _least_valid_order(spec, start) is None, spec
             absent += 1
         else:
-            assert w.order == _least_valid_order(spec, cyclic, w.order[0]), spec
+            assert w.order == _least_valid_order(spec, w.order[0]), spec
             used = [e for v, _ in incidences for e in w.assignment[v]]
             assert len(used) == len(set(used)) == sum(c for _, c in incidences)
             found += 1
     assert min(found, absent) >= 300, (found, absent)
+
+
+# Each of 2,000 random searches of _random_spec on up to 8 vertices, with a
+# node budget of None or 1-50, folded in as its order and assignment, None,
+# or the name of the exception it raised. The brute force above stops at 7
+# vertices and runs without budgets; this pins every answer of the search.
+ORACLE_WITNESSES_SHA256 = (
+    "f88fcc2b44c745969195f87bca647c4d4944a831f832e2135a009d43ddb425f9")
+
+
+def test_oracle_witnesses_pinned():
+    rng = random.Random(15)
+    h = hashlib.sha256()
+    outcomes = {}
+    for _ in range(2000):
+        spec = _random_spec(rng, 8)
+        budget = None if rng.random() < 0.5 else rng.randint(1, 50)
+        try:
+            w = _search(spec, budget)
+            out = None if w is None else (w.order, sorted(w.assignment.items()))
+        except BudgetExceeded as e:
+            out = type(e).__name__
+        kind = out if out is None or isinstance(out, str) else "found"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+        h.update(repr(out).encode() + b"\n")
+    assert min(outcomes.values()) >= 100 and len(outcomes) == 3, outcomes
+    assert h.hexdigest() == ORACLE_WITNESSES_SHA256
 
 
 def test_demand_bound_cuts_the_grid_search():
