@@ -5,11 +5,13 @@ cutvertices, and check every witness.
 Each row builds one witness in this process and validates it in the square
 without building the square (`is_ham_cycle`/`is_ham_path` with
 `square=True`). The rows are a star K1,2999, windmills of 1000 and 2000
-triangles (k triangles sharing vertex 0) and a chain of 2560 triangles
-(each sharing one vertex with the next). A row prints its CPU seconds
+triangles (k triangles sharing vertex 0), a chain of 2560 triangles
+(each sharing one vertex with the next) and a lone cycle block C2000,
+whose witnesses come from the oracle. A row prints its CPU seconds
 (`time.process_time`). The script exits 1 when a row raises, returns an
 invalid witness, or takes more than LIMIT_S of CPU; a constructor that is
-quadratic at a cutvertex of degree a few thousand takes several seconds.
+quadratic at a cutvertex of degree a few thousand, or an oracle that does
+O(n) work per node, takes several seconds.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
@@ -19,7 +21,7 @@ import time
 sys.path.insert(0, "src")
 
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
-from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
+from hamsquare.graph import Graph, cycle_graph, is_ham_cycle, is_ham_path
 
 LIMIT_S = 2.0
 
@@ -52,6 +54,9 @@ def rows():
     yield "triangle chain k=2560 cycle", chain, None
     yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
     yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
+    c = cycle_graph(2000)
+    yield "cycle block C2000 cycle", c, None
+    yield "cycle block C2000 path 0-1000", c, (0, 1000)
 
 
 def main() -> int:

@@ -66,10 +66,10 @@ class Graph:
         return g
 
     def _index(self) -> None:
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
+        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         object.__setattr__(self, "_adj",
                            {v: frozenset(nv) for v, nv in nbrs.items()})
 

@@ -19,6 +19,15 @@ which order is found, and a None result is a certificate of absence. The
 connectivity prune at the root walks every vertex from the start, so a
 disconnected host is turned down there, with no separate search.
 
+The search keeps its unlaid set and each vertex's count of unlaid
+neighbours as it lays and pops vertices. The root checks every vertex;
+a later node rechecks only what laying one vertex changed, the degrees
+at the neighbours of the vertex laid before it and the connectivity
+around that vertex, and walks the whole unlaid region only when its
+neighbours there are not joined among themselves. The leaf tests the
+required edges by position and matches only the edges at demanded
+vertices, so a search that never backtracks costs O(n + m) in all.
+
 cycle_with and path_with are the only entry points. An optional node
 budget, a positive count, turns a long search into an explicit
 BudgetExceeded instead of a silent answer. Every search, on a host of any
@@ -32,7 +41,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .graph import Graph, cycle_edges, edge, path_edges
+from .graph import Graph, edge
 from .decomposition import decompose
 
 
@@ -145,6 +154,13 @@ class _Search:
             self.start, self.target = self.ends
         start = self.start
 
+        # the vertices not yet laid, and each vertex's count of neighbours
+        # among them
+        self.adj = g._adj
+        self.unlaid = set(g.vertices)
+        self.unlaid.remove(start)
+        self.free = {v: len(nv) - (start in nv) for v, nv in self.adj.items()}
+
         # _dfs recurses once per vertex laid
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old, n * 8 + 200))
@@ -191,13 +207,13 @@ class _Search:
         return has + (not nbrs.isdisjoint(unlaid) or (v != tip and tip in nbrs))
 
     def _prune(self, order, pos) -> bool:
-        g = self.g
-        tip = order[-1]
-        unlaid = g.vertices.difference(pos)
-        ends = {order[0], tip} if self.cyclic else {tip}
+        adj = self.adj
+        unlaid = self.unlaid
+        start, tip = order[0], order[-1]
+        ends = {start, tip} if self.cyclic else {tip}
+        below_root = len(order) > 1
         # a cycle closes at the start from the last vertex laid, still unlaid
-        if (self.cyclic and len(order) > 1 and unlaid
-                and g.neighbors(order[0]).isdisjoint(unlaid)):
+        if self.cyclic and below_root and unlaid and not self.free[start]:
             return True
         # unused required edges must stay addable
         for a, b in self.required:
@@ -209,63 +225,86 @@ class _Search:
         for v, c in self.demands:
             if self._orig_edges_reachable(v, order, pos, unlaid, ends) < c:
                 return True
-        # every unvisited vertex needs enough open neighbors
-        for v in unlaid:
-            nbrs = g.neighbors(v)
-            need = 1 if not self.cyclic and v == self.target else 2
-            if len(nbrs & unlaid) + len(nbrs & ends) < need:
+        # every unlaid vertex needs enough open neighbours. Below the root
+        # the parent passed this prune, and laying tip lowered the count
+        # only at the unlaid neighbours of prev, and only if prev stopped
+        # being an end
+        if below_root:
+            prev = order[-2]
+            around = adj[prev] & unlaid
+            check = () if prev in ends else around
+        else:
+            check = unlaid
+        free, target = self.free, self.target
+        for v in check:
+            if free[v] + len(adj[v] & ends) < (1 if v == target else 2):
                 return True
-        # connectivity of the unexplored region plus the tip
-        rest = unlaid | {tip}
+        # the unlaid region plus tip must be connected. Below the root it
+        # is the parent's connected region less prev, so it stays connected
+        # when prev's neighbours in it, tip and around, are joined among
+        # themselves: tip is adjacent to all of around, or walks to them
+        if below_root and (adj[tip].issuperset(around)
+                           or self._reach(tip, around) > len(around)):
+            return False
+        return self._reach(tip, unlaid) <= len(unlaid)
+
+    def _reach(self, tip, within) -> int:
+        """How many vertices tip reaches through vertices of within, tip
+        included."""
+        adj = self.adj
         seen = {tip}
         stack = [tip]
         while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in rest and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen != rest
+            new = adj[stack.pop()] & within
+            new -= seen
+            seen |= new
+            stack.extend(new)
+        return len(seen)
 
-    def _finish(self, order) -> Witness | None:
-        order = tuple(order)
-        wedges = cycle_edges(order) if self.cyclic else path_edges(order)
-        if not self.required.issubset(wedges):
+    def _finish(self, order, pos) -> Witness | None:
+        n = len(order)
+        span = (1, n - 1) if self.cyclic else (1,)
+        if any(abs(pos[a] - pos[b]) not in span for a, b in self.required):
             return None
         assignment = {}
         if self.demands:
+            # the matching reads only the witness edges at demanded vertices
+            wedges = set()
+            for v, _ in self.demands:
+                i = pos[v]
+                if i > 0 or self.cyclic:
+                    wedges.add(edge(order[i - 1], v))
+                if i + 1 < n or self.cyclic:
+                    wedges.add(edge(v, order[(i + 1) % n]))
             assignment = _match_incidences(wedges, self.orig_edges, self.demands)
             if assignment is None:
                 return None
-        return Witness(order, assignment)
+        return Witness(tuple(order), assignment)
 
     def _dfs(self, order, pos) -> Witness | None:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceeded(f"search exceeded {self.budget} nodes")
-        g = self.g
-        n = g.n
+        adj = self.adj
         tip = order[-1]
-        if len(order) == n:
-            if self.cyclic:
-                if self.start in g.neighbors(tip):
-                    return self._finish(order)
-                return None
-            if tip == self.target:
-                return self._finish(order)
+        if len(order) == len(adj):
+            closed = self.start in adj[tip] if self.cyclic else tip == self.target
+            return self._finish(order, pos) if closed else None
+        if tip == self.target or self._prune(order, pos):
             return None
-        if not self.cyclic and tip == self.target:
-            return None
-        if self._prune(order, pos):
-            return None
-        for w in sorted(g.neighbors(tip)):
-            if w in pos:
-                continue
+        unlaid, free = self.unlaid, self.free
+        for w in sorted(adj[tip] & unlaid):
             pos[w] = len(order)
             order.append(w)
+            unlaid.remove(w)
+            for u in adj[w]:
+                free[u] -= 1
             res = self._dfs(order, pos)
             if res is not None:
                 return res
+            for u in adj[w]:
+                free[u] += 1
+            unlaid.add(w)
             order.pop()
             del pos[w]
         return None

@@ -4,8 +4,10 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
+from hamsquare import oracle
 from hamsquare.graph import (
     Graph, edge, path_graph, cycle_graph, complete_graph, complete_bipartite,
     cycle_edges, is_ham_cycle, is_ham_path,
@@ -18,6 +20,7 @@ from hamsquare.oracle import (
     verify_property,
     PROPERTY_KINDS,
 )
+from oracle_reference import ReferenceSearch
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
@@ -315,6 +318,42 @@ def test_is_ham_connected_examples():
     assert not is_ham_connected(path_graph(4).square())
     with pytest.raises(ValueError):
         is_ham_connected(Graph(frozenset({0}), frozenset()))
+
+
+# -- the search against its full-recompute reference -----------------------
+
+def test_search_matches_the_full_recompute_reference(monkeypatch):
+    nodes = []
+
+    class Differential(oracle._Search):
+        """Runs again as ReferenceSearch and requires the same order,
+        assignment and node count."""
+
+        def run(self):
+            ref = ReferenceSearch(self.g, self.orig, self.demands,
+                                  self.required, self.budget, self.ends)
+            w, r = super().run(), ref.run()
+            got = [None if x is None else (x.order, x.assignment)
+                   for x in (w, r)]
+            assert (got[0], self.nodes) == (got[1], ref.nodes), \
+                (self.g.sorted_edges(), self.demands, self.required, self.ends)
+            nodes.append(self.nodes)
+            return w
+
+    monkeypatch.setattr(oracle, "_Search", Differential)
+    # every search verify_property makes on the 2-blocks of order <= 6
+    for h in nx.graph_atlas_g()[1:]:
+        if 3 <= h.number_of_nodes() <= 6 and nx.is_biconnected(h):
+            b = Graph.from_edges(h.edges())
+            for kind in PROPERTY_KINDS:
+                if b.n >= {"H4": 4, "H5": 5, "F4": 4}.get(kind, 3):
+                    verify_property(kind, b)
+    blocks = len(nodes)
+    # random searches, on squares and on plain hosts
+    rng = random.Random(16)
+    for _ in range(3000):
+        _search(_random_spec(rng, 8))
+    assert blocks > 10_000 and len(nodes) == blocks + 3000, (blocks, len(nodes))
 
 
 # -- property checkers -----------------------------------------------------
