@@ -1,5 +1,8 @@
 """Counterexample generators and block substitution."""
 
+import hashlib
+import random
+
 import pytest
 
 from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_bipartite
@@ -17,6 +20,9 @@ from hamsquare.counterexamples import (
     counterexample_for,
     minimal_families,
 )
+
+from hamsquare.corpus import corpus
+from test_labelling import _random_block_tree
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
@@ -154,3 +160,27 @@ def test_minimal_families_instances_fail():
             assert _square_not_hamiltonian(f.instance), f.name
         else:
             assert not is_ham_connected(f.instance.square()), f.name
+
+
+# sha256 over counterexample_for(g, cond) for cond in 4, 5, 6 and "hc" on
+# the corpus and 400 random block trees; a ValueError's message counts as
+# the outcome. 136 requests apply: 50, 31, 10 and 45 in that order.
+COUNTEREXAMPLES_SHA256 = (
+    "07acd81f0b7effb5995f0498266505b22e1116fd4499cecc4cb3b66c4169340a")
+
+
+def test_counterexamples_are_pinned():
+    rng = random.Random(7)
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(400)]
+    digest = hashlib.sha256()
+    applied = {4: 0, 5: 0, 6: 0, "hc": 0}
+    for g in graphs:
+        for cond in applied:
+            try:
+                out = counterexample_for(g, cond).edge_list_text()
+                applied[cond] += 1
+            except ValueError as e:
+                out = f"ValueError: {e}\n"
+            digest.update(f"{g.sorted_edges()} {cond}\n{out}".encode())
+    assert applied == {4: 50, 5: 31, 6: 10, "hc": 45}
+    assert digest.hexdigest() == COUNTEREXAMPLES_SHA256
