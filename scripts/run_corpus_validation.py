@@ -13,8 +13,9 @@ import sys
 import time
 
 sys.path.insert(0, "src")
+sys.path.insert(0, "tests")
 
-from hamsquare.corpus import corpus
+from corpus import corpus
 from hamsquare.labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONIAN
 from hamsquare.hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
 from hamsquare.construct import construct_ham_cycle, construct_ham_path

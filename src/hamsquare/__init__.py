@@ -22,7 +22,7 @@ from .oracle import (
     verify_property,
     BudgetExceeded,
 )
-from .counterexamples import counterexample_for, SubstitutionRecipe, substitute
+from .counterexamples import counterexample_for
 
 __all__ = [
     "Graph",
@@ -44,8 +44,6 @@ __all__ = [
     "verify_property",
     "BudgetExceeded",
     "counterexample_for",
-    "SubstitutionRecipe",
-    "substitute",
 ]
 
 __version__ = "0.1.0"

@@ -34,10 +34,6 @@ class HamConnVerdict:
     risky_cvn: int | None = None
     reason: str | None = None
 
-    @property
-    def is_ham_connected(self) -> bool:
-        return self.outcome == HAM_CONNECTED
-
 
 def decide_hamiltonian_connectedness(
         g: Graph, d: Decomposition | None = None) -> HamConnVerdict:

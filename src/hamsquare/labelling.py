@@ -21,8 +21,9 @@ meets three or more nontrivial bridges (equivalently, when the bridge
 forest is not a union of caterpillars). When the greedy construction gets
 stuck on condition 5 or 6, the verdict is STRUCTURALLY_RISKY: the input
 itself may still have a hamiltonian square, but some graph with the same
-block-cutvertex tree does not, and the verdict carries a recipe hint for
-building one.
+block-cutvertex tree does not. The verdict names the violated condition,
+the case, and the block or cutvertex where the peel got stuck;
+counterexamples.counterexample_for builds the failing graph from those.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class Labelling:
 
     def value(self, i: int, t: int) -> int:
         return self.m.get((i, t), 0)
-
-    def items(self):
-        return sorted(self.m.items())
 
 
 def check_conditions(g: Graph, labelling: Labelling,
@@ -99,12 +97,7 @@ class HamiltonicityVerdict:
     risky_case: str | None = None
     risky_block: int | None = None
     risky_cutvertex: int | None = None
-    recipe: tuple | None = field(default=None, compare=False)
     trace: tuple = field(default=(), compare=False)
-
-    @property
-    def is_hamiltonian(self) -> bool:
-        return self.outcome == HAMILTONIAN
 
 
 def decide_hamiltonicity(g: Graph,
@@ -183,20 +176,15 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         total = sum(m.get((c, t), 0) for t in two_at(c))
         return total >= 2 * dk[c] + bn[c] - 2
 
-    def risky(cond, case, block, cut=None, recipe=None):
+    def risky(cond, case, block, cut=None):
         trace.append((case, block, ()))
         return HamiltonicityVerdict(
             STRUCTURALLY_RISKY,
             violated_condition=cond, risky_case=case, risky_block=block,
-            risky_cutvertex=cut, recipe=recipe, trace=tuple(trace),
+            risky_cutvertex=cut, trace=tuple(trace),
             reason=(f"condition {cond} cannot be met (case {case}); some graph "
                     "with the same block-cutvertex tree has a non-hamiltonian "
                     "square"))
-
-    def cond6_hint(c: int) -> tuple:
-        detail = tuple((t, m.get((c, t), 0), len(cuts_of[t]))
-                       for t in two_at(c))
-        return ("cond6_exchange", c, detail)
 
     while len(labelled) < len(two_idx):
         B = heapq.heappop(ready)
@@ -204,11 +192,11 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         k = len(cuts)
 
         if k >= 5:
-            return risky(5, "a", B, recipe=("complete_bipartite_2k", B, k))
+            return risky(5, "a", B)
         if k >= 3 and any(bn[c] == 2 for c in cuts):
-            return risky(5, "b", B, recipe=("cycle", B, k))
+            return risky(5, "b", B)
         if k == 2 and bn[cuts[0]] == 2 and bn[cuts[1]] == 2:
-            return risky(5, "c", B, recipe=("k23_marked", B, tuple(cuts)))
+            return risky(5, "c", B)
 
         if k == 1:
             c1 = cuts[0]
@@ -216,7 +204,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
             label(B)
             trace.append(("d", B, ((c1, 2),)))
             if complete(c1) and not cond6_ok(c1):
-                return risky(6, "d", B, c1, cond6_hint(c1))
+                return risky(6, "d", B, c1)
         elif k == 2:
             c1, c2 = cuts
             if bn[c2] == 2 or bn[c1] == 2:
@@ -239,7 +227,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
             trace.append(("e", B, tuple(sorted((c, m[(c, B)]) for c in cuts))))
             for c in cuts:
                 if complete(c) and not cond6_ok(c):
-                    return risky(6, "e", B, c, cond6_hint(c))
+                    return risky(6, "e", B, c)
         else:  # k in {3, 4}, every bn <= 1
             for c in cuts:
                 m[(c, B)] = 1
@@ -247,7 +235,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
             trace.append(("f", B, tuple((c, 1) for c in cuts)))
             for c in cuts:
                 if complete(c) and not cond6_ok(c):
-                    return risky(6, "f", B, c, cond6_hint(c))
+                    return risky(6, "f", B, c)
 
     labelling = Labelling(dict(m))
     return HamiltonicityVerdict(HAMILTONIAN, labelling=labelling,

@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import networkx as nx
 
-from .graph import (Graph, path_graph, cycle_graph, complete_graph,
-                    complete_bipartite)
-from .decomposition import decompose
+from hamsquare.graph import (Graph, path_graph, cycle_graph, complete_graph,
+                            complete_bipartite)
+from hamsquare.decomposition import decompose
 
 MAX_VERTICES = 8
 MAX_CUTVERTICES = 3

@@ -21,7 +21,7 @@ from hamsquare.caterpillars import caterpillar_cycle
 from hamsquare.oracle import (
     cycle_with, is_ham_connected, verify_property,
 )
-from hamsquare.corpus import corpus, block_chains, inner_blocks
+from corpus import corpus, block_chains, inner_blocks
 from hamsquare.counterexamples import minimal_families
 from caterpillar_reference import adjacency, is_caterpillar, longest_spine
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,31 @@ def test_stdin_dash_via_subprocess():
     data = json.loads(proc.stdout)
     jsonschema.validate(data, SCHEMA)
     assert data["result"]["outcome"] == "HAMILTONIAN"
+
+
+_WITHOUT_NETWORKX = """
+import importlib, pkgutil, sys
+sys.modules["networkx"] = None  # any import of networkx now fails
+import hamsquare
+for mod in pkgutil.iter_modules(hamsquare.__path__):
+    importlib.import_module("hamsquare." + mod.name)
+from hamsquare.cli import main
+bowtie, risky = sys.argv[1:]
+print([main(["check-ham", bowtie]),
+       main(["construct-path", bowtie, "--pair", "1", "4"]),
+       main(["counterexample", risky, "--condition", "hc"])])
+"""
+
+
+def test_runtime_needs_no_networkx(gfile):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX, gfile(BOWTIE_TXT),
+         gfile(RISKY_TXT, "risky.txt")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 def test_run_returns_report(gfile):

@@ -4,7 +4,7 @@ import networkx as nx
 
 from hamsquare.graph import Graph, path_graph, cycle_graph, complete_graph
 from hamsquare.decomposition import decompose
-from hamsquare.corpus import (
+from corpus import (
     MAX_VERTICES,
     MAX_CUTVERTICES,
     all_trees,

@@ -5,23 +5,19 @@ import random
 
 import pytest
 
-from hamsquare.graph import Graph, edge, path_graph, cycle_graph, complete_bipartite
+from hamsquare.graph import Graph, path_graph, complete_bipartite
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
 from hamsquare.labelling import decide_hamiltonicity
 from hamsquare.hamconn import decide_hamiltonian_connectedness
 from hamsquare.oracle import cycle_with, is_ham_connected
 from hamsquare.counterexamples import (
-    SubstitutionRecipe,
-    substitute,
-    substitute_many,
-    recipes_from_verdict,
+    _exchange,
     gen_bn3,
     gen_hc_counterexample,
     counterexample_for,
     minimal_families,
 )
-
-from hamsquare.corpus import corpus
+from corpus import corpus
 from test_labelling import _random_block_tree
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -33,74 +29,60 @@ def _square_not_hamiltonian(g):
 
 def test_substitute_keeps_bc_tree():
     d = decompose(BOWTIE)
-    t0 = min(b.index for b in d.two_blocks())
-    out = substitute(BOWTIE, SubstitutionRecipe(t0, "cycle", size=4))
-    assert out.n == BOWTIE.n + 1
+    t0, t1 = sorted(b.index for b in d.two_blocks())
+    # only the cutvertex 0 stays: a cycle pads it with two fresh vertices,
+    # K_{2,k} adds two hubs and pads its side the same way
+    out = _exchange(BOWTIE, d, {t0: False, t1: True})
+    assert out.sorted_edges() == [(0, 5), (0, 6), (0, 7), (0, 8), (5, 6),
+                                  (7, 9), (7, 10), (8, 9), (8, 10)]
     assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(d))
 
 
 def test_substitute_validation():
-    d = decompose(BOWTIE)
-    t0 = min(b.index for b in d.two_blocks())
-    with pytest.raises(ValueError, match="no block"):
-        substitute(BOWTIE, SubstitutionRecipe(99, "cycle", size=3))
-    with pytest.raises(ValueError, match="unknown replacement kind"):
-        substitute(BOWTIE, SubstitutionRecipe(t0, "moebius", size=3))
-    with pytest.raises(ValueError):
-        substitute(BOWTIE, SubstitutionRecipe(t0, "cycle", size=2))
-    bridge_idx = next(b.index for b in decompose(path_graph(3)).blocks)
-    with pytest.raises(ValueError, match="bridge"):
-        substitute(path_graph(3), SubstitutionRecipe(bridge_idx, "cycle", size=3))
-    with pytest.raises(ValueError, match="one block named by two"):
-        substitute_many(BOWTIE, [SubstitutionRecipe(t0, "cycle", size=3),
-                                 SubstitutionRecipe(t0, "cycle", size=4)])
+    # only what the procedures flag is exchanged: a tree has no 2-block,
+    # a bridge is never a risky block, and an unflagged condition is refused
+    for g in (path_graph(3), Graph.from_edges([(0, 1), (1, 2), (1, 3)])):
+        for cond in (5, 6, "hc"):
+            with pytest.raises(ValueError, match="does not flag"):
+                counterexample_for(g, cond)
+    # flagged with condition 5, see test_counterexample_for_condition_5
+    heavy_end = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
+                                  (0, 5), (5, 6), (1, 7), (2, 8)])
+    with pytest.raises(ValueError, match="does not flag condition 6"):
+        counterexample_for(heavy_end, 6)
+    with pytest.raises(ValueError, match="does not flag"):
+        counterexample_for(BOWTIE, 5)
 
 
 def test_bipartite_replacement_marks_every_cutvertex():
     es = list(complete_bipartite(2, 5).edges) + [(v, v + 10) for v in range(2, 7)]
     g = Graph.from_edges(es)
     verdict = decide_hamiltonicity(g)
-    recipes = recipes_from_verdict(verdict)
-    assert len(recipes) == 1 and recipes[0].kind == "complete_bipartite_2k"
-    out = substitute_many(g, recipes)
+    assert (verdict.violated_condition, verdict.risky_case) == (5, "a")
+    out = counterexample_for(g, 5)
+    # the two fresh hubs 17 and 18 each meet all five cutvertices
+    assert {v for v in out.vertices if out.degree(v) == 5} == {17, 18}
+    assert all(out.has_edge(h, c) for h in (17, 18) for c in range(2, 7))
     assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
     assert _square_not_hamiltonian(out)
 
 
-def test_recipes_require_a_hint():
-    with pytest.raises(ValueError, match="no substitution hint"):
-        recipes_from_verdict(decide_hamiltonicity(BOWTIE))
-
-
 def test_gen_bn3_default_is_negative():
     g = gen_bn3()
+    assert g.edge_list_text().split("\n")[:-1] == [
+        "0 1", "0 2", "0 4", "0 6", "2 3", "4 5", "6 7"]
+    assert decompose(g).bn[0] == 3
     assert decide_hamiltonicity(g).outcome == "NOT_HAMILTONIAN"
     assert _square_not_hamiltonian(g)
-
-
-def test_gen_bn3_with_triangle_plugs():
-    tri = cycle_graph(3)
-    g = gen_bn3(tri, tri, tri, tri)
-    d = decompose(g)
-    assert d.bn[0] == 3
-    assert decide_hamiltonicity(g).outcome == "NOT_HAMILTONIAN"
-
-
-def test_gen_bn3_rejects_edgeless_plugs():
-    with pytest.raises(ValueError):
-        gen_bn3(None, Graph(frozenset({0}), frozenset()), None, None)
-    with pytest.raises(ValueError, match="attach point"):
-        gen_bn3(attach=(99, None, None, None))
 
 
 def test_gen_hc_counterexample():
     g = gen_hc_counterexample(3)
     assert decide_hamiltonian_connectedness(g).outcome == "STRUCTURALLY_RISKY"
     assert not is_ham_connected(g.square())
+    assert g.sorted_edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5)]
     with pytest.raises(ValueError):
         gen_hc_counterexample(2)
-    with pytest.raises(ValueError):
-        gen_hc_counterexample(3, plugs=[None, None])
 
 
 def test_counterexample_for_condition_4():

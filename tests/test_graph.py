@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamsquare import graph
-from hamsquare.corpus import corpus
+from corpus import corpus
 from hamsquare.graph import (
     Graph,
     GraphParseError,

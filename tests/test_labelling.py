@@ -6,7 +6,8 @@ import random
 import pytest
 
 from hamsquare.graph import Graph, path_graph, cycle_graph, complete_bipartite
-from hamsquare.decomposition import decompose
+from hamsquare.counterexamples import counterexample_for
+from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
 from hamsquare.oracle import cycle_with
 from hamsquare.labelling import (
     HAMILTONIAN,
@@ -92,11 +93,11 @@ def test_check_conditions_grid_is_cutvertices_by_two_blocks():
     assert check_conditions(g, Labelling({**lab, (2, c): 0}), dg) == [2, 6]
 
 
-def test_labelling_value_and_items():
+def test_labelling_value():
     lab = Labelling({(0, 1): 2, (3, 0): 1})
     assert lab.value(0, 1) == 2
+    assert lab.value(3, 0) == 1
     assert lab.value(9, 9) == 0
-    assert lab.items() == [((0, 1), 2), ((3, 0), 1)]
 
 
 # -- trivial and negative outcomes -----------------------------------------
@@ -178,33 +179,54 @@ def _risky(g):
     return v
 
 
+def _risky_block_vertices(g, v):
+    return sorted(decompose(g).blocks[v.risky_block].vertices)
+
+
+def _certify_counterexample(g, v):
+    """The graph built from the verdict keeps g's block-cutvertex tree and
+    its square has no hamiltonian cycle."""
+    out = counterexample_for(g, v.violated_condition)
+    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
+    assert cycle_with(out.square(), out) is None
+
+
 def test_five_cutvertices_in_one_block_case_a():
     es = list(complete_bipartite(2, 5).edges)
     es += [(v, v + 10) for v in range(2, 7)]
-    v = _risky(Graph.from_edges(es))
+    g = Graph.from_edges(es)
+    v = _risky(g)
     assert v.violated_condition == 5
     assert v.risky_case == "a"
-    assert v.recipe[0] == "complete_bipartite_2k" and v.recipe[2] == 5
+    assert _risky_block_vertices(g, v) == list(range(7))
+    assert v.risky_cutvertex is None
+    _certify_counterexample(g, v)
 
 
 def test_three_cutvertices_one_heavy_case_b():
     es = [(0, 1), (1, 2), (0, 2),           # triangle, all three cutvertices
           (0, 3), (3, 4), (0, 5), (5, 6),   # two heavy bridges at 0
           (1, 7), (2, 8)]                   # pendants make 1, 2 cutvertices
-    v = _risky(Graph.from_edges(es))
+    g = Graph.from_edges(es)
+    v = _risky(g)
     assert v.violated_condition == 5
     assert v.risky_case == "b"
-    assert v.recipe[0] == "cycle" and v.recipe[2] == 3
+    assert _risky_block_vertices(g, v) == [0, 1, 2]
+    assert v.risky_cutvertex is None
+    _certify_counterexample(g, v)
 
 
 def test_two_heavy_cutvertices_case_c():
     es = [(0, 1), (1, 2), (2, 3), (3, 0),
           (0, 4), (4, 5), (0, 6), (6, 7),
           (2, 8), (8, 9), (2, 10), (10, 11)]
-    v = _risky(Graph.from_edges(es))
+    g = Graph.from_edges(es)
+    v = _risky(g)
     assert v.violated_condition == 5
     assert v.risky_case == "c"
-    assert v.recipe[0] == "k23_marked" and tuple(sorted(v.recipe[2])) == (0, 2)
+    assert _risky_block_vertices(g, v) == [0, 1, 2, 3]
+    assert v.risky_cutvertex is None
+    _certify_counterexample(g, v)
 
 
 def test_column_sum_deficit_case_f():
@@ -212,14 +234,16 @@ def test_column_sum_deficit_case_f():
     # plus one heavy bridge: 1 + 1 < 2 * 2 + 1 - 2
     es = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
           (1, 5), (2, 6), (3, 7), (4, 8), (0, 9), (9, 10)]
-    v = _risky(Graph.from_edges(es))
+    g = Graph.from_edges(es)
+    v = _risky(g)
     assert v.violated_condition == 6
     assert v.risky_case == "f"
     assert v.risky_cutvertex == 0
-    kind, c, detail = v.recipe
-    assert kind == "cond6_exchange" and c == 0
-    assert sorted(mv for (_, mv, _) in detail) == [1, 1]
-    assert sorted(nc for (*_, nc) in detail) == [3, 3]
+    # the second triangle is labelled last; both carry 1 at vertex 0, and
+    # the risky entry closes the trace
+    assert _risky_block_vertices(g, v) == [0, 3, 4]
+    assert [dict(entry[2]).get(0) for entry in v.trace[:-1]] == [1, 1]
+    _certify_counterexample(g, v)
 
 
 def test_risky_verdicts_carry_a_trace_and_reason():
@@ -256,16 +280,11 @@ def _reference_peel(g, d):
         total = sum(m.get((c, t), 0) for t in blocks_at[c])
         return total >= 2 * d.k[c] + d.bn[c] - 2
 
-    def risky(cond, case, block, cut=None, recipe=None):
+    def risky(cond, case, block, cut=None):
         trace.append((case, block, ()))
         return HamiltonicityVerdict(
             STRUCTURALLY_RISKY, violated_condition=cond, risky_case=case,
-            risky_block=block, risky_cutvertex=cut, recipe=recipe,
-            trace=tuple(trace))
-
-    def cond6_hint(c):
-        return ("cond6_exchange", c, tuple(
-            (t, m.get((c, t), 0), len(cuts_of[t])) for t in blocks_at[c]))
+            risky_block=block, risky_cutvertex=cut, trace=tuple(trace))
 
     while len(labelled) < len(two_idx):
         B = min(t for t in two_idx if t not in labelled
@@ -273,11 +292,11 @@ def _reference_peel(g, d):
         cuts = cuts_of[B]
         k = len(cuts)
         if k >= 5:
-            return risky(5, "a", B, recipe=("complete_bipartite_2k", B, k))
+            return risky(5, "a", B)
         if k >= 3 and any(d.bn[c] == 2 for c in cuts):
-            return risky(5, "b", B, recipe=("cycle", B, k))
+            return risky(5, "b", B)
         if k == 2 and d.bn[cuts[0]] == 2 and d.bn[cuts[1]] == 2:
-            return risky(5, "c", B, recipe=("k23_marked", B, tuple(cuts)))
+            return risky(5, "c", B)
         if k == 1:
             m[(cuts[0], B)] = 2
             case = "d"
@@ -306,7 +325,7 @@ def _reference_peel(g, d):
         trace.append((case, B, tuple(sorted((c, m[(c, B)]) for c in cuts))))
         for c in cuts:
             if complete(c) and not cond6_ok(c):
-                return risky(6, case, B, c, cond6_hint(c))
+                return risky(6, case, B, c)
     return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling(dict(m)),
                                 trace=tuple(trace))
 
@@ -346,9 +365,9 @@ def test_heap_peel_matches_the_quadratic_scan():
         got, want = _peel(g, d), _reference_peel(g, d)
         assert (got.outcome, got.labelling, got.violated_condition,
                 got.risky_case, got.risky_block, got.risky_cutvertex,
-                got.recipe, got.trace) == \
+                got.trace) == \
             (want.outcome, want.labelling, want.violated_condition,
              want.risky_case, want.risky_block, want.risky_cutvertex,
-             want.recipe, want.trace), g.sorted_edges()
+             want.trace), g.sorted_edges()
         outcomes[got.outcome] += 1
     assert min(outcomes.values()) >= 40, outcomes
