@@ -199,7 +199,7 @@ def _cmd_decompose(g, d, args):
 
 def _cmd_check_ham(g, d, args):
     try:
-        v = decide_hamiltonicity(g, d)
+        v = decide_hamiltonicity(g)
     except ValueError as e:
         raise _InputError(str(e))
     lines = [f"verdict: {v.outcome}"]
@@ -229,7 +229,7 @@ def _cmd_check_ham(g, d, args):
 
 def _cmd_check_hc(g, d, args):
     try:
-        v = decide_hamiltonian_connectedness(g, d)
+        v = decide_hamiltonian_connectedness(g)
     except ValueError as e:
         raise _InputError(str(e))
     lines = [f"verdict: {v.outcome}"]
@@ -250,7 +250,7 @@ def _cmd_check_hc(g, d, args):
 
 def _cmd_construct_cycle(g, d, args):
     try:
-        v = decide_hamiltonicity(g, d)
+        v = decide_hamiltonicity(g)
     except ValueError as e:
         raise _InputError(str(e))
     if v.outcome != HAMILTONIAN:
@@ -258,7 +258,7 @@ def _cmd_construct_cycle(g, d, args):
         if v.violated_condition is not None:
             result["violated_condition"] = v.violated_condition
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_cycle(g, v.labelling, d)
+    order = construct_ham_cycle(g, v.labelling)
     lines = ["cycle: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=cycle_edges(order)))
@@ -268,13 +268,13 @@ def _cmd_construct_cycle(g, d, args):
 def _cmd_construct_path(g, d, args):
     x, y = _check_pair(g, args.pair)
     try:
-        v = decide_hamiltonian_connectedness(g, d)
+        v = decide_hamiltonian_connectedness(g)
     except ValueError as e:
         raise _InputError(str(e))
     if v.outcome != HAM_CONNECTED:
         result = {"outcome": v.outcome, "reason": v.reason or ""}
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_path(g, x, y, d)
+    order = construct_ham_path(g, x, y)
     lines = [f"path {x} to {y}: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=path_edges(order)))
@@ -285,7 +285,7 @@ def _cmd_construct_path(g, d, args):
 def _cmd_counterexample(g, d, args):
     cond = args.condition if args.condition == "hc" else int(args.condition)
     try:
-        out = counterexample_for(g, cond, d)
+        out = counterexample_for(g, cond)
     except ValueError as e:
         raise _InputError(str(e))
     c1 = canonical_text(bc_tree(d).canonical())
@@ -334,8 +334,8 @@ _HANDLERS = {
 
 
 def _execute(args) -> RunReport:
-    """Run one command; the graph is decomposed once, for the handler and
-    the report's summary alike, and that one traversal proves it connected."""
+    """Run one command; the graph is decomposed once, for the summary and,
+    through decompose's memo, the handler; that traversal proves it connected."""
     g = _load(args.file)
     t0 = time.perf_counter()
     try:

@@ -72,7 +72,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
-from .decomposition import Decomposition, decomposition_of
+from .decomposition import Decomposition, decompose
 from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
@@ -327,26 +327,24 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     return cs.walk(first, last)
 
 
-def construct_ham_cycle(g: Graph, labelling: Labelling | None = None,
-                        d: Decomposition | None = None) -> list:
+def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
     """A hamiltonian cycle of square(g), built from the labelling's blueprint.
 
     With labelling None the decision procedure is run first and must come
     back positive. A supplied labelling must satisfy all six conditions.
-    d is g's decomposition, if the caller has it; otherwise g is
-    decomposed here, and that traversal is the connectivity check.
+    decompose's traversal of g is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("a hamiltonian cycle needs at least 3 vertices")
-    d = decomposition_of(g, d)
+    d = decompose(g)
     if labelling is None:
-        verdict = decide_hamiltonicity(g, d)
+        verdict = decide_hamiltonicity(g)
         if verdict.outcome != HAMILTONIAN:
             raise ValueError(
                 f"decision procedure returned {verdict.outcome}; no labelling "
                 "to build from")
         labelling = verdict.labelling
-    bad = check_conditions(g, labelling, d)
+    bad = check_conditions(g, labelling)
     if bad:
         raise ValueError(f"labelling violates conditions {bad}")
 
@@ -564,21 +562,19 @@ def _fill(d: Decomposition, cs: CycleSet, todo: list,
         _lay(d, cs, todo, search, *todo.pop())
 
 
-def construct_ham_path(g: Graph, x: int, y: int,
-                       d: Decomposition | None = None) -> list:
+def construct_ham_path(g: Graph, x: int, y: int) -> list:
     """A hamiltonian x-y path of square(g).
 
     Requires the connectedness decision to pass: no nontrivial bridge and
-    at most two cutvertices per block. d is g's decomposition, if the
-    caller has it; otherwise g is decomposed here, and that traversal is
-    the connectivity check.
+    at most two cutvertices per block. decompose's traversal of g is the
+    connectivity check.
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
         raise ValueError("endpoints must be vertices of the graph")
-    d = decomposition_of(g, d)
-    verdict = decide_hamiltonian_connectedness(g, d)
+    d = decompose(g)
+    verdict = decide_hamiltonian_connectedness(g)
     if verdict.outcome != HAM_CONNECTED:
         raise ValueError(
             f"square not guaranteed hamiltonian connected: {verdict.outcome}")

@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, edge
-from .decomposition import (
-    Decomposition, decompose, decomposition_of, bc_tree, bc_isomorphic,
-)
+from .decomposition import Decomposition, decompose, bc_tree, bc_isomorphic
 from .labelling import decide_hamiltonicity, STRUCTURALLY_RISKY
 from .hamconn import decide_hamiltonian_connectedness
 
@@ -84,11 +82,8 @@ def gen_hc_counterexample(r: int) -> Graph:
                             + [(j, r + j) for j in range(r)])
 
 
-def counterexample_for(g: Graph, condition,
-                       d: Decomposition | None = None) -> Graph:
+def counterexample_for(g: Graph, condition) -> Graph:
     """A graph bc-isomorphic to g realizing the requested failure.
-
-    d is g's decomposition, if the caller has it.
 
     condition 4: g must already have a vertex with three or more nontrivial
     bridges; any graph with that block-cutvertex tree fails, so a relabelled
@@ -98,7 +93,7 @@ def counterexample_for(g: Graph, condition,
     """
     if condition not in (4, 5, 6, "hc"):
         raise ValueError(f"condition must be 4, 5, 6 or 'hc', not {condition!r}")
-    d = decomposition_of(g, d)
+    d = decompose(g)
     if condition == 4:
         if max(d.bn.values(), default=0) < 3 and d.bridge_forest.all_caterpillars:
             raise ValueError(
@@ -106,13 +101,13 @@ def counterexample_for(g: Graph, condition,
         mapping = {v: j for j, v in enumerate(g.sorted_vertices())}
         return g.relabelled(mapping)
     if condition == "hc":
-        verdict = decide_hamiltonian_connectedness(g, d)
+        verdict = decide_hamiltonian_connectedness(g)
         if verdict.outcome != STRUCTURALLY_RISKY:
             raise ValueError(
                 "connectedness procedure does not flag this graph "
                 f"(got {verdict.outcome})")
         return _exchange(g, d, {verdict.risky_block: False})
-    verdict = decide_hamiltonicity(g, d)
+    verdict = decide_hamiltonicity(g)
     if (verdict.outcome != STRUCTURALLY_RISKY
             or verdict.violated_condition != condition):
         raise ValueError(

@@ -16,7 +16,9 @@ all four in one loop. The block-cutvertex tree and the bridge forest P0
 left after removing all blocks with more than two vertices are read off
 these; P0 is g itself when there is no 2-block, and otherwise a walk
 over the bridge adjacency, in O(n + m), made once per decomposition and
-kept on it (bridge_forest).
+kept on it (bridge_forest). decompose hands its last decomposition back
+for the same Graph object, so a run of requests on one graph costs one
+traversal, one block index and one bridge forest.
 """
 
 from __future__ import annotations
@@ -106,8 +108,10 @@ class Decomposition:
 
     @functools.cached_property
     def bridge_forest(self) -> CaterpillarAnalysis:
-        """compute_P0 of this decomposition, walked once, on first use."""
-        return compute_P0(self.graph, self)
+        """compute_P0 of this decomposition, walked once, on first use.
+        compute_P0 walks decompose's memo, so one that is not held any
+        more is walked here, without a second traversal."""
+        return compute_P0(self.graph) if _last is self else _walk_P0(self)
 
 
 def _blocks(g: Graph):
@@ -204,6 +208,9 @@ def _tree(g: Graph) -> Decomposition:
                          dict.fromkeys(adj, 0), (), adj)
 
 
+_last: Decomposition | None = None  # what decompose returned last
+
+
 def decompose(g: Graph) -> Decomposition:
     """Blocks, cutvertices and counters of a connected graph.
 
@@ -212,12 +219,19 @@ def decompose(g: Graph) -> Decomposition:
     read off its degrees (_tree). Any other graph takes the lowpoint DFS
     (_blocks), and the bridge classes, the counters, the 2-block indices
     and the bridge adjacency are filled in one loop over its blocks.
-    Raises ValueError when g is empty or not connected.
+    The last one returned is kept and handed back for the same (immutable)
+    Graph object. Raises ValueError, every time and keeping the memo as it
+    was, when g is empty or not connected.
     """
+    global _last
+    last = _last
+    if last is not None and last.graph is g:
+        return last
     if g.n == 0:
         raise ValueError("decompose requires at least one vertex")
     if g.m == g.n - 1 and g.n >= 2:
-        return _tree(g)
+        _last = d = _tree(g)
+        return d
     raw, arts = _blocks(g)
     adj = g._adj
     trivial, nontrivial, two = [], [], []
@@ -241,16 +255,8 @@ def decompose(g: Graph) -> Decomposition:
             bn[v] += 1
     # a lone vertex, on no block, is a component of P0 by itself
     across = dict(across) if raw else {v: [] for v in adj}
-    return Decomposition(g, tuple(raw), frozenset(arts), frozenset(trivial),
-                         frozenset(nontrivial), bn, k, tuple(two), across)
-
-
-def decomposition_of(g: Graph, d: Decomposition | None = None) -> Decomposition:
-    """d, the caller's decomposition of g, or g decomposed when d is None."""
-    if d is None:
-        return decompose(g)
-    if d.graph != g:
-        raise ValueError("the decomposition given is not of this graph")
+    _last = d = Decomposition(g, tuple(raw), frozenset(arts), frozenset(trivial),
+                              frozenset(nontrivial), bn, k, tuple(two), across)
     return d
 
 
@@ -412,15 +418,18 @@ class CaterpillarAnalysis:
         return all(c.is_caterpillar for c in self.components)
 
 
-def compute_P0(g: Graph, d: Decomposition | None = None) -> CaterpillarAnalysis:
+def compute_P0(g: Graph) -> CaterpillarAnalysis:
     """G minus the union of its 2-blocks: a forest whose edges are the bridges.
 
     Its vertices are those on a bridge, and a lone vertex on no block. With
     no 2-block that is g itself, one component; otherwise the components
     are walked over the decomposition's bridge adjacency, by least vertex.
     """
-    d = decomposition_of(g, d)
-    across = d.across
+    return _walk_P0(decompose(g))
+
+
+def _walk_P0(d: Decomposition) -> CaterpillarAnalysis:
+    g, across = d.graph, d.across
     if not d.two_idx:
         return CaterpillarAnalysis((P0Component(
             g.vertices, g.edges,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .decomposition import Decomposition, decomposition_of
+from .decomposition import decompose
 from .labelling import STRUCTURALLY_RISKY
 
 HAM_CONNECTED = "HAM_CONNECTED"
@@ -35,16 +35,14 @@ class HamConnVerdict:
     reason: str | None = None
 
 
-def decide_hamiltonian_connectedness(
-        g: Graph, d: Decomposition | None = None) -> HamConnVerdict:
+def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
     """Verdict for a connected graph on at least 2 vertices.
 
-    d is g's decomposition, if the caller has it; otherwise g is
-    decomposed here, and that traversal is the connectivity check.
+    decompose's traversal of g is the connectivity check.
     """
     if g.n < 2:
         raise ValueError("hamiltonian connectedness needs at least 2 vertices")
-    d = decomposition_of(g, d)
+    d = decompose(g)
 
     if d.nontrivial_bridges:
         b = min(d.nontrivial_bridges)

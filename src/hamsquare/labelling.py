@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .decomposition import Decomposition, decomposition_of
+from .decomposition import Decomposition, decompose
 
 HAMILTONIAN = "HAMILTONIAN"
 NOT_HAMILTONIAN = "NOT_HAMILTONIAN"
@@ -48,10 +48,9 @@ class Labelling:
         return self.m.get((i, t), 0)
 
 
-def check_conditions(g: Graph, labelling: Labelling,
-                     d: Decomposition | None = None) -> list[int]:
+def check_conditions(g: Graph, labelling: Labelling) -> list[int]:
     """Exactly the condition numbers (1..6) the labelling violates on g."""
-    d = decomposition_of(g, d)
+    d = decompose(g)
     violated = set()
     two = {b.index: b for b in d.two_blocks()}
     # per cutvertex, the 2-blocks it holds a value for; values at other
@@ -100,16 +99,14 @@ class HamiltonicityVerdict:
     trace: tuple = field(default=(), compare=False)
 
 
-def decide_hamiltonicity(g: Graph,
-                         d: Decomposition | None = None) -> HamiltonicityVerdict:
+def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
     """Run the peeling labelling construction on a connected graph, n >= 3.
 
-    d is g's decomposition, if the caller has it; otherwise g is
-    decomposed here, and that traversal is the connectivity check.
+    decompose's traversal of g is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
-    d = decomposition_of(g, d)
+    d = decompose(g)
     for comp in d.bridge_forest.components:
         if not comp.is_caterpillar:
             return HamiltonicityVerdict(

@@ -1,27 +1,23 @@
 """Fixtures shared by the test modules."""
 
-import sys
-
 import pytest
 
-from hamsquare.decomposition import decompose
+from hamsquare import decomposition
 
 
 @pytest.fixture
 def decompose_calls(monkeypatch):
-    """The vertex count of every graph decomposed while the test runs.
-
-    Modules import decompose by name, so it is counted in every hamsquare
-    module that holds it.
+    """The vertex count of every graph traversed by decompose while the test
+    runs: its tree walk (_tree) or its lowpoint DFS (_blocks). A call that
+    decompose answers from its memo traverses nothing and is not counted.
     """
     calls = []
+    for name in ("_tree", "_blocks"):
+        traverse = getattr(decomposition, name)
 
-    def counted(g):
-        calls.append(g.n)
-        return decompose(g)
+        def counted(g, traverse=traverse):
+            calls.append(g.n)
+            return traverse(g)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "hamsquare" and \
-                getattr(mod, "decompose", None) is decompose:
-            monkeypatch.setattr(mod, "decompose", counted)
+        monkeypatch.setattr(decomposition, name, counted)
     return calls

@@ -2,16 +2,20 @@
 
 import itertools
 import random
+import weakref
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 from hamsquare import cli, decomposition
-from hamsquare.construct import construct_ham_cycle
+from hamsquare.construct import construct_ham_cycle, construct_ham_path
+from hamsquare.counterexamples import counterexample_for
 from hamsquare.graph import (Graph, edge, path_graph, cycle_graph,
                              complete_graph, complete_bipartite)
-from hamsquare.hamconn import decide_hamiltonian_connectedness
-from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
+from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
+from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
+                                 STRUCTURALLY_RISKY, decide_hamiltonicity)
 from hamsquare.decomposition import (
     decompose,
     _is_caterpillar,
@@ -22,6 +26,7 @@ from hamsquare.decomposition import (
     _canon_cmp,
 )
 from corpus import corpus
+from test_labelling import _random_block_tree as _peel_block_tree
 from caterpillar_reference import is_caterpillar
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -157,11 +162,11 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch):
     hamiltonian = []
     for g in trees:
         d = decompose(g)
-        verdict = decide_hamiltonicity(g, d)
-        decide_hamiltonian_connectedness(g, d)
+        verdict = decide_hamiltonicity(g)
+        decide_hamiltonian_connectedness(g)
         hamiltonian.append(verdict.outcome == HAMILTONIAN)
         if hamiltonian[-1]:
-            construct_ham_cycle(g, None, d)
+            construct_ham_cycle(g)
         assert made == []
         assert not vars(d).keys() & index
         d.cvn  # one read builds the whole index, a record per bridge
@@ -180,7 +185,7 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
     for g in trees:
         d = decompose(g)
         assert d.across is g._adj  # a tree is its own bridge forest
-        assert [(c.vertices, c.edges) for c in compute_P0(g, d).components] \
+        assert [(c.vertices, c.edges) for c in compute_P0(g).components] \
             == [(g.vertices, g.edges)]
         decide_hamiltonian_connectedness(g)
         if g.n >= 3:
@@ -192,10 +197,79 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
 
 def test_decompositions_compare_and_hash_without_the_index():
     for g in corpus():
-        a, b = decompose(g), decompose(g)
+        a, b = decompose(g), decompose(Graph(g.vertices, g.edges))
         assert cli._summary(g, a)["blocks"] == len(a.blocks)
         assert "blocks" not in vars(b)
         assert a == b and hash(a) == hash(b)
+
+
+def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
+                                                       decompose_calls):
+    walks, indexed = [], []
+    walk, index = decomposition._walk_P0, decomposition.Decomposition._index
+    monkeypatch.setattr(decomposition, "_walk_P0",
+                        lambda d: walks.append(d) or walk(d))
+    monkeypatch.setattr(decomposition.Decomposition, "_index",
+                        lambda d: indexed.append(d) or index(d))
+    decompose(path_graph(2))  # so that decompose holds no corpus graph
+    rng = random.Random(7)
+    conditions = Counter()
+    paths = 0
+    for g in list(corpus()) + [_peel_block_tree(rng) for _ in range(300)]:
+        if g.n < 3:
+            continue
+        decompose_calls.clear()
+        walks.clear()
+        indexed.clear()
+        d = decompose(g)
+        ham = decide_hamiltonicity(g)
+        hc = decide_hamiltonian_connectedness(g)
+        if ham.outcome == HAMILTONIAN:
+            construct_ham_cycle(g)
+        if hc.outcome == HAM_CONNECTED:
+            for x, y in itertools.combinations(g.sorted_vertices(), 2):
+                construct_ham_path(g, x, y)
+                paths += 1
+        assert decompose(g) is d and decompose_calls == [g.n]
+        # the bridge forest walked once, the block index built at most once
+        assert [w is d for w in walks] == [True]
+        assert [i is d for i in indexed] in ([], [True])
+        if ham.outcome == STRUCTURALLY_RISKY:
+            condition = ham.violated_condition
+        elif hc.outcome == STRUCTURALLY_RISKY:
+            condition = "hc"
+        elif ham.outcome == NOT_HAMILTONIAN:
+            condition = 4
+        else:
+            continue
+        out = counterexample_for(g, condition)
+        conditions[condition] += 1
+        # an exchange decomposes its output, once, for its bc-tree check
+        assert decompose_calls == [g.n] + ([out.n] if condition != 4 else [])
+    assert paths > 1000 and min(conditions[c] for c in (4, 5, 6, "hc")) > 5, \
+        conditions
+
+
+def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):
+    es = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)]  # a triangle and a tail
+    g, copy = Graph.from_edges(es), Graph.from_edges(es)
+    d = decompose(g)
+    e = decompose(copy)
+    assert e is not d and e == d and e.graph is copy
+    assert decompose(copy) is e and decompose_calls == [5, 5]
+    # a decomposition the memo no longer holds walks its own bridge forest
+    assert d.bridge_forest == e.bridge_forest and decompose_calls == [5, 5]
+    assert [c.vertices for c in d.bridge_forest.components] == [{0, 3, 4}]
+    # the memo is the only holder of the graph, and lets it go once
+    # another graph is decomposed
+    g = _caterpillar(30, 2)
+    ref = weakref.ref(g)
+    construct_ham_cycle(g)
+    decompose(g).cvn
+    del g
+    assert ref() is not None
+    decompose(path_graph(3))
+    assert ref() is None
 
 
 def test_caterpillar_test_from_leaf_counts():
@@ -206,12 +280,23 @@ def test_caterpillar_test_from_leaf_counts():
             assert _is_caterpillar(nbrs) == is_caterpillar(g)
 
 
-def test_decompose_rejects_disconnected():
-    # the second has m = n - 1, a tree's counts, and takes the tree walk
+def test_decompose_rejects_disconnected(decompose_calls):
+    # every time, keeping the memo; the second graph has m = n - 1, a
+    # tree's counts, and takes the tree walk
+    d = decompose(BOWTIE)
     for g in (Graph.from_edges([(0, 1), (2, 3)]),
               Graph.from_edges([(0, 1), (1, 2), (0, 2)], isolated=[3])):
-        with pytest.raises(ValueError, match="^input graph must be connected$"):
-            decompose(g)
+        for call in (decompose, decompose, decide_hamiltonian_connectedness):
+            decompose_calls.clear()
+            with pytest.raises(ValueError,
+                               match="^input graph must be connected$"):
+                call(g)
+            assert decompose_calls == [g.n]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            decompose(Graph(frozenset(), frozenset()))
+    decompose_calls.clear()
+    assert decompose(BOWTIE) is d and decompose_calls == []
 
 
 # -- bc-tree ---------------------------------------------------------------
@@ -325,7 +410,7 @@ def test_bn_three_iff_non_caterpillar_component():
                                 (0, 5), (5, 6), (0, 7), (7, 8)])]
     for g in extras:
         d = decompose(g)
-        ana = compute_P0(g, d)
+        ana = compute_P0(g)
         has_heavy = any(v >= 3 for v in d.bn.values())
         assert has_heavy == (not ana.all_caterpillars)
 
@@ -404,7 +489,7 @@ def test_index_P0_and_bc_tree_match_scans():
         assert d.k == {v: sum(1 for b in d.two_blocks() if v in b.vertices)
                        for v in g.vertices}
 
-        ana = compute_P0(g, d)
+        ana = compute_P0(g)
         p0, comps = _reference_P0(g, d)
         assert _forest(ana) == p0
         assert [(c.vertices, c.edges, c.is_caterpillar)
