@@ -4,14 +4,22 @@
 `perfbench/run.py` prints one JSON line per workload and exits 0 even when
 a line says `"correct": false`. This script runs it with `--seconds 1` from
 the root of the checkout and exits 1 unless there are exactly three result
-lines, each with `"correct": true` and `"failed": 0`. It then runs two
+lines, each with `"correct": true` and `"failed": 0`. It then runs three
 workloads once more with `--trace 1` and exits 1 unless each run is
 correct, failed nothing and saw its layers: chain-witness must report
 `oracle.search` calls and the self time of `decomposition.decompose`,
-forest-square the self time of `graph.parse_edge_list`,
-`caterpillars.caterpillar_cycle`, `decomposition.decompose` and
-`decomposition.compute_P0`. The tracer rebinds these functions by name,
-and a module that stopped calling them by name would hide them from it.
+block-search `oracle.search` calls, forest-square the self time of
+`graph.parse_edge_list`, `caterpillars.caterpillar_cycle`,
+`decomposition.decompose` and `decomposition.compute_P0`. The tracer
+rebinds these functions by name, and a module that stopped calling them by
+name would hide them from it.
+
+block-search must also build at most 240 squares per pass
+(`graph.square.calls`). Its 96 graphs hold 240 2-blocks in all, and
+construct keeps each rank-space block and its square for every request on
+a graph, so a pass squares each block shape at most once per graph,
+whatever the number of requests. A square per request and shape, the
+cost this bound guards against, comes to 928 per pass.
 """
 
 import json
@@ -23,30 +31,38 @@ WORKLOADS = 3
 TRACED = {
     "chain-witness": ("oracle.search.calls",
                       "decomposition.decompose.self_ms"),
+    "block-search": ("oracle.search.calls",),
     "forest-square": ("graph.parse_edge_list.self_ms",
                       "caterpillars.caterpillar_cycle.self_ms",
                       "decomposition.decompose.self_ms",
                       "decomposition.compute_P0.self_ms"),
 }
+# workload -> the per-layer metrics that its traced run must keep at or
+# below a ceiling per pass
+CEILINGS = {"block-search": {"graph.square.calls": 240}}
 
 
 def traced_ok(workload: str, metrics) -> bool:
-    """Whether a traced one-second run of the workload is correct and
-    reports each of the metrics above 0."""
+    """Whether a traced one-second run of the workload is correct, reports
+    each of the metrics above 0 and keeps each of its ceilings."""
+    ceilings = CEILINGS.get(workload, {})
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True)
     sys.stderr.write(proc.stderr)
+    names = [*metrics, *ceilings]
     try:
         row = json.loads(proc.stdout.strip().splitlines()[-1])
-        values = {m: row["metrics"].get(m, {}).get("value") for m in metrics}
+        values = {m: row["metrics"].get(m, {}).get("value") for m in names}
     except (IndexError, AttributeError, KeyError, TypeError, ValueError):
-        row, values = {}, dict.fromkeys(metrics)
+        row, values = {}, dict.fromkeys(names)
+    number = {m: isinstance(v, (int, float)) for m, v in values.items()}
     good = (proc.returncode == 0 and row.get("correct") is True
             and row.get("failed") == 0
-            and all(isinstance(v, (int, float)) and v > 0
-                    for v in values.values()))
+            and all(number[m] and values[m] > 0 for m in metrics)
+            and all(number[m] and values[m] <= top
+                    for m, top in ceilings.items()))
     print(f"{workload + ' traced':22s} correct={row.get('correct')} "
           f"failed={row.get('failed')} "
           + " ".join(f"{m}={v}" for m, v in values.items())

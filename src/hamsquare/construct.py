@@ -61,14 +61,24 @@ the witness a search on the block's own labels would find, because the
 oracle reads labels only through their order: it walks sorted
 neighbourhoods, picks its start by min and max, and matches the demands
 in their given order against the sorted witness edges. An order-preserving
-relabelling therefore relabels the witness and nothing else. The memo
-lives as long as the request, so no answer carries over from one request
-to the next.
+relabelling therefore relabels the witness and nothing else.
+
+What lives per graph and what lives per request are kept apart. Each
+block's rank form, and each rank-space shape's graph and square, depend
+on the graph only: they live in a store that every request on one
+decomposition shares, so a cycle and every pair's path on one graph
+relabel each block once and square each shape once. The store sits in one
+module-level slot, holds its decomposition weakly, and the first
+constructor call on another decomposition replaces it. The answers depend
+on the request: the memo of answers lives as long as the request, so no
+answer carries over from one request to the next, and the searches a
+request runs, with their node counts, never depend on history.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
@@ -80,6 +90,34 @@ from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, cycle_with, path_with
 
 
+class _Store:
+    """The part of the block searches that depends on the graph alone:
+    ranks maps a block's edge set to its rank form (its sorted labels,
+    their rank map and the rank edge set), shapes maps a rank edge set to
+    its rank-space Graph and square. Two dicts, because a block on
+    0..k-1 has the same edge set as its rank form."""
+    __slots__ = ("of", "ranks", "shapes")
+
+    def __init__(self, d: Decomposition):
+        self.of = weakref.ref(d)
+        self.ranks: dict = {}
+        self.shapes: dict = {}
+
+
+_store: _Store | None = None  # the store of the last decomposition searched
+
+
+def _store_of(d: Decomposition) -> _Store:
+    """The store of d: the slot's, or a new one put in the slot. Returned
+    from a local, so a concurrent request on another graph cannot swap it
+    mid-search."""
+    global _store
+    store = _store
+    if store is None or store.of() is not d:
+        _store = store = _Store(d)
+    return store
+
+
 class BlockSearch:
     """The block searches of one request, each run once per block shape.
 
@@ -87,22 +125,29 @@ class BlockSearch:
     of rank pairs of the block's edges, the demands in their given order,
     the endpoints (None for a cycle) and the required edges, all in ranks.
     The oracle is run on the rank-space block only on a miss, and its answer
-    is kept, None included, since None certifies that no witness exists. A
-    search that raises keeps nothing. The rank-space block and its square
-    are kept by edge set, so a miss on a known shape builds neither again.
+    is kept for the request, None included, since None certifies that no
+    witness exists. A search that raises keeps nothing. The rank forms of
+    the blocks and the rank-space blocks with their squares come from the
+    store of d, taken once here and shared with every request on d.
     """
 
-    def __init__(self):
+    def __init__(self, d: Decomposition):
+        store = _store_of(d)
+        self._ranks, self._shapes = store.ranks, store.shapes
         self._found: dict = {}
-        self._shapes: dict = {}
 
     def __call__(self, vertices, edges, demands=(), ends=None,
                  required=()) -> Witness | None:
         """The search of the block (vertices, edges), in its own labels:
-        a cycle, or with ends (x, y) an x-y path, of the block's square."""
-        label = sorted(vertices)
-        rank = {v: i for i, v in enumerate(label)}
-        es = frozenset([(rank[u], rank[v]) for u, v in edges])
+        a cycle, or with ends (x, y) an x-y path, of the block's square.
+        edges is the block's frozenset of edges."""
+        try:
+            label, rank, es = self._ranks[edges]
+        except KeyError:
+            label = sorted(vertices)
+            rank = {v: i for i, v in enumerate(label)}
+            es = frozenset([(rank[u], rank[v]) for u, v in edges])
+            self._ranks[edges] = label, rank, es
         demands = tuple([(rank[v], c) for v, c in demands])
         if ends is not None:
             ends = (rank[ends[0]], rank[ends[1]])
@@ -348,16 +393,15 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
     if bad:
         raise ValueError(f"labelling violates conditions {bad}")
 
-    search = BlockSearch()
     if not d.two_blocks():
         cyc = list(caterpillar_cycle(g._adj).order)  # g is a tree
     elif len(d.blocks) == 1:
-        w = search(g.vertices, g.edges)
+        w = BlockSearch(d)(g.vertices, g.edges)
         if w is None:
             raise ConstructionError("no hamiltonian cycle in the block square")
         cyc = list(w.order)
     else:
-        cyc = _merge_cycles(g, d, labelling, search)
+        cyc = _merge_cycles(g, d, labelling, BlockSearch(d))
 
     if not is_ham_cycle(g, cyc, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian cycle")
@@ -583,7 +627,7 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     cs.add([x, y, -1])
     todo = _along(d, x, y)
     cs.splice([x] + [b for _, _, b, _ in todo])
-    _fill(d, cs, todo, BlockSearch())
+    _fill(d, cs, todo, BlockSearch(d))
     path = cs.walk(x, -1)[:-1]
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")

@@ -57,12 +57,14 @@ class Graph:
         self._index()
 
     @classmethod
-    def _unchecked(cls, vertices, edges) -> "Graph":
+    def _unchecked(cls, vertices, edges, adj=None) -> "Graph":
         """A graph the library derives itself, from edges it has normalized
-        on vertices it has declared: built without __post_init__'s checks."""
+        on vertices it has declared: built without __post_init__'s checks.
+        adj, when given, is its adjacency, built alongside the edges."""
         g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges)
-        g._index()
+        g.__dict__.update(vertices=vertices, edges=edges, _adj=adj)
+        if adj is None:
+            g._index()
         return g
 
     def _index(self) -> None:
@@ -157,12 +159,20 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def square(self) -> "Graph":
-        """The graph on the same vertices joining pairs at distance <= 2."""
-        es = set(self.edges)
-        for v in self.vertices:
-            # pairs of a sorted list come normalized
-            es.update(itertools.combinations(sorted(self._adj[v]), 2))
-        return Graph._unchecked(self.vertices, frozenset(es))
+        """The graph on the same vertices joining pairs at distance <= 2.
+        Each vertex's neighbourhood in it, N(v) and N(N(v)) less v, is
+        filled in the loop that collects the edges."""
+        adj = self._adj
+        es = []
+        sq = {}
+        for v, nv in adj.items():
+            near = set(nv)
+            for w in nv:
+                near |= adj[w]
+            near.discard(v)
+            sq[v] = frozenset(near)
+            es += [(v, w) for w in near if v < w]
+        return Graph._unchecked(self.vertices, frozenset(es), sq)
 
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         ks = frozenset(keep)

@@ -103,6 +103,7 @@ class _Search:
         self.g = host
         self.orig = original
         self.orig_edges = original.edges
+        self.orig_adj = original._adj
         self.required = frozenset(edge(*e) for e in required_edges)
         for e in self.required:
             if e not in host.edges:
@@ -181,49 +182,44 @@ class _Search:
     # index in order. Its ends are the laid vertices that can still take a
     # witness edge: the tip order[-1] and, on a cycle, the start order[0].
 
-    def _orig_edges_laid(self, v, order, pos) -> int:
-        """Original edges at the laid vertex v along the partial order."""
-        i = pos[v]
-        cnt = 0
-        if i > 0 and edge(order[i - 1], v) in self.orig_edges:
-            cnt += 1
-        if i + 1 < len(order) and edge(v, order[i + 1]) in self.orig_edges:
-            cnt += 1
-        return cnt
-
-    def _orig_edges_reachable(self, v, order, pos, unlaid, ends) -> int:
-        """An upper bound on the original edges v can end up with."""
-        nbrs = self.orig.neighbors(v)
-        if v in unlaid or len(order) == 1:
-            # v unlaid, or the lone start: every slot is still open
-            slots = 1 if not self.cyclic and v in (self.start, self.target) else 2
-            return min(slots, len(nbrs & unlaid) + len(nbrs & ends))
-        has = self._orig_edges_laid(v, order, pos)
-        if v not in ends:
-            return has
-        # the tip's next edge goes to an unlaid vertex; the cyclic start's
-        # last one comes from an unlaid vertex or from the tip
-        tip = order[-1]
-        return has + (not nbrs.isdisjoint(unlaid) or (v != tip and tip in nbrs))
-
     def _prune(self, order, pos) -> bool:
         adj = self.adj
         unlaid = self.unlaid
-        start, tip = order[0], order[-1]
-        ends = {start, tip} if self.cyclic else {tip}
+        tip = order[-1]
+        # the ends are tip and s, one vertex on a path and at the root
+        s = order[0] if self.cyclic else tip
+        two = s != tip
         below_root = len(order) > 1
         # a cycle closes at the start from the last vertex laid, still unlaid
-        if self.cyclic and below_root and unlaid and not self.free[start]:
+        if self.cyclic and below_root and unlaid and not self.free[s]:
             return True
         # unused required edges must stay addable
         for a, b in self.required:
             if a in pos and b in pos and abs(pos[a] - pos[b]) == 1:
                 continue  # already laid
-            if (a in pos and a not in ends) or (b in pos and b not in ends):
+            if ((a in pos and a != tip and a != s)
+                    or (b in pos and b != tip and b != s)):
                 return True  # an end of it is closed
-        # every demand must stay within reach of its vertex
+        # every demand must stay within reach of its vertex: an upper bound
+        # on the original edges it can end up with, counted per demand
+        orig = self.orig_adj
         for v, c in self.demands:
-            if self._orig_edges_reachable(v, order, pos, unlaid, ends) < c:
+            nbrs = orig[v]
+            if v in unlaid or not below_root:
+                # every slot is still open, and no demand asks for more
+                # slots than its vertex has
+                got = len(nbrs & unlaid) + (tip in nbrs) + (two and s in nbrs)
+            else:
+                i = pos[v]
+                got = ((i > 0 and order[i - 1] in nbrs)
+                       + (i + 1 < len(order) and order[i + 1] in nbrs))
+                if v == tip or v == s:
+                    # the tip's next edge goes to an unlaid vertex; the
+                    # cyclic start's last one comes from an unlaid vertex
+                    # or from the tip
+                    got += (not nbrs.isdisjoint(unlaid)
+                            or (v != tip and tip in nbrs))
+            if got < c:
                 return True
         # every unlaid vertex needs enough open neighbours. Below the root
         # the parent passed this prune, and laying tip lowered the count
@@ -232,12 +228,14 @@ class _Search:
         if below_root:
             prev = order[-2]
             around = adj[prev] & unlaid
-            check = () if prev in ends else around
+            check = () if prev == s else around
         else:
             check = unlaid
         free, target = self.free, self.target
         for v in check:
-            if free[v] + len(adj[v] & ends) < (1 if v == target else 2):
+            a = adj[v]
+            if free[v] + (tip in a) + (two and s in a) < (1 if v == target
+                                                           else 2):
                 return True
         # the unlaid region plus tip must be connected. Below the root it
         # is the parent's connected region less prev, so it stays connected

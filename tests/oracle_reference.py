@@ -4,18 +4,44 @@ hamsquare.oracle._Search keeps its unlaid set and free degrees as it lays
 vertices, rechecks below the root only what laying one vertex changes, and
 matches at the leaf only the edges at demanded vertices. ReferenceSearch
 replaces those three steps with the full versions: every node rebuilds the
-unlaid set, rechecks the open degree of every unlaid vertex and walks the
+unlaid set, counts each demand's reachable original edges with helpers of
+its own, rechecks the open degree of every unlaid vertex and walks the
 whole unlaid region, and every leaf builds the whole edge set of its order.
 Each prune drops the same nodes either way, so the tests can require the
 same order, assignment and node count from both.
 """
 
-from hamsquare.graph import cycle_edges, path_edges
+from hamsquare.graph import cycle_edges, edge, path_edges
 from hamsquare.oracle import BudgetExceeded, Witness, _match_incidences, _Search
 
 
 class ReferenceSearch(_Search):
     """_Search with the full-recompute prune and the all-edges leaf check."""
+
+    def _orig_edges_laid(self, v, order, pos) -> int:
+        """Original edges at the laid vertex v along the partial order."""
+        i = pos[v]
+        cnt = 0
+        if i > 0 and edge(order[i - 1], v) in self.orig_edges:
+            cnt += 1
+        if i + 1 < len(order) and edge(v, order[i + 1]) in self.orig_edges:
+            cnt += 1
+        return cnt
+
+    def _orig_edges_reachable(self, v, order, pos, unlaid, ends) -> int:
+        """An upper bound on the original edges v can end up with."""
+        nbrs = self.orig.neighbors(v)
+        if v in unlaid or len(order) == 1:
+            # v unlaid, or the lone start: every slot is still open
+            slots = 1 if not self.cyclic and v in (self.start, self.target) else 2
+            return min(slots, len(nbrs & unlaid) + len(nbrs & ends))
+        has = self._orig_edges_laid(v, order, pos)
+        if v not in ends:
+            return has
+        # the tip's next edge goes to an unlaid vertex; the cyclic start's
+        # last one comes from an unlaid vertex or from the tip
+        tip = order[-1]
+        return has + (not nbrs.isdisjoint(unlaid) or (v != tip and tip in nbrs))
 
     def _prune(self, order, pos) -> bool:
         g = self.g

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -182,7 +183,7 @@ def _forced_rescue(d, blk, x, y):
     blk, whether or not a block path with an edge at y exists."""
     cs = CycleSet()
     cs.add([x, y, -1])
-    todo, search = [], BlockSearch()
+    todo, search = [], BlockSearch(d)
     # {} is the piece that holds every block of the graph
     _rescue_through_neighbors(d, cs, todo, {}, blk, x, y, search)
     _fill(d, cs, todo, search)
@@ -627,7 +628,7 @@ def test_block_search_memo_returns_what_the_oracle_returns():
     blocks = {frozenset(b.edges) for g in corpus() if g.n >= 3
               for b in decompose(g).two_blocks()}
     for i, edges in enumerate(sorted(blocks, key=sorted)):
-        search = BlockSearch()
+        search = BlockSearch(decompose(Graph.from_edges(edges)))
         for b in _relabellings(rng, Graph.from_edges(edges)):
             checked += _memo_matches_the_oracle(search, b, i)
     trees = 0
@@ -636,7 +637,7 @@ def test_block_search_memo_returns_what_the_oracle_returns():
         if not decompose(g).two_blocks():
             continue
         trees += 1
-        search = BlockSearch()
+        search = BlockSearch(decompose(g))
         for h in _relabellings(rng, g):
             for i, blk in enumerate(decompose(h).two_blocks()):
                 b = Graph.from_edges(blk.edges)
@@ -667,3 +668,104 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
         searches.clear()
         assert build(chain) == first
         assert len(searches) == n
+
+
+# -- what lives per graph ------------------------------------------------------
+
+def _wheel(rim):
+    """Hub 0 joined to every vertex of the rim cycle 1..rim."""
+    return ([(0, i) for i in range(1, rim + 1)]
+            + [(i, i % rim + 1) for i in range(1, rim + 1)], rim + 1)
+
+
+def _glued_chain(blocks):
+    """Blocks (edges, size) on local labels 0..size-1 glued in a row: the
+    last vertex of each block is the first vertex of the next."""
+    edges, base = [], 0
+    for es, size in blocks:
+        edges += [(base + a, base + b) for a, b in es]
+        base += size - 1
+    return Graph.from_edges(edges)
+
+
+def _rank_shapes(g):
+    """The rank edge sets of g's 2-blocks."""
+    shapes = set()
+    for b in decompose(g).two_blocks():
+        rank = {v: i for i, v in enumerate(sorted(b.vertices))}
+        shapes.add(frozenset(edge(rank[u], rank[v]) for u, v in b.edges))
+    return shapes
+
+
+def _counted_squares(monkeypatch) -> list:
+    """The graphs Graph.square is called on while the test runs."""
+    squared = []
+    square = Graph.square
+
+    def counted(self):
+        squared.append(self)
+        return square(self)
+
+    monkeypatch.setattr(Graph, "square", counted)
+    return squared
+
+
+_WHEELS_AND_THETAS = [_wheel(5), _theta((2, 2, 3)), _wheel(6),
+                      _theta((2, 3, 4)), _wheel(5), _theta((3, 3, 3))] * 4
+
+
+@pytest.mark.parametrize("g, shapes", [
+    (_triangle_chain(640), 1), (_glued_chain(_WHEELS_AND_THETAS), 5),
+], ids=["triangles", "wheels-and-thetas"])
+def test_requests_on_one_graph_relabel_and_square_each_block_once(
+        monkeypatch, g, shapes):
+    squared = _counted_squares(monkeypatch)
+    assert decide_hamiltonicity(g).outcome == HAMILTONIAN
+    assert decide_hamiltonian_connectedness(g).outcome == HAM_CONNECTED
+    assert is_ham_cycle(g, construct_ham_cycle(g), square=True)
+    store = construct._store
+    vs = g.sorted_vertices()
+    k = len(vs)
+    for x, y in ((vs[0], vs[-1]), (vs[1], vs[-2]), (vs[0], vs[1]),
+                 (vs[k // 2], vs[-1]), (vs[k // 3], vs[2 * k // 3])):
+        assert is_ham_path(g, construct_ham_path(g, x, y), x, y, square=True)
+    # one store served every request: a block is relabelled only when its
+    # edge set is missing from it, and a shape squared only when missing
+    assert construct._store is store and store.of() is decompose(g)
+    assert len(store.ranks) == len(decompose(g).two_blocks())
+    assert len(squared) == len(store.shapes) == shapes
+    assert {sq.edges for sq in squared} == _rank_shapes(g)
+
+
+def test_block_store_holds_its_decomposition_weakly():
+    g = _glued_chain(_WHEELS_AND_THETAS[:3])
+    ref = weakref.ref(g)
+    construct_ham_cycle(g)
+    construct_ham_path(g, 0, g.n - 1)
+    store = construct._store
+    assert store.of() is decompose(g) and store.ranks
+    del g
+    assert ref() is not None  # decompose's memo still holds it
+    decompose(path_graph(3))
+    # the store held neither the graph nor its decomposition
+    assert ref() is None and store.of() is None
+    assert construct._store is store  # until the next constructor call
+
+
+def test_block_store_serves_one_decomposition_at_a_time(monkeypatch):
+    squared = _counted_squares(monkeypatch)
+    g = _glued_chain(_WHEELS_AND_THETAS[:4])
+    copy = Graph(g.vertices, g.edges)  # equal, but another graph
+    cyc = construct_ham_cycle(g)
+    store = construct._store
+    search = BlockSearch(decompose(g))  # takes g's store
+    assert search._ranks is store.ranks
+    assert len(squared) == len(_rank_shapes(g)) == 4
+    # the next constructor call on another graph replaces the store, and
+    # an equal graph gets a store of its own: it squares every shape again
+    assert construct_ham_cycle(copy) == cyc
+    assert construct._store is not store
+    assert construct._store.of() is decompose(copy)
+    assert len(squared) == 8
+    # a search under way keeps the store it took
+    assert search._ranks is store.ranks

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hamsquare import graph
 from corpus import corpus
+from test_labelling import _random_block_tree
 from hamsquare.graph import (
     Graph,
     GraphParseError,
@@ -57,6 +58,16 @@ def test_square_equals_a_validated_build():
         checked = Graph(sq.vertices, sq.edges)
         assert sq == checked
         assert sq._adj == checked._adj
+
+
+def test_square_adjacency_is_the_index_of_its_edges():
+    # square() fills its adjacency while it collects its edges
+    rng = random.Random(19)
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(200)]
+    for g in graphs:
+        sq = g.square()
+        assert sq._adj == Graph._unchecked(sq.vertices, sq.edges)._adj, g
+        assert sq.edges == _square_by_bfs(g).edges, g
 
 
 def test_parse_equals_a_validated_build():
