@@ -130,7 +130,7 @@ def _load(path: str) -> Graph:
 
 
 def _summary(g: Graph, d) -> dict:
-    return {"vertices": g.n, "edges": g.m, "blocks": len(d.records),
+    return {"vertices": g.n, "edges": g.m, "blocks": d.block_count(),
             "cutvertices": len(d.cutvertices)}
 
 
@@ -299,13 +299,13 @@ def _cmd_counterexample(g, d, args):
 
 
 def _cmd_oracle(g, d, args):
+    pair = None if args.pair is None else _check_pair(g, args.pair)
     sq = g.square()
     try:
-        if args.pair is None:
+        if pair is None:
             w = cycle_with(sq, g, node_budget=args.node_budget)
         else:
-            x, y = _check_pair(g, args.pair)
-            w = path_with(sq, g, x, y, node_budget=args.node_budget)
+            w = path_with(sq, g, *pair, node_budget=args.node_budget)
     except BudgetExceeded as e:
         return ({"outcome": "BUDGET_EXCEEDED", "reason": str(e)},
                 [f"no verdict: {e}"])

@@ -7,25 +7,26 @@ neighbours across bridges. Blocks are indexed in the order of their
 least edge. A tree, known from its counts (n >= 2, m = n - 1) and one
 walk that proves it connected, is read off its degrees: every edge is a
 bridge, the cutvertices are the non-leaves, and the graph is its own
-bridge forest. Any other graph takes one lowpoint DFS from the least
-vertex, which also proves the graph connected by reaching every vertex,
-and one loop over the blocks it finds. The block-cutvertex index (Block
-records, blocks_of, the blocks at each vertex, cuts_of, the cutvertices
-of each block, and cvn) is built on the first read of any of its fields,
-all four in one loop. The block-cutvertex tree and the bridge forest P0
-left after removing all blocks with more than two vertices are read off
-these; P0 is g itself when there is no 2-block, and otherwise a walk
-over the bridge adjacency, in O(n + m), made once per decomposition and
-kept on it (bridge_forest). decompose hands its last decomposition back
-for the same Graph object, so a run of requests on one graph costs one
-traversal, one block index and one bridge forest.
+bridge forest, a caterpillar when no bn exceeds 2. Its block records
+(its sorted edges) and trivial bridges are built on their first read,
+which no verdict or cycle makes. Any other graph takes one lowpoint DFS
+from the least vertex, which also proves the graph connected by reaching
+every vertex, and one loop over the blocks it finds. The block-cutvertex
+index (Block records, blocks_of, the blocks at each vertex, cuts_of, the
+cutvertices of each block, and cvn) is built on the first read of any of
+its fields, all four in one loop. The block-cutvertex tree and the
+bridge forest P0 left after removing all blocks with more than two
+vertices are read off these; P0 is g itself when there is no 2-block,
+and otherwise a walk over the bridge adjacency, in O(n + m), made once
+per decomposition and kept on it (bridge_forest). decompose hands its
+last decomposition back for the same Graph object, so a run of requests
+on one graph costs one traversal, one block index and one bridge forest.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -50,9 +51,14 @@ class Block:
         return not self.is_two_block
 
 
-class _Index:
-    """A field of the block index; its first read builds all four. Unlike
-    functools.cached_property it takes no lock, a cost on small graphs."""
+class _OnRead:
+    """A field built on its first read by build(d), which stores it, and
+    any field built alongside, in d.__dict__; a value stored there first
+    is read as it is. Unlike functools.cached_property it takes no lock, a
+    cost on small graphs."""
+
+    def __init__(self, build):
+        self.build = build
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -60,26 +66,55 @@ class _Index:
     def __get__(self, d, owner=None):
         if d is None:
             return self
-        d._index()
+        self.build(d)
         return d.__dict__[self.name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """records[t] is block t: a bridge (u, v), or a 2-block (a, b, edges,
     vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
     across maps each vertex on a bridge (or the lone vertex of a graph
     with no edge) to a collection of its neighbours across bridges, in
-    no defined order; for a tree it is g's own adjacency, g._adj."""
+    no defined order; for a tree it is g's own adjacency, g._adj.
+
+    decompose stores records and trivial_bridges on a graph with a
+    2-block; a tree's are built on their first read. Two decompositions
+    are equal when their graph, records, cutvertices and bridge classes
+    are, and hash alike then."""
     graph: Graph
-    records: tuple
     cutvertices: frozenset[int]
-    trivial_bridges: frozenset[tuple[int, int]]
     nontrivial_bridges: frozenset[tuple[int, int]]
-    bn: dict[int, int] = field(compare=False)
-    k: dict[int, int] = field(compare=False)
-    two_idx: tuple[int, ...] = field(compare=False)
-    across: dict = field(compare=False)
+    bn: dict[int, int]
+    k: dict[int, int]
+    two_idx: tuple[int, ...]
+    across: dict
+
+    def _key(self) -> tuple:
+        return (self.graph, self.records, self.cutvertices,
+                self.trivial_bridges, self.nontrivial_bridges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _tree_bridges(self) -> None:
+        """With no 2-block every edge is a bridge, and its own record."""
+        es = self.graph.edges
+        self.__dict__.update(records=tuple(sorted(es)),
+                             trivial_bridges=es - self.nontrivial_bridges)
+
+    # a tree's, built on first read, both together
+    records, trivial_bridges = _OnRead(_tree_bridges), _OnRead(_tree_bridges)
+
+    def block_count(self) -> int:
+        """len(records), read without building a tree's records: with no
+        2-block the blocks are the edges."""
+        return len(self.records) if self.two_idx else self.graph.m
 
     def _index(self) -> None:
         """Build blocks, blocks_of, cuts_of and cvn in one loop."""
@@ -101,7 +136,8 @@ class Decomposition:
                              cvn={t: len(cs) for t, cs in cuts_of.items()})
 
     # built on first read, all four together; blocks_of and cuts_of ascending
-    blocks, blocks_of, cuts_of, cvn = _Index(), _Index(), _Index(), _Index()
+    blocks, blocks_of = _OnRead(_index), _OnRead(_index)
+    cuts_of, cvn = _OnRead(_index), _OnRead(_index)
 
     def two_blocks(self) -> list[Block]:
         return [self.blocks[t] for t in self.two_idx]
@@ -184,7 +220,8 @@ def _tree(g: Graph) -> Decomposition:
 
     One walk proves g connected, and so a tree: every edge is a bridge,
     the cutvertices are the vertices that are no leaf, and a bridge is
-    nontrivial when neither end is a leaf.
+    nontrivial when neither end is a leaf. Its records and trivial
+    bridges are left to their first read.
     """
     adj = g._adj
     root = min(adj)
@@ -198,14 +235,15 @@ def _tree(g: Graph) -> Decomposition:
     if len(seen) != len(adj):
         raise ValueError(_DISCONNECTED)
     leaves = {v for v, nv in adj.items() if len(nv) == 1}
-    nontrivial = frozenset(e for e in g.edges
-                           if e[0] not in leaves and e[1] not in leaves)
+    nontrivial = [e for e in g.edges
+                  if e[0] not in leaves and e[1] not in leaves]
     bn = dict.fromkeys(adj, 0)
-    bn.update(Counter(itertools.chain.from_iterable(nontrivial)))
-    return Decomposition(g, tuple(sorted(g.edges)),
-                         frozenset(adj.keys() - leaves),
-                         g.edges - nontrivial, nontrivial, bn,
-                         dict.fromkeys(adj, 0), (), adj)
+    for u, v in nontrivial:
+        bn[u] += 1
+        bn[v] += 1
+    return Decomposition(g, frozenset(adj.keys() - leaves),
+                         frozenset(nontrivial), bn, dict.fromkeys(adj, 0),
+                         (), adj)
 
 
 _last: Decomposition | None = None  # what decompose returned last
@@ -255,8 +293,9 @@ def decompose(g: Graph) -> Decomposition:
             bn[v] += 1
     # a lone vertex, on no block, is a component of P0 by itself
     across = dict(across) if raw else {v: [] for v in adj}
-    _last = d = Decomposition(g, tuple(raw), frozenset(arts), frozenset(trivial),
-                              frozenset(nontrivial), bn, k, tuple(two), across)
+    _last = d = Decomposition(g, frozenset(arts), frozenset(nontrivial), bn, k,
+                              tuple(two), across)
+    d.__dict__.update(records=tuple(raw), trivial_bridges=frozenset(trivial))
     return d
 
 
@@ -431,9 +470,10 @@ def compute_P0(g: Graph) -> CaterpillarAnalysis:
 def _walk_P0(d: Decomposition) -> CaterpillarAnalysis:
     g, across = d.graph, d.across
     if not d.two_idx:
+        # a tree is a caterpillar when no vertex has three neighbours that
+        # are no leaf, that is three nontrivial bridges
         return CaterpillarAnalysis((P0Component(
-            g.vertices, g.edges,
-            len(across) <= 2 or _is_caterpillar(across), across),))
+            g.vertices, g.edges, max(d.bn.values()) <= 2, across),))
     seen: set = set()
     comps = []
     for root in sorted(across):

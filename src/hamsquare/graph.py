@@ -12,6 +12,7 @@ import itertools
 import operator
 import re
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -68,12 +69,13 @@ class Graph:
         return g
 
     def _index(self) -> None:
-        nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
+        """Each vertex's neighbourhood, a set filled edge by edge and never
+        changed after: neighbors() hands it out read-only."""
+        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        object.__setattr__(self, "_adj",
-                           {v: frozenset(nv) for v, nv in nbrs.items()})
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        object.__setattr__(self, "_adj", nbrs)
 
     # -- construction -----------------------------------------------------
 
@@ -94,7 +96,9 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> Set[int]:
+        """v's neighbourhood: a read-only view of the graph's own set, not a
+        copy. Take set(...) of it before changing it."""
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -337,7 +341,7 @@ def is_ham_path(g: Graph, order: list[int],
     orientation is accepted). With square=True the path is checked against
     g's square, which is not built.
     """
-    if len(order) != g.n or set(order) != set(g.vertices):
+    if len(order) != g.n or set(order) != g.vertices:
         return False
     adjacent = g.square_has_edge if square else g.has_edge
     if not all(adjacent(order[i], order[i + 1]) for i in range(g.n - 1)):

@@ -116,13 +116,15 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
                         "vertex meets at least three nontrivial bridges"))
     # A caterpillar star of bridges can hide a third nontrivial bridge at its
     # hub even though every component passes the caterpillar test, so the
-    # bridge count itself is gated explicitly.
-    for i in sorted(d.cutvertices):
-        if d.bn[i] >= 3:
-            return HamiltonicityVerdict(
-                NOT_HAMILTONIAN,
-                reason=(f"vertex {i} meets {d.bn[i]} nontrivial bridges; a "
-                        "hamiltonian cycle of the square can absorb at most two"))
+    # bridge count itself is gated explicitly. Only a cutvertex meets a
+    # nontrivial bridge, so the scan of bn finds cutvertices.
+    over = [i for i, b in d.bn.items() if b >= 3]
+    if over:
+        i = min(over)
+        return HamiltonicityVerdict(
+            NOT_HAMILTONIAN,
+            reason=(f"vertex {i} meets {d.bn[i]} nontrivial bridges; a "
+                    "hamiltonian cycle of the square can absorb at most two"))
 
     if not d.two_blocks():
         return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),

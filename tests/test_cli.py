@@ -166,6 +166,20 @@ def test_oracle_budget(gfile, capsys):
     assert main(["oracle", k2, "--pair", "0", "1", "--node-budget", "2"]) == 0
 
 
+def test_oracle_checks_the_pair_before_squaring(gfile, monkeypatch, capsys):
+    squares = []
+    square = Graph.square
+    monkeypatch.setattr(Graph, "square",
+                        lambda g: squares.append(g) or square(g))
+    path = gfile(BOWTIE_TXT)
+    for pair in (["0", "0"], ["0", "9"]):
+        assert main(["oracle", path, "--pair", *pair]) == 65
+        assert capsys.readouterr().err.startswith("error: pair")
+    assert squares == []
+    assert main(["oracle", path, "--pair", "1", "4"]) == 0
+    assert len(squares) == 1
+
+
 def test_non_positive_node_budget_is_a_usage_error(gfile, capsys):
     c4 = gfile("0 1\n1 2\n2 3\n3 0\n")
     for budget in ("0", "-3", "x"):

@@ -151,7 +151,7 @@ def _spider(legs: int, length: int) -> Graph:
                             for leg in range(legs) for j in range(length))
 
 
-def test_deciders_on_trees_build_no_block_record(monkeypatch):
+def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
     made = []
     block = decomposition.Block
     monkeypatch.setattr(decomposition, "Block",
@@ -159,8 +159,16 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch):
     trees = [path_graph(3000), _caterpillar(1000, 2), complete_bipartite(1, 600),
              _spider(3, 1000)]
     index = {"blocks", "blocks_of", "cuts_of", "cvn"}
+    lazy = {"records", "trivial_bridges"}
     hamiltonian = []
     for g in trees:
+        path = tmp_path / "tree.txt"
+        path.write_text(g.edge_list_text())
+        for command in ("check-ham", "check-hc"):
+            cli.run([command, str(path)])
+            request = decomposition._last  # what the command decomposed
+            assert request.graph == g and request.graph is not g
+            assert not vars(request).keys() & lazy
         d = decompose(g)
         verdict = decide_hamiltonicity(g)
         decide_hamiltonian_connectedness(g)
@@ -168,9 +176,14 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch):
         if hamiltonian[-1]:
             construct_ham_cycle(g)
         assert made == []
-        assert not vars(d).keys() & index
+        assert not vars(d).keys() & (index | lazy)
+        # a later read builds what the two-pass reference finds
+        ref = _reference_decompose(g)
+        assert d.trivial_bridges == ref["trivial_bridges"]
         d.cvn  # one read builds the whole index, a record per bridge
-        assert index <= vars(d).keys() and len(made) == g.m
+        assert index | lazy <= vars(d).keys() and len(made) == g.m
+        assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
+            == ref["blocks"]
         made.clear()
     assert hamiltonian == [True, True, True, False]
 
@@ -196,7 +209,7 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
 
 
 def test_decompositions_compare_and_hash_without_the_index():
-    for g in corpus():
+    for g in [*corpus(), path_graph(3000), _spider(3, 1000)]:
         a, b = decompose(g), decompose(Graph(g.vertices, g.edges))
         assert cli._summary(g, a)["blocks"] == len(a.blocks)
         assert "blocks" not in vars(b)
