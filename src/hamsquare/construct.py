@@ -348,7 +348,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                 frags.append(_Frag("anch", (i, _partner(e, i)), (1, 0)))
             else:
                 frags.append(_anchored(i, c, e, (1, 0)))
-        for leaf in sorted(g.neighbors(i)):
+        for leaf in sorted(g._adj[i]):
             if g.degree(leaf) == 1 and leaf not in cs.nbrs:
                 frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
 

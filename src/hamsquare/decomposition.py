@@ -52,12 +52,13 @@ class Block:
 
 
 class _OnRead:
-    """A field built on its first read by build(d), which stores it, and
-    any field built alongside, in d.__dict__; a value stored there first
-    is read as it is. Unlike functools.cached_property it takes no lock, a
+    """A field built on its first read by d's method named build, which
+    stores it, and any field built alongside, in d.__dict__; a value stored
+    there first is read as it is. The method is looked up on each build,
+    not bound once. Unlike functools.cached_property it takes no lock, a
     cost on small graphs."""
 
-    def __init__(self, build):
+    def __init__(self, build: str):
         self.build = build
 
     def __set_name__(self, owner, name):
@@ -66,11 +67,11 @@ class _OnRead:
     def __get__(self, d, owner=None):
         if d is None:
             return self
-        self.build(d)
+        getattr(d, self.build)()
         return d.__dict__[self.name]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Decomposition:
     """records[t] is block t: a bridge (u, v), or a 2-block (a, b, edges,
     vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
@@ -79,28 +80,15 @@ class Decomposition:
     no defined order; for a tree it is g's own adjacency, g._adj.
 
     decompose stores records and trivial_bridges on a graph with a
-    2-block; a tree's are built on their first read. Two decompositions
-    are equal when their graph, records, cutvertices and bridge classes
-    are, and hash alike then."""
+    2-block; a tree's are built on their first read. Every field follows
+    from the graph, so two decompositions compare and hash by it alone."""
     graph: Graph
-    cutvertices: frozenset[int]
-    nontrivial_bridges: frozenset[tuple[int, int]]
-    bn: dict[int, int]
-    k: dict[int, int]
-    two_idx: tuple[int, ...]
-    across: dict
-
-    def _key(self) -> tuple:
-        return (self.graph, self.records, self.cutvertices,
-                self.trivial_bridges, self.nontrivial_bridges)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    cutvertices: frozenset[int] = field(compare=False)
+    nontrivial_bridges: frozenset[tuple[int, int]] = field(compare=False)
+    bn: dict[int, int] = field(compare=False)
+    k: dict[int, int] = field(compare=False)
+    two_idx: tuple[int, ...] = field(compare=False)
+    across: dict = field(compare=False)
 
     def _tree_bridges(self) -> None:
         """With no 2-block every edge is a bridge, and its own record."""
@@ -109,7 +97,8 @@ class Decomposition:
                              trivial_bridges=es - self.nontrivial_bridges)
 
     # a tree's, built on first read, both together
-    records, trivial_bridges = _OnRead(_tree_bridges), _OnRead(_tree_bridges)
+    records = _OnRead("_tree_bridges")
+    trivial_bridges = _OnRead("_tree_bridges")
 
     def block_count(self) -> int:
         """len(records), read without building a tree's records: with no
@@ -136,8 +125,8 @@ class Decomposition:
                              cvn={t: len(cs) for t, cs in cuts_of.items()})
 
     # built on first read, all four together; blocks_of and cuts_of ascending
-    blocks, blocks_of = _OnRead(_index), _OnRead(_index)
-    cuts_of, cvn = _OnRead(_index), _OnRead(_index)
+    blocks, blocks_of = _OnRead("_index"), _OnRead("_index")
+    cuts_of, cvn = _OnRead("_index"), _OnRead("_index")
 
     def two_blocks(self) -> list[Block]:
         return [self.blocks[t] for t in self.two_idx]

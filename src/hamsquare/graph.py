@@ -70,7 +70,7 @@ class Graph:
 
     def _index(self) -> None:
         """Each vertex's neighbourhood, a set filled edge by edge and never
-        changed after: neighbors() hands it out read-only."""
+        changed after: neighbors() hands out a frozen copy of it."""
         nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].add(v)
@@ -97,9 +97,9 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> Set[int]:
-        """v's neighbourhood: a read-only view of the graph's own set, not a
-        copy. Take set(...) of it before changing it."""
-        return self._adj[v]
+        """v's neighbourhood, read-only: a frozenset copy of the graph's own
+        set, so that no caller can change the graph through it."""
+        return frozenset(self._adj[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

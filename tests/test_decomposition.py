@@ -227,7 +227,7 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
     decompose(path_graph(2))  # so that decompose holds no corpus graph
     rng = random.Random(7)
     conditions = Counter()
-    paths = 0
+    paths = built = 0
     for g in list(corpus()) + [_peel_block_tree(rng) for _ in range(300)]:
         if g.n < 3:
             continue
@@ -247,6 +247,7 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
         # the bridge forest walked once, the block index built at most once
         assert [w is d for w in walks] == [True]
         assert [i is d for i in indexed] in ([], [True])
+        built += len(indexed)
         if ham.outcome == STRUCTURALLY_RISKY:
             condition = ham.violated_condition
         elif hc.outcome == STRUCTURALLY_RISKY:
@@ -261,6 +262,7 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
         assert decompose_calls == [g.n] + ([out.n] if condition != 4 else [])
     assert paths > 1000 and min(conditions[c] for c in (4, 5, 6, "hc")) > 5, \
         conditions
+    assert built > 100  # the spy sees the index being built
 
 
 def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):

@@ -45,6 +45,16 @@ def test_graph_validates_edges():
         Graph.from_edges([(2, 2)])
 
 
+def test_neighbors_cannot_change_the_graph():
+    g = path_graph(4)
+    nb = g.neighbors(1)
+    assert nb == {0, 2} and isinstance(nb, frozenset)
+    with pytest.raises(AttributeError):
+        nb.add(3)
+    nb -= {0}  # rebinds the name; the graph keeps its neighbourhood
+    assert g.neighbors(1) == {0, 2} and g.degree(1) == 2
+
+
 def test_square_equals_a_validated_build():
     # square() skips the checks of Graph(...) on edges it normalizes itself
     rng = random.Random(3)
