@@ -325,7 +325,7 @@ def is_ham_cycle(g: Graph, order: list[int], square: bool = False) -> bool:
     With square=True the cycle is checked against g's square, which is not
     built: see Graph.square_has_edge.
     """
-    if g.n < 3 or len(order) != g.n or set(order) != set(g.vertices):
+    if g.n < 3 or len(order) != g.n or set(order) != g.vertices:
         return False
     adjacent = g.square_has_edge if square else g.has_edge
     return all(adjacent(order[i], order[(i + 1) % g.n])
