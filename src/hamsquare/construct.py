@@ -54,19 +54,22 @@ a path costs O(n + m) and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
 hands it down to every block search it runs, so blocks of one shape with
-one demand pattern are searched once: a chain of 640 triangles takes 3
-searches, not 640. The memo relabels a block by vertex rank and keeps the
-oracle's answer on the rank-space block. That answer maps back to exactly
-the witness a search on the block's own labels would find, because the
-oracle reads labels only through their order: it walks sorted
-neighbourhoods, picks its start by min and max, and matches the demands
-in their given order against the sorted witness edges. An order-preserving
-relabelling therefore relabels the witness and nothing else.
+one demand pattern are searched once. A block of at most four vertices
+(C3, C4, K4-e or K4) has a complete square, and the oracle's answer on it
+comes from complete_with, which needs neither a search nor a square: a
+chain of 640 triangles takes no search and no square. The memo relabels a
+block by vertex rank and keeps the oracle's answer on the rank-space
+block. That answer maps back to exactly the witness a search on the
+block's own labels would find, because the oracle reads labels only
+through their order: it walks sorted neighbourhoods, picks its start by
+min and max, and matches the demands in their given order against the
+sorted witness edges. An order-preserving relabelling therefore relabels
+the witness and nothing else.
 
 What lives per graph and what lives per request are kept apart. Each
-block's rank form, and each rank-space shape's graph and square, depend
-on the graph only: they live in a store that every request on one
-decomposition shares, so a cycle and every pair's path on one graph
+block's rank form, and each searched rank-space shape's graph and
+square, depend on the graph only: they live in a store that every request
+on one decomposition shares, so a cycle and every pair's path on one graph
 relabel each block once and square each shape once. The store sits in one
 module-level slot, holds its decomposition weakly, and the first
 constructor call on another decomposition replaces it. The answers depend
@@ -87,7 +90,7 @@ from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
-from .oracle import Witness, cycle_with, path_with
+from .oracle import Witness, complete_with, cycle_with, path_with
 
 
 class _Store:
@@ -124,11 +127,14 @@ class BlockSearch:
     A search is keyed by its block relabelled by vertex rank: the frozenset
     of rank pairs of the block's edges, the demands in their given order,
     the endpoints (None for a cycle) and the required edges, all in ranks.
-    The oracle is run on the rank-space block only on a miss, and its answer
-    is kept for the request, None included, since None certifies that no
-    witness exists. A search that raises keeps nothing. The rank forms of
-    the blocks and the rank-space blocks with their squares come from the
-    store of d, taken once here and shared with every request on d.
+    The oracle's answer on the rank-space block is found only on a miss,
+    and kept for the request, None included, since None certifies that no
+    witness exists. A block of at most four vertices gets it from
+    complete_with, since its square is complete; a larger one from a
+    search of its square. A search that raises keeps nothing. The rank
+    forms of the blocks and the rank-space blocks with their squares come
+    from the store of d, taken once here and shared with every request on
+    d.
     """
 
     def __init__(self, d: Decomposition):
@@ -156,16 +162,20 @@ class BlockSearch:
         try:
             w = self._found[key]
         except KeyError:
-            if es not in self._shapes:
-                b = Graph._unchecked(frozenset(range(len(label))), es)
-                self._shapes[es] = b, b.square()
-            b, sq = self._shapes[es]
-            # cycle_with and path_with are looked up by name at each call,
-            # so a rebinding of them (as a tracer does) sees every search
-            if ends is None:
-                w = cycle_with(sq, b, demands, required)
+            if len(label) <= 4:  # the block's square is complete
+                w = complete_with(len(label), es, demands, ends, required)
             else:
-                w = path_with(sq, b, *ends, demands, required)
+                if es not in self._shapes:
+                    b = Graph._unchecked(frozenset(range(len(label))), es)
+                    self._shapes[es] = b, b.square()
+                b, sq = self._shapes[es]
+                # cycle_with and path_with are looked up by name at each
+                # call, so a rebinding of them (as a tracer does) sees every
+                # search
+                if ends is None:
+                    w = cycle_with(sq, b, demands, required)
+                else:
+                    w = path_with(sq, b, *ends, demands, required)
             self._found[key] = w
         if w is None:
             return None
@@ -376,7 +386,8 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
     """A hamiltonian cycle of square(g), built from the labelling's blueprint.
 
     With labelling None the decision procedure is run first and must come
-    back positive. A supplied labelling must satisfy all six conditions.
+    back positive; the labelling it builds satisfies the six conditions and
+    is not checked again. A supplied labelling must satisfy all six.
     decompose's traversal of g is the connectivity check.
     """
     if g.n < 3:
@@ -389,8 +400,7 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
                 f"decision procedure returned {verdict.outcome}; no labelling "
                 "to build from")
         labelling = verdict.labelling
-    bad = check_conditions(g, labelling)
-    if bad:
+    elif bad := check_conditions(g, labelling):
         raise ValueError(f"labelling violates conditions {bad}")
 
     if not d.two_blocks():

@@ -28,11 +28,16 @@ neighbours there are not joined among themselves. The leaf tests the
 required edges by position and matches only the edges at demanded
 vertices, so a search that never backtracks costs O(n + m) in all.
 
-cycle_with and path_with are the only entry points. An optional node
-budget, a positive count, turns a long search into an explicit
+cycle_with and path_with are the entry points of the search. An optional
+node budget, a positive count, turns a long search into an explicit
 BudgetExceeded instead of a silent answer. Every search, on a host of any
 size, counts one node for its root and one for each vertex it lays after
 that: a path search on two vertices that finds its edge uses two.
+
+complete_with returns their answer on a complete host without searching:
+it shares the start and the leaf test with the search and tries the
+orders in the search's order. The square of a 2-block on at most four
+vertices is complete, so construct takes such blocks' witnesses from it.
 """
 
 from __future__ import annotations
@@ -86,6 +91,41 @@ def _match_incidences(witness_edges, orig_edges, demands):
     for v in out:
         out[v].sort()
     return out
+
+
+def _pick_start(demands, required, vertices, degree) -> int:
+    """Where a cycle search starts: the demanded vertex that asks most, the
+    least of them on a tie; else the least end of a required edge; else the
+    least vertex of least degree."""
+    if demands:
+        return max(demands, key=lambda vc: (vc[1], -vc[0]))[0]
+    if required:
+        return min(x for e in required for x in e)
+    return min(vertices, key=lambda v: (degree(v), v))
+
+
+def _leaf(order, pos, cyclic, required, demands, orig_edges) -> Witness | None:
+    """The witness that the complete order makes, pos its index map, or None
+    when it misses a required edge or cannot give the demands distinct
+    original edges. The required edges are checked by position, and the
+    matching reads only the witness edges at demanded vertices."""
+    n = len(order)
+    span = (1, n - 1) if cyclic else (1,)
+    if any(abs(pos[a] - pos[b]) not in span for a, b in required):
+        return None
+    assignment = {}
+    if demands:
+        wedges = set()
+        for v, _ in demands:
+            i = pos[v]
+            if i > 0 or cyclic:
+                wedges.add(edge(order[i - 1], v))
+            if i + 1 < n or cyclic:
+                wedges.add(edge(v, order[(i + 1) % n]))
+        assignment = _match_incidences(wedges, orig_edges, demands)
+        if assignment is None:
+            return None
+    return Witness(tuple(order), assignment)
 
 
 class _Search:
@@ -150,7 +190,9 @@ class _Search:
             return None
 
         if self.cyclic:
-            self.start, self.target = self._pick_start(), None
+            self.start = _pick_start(self.demands, self.required,
+                                     g.vertices, g.degree)
+            self.target = None
         else:
             self.start, self.target = self.ends
         start = self.start
@@ -169,14 +211,6 @@ class _Search:
             return self._dfs([start], {start: 0})
         finally:
             sys.setrecursionlimit(old)
-
-    def _pick_start(self) -> int:
-        if self.demands:
-            best = max(self.demands, key=lambda vc: (vc[1], -vc[0]))
-            return best[0]
-        if self.required:
-            return min(x for e in self.required for x in e)
-        return min(self.g.vertices, key=lambda v: (self.g.degree(v), v))
 
     # The partial order is order, with pos mapping each laid vertex to its
     # index in order. Its ends are the laid vertices that can still take a
@@ -260,24 +294,8 @@ class _Search:
         return len(seen)
 
     def _finish(self, order, pos) -> Witness | None:
-        n = len(order)
-        span = (1, n - 1) if self.cyclic else (1,)
-        if any(abs(pos[a] - pos[b]) not in span for a, b in self.required):
-            return None
-        assignment = {}
-        if self.demands:
-            # the matching reads only the witness edges at demanded vertices
-            wedges = set()
-            for v, _ in self.demands:
-                i = pos[v]
-                if i > 0 or self.cyclic:
-                    wedges.add(edge(order[i - 1], v))
-                if i + 1 < n or self.cyclic:
-                    wedges.add(edge(v, order[(i + 1) % n]))
-            assignment = _match_incidences(wedges, self.orig_edges, self.demands)
-            if assignment is None:
-                return None
-        return Witness(tuple(order), assignment)
+        return _leaf(order, pos, self.cyclic, self.required, self.demands,
+                     self.orig_edges)
 
     def _dfs(self, order, pos) -> Witness | None:
         self.nodes += 1
@@ -324,6 +342,39 @@ def path_with(host: Graph, original: Graph, x: int, y: int,
     or None."""
     return _Search(host, original, incidences, required_edges,
                    node_budget, (x, y)).run()
+
+
+def complete_with(n: int, original_edges, incidences=(), ends=None,
+                  required_edges=()) -> Witness | None:
+    """What cycle_with, or with ends (x, y) path_with, returns on the
+    complete host on 0..n-1, found without a search. The square of a 2-block
+    on at most four vertices is complete, so on such a block this is the
+    oracle's witness, order and assignment both.
+
+    On a complete host every vertex is a candidate at every step, and no
+    prune drops an order that passes the leaf test, so the search's answer
+    is the first order from its start, in lexicographic order, that passes
+    that test. This tries them in that order, at most (n - 1)! for a cycle
+    and (n - 2)! for a path, and builds no host. original_edges holds (min, max) pairs;
+    the demands and ends are vertices of 0..n-1, the ends distinct.
+    """
+    required = frozenset(edge(*e) for e in required_edges)
+    demands = tuple((v, c) for v, c in incidences if c > 0)
+    if ends is None:
+        if n < 3:
+            return None
+        first = _pick_start(demands, required, range(n), lambda v: n - 1)
+        last = ()
+    else:
+        first, last = ends[0], ends[1:]
+    middle = [v for v in range(n) if v != first and v not in last]
+    for rest in itertools.permutations(middle):
+        order = (first, *rest, *last)
+        w = _leaf(order, {v: i for i, v in enumerate(order)}, ends is None,
+                  required, demands, original_edges)
+        if w is not None:
+            return w
+    return None
 
 
 def is_ham_connected(g: Graph, node_budget: int | None = None) -> bool:

@@ -80,6 +80,26 @@ def test_invalid_labelling_is_rejected():
         construct_ham_cycle(g, Labelling(m))
 
 
+def test_only_a_supplied_labelling_is_checked(monkeypatch):
+    checked = []
+    real = construct.check_conditions
+
+    def spy(g, labelling):
+        checked.append(labelling)
+        return real(g, labelling)
+
+    monkeypatch.setattr(construct, "check_conditions", spy)
+    # the decision procedure's own labelling is not checked again
+    assert is_ham_cycle(BOWTIE, construct_ham_cycle(BOWTIE), square=True)
+    assert checked == []
+    d = decompose(BOWTIE)
+    t0, t1 = sorted(b.index for b in d.two_blocks())
+    bad = Labelling({(0, t0): 1, (0, t1): 0})
+    with pytest.raises(ValueError, match="violates conditions"):
+        construct_ham_cycle(BOWTIE, bad)
+    assert checked == [bad]
+
+
 def test_negative_decision_is_rejected():
     spider = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     with pytest.raises(ValueError, match="NOT_HAMILTONIAN"):
@@ -657,16 +677,25 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
 
     for name in ("cycle_with", "path_with"):
         monkeypatch.setattr(construct, name, counting(getattr(construct, name)))
+    squared = _counted_squares(monkeypatch)
+    # blocks of at most four vertices take the oracle's answer without a
+    # search or a square
     chain = _triangle_chain(640)
+    assert is_ham_cycle(chain, construct_ham_cycle(chain), square=True)
+    assert is_ham_path(chain, construct_ham_path(chain, 1, 1280), 1, 1280,
+                       square=True)
+    assert searches == [] and squared == []
+    g = _glued_chain(_WHEELS_AND_THETAS)
+    blocks = len(decompose(g).two_blocks())
     for build in (construct_ham_cycle,
-                  lambda g: construct_ham_path(g, 1, 1280)):
+                  lambda g: construct_ham_path(g, 1, g.n - 2)):
         searches.clear()
-        first = build(chain)
+        first = build(g)
         n = len(searches)
-        assert 1 <= n <= 4, searches  # 640 with one search per block
+        assert 1 <= n <= 2 * len(_rank_shapes(g)) < blocks, searches
         # a second request shares nothing with the first: it searches again
         searches.clear()
-        assert build(chain) == first
+        assert build(g) == first
         assert len(searches) == n
 
 
@@ -689,9 +718,12 @@ def _glued_chain(blocks):
 
 
 def _rank_shapes(g):
-    """The rank edge sets of g's 2-blocks."""
+    """The rank edge sets of g's 2-blocks on more than four vertices, the
+    blocks that are searched in their squares."""
     shapes = set()
     for b in decompose(g).two_blocks():
+        if len(b.vertices) <= 4:
+            continue
         rank = {v: i for i, v in enumerate(sorted(b.vertices))}
         shapes.add(frozenset(edge(rank[u], rank[v]) for u, v in b.edges))
     return shapes
@@ -715,7 +747,7 @@ _WHEELS_AND_THETAS = [_wheel(5), _theta((2, 2, 3)), _wheel(6),
 
 
 @pytest.mark.parametrize("g, shapes", [
-    (_triangle_chain(640), 1), (_glued_chain(_WHEELS_AND_THETAS), 5),
+    (_triangle_chain(640), 0), (_glued_chain(_WHEELS_AND_THETAS), 5),
 ], ids=["triangles", "wheels-and-thetas"])
 def test_requests_on_one_graph_relabel_and_square_each_block_once(
         monkeypatch, g, shapes):

@@ -14,6 +14,7 @@ from hamsquare.graph import (
 )
 from hamsquare.oracle import (
     BudgetExceeded,
+    complete_with,
     cycle_with,
     path_with,
     is_ham_connected,
@@ -354,6 +355,54 @@ def test_search_matches_the_full_recompute_reference(monkeypatch):
     for _ in range(3000):
         _search(_random_spec(rng, 8))
     assert blocks > 10_000 and len(nodes) == blocks + 3000, (blocks, len(nodes))
+
+
+# -- complete hosts without a search -----------------------------------------
+
+def _small_blocks():
+    """Every 2-block on the labelled vertices 0..n-1, n = 3 or 4: K3, and
+    the three C4s, six K4-es and K4."""
+    for n in (3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(n, len(pairs) + 1):
+            for es in itertools.combinations(pairs, k):
+                h = nx.Graph(es)
+                if h.number_of_nodes() == n and nx.is_biconnected(h):
+                    yield Graph.from_edges(es)
+
+
+def _demand_patterns(n):
+    """No demand, or demands (v, c) on one or two vertices, c in {1, 2},
+    in every order."""
+    yield ()
+    for r in (1, 2):
+        for vs in itertools.permutations(range(n), r):
+            for cs in itertools.product((1, 2), repeat=r):
+                yield tuple(zip(vs, cs))
+
+
+def test_complete_with_is_the_oracle_on_small_blocks():
+    def found(w):
+        return None if w is None else (w.order, w.assignment)
+
+    blocks = list(_small_blocks())
+    assert len(blocks) == 11
+    checked = 0
+    for b in blocks:
+        sq = b.square()
+        assert sq == complete_graph(b.n)
+        for demands in _demand_patterns(b.n):
+            for ends in [None, *itertools.permutations(range(b.n), 2)]:
+                for required in [(), *((e,) for e in sq.sorted_edges())]:
+                    if ends is None:
+                        want = cycle_with(sq, b, demands, required)
+                    else:
+                        want = path_with(sq, b, *ends, demands, required)
+                    got = complete_with(b.n, b.edges, demands, ends, required)
+                    assert found(got) == found(want), (
+                        b.sorted_edges(), demands, ends, required)
+                    checked += 1
+    assert checked == 868 + 10 * 57 * 13 * 7
 
 
 # -- property checkers -----------------------------------------------------
