@@ -6,8 +6,11 @@ Each row builds one witness in this process and validates it in the square
 without building the square (`is_ham_cycle`/`is_ham_path` with
 `square=True`). The rows are a star K1,2999, windmills of 1000 and 2000
 triangles (k triangles sharing vertex 0), a chain of 2560 triangles
-(each sharing one vertex with the next) and a lone cycle block C2000,
-whose witnesses come from the oracle. A row prints its CPU seconds
+(each sharing one vertex with the next), a mixed chain of 6000 blocks
+(C3, C4 and K4 in turn, each sharing one vertex with the next, with a
+pendant leaf on every fourth joint: 17,501 vertices, its cycle and its
+path from end to end) and a lone cycle block C2000, whose witnesses come
+from the oracle. A row prints its CPU seconds
 (`time.process_time`). The script exits 1 when a row raises, returns an
 invalid witness, or takes more than LIMIT_S of CPU; a constructor that is
 quadratic at a cutvertex of degree a few thousand, or an oracle that does
@@ -42,6 +45,26 @@ def triangle_chain(k):
                              (2 * t, 2 * t + 2)])
 
 
+def mixed_chain(k):
+    """C3, C4 and K4 blocks in turn, k in all, the last vertex of each the
+    first of the next, and a pendant leaf on every fourth of those joints.
+    Returns the graph and the far end of its last block."""
+    shapes = [(3, [(0, 1), (1, 2), (0, 2)]),
+              (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+              (4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
+    edges, base, joints = [], 0, []
+    for t in range(k):
+        size, es = shapes[t % 3]
+        edges += [(base + a, base + b) for a, b in es]
+        base += size - 1
+        joints.append(base)
+    leaf = base + 1
+    for v in joints[:-1][::4]:
+        edges.append((v, leaf))
+        leaf += 1
+    return Graph.from_edges(edges), base
+
+
 def rows():
     """(name, graph, endpoints or None for the cycle)."""
     k1 = star(2999)
@@ -54,6 +77,9 @@ def rows():
     yield "triangle chain k=2560 cycle", chain, None
     yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
     yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
+    mixed, end = mixed_chain(6000)
+    yield f"mixed C3/C4/K4 chain k=6000 n={mixed.n} cycle", mixed, None
+    yield f"mixed C3/C4/K4 chain k=6000 path 0-{end}", mixed, (0, end)
     c = cycle_graph(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)

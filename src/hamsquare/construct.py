@@ -53,12 +53,8 @@ walk from x away from -1. Nothing recurses, and besides the block searches
 a path costs O(n + m) and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
-hands it down to every block search it runs, so blocks of one shape with
-one demand pattern are searched once. A block of at most four vertices
-(C3, C4, K4-e or K4) has a complete square, and the oracle's answer on it
-comes from complete_with, which needs neither a search nor a square: a
-chain of 640 triangles takes no search and no square. The memo relabels a
-block by vertex rank and keeps the oracle's answer on the rank-space
+hands it down to every block search it runs. BlockSearch relabels a
+block by vertex rank and takes the oracle's answer on the rank-space
 block. That answer maps back to exactly the witness a search on the
 block's own labels would find, because the oracle reads labels only
 through their order: it walks sorted neighbourhoods, picks its start by
@@ -66,16 +62,27 @@ min and max, and matches the demands in their given order against the
 sorted witness edges. An order-preserving relabelling therefore relabels
 the witness and nothing else.
 
-What lives per graph and what lives per request are kept apart. Each
-block's rank form, and each searched rank-space shape's graph and
-square, depend on the graph only: they live in a store that every request
-on one decomposition shares, so a cycle and every pair's path on one graph
-relabel each block once and square each shape once. The store sits in one
-module-level slot, holds its decomposition weakly, and the first
-constructor call on another decomposition replaces it. The answers depend
-on the request: the memo of answers lives as long as the request, so no
-answer carries over from one request to the next, and the searches a
-request runs, with their node counts, never depend on history.
+What BlockSearch keeps has three lifetimes:
+- Per process, the small-block table. A block of at most four vertices
+  (C3, C4, K4-e or K4) has a complete square, so the oracle's answer on
+  it is complete_with's, a pure function of the rank-space key that
+  needs no search and no square, and counts no nodes. The table keeps each
+  key's answer for the life of the process. Its keys are finite, 11
+  shapes times the demand patterns sent here, so it needs no bound: the
+  cycle and an end-to-end path of a 17,501-vertex chain of C3, C4 and K4
+  blocks fill 11 keys.
+- Per graph, the store. Each block's rank form, and each searched
+  rank-space shape's graph and square, depend on the graph only: every
+  request on one decomposition shares them, so a cycle and every pair's
+  path on one graph relabel each block once and square each shape once.
+  The store sits in one module-level slot, holds its decomposition
+  weakly, and the first constructor call on another decomposition
+  replaces it.
+- Per request, the memo of searched blocks, those of more than four
+  vertices. Blocks of one shape with one demand pattern are searched
+  once per request, and no search carries over to the next request, so
+  the searches a request runs, with their node counts, never depend on
+  history.
 """
 
 from __future__ import annotations
@@ -109,6 +116,10 @@ class _Store:
 
 _store: _Store | None = None  # the store of the last decomposition searched
 
+# complete_with's answer on each rank-space block of at most four vertices,
+# keyed as BlockSearch keys a search, for the life of the process
+_complete: dict = {}
+
 
 def _store_of(d: Decomposition) -> _Store:
     """The store of d: the slot's, or a new one put in the slot. Returned
@@ -122,19 +133,23 @@ def _store_of(d: Decomposition) -> _Store:
 
 
 class BlockSearch:
-    """The block searches of one request, each run once per block shape.
+    """The block searches of one request.
 
     A search is keyed by its block relabelled by vertex rank: the frozenset
     of rank pairs of the block's edges, the demands in their given order,
     the endpoints (None for a cycle) and the required edges, all in ranks.
-    The oracle's answer on the rank-space block is found only on a miss,
-    and kept for the request, None included, since None certifies that no
-    witness exists. A block of at most four vertices gets it from
-    complete_with, since its square is complete; a larger one from a
-    search of its square. A search that raises keeps nothing. The rank
-    forms of the blocks and the rank-space blocks with their squares come
-    from the store of d, taken once here and shared with every request on
-    d.
+    The oracle's answer on the rank-space block is found only on a miss
+    and then kept, None included, since None certifies that no witness
+    exists; a call that raises keeps nothing. What is kept has three
+    lifetimes:
+    - per process, the small-block table: complete_with's answer on a
+      block of at most four vertices;
+    - per graph, the store of d, taken once here and shared with every
+      request on d: the rank forms of the blocks, and the rank-space
+      blocks with their squares;
+    - per request, this memo: the answer of a search of the square of a
+      block of more than four vertices.
+    Every call hands back a witness of its own.
     """
 
     def __init__(self, d: Decomposition):
@@ -159,24 +174,27 @@ class BlockSearch:
             ends = (rank[ends[0]], rank[ends[1]])
         required = tuple([edge(rank[u], rank[v]) for u, v in required])
         key = (es, demands, ends, required)
-        try:
-            w = self._found[key]
-        except KeyError:
-            if len(label) <= 4:  # the block's square is complete
-                w = complete_with(len(label), es, demands, ends, required)
-            else:
+        # the oracle's functions are looked up by name at each call, so a
+        # rebinding of them (as a tracer or a spy does) sees every call
+        if len(label) <= 4:  # the block's square is complete
+            try:
+                w = _complete[key]
+            except KeyError:
+                w = _complete[key] = complete_with(len(label), es, demands,
+                                                   ends, required)
+        else:
+            try:
+                w = self._found[key]
+            except KeyError:
                 if es not in self._shapes:
                     b = Graph._unchecked(frozenset(range(len(label))), es)
                     self._shapes[es] = b, b.square()
                 b, sq = self._shapes[es]
-                # cycle_with and path_with are looked up by name at each
-                # call, so a rebinding of them (as a tracer does) sees every
-                # search
                 if ends is None:
                     w = cycle_with(sq, b, demands, required)
                 else:
                     w = path_with(sq, b, *ends, demands, required)
-            self._found[key] = w
+                self._found[key] = w
         if w is None:
             return None
         return Witness(

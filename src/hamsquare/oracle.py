@@ -355,11 +355,21 @@ def complete_with(n: int, original_edges, incidences=(), ends=None,
     prune drops an order that passes the leaf test, so the search's answer
     is the first order from its start, in lexicographic order, that passes
     that test. This tries them in that order, at most (n - 1)! for a cycle
-    and (n - 2)! for a path, and builds no host. original_edges holds (min, max) pairs;
-    the demands and ends are vertices of 0..n-1, the ends distinct.
+    and (n - 2)! for a path, and builds no host. original_edges holds
+    (min, max) pairs. A required edge, a demanded vertex or an end off the
+    host raises the search's ValueError, as do two equal ends.
     """
     required = frozenset(edge(*e) for e in required_edges)
+    for e in required:
+        if not 0 <= e[0] < e[1] < n:
+            raise ValueError(f"required edge {e} not in host graph")
     demands = tuple((v, c) for v, c in incidences if c > 0)
+    for v, _ in demands:
+        if not 0 <= v < n:
+            raise ValueError(f"incidence vertex {v} not in host graph")
+    if ends is not None and (ends[0] == ends[1]
+                             or not all(0 <= v < n for v in ends)):
+        raise ValueError("path search needs two distinct endpoint vertices")
     if ends is None:
         if n < 3:
             return None

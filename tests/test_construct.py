@@ -693,10 +693,88 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
         first = build(g)
         n = len(searches)
         assert 1 <= n <= 2 * len(_rank_shapes(g)) < blocks, searches
-        # a second request shares nothing with the first: it searches again
+        # a second request shares no searched block with the first: it
+        # searches them again
         searches.clear()
         assert build(g) == first
         assert len(searches) == n
+
+
+# -- what lives per process ----------------------------------------------------
+
+_SMALL_SHAPES = [([(0, 1), (1, 2), (0, 2)], 3),
+                 ([(0, 1), (1, 2), (2, 3), (0, 3)], 4),
+                 (list(itertools.combinations(range(4), 2)), 4)]
+
+
+def _mixed_chain(k):
+    """C3, C4 and K4 blocks in turn, k in all, the last vertex of each the
+    first of the next, with a pendant leaf on every fourth joint."""
+    blocks = (_SMALL_SHAPES * k)[:k]
+    chain = _glued_chain(blocks)
+    joints = list(itertools.accumulate(size - 1 for _, size in blocks[:-1]))
+    leaves = [(v, chain.n + i) for i, v in enumerate(joints[::4])]
+    return Graph.from_edges([*chain.edges, *leaves])
+
+
+def _small_block_requests(g) -> list:
+    """A cycle and three paths of g, each checked, the paths' ends picked
+    by rank, so that an order-preserving relabelling of g picks the same."""
+    vs = g.sorted_vertices()
+    k = len(vs)
+    out = [construct_ham_cycle(g)]
+    assert is_ham_cycle(g, out[0], square=True)
+    for x, y in ((vs[0], vs[-1]), (vs[1], vs[-2]), (vs[k // 2], vs[k // 3])):
+        out.append(construct_ham_path(g, x, y))
+        assert is_ham_path(g, out[-1], x, y, square=True)
+    return out
+
+
+def test_small_block_table_holds_only_blocks_of_at_most_four_vertices():
+    _small_block_requests(_mixed_chain(60))
+    _small_block_requests(_glued_chain(_WHEELS_AND_THETAS[:3]))
+    assert construct._complete
+    for es, demands, ends, required in construct._complete:
+        on = {v for e in es for v in e}
+        assert on == set(range(len(on))) and len(on) in (3, 4)
+        assert {v for v, _ in demands} | set(ends or ()) <= on
+        assert {v for e in required for v in e} <= on
+
+
+def test_small_block_table_serves_relabelled_and_repeated_requests(
+        monkeypatch):
+    monkeypatch.setattr(construct, "_complete", {})
+    fills = []
+    real = construct.complete_with
+
+    def spy(*args):
+        fills.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "complete_with", spy)
+    g = _mixed_chain(60)
+    first = _small_block_requests(g)
+    keys = set(construct._complete)
+    # every fill is one call of complete_with by its module-global name
+    assert 0 < len(fills) == len(keys) < len(decompose(g).two_blocks())
+    fills.clear()
+    assert _small_block_requests(g) == first
+    for h in _relabellings(random.Random(3), g)[1:]:
+        _small_block_requests(h)
+    assert fills == [] and set(construct._complete) == keys
+
+
+def test_small_block_witnesses_are_handed_out_fresh():
+    k4 = Graph.from_edges(_SMALL_SHAPES[2][0])
+    for demands, ends in [([(0, 2), (3, 1)], None), ([(2, 1)], (0, 3))]:
+        w = BlockSearch(decompose(k4))(k4.vertices, k4.edges, demands, ends)
+        want = (w.order, {v: list(at) for v, at in w.assignment.items()})
+        for at in w.assignment.values():
+            at.append((8, 9))
+        w.assignment.clear()
+        again = BlockSearch(decompose(k4))(k4.vertices, k4.edges, demands,
+                                           ends)
+        assert (again.order, again.assignment) == want and want[1]
 
 
 # -- what lives per graph ------------------------------------------------------

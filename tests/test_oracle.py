@@ -405,6 +405,38 @@ def test_complete_with_is_the_oracle_on_small_blocks():
     assert checked == 868 + 10 * 57 * 13 * 7
 
 
+@pytest.mark.parametrize("demands, ends, required", [
+    ((), (1, 1), ()),
+    ((), (0, 3), ()),
+    ((), (-1, 2), ()),
+    (((5, 1),), None, ()),
+    (((-1, 2),), (0, 1), ()),
+    ((), None, ((0, 3),)),
+    ((), (0, 2), ((-1, 1),)),
+    ((), None, ((1, 1),)),
+    (((4, 1),), (2, 2), ((0, 3),)),  # the search's checks come in its order
+])
+def test_complete_with_rejects_what_the_search_rejects(demands, ends,
+                                                        required):
+    b = cycle_graph(3)
+    sq = complete_graph(3)
+    with pytest.raises(ValueError) as want:
+        if ends is None:
+            cycle_with(sq, b, demands, required)
+        else:
+            path_with(sq, b, *ends, demands, required)
+    with pytest.raises(ValueError) as got:
+        complete_with(3, b.edges, demands, ends, required)
+    assert str(got.value) == str(want.value)
+
+
+def test_complete_with_drops_an_empty_demand_off_the_host_as_the_search_does():
+    b = cycle_graph(3)
+    want = cycle_with(complete_graph(3), b, [(5, 0)])
+    assert complete_with(3, b.edges, [(5, 0)]) == want
+    assert want.order == (0, 1, 2)
+
+
 # -- property checkers -----------------------------------------------------
 
 def test_property_kind_list_is_closed():
