@@ -11,10 +11,12 @@ import sys
 import time
 
 sys.path.insert(0, "src")
+sys.path.insert(0, "tests")
 
-from hamsquare.counterexamples import minimal_families
+from families import minimal_families
+from properties import is_ham_connected
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
-from hamsquare.oracle import cycle_with, is_ham_connected
+from hamsquare.oracle import cycle_with
 
 
 def main() -> int:

@@ -20,7 +20,8 @@ from hamsquare.labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONI
 from hamsquare.hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import is_ham_cycle, is_ham_path
-from hamsquare.oracle import cycle_with, is_ham_connected
+from hamsquare.oracle import cycle_with
+from properties import is_ham_connected
 import itertools
 
 

@@ -12,11 +12,12 @@ import sys
 import time
 
 sys.path.insert(0, "src")
+sys.path.insert(0, "tests")
 
 import networkx as nx
 
 from hamsquare.graph import Graph
-from hamsquare.oracle import verify_property
+from properties import verify_property
 
 RANGES = {
     "twoBlockCycle": (3, 7),

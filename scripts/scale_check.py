@@ -24,13 +24,17 @@ import time
 sys.path.insert(0, "src")
 
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
-from hamsquare.graph import Graph, cycle_graph, is_ham_cycle, is_ham_path
+from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
 
 LIMIT_S = 2.0
 
 
 def star(k):
     return Graph.from_edges((0, i) for i in range(1, k + 1))
+
+
+def cycle(n):
+    return Graph.from_edges((i, (i + 1) % n) for i in range(n))
 
 
 def windmill(k):
@@ -80,7 +84,7 @@ def rows():
     mixed, end = mixed_chain(6000)
     yield f"mixed C3/C4/K4 chain k=6000 n={mixed.n} cycle", mixed, None
     yield f"mixed C3/C4/K4 chain k=6000 path 0-{end}", mixed, (0, end)
-    c = cycle_graph(2000)
+    c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)
 

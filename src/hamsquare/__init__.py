@@ -19,7 +19,6 @@ from .construct import construct_ham_cycle, construct_ham_path, ConstructionErro
 from .oracle import (
     cycle_with,
     path_with,
-    verify_property,
     BudgetExceeded,
 )
 from .counterexamples import counterexample_for
@@ -41,7 +40,6 @@ __all__ = [
     "ConstructionError",
     "cycle_with",
     "path_with",
-    "verify_property",
     "BudgetExceeded",
     "counterexample_for",
 ]

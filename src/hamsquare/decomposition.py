@@ -13,8 +13,8 @@ which no verdict or cycle makes. Any other graph takes one lowpoint DFS
 from the least vertex, which also proves the graph connected by reaching
 every vertex, and one loop over the blocks it finds. The block-cutvertex
 index (Block records, blocks_of, the blocks at each vertex, cuts_of, the
-cutvertices of each block, and cvn) is built on the first read of any of
-its fields, all four in one loop. The block-cutvertex tree and the
+cutvertices of each block) is built on the first read of any of its
+fields, all three in one loop. The block-cutvertex tree and the
 bridge forest P0 left after removing all blocks with more than two
 vertices are read off these; P0 is g itself when there is no 2-block,
 and otherwise a walk over the bridge adjacency, in O(n + m), made once
@@ -106,7 +106,7 @@ class Decomposition:
         return len(self.records) if self.two_idx else self.graph.m
 
     def _index(self) -> None:
-        """Build blocks, blocks_of, cuts_of and cvn in one loop."""
+        """Build blocks, blocks_of and cuts_of in one loop."""
         cut = self.cutvertices
         blocks = []
         blocks_of: dict[int, list[int]] = {v: [] for v in self.graph._adj}
@@ -121,12 +121,11 @@ class Decomposition:
             for v in vs:
                 blocks_of[v].append(t)
         self.__dict__.update(blocks=tuple(blocks), blocks_of=blocks_of,
-                             cuts_of=cuts_of,
-                             cvn={t: len(cs) for t, cs in cuts_of.items()})
+                             cuts_of=cuts_of)
 
-    # built on first read, all four together; blocks_of and cuts_of ascending
+    # built on first read, all three together; blocks_of and cuts_of ascending
     blocks, blocks_of = _OnRead("_index"), _OnRead("_index")
-    cuts_of, cvn = _OnRead("_index"), _OnRead("_index")
+    cuts_of = _OnRead("_index")
 
     def two_blocks(self) -> list[Block]:
         return [self.blocks[t] for t in self.two_idx]
@@ -440,10 +439,6 @@ class P0Component:
 @dataclass(frozen=True)
 class CaterpillarAnalysis:
     components: tuple[P0Component, ...]
-
-    @property
-    def all_caterpillars(self) -> bool:
-        return all(c.is_caterpillar for c in self.components)
 
 
 def compute_P0(g: Graph) -> CaterpillarAnalysis:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -122,44 +121,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    # -- traversal --------------------------------------------------------
-
-    def components(self) -> list[frozenset[int]]:
-        """Connected components, each a vertex set, ordered by min vertex."""
-        seen: set[int] = set()
-        comps = []
-        for start in self.sorted_vertices():
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.distances_from(next(iter(self.vertices)))) == self.n
-
-    def distances_from(self, source: int) -> dict[int, int]:
-        """BFS distances from source to every reachable vertex."""
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
     # -- derived graphs ---------------------------------------------------
 
     def square(self) -> "Graph":
@@ -177,13 +138,6 @@ class Graph:
             sq[v] = frozenset(near)
             es += [(v, w) for w in near if v < w]
         return Graph._unchecked(self.vertices, frozenset(es), sq)
-
-    def subgraph(self, keep: Iterable[int]) -> "Graph":
-        ks = frozenset(keep)
-        if not ks <= self.vertices:
-            raise ValueError("subgraph vertices not in graph")
-        es = frozenset(e for e in self.edges if e[0] in ks and e[1] in ks)
-        return Graph(ks, es)
 
     def relabelled(self, mapping: dict[int, int]) -> "Graph":
         """Apply an injective vertex relabelling."""
@@ -275,37 +229,6 @@ def _parse_lines(text: str) -> Graph:
     ends = itertools.chain.from_iterable(edges)
     return Graph._unchecked(frozenset(itertools.chain(ends, isolated)),
                             frozenset(edges))
-
-
-# -- standard builders ----------------------------------------------------
-
-def path_graph(n: int) -> Graph:
-    """P_n on vertices 0..n-1."""
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    return Graph.from_edges([(i, i + 1) for i in range(n - 1)], isolated=[0])
-
-
-def cycle_graph(n: int) -> Graph:
-    """C_n on vertices 0..n-1."""
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    return Graph.from_edges([(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    """K_n on vertices 0..n-1."""
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    return Graph.from_edges(itertools.combinations(range(n), 2),
-                            isolated=range(n))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b}: part A = 0..a-1, part B = a..a+b-1."""
-    if a < 1 or b < 1:
-        raise ValueError("both parts need at least one vertex")
-    return Graph.from_edges((i, a + j) for i in range(a) for j in range(b))
 
 
 def cycle_edges(order: list[int]) -> list[tuple[int, int]]:

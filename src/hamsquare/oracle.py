@@ -47,7 +47,6 @@ import sys
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
-from .decomposition import decompose
 
 
 class BudgetExceeded(RuntimeError):
@@ -385,118 +384,3 @@ def complete_with(n: int, original_edges, incidences=(), ends=None,
         if w is not None:
             return w
     return None
-
-
-def is_ham_connected(g: Graph, node_budget: int | None = None) -> bool:
-    """Every vertex pair of g joined by a hamiltonian path (g used as given)."""
-    if g.n < 2:
-        raise ValueError("hamiltonian connectedness needs at least two vertices")
-    vs = g.sorted_vertices()
-    for i, x in enumerate(vs):
-        for y in vs[i + 1:]:
-            if path_with(g, g, x, y, node_budget=node_budget) is None:
-                return False
-    return True
-
-
-# -- property checkers over a 2-block -------------------------------------
-
-PROPERTY_KINDS = ("twoBlockCycle", "H4", "H5", "F4", "strongF3", "strongF3ends")
-
-
-@dataclass(frozen=True)
-class PropertyResult:
-    ok: bool
-    counterexample: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def _check_two_block(b: Graph, min_order: int):
-    if b.n < min_order:
-        raise ValueError(f"property needs a 2-block on at least {min_order} vertices")
-    d = decompose(b)
-    if len(d.blocks) != 1 or not d.blocks[0].is_two_block:
-        raise ValueError("input is not a 2-block")
-
-
-def verify_property(kind: str, b: Graph,
-                    node_budget: int | None = None) -> PropertyResult:
-    """Check one of the square-hamiltonicity properties on a 2-block.
-
-    twoBlockCycle: for every ordered pair (v, w) a hamiltonian cycle of the
-        square with both cycle edges at v original and one at w original,
-        all distinct.
-    H4 / H5: for every 4- / 5-subset a hamiltonian cycle of the square with
-        a distinct original edge at each chosen vertex.
-    F4: for every 4-subset and every choice of two path ends among them, a
-        hamiltonian path with distinct original edges at the other two.
-    strongF3: for every 3-subset, every ends choice and each end, a
-        hamiltonian path with distinct original edges at the third vertex and
-        at that end.
-    strongF3ends: for every ordered pair (x, y), a hamiltonian x-y path with
-        an original edge at x and either an original edge at y (distinct) or
-        an edge of the path joining two neighbors of y.
-    """
-    if kind not in PROPERTY_KINDS:
-        raise ValueError(f"unknown property kind {kind!r}")
-    _check_two_block(b, 4 if kind in ("H4", "H5", "F4") else 3)
-    sq = b.square()
-    vs = b.sorted_vertices()
-
-    if kind == "twoBlockCycle":
-        for v in vs:
-            for w in vs:
-                if v == w:
-                    continue
-                if cycle_with(sq, b, [(v, 2), (w, 1)], node_budget=node_budget) is None:
-                    return PropertyResult(False, (v, w))
-        return PropertyResult(True)
-
-    if kind in ("H4", "H5"):
-        r = 4 if kind == "H4" else 5
-        if b.n < r:
-            raise ValueError(f"{kind} needs at least {r} vertices")
-        for sub in itertools.combinations(vs, r):
-            if cycle_with(sq, b, [(v, 1) for v in sub],
-                          node_budget=node_budget) is None:
-                return PropertyResult(False, sub)
-        return PropertyResult(True)
-
-    if kind == "F4":
-        for sub in itertools.combinations(vs, 4):
-            for x1, x2 in itertools.combinations(sub, 2):
-                rest = [v for v in sub if v not in (x1, x2)]
-                if path_with(sq, b, x1, x2, [(v, 1) for v in rest],
-                             node_budget=node_budget) is None:
-                    return PropertyResult(False, (x1, x2, *rest))
-        return PropertyResult(True)
-
-    if kind == "strongF3":
-        for sub in itertools.combinations(vs, 3):
-            for x3 in sub:
-                x1, x2 = (v for v in sub if v != x3)
-                for xi in (x1, x2):
-                    if path_with(sq, b, x1, x2, [(x3, 1), (xi, 1)],
-                                 node_budget=node_budget) is None:
-                        return PropertyResult(False, (x1, x2, x3, xi))
-        return PropertyResult(True)
-
-    # strongF3ends
-    for x in vs:
-        for y in vs:
-            if x == y:
-                continue
-            if path_with(sq, b, x, y, [(x, 1), (y, 1)],
-                         node_budget=node_budget) is not None:
-                continue
-            ok = False
-            for u, v in itertools.combinations(sorted(b.neighbors(y)), 2):
-                if path_with(sq, b, x, y, [(x, 1)], required_edges=[(u, v)],
-                             node_budget=node_budget) is not None:
-                    ok = True
-                    break
-            if not ok:
-                return PropertyResult(False, (x, y))
-    return PropertyResult(True)

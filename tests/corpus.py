@@ -14,9 +14,9 @@ from functools import lru_cache
 
 import networkx as nx
 
-from hamsquare.graph import (Graph, path_graph, cycle_graph, complete_graph,
-                            complete_bipartite)
+from hamsquare.graph import Graph
 from hamsquare.decomposition import decompose
+from families import path_graph, cycle_graph, complete_graph, complete_bipartite
 
 MAX_VERTICES = 8
 MAX_CUTVERTICES = 3
@@ -31,7 +31,7 @@ _PALETTE: tuple[tuple[Graph, tuple[int, ...]], ...] = (
 )
 
 
-def _to_nx(g: Graph) -> nx.Graph:
+def to_nx(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges)
@@ -45,7 +45,7 @@ class _IsoPool:
         self._buckets: dict = {}
 
     def add(self, g: Graph) -> bool:
-        h = _to_nx(g)
+        h = to_nx(g)
         key = (g.n, g.m, nx.weisfeiler_lehman_graph_hash(h))
         bucket = self._buckets.setdefault(key, [])
         for seen in bucket:
@@ -130,14 +130,14 @@ def is_block_chain(g: Graph) -> bool:
     """Blocks arranged in a path: each block at most two cutvertices, each
     cutvertex in exactly two blocks."""
     d = decompose(g)
-    return (all(c <= 2 for c in d.cvn.values())
+    return (all(len(cs) <= 2 for cs in d.cuts_of.values())
             and all(len(d.blocks_of[v]) == 2 for v in d.cutvertices))
 
 
 def inner_blocks(g: Graph):
     """Blocks of a chain containing two cutvertices (the non-end blocks)."""
     d = decompose(g)
-    return [b for b in d.blocks if d.cvn[b.index] == 2]
+    return [b for b in d.blocks if len(d.cuts_of[b.index]) == 2]
 
 
 @lru_cache(maxsize=None)

@@ -18,11 +18,10 @@ from hamsquare.labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONI
 from hamsquare.hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.caterpillars import caterpillar_cycle
-from hamsquare.oracle import (
-    cycle_with, is_ham_connected, verify_property,
-)
+from hamsquare.oracle import cycle_with
 from corpus import corpus, block_chains, inner_blocks
-from hamsquare.counterexamples import minimal_families
+from families import minimal_families
+from properties import is_ham_connected, verify_property
 from caterpillar_reference import adjacency, is_caterpillar, longest_spine
 
 

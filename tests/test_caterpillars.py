@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hamsquare.graph import Graph, edge, path_graph, is_ham_cycle
+from hamsquare.graph import Graph, edge, is_ham_cycle
 from hamsquare.caterpillars import (
     ConstructionError,
     caterpillar_cycle,
@@ -19,6 +19,7 @@ from caterpillar_reference import (
     is_caterpillar,
     longest_spine,
 )
+from families import path_graph
 
 
 def star(k):

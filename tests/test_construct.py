@@ -8,10 +8,9 @@ import weakref
 
 import pytest
 
-from hamsquare.graph import (
-    Graph, edge, path_graph, cycle_graph, is_ham_cycle, is_ham_path,
-)
+from hamsquare.graph import Graph, edge, is_ham_cycle, is_ham_path
 from corpus import corpus
+from families import path_graph, cycle_graph
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import HAMILTONIAN, Labelling, decide_hamiltonicity
 from hamsquare.hamconn import (

@@ -11,8 +11,7 @@ import pytest
 from hamsquare import cli, decomposition
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.counterexamples import counterexample_for
-from hamsquare.graph import (Graph, edge, path_graph, cycle_graph,
-                             complete_graph, complete_bipartite)
+from hamsquare.graph import Graph, edge
 from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
 from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
                                  STRUCTURALLY_RISKY, decide_hamiltonicity)
@@ -25,7 +24,8 @@ from hamsquare.decomposition import (
     compute_P0,
     _canon_cmp,
 )
-from corpus import corpus
+from corpus import corpus, to_nx
+from families import path_graph, cycle_graph, complete_graph, complete_bipartite
 from test_labelling import _random_block_tree as _peel_block_tree
 from caterpillar_reference import is_caterpillar
 
@@ -34,23 +34,17 @@ SPIDER = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
 
 
 def brute_cutvertices(g: Graph) -> set:
-    out = set()
-    base = len(g.components())
-    for v in g.sorted_vertices():
-        rest = g.subgraph(g.vertices - {v})
-        if rest.n and len(rest.components()) > base:
-            out.add(v)
-    return out
+    h = to_nx(g)
+    base = nx.number_connected_components(h)
+    return {v for v in h if nx.number_connected_components(
+        nx.restricted_view(h, [v], [])) > base}
 
 
 def brute_bridges(g: Graph) -> set:
-    out = set()
-    base = len(g.components())
-    for e in g.sorted_edges():
-        rest = Graph(g.vertices, g.edges - {e})
-        if len(rest.components()) > base:
-            out.add(e)
-    return out
+    h = to_nx(g)
+    base = nx.number_connected_components(h)
+    return {e for e in g.edges if nx.number_connected_components(
+        nx.restricted_view(h, [], [e])) > base}
 
 
 SAMPLES = [
@@ -123,7 +117,7 @@ def test_two_block_flag_is_size_based():
 def test_cvn_sum_identity():
     for g in SAMPLES:
         d = decompose(g)
-        per_block = sum(d.cvn[b.index] for b in d.blocks)
+        per_block = sum(len(d.cuts_of[b.index]) for b in d.blocks)
         per_cut = sum(len(d.blocks_of[v]) for v in d.cutvertices)
         assert per_block == per_cut
 
@@ -131,7 +125,8 @@ def test_cvn_sum_identity():
 def test_endblocks():
     d = decompose(path_graph(4))
     # endblocks, the leaves of the bc-tree, hold at most one cutvertex
-    ends = {tuple(sorted(b.vertices)) for b in d.blocks if d.cvn[b.index] <= 1}
+    ends = {tuple(sorted(b.vertices)) for b in d.blocks
+            if len(d.cuts_of[b.index]) <= 1}
     assert ends == {(0, 1), (2, 3)}
 
 
@@ -158,7 +153,7 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
                         lambda *a: made.append(a) or block(*a))
     trees = [path_graph(3000), _caterpillar(1000, 2), complete_bipartite(1, 600),
              _spider(3, 1000)]
-    index = {"blocks", "blocks_of", "cuts_of", "cvn"}
+    index = {"blocks", "blocks_of", "cuts_of"}
     lazy = {"records", "trivial_bridges"}
     hamiltonian = []
     for g in trees:
@@ -180,7 +175,7 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
         # a later read builds what the two-pass reference finds
         ref = _reference_decompose(g)
         assert d.trivial_bridges == ref["trivial_bridges"]
-        d.cvn  # one read builds the whole index, a record per bridge
+        d.cuts_of  # one read builds the whole index, a record per bridge
         assert index | lazy <= vars(d).keys() and len(made) == g.m
         assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
             == ref["blocks"]
@@ -280,7 +275,7 @@ def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):
     g = _caterpillar(30, 2)
     ref = weakref.ref(g)
     construct_ham_cycle(g)
-    decompose(g).cvn
+    decompose(g).cuts_of
     del g
     assert ref() is not None
     decompose(path_graph(3))
@@ -397,7 +392,6 @@ def test_p0_of_bowtie_is_empty():
     ana = compute_P0(BOWTIE)
     assert _forest(ana).n == 0
     assert ana.components == ()
-    assert ana.all_caterpillars
 
 
 def test_p0_of_path_is_the_path():
@@ -415,19 +409,27 @@ def test_p0_triangle_with_pendant_path():
 
 def test_p0_spider_component_is_not_caterpillar():
     ana = compute_P0(SPIDER)
-    assert not ana.all_caterpillars
+    assert not all(c.is_caterpillar for c in ana.components)
 
 
-def test_bn_three_iff_non_caterpillar_component():
-    # the equivalence behind the first stopping rule, on mixed samples
-    extras = [SPIDER, path_graph(6), BOWTIE,
+def test_non_caterpillar_component_implies_bn_three():
+    # a P0 component that is no caterpillar has a vertex with three
+    # non-leaf neighbours, each across a nontrivial bridge. The converse
+    # fails: three triangles each hung by a bridge from 0 give bn(0) = 3,
+    # yet each bridge is a component of its own
+    triangles = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 3),
+                                  (0, 4), (4, 5), (5, 6), (4, 6),
+                                  (0, 7), (7, 8), (8, 9), (7, 9)])
+    extras = [SPIDER, path_graph(6), BOWTIE, triangles,
               Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
                                 (0, 5), (5, 6), (0, 7), (7, 8)])]
     for g in extras:
-        d = decompose(g)
-        ana = compute_P0(g)
-        has_heavy = any(v >= 3 for v in d.bn.values())
-        assert has_heavy == (not ana.all_caterpillars)
+        if not all(c.is_caterpillar for c in compute_P0(g).components):
+            assert max(decompose(g).bn.values()) >= 3
+    assert decompose(triangles).bn[0] == 3
+    assert all(c.is_caterpillar for c in compute_P0(triangles).components)
+    assert decide_hamiltonicity(triangles).outcome == NOT_HAMILTONIAN
+    counterexample_for(triangles, 4)  # accepted on bn alone
 
 
 # -- the block-cutvertex index against scans -------------------------------
@@ -465,8 +467,9 @@ def _reference_P0(g: Graph, d):
             if all(edge(v, w) in two_edges for w in g.neighbors(v))}
     p0 = Graph(g.vertices - drop, g.edges - two_edges)
     comps = []
-    for comp in p0.components():
-        sub = p0.subgraph(comp)
+    for comp in sorted(map(frozenset, nx.connected_components(to_nx(p0))),
+                       key=min):
+        sub = Graph(comp, frozenset(e for e in p0.edges if e[0] in comp))
         comps.append((comp, sub.edges, is_caterpillar(sub)))
     return p0, comps
 
@@ -500,7 +503,6 @@ def test_index_P0_and_bc_tree_match_scans():
         cuts = {b.index: sorted(v for v in d.cutvertices if v in b.vertices)
                 for b in d.blocks}
         assert d.cuts_of == cuts
-        assert d.cvn == {t: len(cs) for t, cs in cuts.items()}
         assert d.k == {v: sum(1 for b in d.two_blocks() if v in b.vertices)
                        for v in g.vertices}
 
@@ -581,7 +583,7 @@ def _reference_decompose(g: Graph) -> dict:
     """Every field of decompose(g), by a separate connectivity check, the
     sorted DFS above, blocks keyed by their sorted edge lists and scans
     over the blocks."""
-    assert g.is_connected()
+    assert nx.is_connected(to_nx(g))
     raw, arts = _biconnected(g)
     blocks = [(idx, frozenset(x for e in es for x in e), es)
               for idx, es in enumerate(sorted(raw, key=lambda es: sorted(es)))]
@@ -597,7 +599,6 @@ def _reference_decompose(g: Graph) -> dict:
         "nontrivial_bridges": nontrivial,
         "bn": {v: sum(v in e for e in nontrivial) for v in g.vertices},
         "k": {v: sum(v in vs for _, vs in two) for v in g.vertices},
-        "cvn": {t: len(cs) for t, cs in cuts_of.items()},
         "blocks_of": {v: [t for t, vs, _ in blocks if v in vs]
                       for v in g.vertices},
         "cuts_of": cuts_of,

@@ -2,21 +2,19 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamsquare import graph
-from corpus import corpus
+from corpus import corpus, to_nx
+from families import path_graph, cycle_graph, complete_graph, complete_bipartite
 from test_labelling import _random_block_tree
 from hamsquare.graph import (
     Graph,
     GraphParseError,
     edge,
     parse_edge_list,
-    path_graph,
-    cycle_graph,
-    complete_graph,
-    complete_bipartite,
     is_ham_cycle,
     is_ham_path,
 )
@@ -179,15 +177,9 @@ def test_parse_comments_isolated_and_errors():
 
 
 def _square_by_bfs(g: Graph) -> Graph:
-    # independent reference: join vertices at BFS distance exactly 1 or 2
-    es = set()
-    vs = g.sorted_vertices()
-    for u in vs:
-        dist = g.distances_from(u)
-        for v in vs:
-            if v != u and dist.get(v, 99) <= 2:
-                es.add(edge(u, v))
-    return Graph(g.vertices, frozenset(es))
+    # independent reference: networkx joins vertices at distance 1 or 2
+    sq = nx.power(to_nx(g), 2)
+    return Graph(frozenset(sq), frozenset(edge(u, v) for u, v in sq.edges))
 
 
 def test_square_k2_fixed():
@@ -210,12 +202,6 @@ def test_square_c5_is_k5():
 ])
 def test_square_matches_bfs_reference(g):
     assert g.square() == _square_by_bfs(g)
-
-
-def test_shortest_path_and_distances():
-    g = cycle_graph(6)
-    d = g.distances_from(0)
-    assert d[3] == 3 and d[5] == 1
 
 
 def test_relabelled_roundtrip():

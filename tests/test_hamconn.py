@@ -2,8 +2,10 @@
 
 import pytest
 
-from hamsquare.graph import Graph, path_graph, cycle_graph, complete_graph
-from hamsquare.oracle import is_ham_connected, path_with
+from hamsquare.graph import Graph
+from hamsquare.oracle import path_with
+from families import path_graph, cycle_graph, complete_graph
+from properties import is_ham_connected
 from hamsquare.hamconn import (
     HAM_CONNECTED,
     NOT_HAM_CONNECTED,

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hamsquare.graph import Graph, path_graph, cycle_graph, complete_bipartite
+from hamsquare.graph import Graph
+from families import path_graph, cycle_graph, complete_bipartite
 from hamsquare.counterexamples import counterexample_for
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
 from hamsquare.oracle import cycle_with

@@ -9,19 +9,17 @@ import pytest
 
 from hamsquare import oracle
 from hamsquare.graph import (
-    Graph, edge, path_graph, cycle_graph, complete_graph, complete_bipartite,
-    cycle_edges, is_ham_cycle, is_ham_path,
+    Graph, edge, cycle_edges, is_ham_cycle, is_ham_path,
 )
 from hamsquare.oracle import (
     BudgetExceeded,
     complete_with,
     cycle_with,
     path_with,
-    is_ham_connected,
-    verify_property,
-    PROPERTY_KINDS,
 )
+from families import path_graph, cycle_graph, complete_graph, complete_bipartite
 from oracle_reference import ReferenceSearch
+from properties import is_ham_connected, verify_property, PROPERTY_KINDS
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
