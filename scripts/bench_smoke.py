@@ -29,6 +29,10 @@ forest-square must build no square at all (`graph.square.calls` 0): its
 trees get verdicts and cycles through the CLI, whose witnesses, the
 largest of the three workloads, are validated against the square
 without building it.
+
+No workload may spend time checking a labelling
+(`labelling.check_conditions.self_ms` 0): no request re-checks a
+labelling it made itself, the CLI's `construct-cycle` included.
 """
 
 import json
@@ -47,10 +51,11 @@ TRACED = {
 }
 # workload -> the per-layer metrics that its traced run must keep at or
 # below a ceiling per pass
+NO_CHECK = {"labelling.check_conditions.self_ms": 0}
 CEILINGS = {"chain-witness": {"oracle.search.calls": 0,
-                              "graph.square.calls": 0},
-            "block-search": {"graph.square.calls": 240},
-            "forest-square": {"graph.square.calls": 0}}
+                              "graph.square.calls": 0, **NO_CHECK},
+            "block-search": {"graph.square.calls": 240, **NO_CHECK},
+            "forest-square": {"graph.square.calls": 0, **NO_CHECK}}
 
 
 def traced_ok(workload: str, metrics) -> bool:

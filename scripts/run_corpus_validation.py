@@ -48,7 +48,7 @@ def main() -> int:
         if v.outcome == NOT_HAMILTONIAN and truth:
             errors.append(("false negative", g.edge_list_text()))
         if v.outcome == HAMILTONIAN and not args.skip_construct:
-            cyc = construct_ham_cycle(g, v.labelling)
+            cyc = construct_ham_cycle(g)
             if not is_ham_cycle(g.square(), cyc):
                 errors.append(("bad cycle witness", g.edge_list_text()))
     dt = time.perf_counter() - t0

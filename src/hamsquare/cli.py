@@ -258,7 +258,7 @@ def _cmd_construct_cycle(g, d, args):
         if v.violated_condition is not None:
             result["violated_condition"] = v.violated_condition
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_cycle(g, v.labelling)
+    order = construct_ham_cycle(g)
     lines = ["cycle: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=cycle_edges(order)))

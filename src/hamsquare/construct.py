@@ -93,8 +93,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
 from .decomposition import Decomposition, decompose
-from .labelling import (Labelling, check_conditions, decide_hamiltonicity,
-                        HAMILTONIAN)
+from .labelling import Labelling, decide_hamiltonicity, HAMILTONIAN
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, complete_with, cycle_with, path_with
@@ -308,7 +307,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
     k2_edges: set = set()
-    for comp in d.bridge_forest.components:
+    for comp in d.bridge_forest:
         if all(g.degree(a) == 1 or g.degree(b) == 1 for a, b in comp.edges):
             continue  # pendant star; its leaves join as singletons later
         if comp.is_trivial:
@@ -400,26 +399,20 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     return cs.walk(first, last)
 
 
-def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
-    """A hamiltonian cycle of square(g), built from the labelling's blueprint.
-
-    With labelling None the decision procedure is run first and must come
-    back positive; the labelling it builds satisfies the six conditions and
-    is not checked again. A supplied labelling must satisfy all six.
-    decompose's traversal of g is the connectivity check.
+def construct_ham_cycle(g: Graph) -> list:
+    """A hamiltonian cycle of square(g), built from the labelling of
+    decide_hamiltonicity(g), which must come back positive; that labelling
+    satisfies the six conditions and is not checked again. decompose's
+    traversal of g is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("a hamiltonian cycle needs at least 3 vertices")
     d = decompose(g)
-    if labelling is None:
-        verdict = decide_hamiltonicity(g)
-        if verdict.outcome != HAMILTONIAN:
-            raise ValueError(
-                f"decision procedure returned {verdict.outcome}; no labelling "
-                "to build from")
-        labelling = verdict.labelling
-    elif bad := check_conditions(g, labelling):
-        raise ValueError(f"labelling violates conditions {bad}")
+    verdict = decide_hamiltonicity(g)
+    if verdict.outcome != HAMILTONIAN:
+        raise ValueError(
+            f"decision procedure returned {verdict.outcome}; no labelling "
+            "to build from")
 
     if not d.two_blocks():
         cyc = list(caterpillar_cycle(g._adj).order)  # g is a tree
@@ -429,7 +422,7 @@ def construct_ham_cycle(g: Graph, labelling: Labelling | None = None) -> list:
             raise ConstructionError("no hamiltonian cycle in the block square")
         cyc = list(w.order)
     else:
-        cyc = _merge_cycles(g, d, labelling, BlockSearch(d))
+        cyc = _merge_cycles(g, d, verdict.labelling, BlockSearch(d))
 
     if not is_ham_cycle(g, cyc, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian cycle")

@@ -131,11 +131,9 @@ class Decomposition:
         return [self.blocks[t] for t in self.two_idx]
 
     @functools.cached_property
-    def bridge_forest(self) -> CaterpillarAnalysis:
-        """compute_P0 of this decomposition, walked once, on first use.
-        compute_P0 walks decompose's memo, so one that is not held any
-        more is walked here, without a second traversal."""
-        return compute_P0(self.graph) if _last is self else _walk_P0(self)
+    def bridge_forest(self) -> tuple[P0Component, ...]:
+        """P0's components, compute_P0(self), walked on first use."""
+        return compute_P0(self)
 
 
 def _blocks(g: Graph):
@@ -436,28 +434,18 @@ class P0Component:
         return len(self.vertices) == 2
 
 
-@dataclass(frozen=True)
-class CaterpillarAnalysis:
-    components: tuple[P0Component, ...]
-
-
-def compute_P0(g: Graph) -> CaterpillarAnalysis:
-    """G minus the union of its 2-blocks: a forest whose edges are the bridges.
-
-    Its vertices are those on a bridge, and a lone vertex on no block. With
-    no 2-block that is g itself, one component; otherwise the components
-    are walked over the decomposition's bridge adjacency, by least vertex.
+def compute_P0(d: Decomposition) -> tuple[P0Component, ...]:
+    """G minus the union of its 2-blocks, a forest whose edges are the
+    bridges, as its components by least vertex. Its vertices are those on a
+    bridge, and a lone vertex on no block. With no 2-block that is the graph
+    itself; otherwise the components are walked over the bridge adjacency.
     """
-    return _walk_P0(decompose(g))
-
-
-def _walk_P0(d: Decomposition) -> CaterpillarAnalysis:
     g, across = d.graph, d.across
     if not d.two_idx:
         # a tree is a caterpillar when no vertex has three neighbours that
         # are no leaf, that is three nontrivial bridges
-        return CaterpillarAnalysis((P0Component(
-            g.vertices, g.edges, max(d.bn.values()) <= 2, across),))
+        return (P0Component(g.vertices, g.edges, max(d.bn.values()) <= 2,
+                            across),)
     seen: set = set()
     comps = []
     for root in sorted(across):
@@ -476,7 +464,7 @@ def _walk_P0(d: Decomposition) -> CaterpillarAnalysis:
                     todo.append(w)
         comps.append(P0Component(frozenset(nbrs), frozenset(es),
                                  len(nbrs) <= 2 or _is_caterpillar(nbrs), nbrs))
-    return CaterpillarAnalysis(tuple(comps))
+    return tuple(comps)
 
 
 def _is_caterpillar(nbrs) -> bool:

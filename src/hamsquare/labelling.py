@@ -107,7 +107,7 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
     d = decompose(g)
-    for comp in d.bridge_forest.components:
+    for comp in d.bridge_forest:
         if not comp.is_caterpillar:
             return HamiltonicityVerdict(
                 NOT_HAMILTONIAN,

@@ -134,7 +134,7 @@ def test_criterion_5_constructor_validity(ham_sweep, hc_sweep):
             continue
         cyc_total += 1
         try:
-            if not is_ham_cycle(g.square(), construct_ham_cycle(g, v.labelling)):
+            if not is_ham_cycle(g.square(), construct_ham_cycle(g)):
                 cyc_bad += 1
         except Exception:
             cyc_bad += 1

@@ -116,6 +116,13 @@ def test_construct_cycle_refuses_negative(gfile, capsys):
     data = _json_out(capsys)
     assert data["result"]["outcome"] == "NOT_HAMILTONIAN"
     assert "witness" not in data["result"]
+    # a C5 with a triangle hung at each of its vertices is risky
+    c5 = "".join(f"{i} {(i + 1) % 5}\n{i} {2 * i + 5}\n{i} {2 * i + 6}\n"
+                 f"{2 * i + 5} {2 * i + 6}\n" for i in range(5))
+    assert main(["construct-cycle", gfile(c5), "--json"]) == 2
+    data = _json_out(capsys)
+    assert data["result"]["violated_condition"] == 5
+    assert "witness" not in data["result"]
 
 
 def test_construct_path(gfile, capsys):
@@ -124,6 +131,8 @@ def test_construct_path(gfile, capsys):
     data = _json_out(capsys)
     assert data["result"]["witness"] == [1, 2, 0, 3, 4]
     assert data["result"]["pair"] == [1, 4]
+    assert main(["construct-path", gfile("0 1\n"), "--pair", "0", "1"]) == 0
+    assert capsys.readouterr().out == "path 0 to 1: 0 1\n"
 
 
 def test_construct_path_pair_errors(gfile, capsys):
@@ -132,6 +141,29 @@ def test_construct_path_pair_errors(gfile, capsys):
     assert main(["construct-path", gfile(BOWTIE_TXT), "--pair", "2", "2"]) == 65
     assert main(["construct-path", gfile(BOWTIE_TXT), "--pair", "0", "9"]) == 65
     assert main(["construct-path", gfile(P4_TXT), "--pair", "0", "3"]) == 1
+
+
+_DOT = [(["square"], None), (["decompose"], None), (["check-hc"], None),
+        (["construct-path", "--pair", "1", "4"], "path"),
+        (["counterexample", "--condition", "4"], None),
+        (["oracle"], "cycle"), (["oracle", "--pair", "1", "4"], "path")]
+
+
+@pytest.mark.parametrize("cmd, kind", _DOT, ids=[
+    "square", "decompose", "check-hc", "construct-path", "counterexample",
+    "oracle", "oracle-pair"])
+def test_dot_file_marks_exactly_the_witness(gfile, tmp_path, cmd, kind):
+    # a condition-4 counterexample needs a heavy hub
+    text = SPIDER_TXT if cmd[0] == "counterexample" else BOWTIE_TXT
+    dot = tmp_path / "out.dot"
+    report = run(cmd + [gfile(text), "--dot", str(dot)])
+    assert report.exit_code == 0
+    lines = dot.read_text().splitlines()
+    red = {tuple(sorted(map(int, line.split("[")[0].split("--"))))
+           for line in lines if "color=red" in line}
+    w = report.result.get("witness", [])
+    steps = zip(w, w[1:] + w[:1] if kind == "cycle" else w[1:])
+    assert lines[0] == "graph G {" and red == {tuple(sorted(e)) for e in steps}
 
 
 def test_counterexample_command(gfile, capsys):
@@ -205,6 +237,12 @@ def test_input_errors(gfile, capsys):
     assert main(["check-ham", gfile("0 1\n1 " + "9" * 5000 + "\n")]) == 65
     err = capsys.readouterr().err
     assert err.count("error:") == 5
+    ham = "error: hamiltonicity of the square needs at least 3 vertices\n"
+    hc = "error: hamiltonian connectedness needs at least 2 vertices\n"
+    for cmd, src, err in (("check-ham", "0 1\n", ham), ("check-hc", "0\n", hc),
+                          ("construct-cycle", "0 1\n", ham)):
+        assert main([cmd, gfile(src)]) == 65
+        assert capsys.readouterr().err == err
 
 
 def test_undecodable_input_is_invalid_input(tmp_path, monkeypatch, capsys):

@@ -12,11 +12,11 @@ from hamsquare.graph import Graph, edge, is_ham_cycle, is_ham_path
 from corpus import corpus
 from families import path_graph, cycle_graph
 from hamsquare.decomposition import decompose
-from hamsquare.labelling import HAMILTONIAN, Labelling, decide_hamiltonicity
+from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from hamsquare.hamconn import (
     HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
 )
-from hamsquare import construct
+from hamsquare import cli, construct, labelling
 from hamsquare.construct import (
     BlockSearch,
     ConstructionError,
@@ -54,49 +54,20 @@ def test_single_block_branch():
     assert is_ham_cycle(cycle_graph(6).square(), cyc)
 
 
-def test_explicit_minimal_labelling_still_works():
-    d = decompose(BOWTIE)
-    t0, t1 = sorted(b.index for b in d.two_blocks())
-    lab = Labelling({(0, t0): 1, (0, t1): 1})
-    cyc = construct_ham_cycle(BOWTIE, lab)
-    assert is_ham_cycle(BOWTIE.square(), cyc)
-
-
-def test_invalid_labelling_is_rejected():
-    d = decompose(BOWTIE)
-    t0, t1 = sorted(b.index for b in d.two_blocks())
-    with pytest.raises(ValueError, match="violates conditions"):
-        construct_ham_cycle(BOWTIE, Labelling({(0, t0): 1, (0, t1): 0}))
-    # a triangle with a triangle hung at each corner: the values 2, 2, 1 on
-    # the middle one sum to 5, over its cap of 3, and break nothing else
-    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
-                          (1, 5), (5, 6), (1, 6), (2, 7), (7, 8), (2, 8)])
-    d = decompose(g)
-    m = {(i, b.index): 1 for b in d.two_blocks() for i in d.cuts_of[b.index]}
-    mid = next(b.index for b in d.two_blocks() if b.vertices == {0, 1, 2})
-    m[(0, mid)] = m[(1, mid)] = 2
-    with pytest.raises(ValueError, match=r"violates conditions \[5\]"):
-        construct_ham_cycle(g, Labelling(m))
-
-
-def test_only_a_supplied_labelling_is_checked(monkeypatch):
-    checked = []
-    real = construct.check_conditions
-
-    def spy(g, labelling):
-        checked.append(labelling)
-        return real(g, labelling)
-
-    monkeypatch.setattr(construct, "check_conditions", spy)
-    # the decision procedure's own labelling is not checked again
+def test_no_labelling_is_checked_again(monkeypatch, tmp_path):
+    checked, real = [], labelling.check_conditions
+    for name, mod in list(sys.modules.items()):  # each module that binds it
+        if name.startswith("hamsquare") and vars(mod).get(
+                "check_conditions") is real:
+            monkeypatch.setattr(mod, "check_conditions",
+                                lambda *args: checked.append(args))
+    # neither the constructor nor the CLI checks the decider's labelling
     assert is_ham_cycle(BOWTIE, construct_ham_cycle(BOWTIE), square=True)
+    f = tmp_path / "bowtie.txt"
+    f.write_text(BOWTIE.edge_list_text())
+    report = cli.run(["construct-cycle", str(f)])
+    assert is_ham_cycle(BOWTIE, report.result["witness"], square=True)
     assert checked == []
-    d = decompose(BOWTIE)
-    t0, t1 = sorted(b.index for b in d.two_blocks())
-    bad = Labelling({(0, t0): 1, (0, t1): 0})
-    with pytest.raises(ValueError, match="violates conditions"):
-        construct_ham_cycle(BOWTIE, bad)
-    assert checked == [bad]
 
 
 def test_negative_decision_is_rejected():

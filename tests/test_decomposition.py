@@ -193,7 +193,7 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
     for g in trees:
         d = decompose(g)
         assert d.across is g._adj  # a tree is its own bridge forest
-        assert [(c.vertices, c.edges) for c in compute_P0(g).components] \
+        assert [(c.vertices, c.edges) for c in compute_P0(d)] \
             == [(g.vertices, g.edges)]
         decide_hamiltonian_connectedness(g)
         if g.n >= 3:
@@ -214,8 +214,8 @@ def test_decompositions_compare_and_hash_without_the_index():
 def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
                                                        decompose_calls):
     walks, indexed = [], []
-    walk, index = decomposition._walk_P0, decomposition.Decomposition._index
-    monkeypatch.setattr(decomposition, "_walk_P0",
+    walk, index = decomposition.compute_P0, decomposition.Decomposition._index
+    monkeypatch.setattr(decomposition, "compute_P0",
                         lambda d: walks.append(d) or walk(d))
     monkeypatch.setattr(decomposition.Decomposition, "_index",
                         lambda d: indexed.append(d) or index(d))
@@ -267,9 +267,6 @@ def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):
     e = decompose(copy)
     assert e is not d and e == d and e.graph is copy
     assert decompose(copy) is e and decompose_calls == [5, 5]
-    # a decomposition the memo no longer holds walks its own bridge forest
-    assert d.bridge_forest == e.bridge_forest and decompose_calls == [5, 5]
-    assert [c.vertices for c in d.bridge_forest.components] == [{0, 3, 4}]
     # the memo is the only holder of the graph, and lets it go once
     # another graph is decomposed
     g = _caterpillar(30, 2)
@@ -382,34 +379,32 @@ def test_bc_isomorphic_on_a_deep_path():
 
 # -- bridge forest ---------------------------------------------------------
 
-def _forest(ana) -> Graph:
-    """The bridge forest itself: the components of ana together."""
-    return Graph(frozenset().union(*(c.vertices for c in ana.components)),
-                 frozenset().union(*(c.edges for c in ana.components)))
+def _forest(comps) -> Graph:
+    """The bridge forest itself: its components together."""
+    return Graph(frozenset().union(*(c.vertices for c in comps)),
+                 frozenset().union(*(c.edges for c in comps)))
 
 
 def test_p0_of_bowtie_is_empty():
-    ana = compute_P0(BOWTIE)
-    assert _forest(ana).n == 0
-    assert ana.components == ()
+    assert compute_P0(decompose(BOWTIE)) == ()
 
 
 def test_p0_of_path_is_the_path():
-    ana = compute_P0(path_graph(4))
-    assert _forest(ana) == path_graph(4)
-    assert len(ana.components) == 1
-    assert ana.components[0].is_caterpillar
+    comps = compute_P0(decompose(path_graph(4)))
+    assert _forest(comps) == path_graph(4)
+    assert len(comps) == 1
+    assert comps[0].is_caterpillar
 
 
 def test_p0_triangle_with_pendant_path():
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
-    ana = compute_P0(g)
-    assert _forest(ana) == Graph.from_edges([(0, 3), (3, 4)])
+    comps = compute_P0(decompose(g))
+    assert _forest(comps) == Graph.from_edges([(0, 3), (3, 4)])
 
 
 def test_p0_spider_component_is_not_caterpillar():
-    ana = compute_P0(SPIDER)
-    assert not all(c.is_caterpillar for c in ana.components)
+    comps = compute_P0(decompose(SPIDER))
+    assert not all(c.is_caterpillar for c in comps)
 
 
 def test_non_caterpillar_component_implies_bn_three():
@@ -424,10 +419,10 @@ def test_non_caterpillar_component_implies_bn_three():
               Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
                                 (0, 5), (5, 6), (0, 7), (7, 8)])]
     for g in extras:
-        if not all(c.is_caterpillar for c in compute_P0(g).components):
+        if not all(c.is_caterpillar for c in compute_P0(decompose(g))):
             assert max(decompose(g).bn.values()) >= 3
     assert decompose(triangles).bn[0] == 3
-    assert all(c.is_caterpillar for c in compute_P0(triangles).components)
+    assert all(c.is_caterpillar for c in compute_P0(decompose(triangles)))
     assert decide_hamiltonicity(triangles).outcome == NOT_HAMILTONIAN
     counterexample_for(triangles, 4)  # accepted on bn alone
 
@@ -506,11 +501,10 @@ def test_index_P0_and_bc_tree_match_scans():
         assert d.k == {v: sum(1 for b in d.two_blocks() if v in b.vertices)
                        for v in g.vertices}
 
-        ana = compute_P0(g)
         p0, comps = _reference_P0(g, d)
-        assert _forest(ana) == p0
+        assert _forest(d.bridge_forest) == p0
         assert [(c.vertices, c.edges, c.is_caterpillar)
-                for c in ana.components] == comps
+                for c in d.bridge_forest] == comps
 
         adj = {("block", b.index): [] for b in d.blocks}
         adj.update({("cut", v): [] for v in d.cutvertices})

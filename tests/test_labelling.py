@@ -51,6 +51,15 @@ def test_check_conditions_block_sum_cap():
     # lifting one value to 2 tightens the cap to 3 instead
     lab2 = Labelling({(v, big.index): (2 if v == 2 else 1) for v in range(2, 7)})
     assert 5 in check_conditions(g, lab2)
+    # a triangle with a triangle hung at each corner: the values 2, 2, 1 on
+    # the middle one sum to 5, over its cap of 3, and break nothing else
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
+                          (1, 5), (5, 6), (1, 6), (2, 7), (7, 8), (2, 8)])
+    d = decompose(g)
+    m = {(i, b.index): 1 for b in d.two_blocks() for i in d.cuts_of[b.index]}
+    mid = next(b.index for b in d.two_blocks() if b.vertices == {0, 1, 2})
+    m[(0, mid)] = m[(1, mid)] = 2
+    assert check_conditions(g, Labelling(m)) == [5]
 
 
 def test_check_conditions_bridge_floor():
