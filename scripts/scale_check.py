@@ -10,11 +10,14 @@ triangles (k triangles sharing vertex 0), a chain of 2560 triangles
 (C3, C4 and K4 in turn, each sharing one vertex with the next, with a
 pendant leaf on every fourth joint: 17,501 vertices, its cycle and its
 path from end to end) and a lone cycle block C2000, whose witnesses come
-from the oracle. A row prints its CPU seconds
-(`time.process_time`). The script exits 1 when a row raises, returns an
-invalid witness, or takes more than LIMIT_S of CPU; a constructor that is
-quadratic at a cutvertex of degree a few thousand, or an oracle that does
-O(n) work per node, takes several seconds.
+from the oracle. The verdict rows run both deciders, decomposition
+included, on an equal copy of the mixed chain, the windmill k=2000 and the
+triangle chain, and check that both are positive. A row prints its CPU
+seconds (`time.process_time`). The script exits 1 when a row raises,
+returns an invalid witness or a wrong verdict, or takes more than LIMIT_S
+of CPU; a constructor that is quadratic at a cutvertex of degree a few
+thousand, or an oracle that does O(n) work per node, takes several
+seconds.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
@@ -25,8 +28,11 @@ sys.path.insert(0, "src")
 
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
+from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
+from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 
 LIMIT_S = 2.0
+VERDICTS = "verdicts"
 
 
 def star(k):
@@ -69,21 +75,30 @@ def mixed_chain(k):
     return Graph.from_edges(edges), base
 
 
+def copy(g):
+    """An equal Graph that decompose has not seen."""
+    return Graph(g.vertices, g.edges)
+
+
 def rows():
-    """(name, graph, endpoints or None for the cycle)."""
+    """(name, graph, what): what is the path's endpoints, None for the
+    cycle, or VERDICTS for both deciders."""
     k1 = star(2999)
     yield "K1,2999 path 1-2999", k1, (1, 2999)
     for k in (1000, 2000):
         w = windmill(k)
         yield f"windmill k={k} cycle", w, None
         yield f"windmill k={k} path 1-{2 * k}", w, (1, 2 * k)
+    yield "windmill k=2000 verdicts", copy(w), VERDICTS
     chain = triangle_chain(2560)
     yield "triangle chain k=2560 cycle", chain, None
     yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
     yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
+    yield "triangle chain k=2560 verdicts", copy(chain), VERDICTS
     mixed, end = mixed_chain(6000)
     yield f"mixed C3/C4/K4 chain k=6000 n={mixed.n} cycle", mixed, None
     yield f"mixed C3/C4/K4 chain k=6000 path 0-{end}", mixed, (0, end)
+    yield "mixed C3/C4/K4 chain k=6000 verdicts", copy(mixed), VERDICTS
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)
@@ -94,7 +109,10 @@ def main() -> int:
     for name, g, ends in rows():
         start = time.process_time()
         try:
-            if ends is None:
+            if ends is VERDICTS:
+                w = (decide_hamiltonicity(g).outcome,
+                     decide_hamiltonian_connectedness(g).outcome)
+            elif ends is None:
                 w = construct_ham_cycle(g)
             else:
                 w = construct_ham_path(g, *ends)
@@ -103,7 +121,9 @@ def main() -> int:
             bad += 1
             continue
         cpu = time.process_time() - start
-        if ends is None:
+        if ends is VERDICTS:
+            valid = w == (HAMILTONIAN, HAM_CONNECTED)
+        elif ends is None:
             valid = is_ham_cycle(g, w, square=True)
         else:
             valid = is_ham_path(g, w, *ends, square=True)

@@ -15,7 +15,8 @@ from .graph import (
 from .decomposition import decompose, Decomposition, Block
 from .labelling import decide_hamiltonicity, HamiltonicityVerdict
 from .hamconn import decide_hamiltonian_connectedness, HamConnVerdict
-from .construct import construct_ham_cycle, construct_ham_path, ConstructionError
+from .construct import (construct_ham_cycle, construct_ham_path,
+                        ConstructionError, NoLabellingError)
 from .oracle import (
     cycle_with,
     path_with,
@@ -38,6 +39,7 @@ __all__ = [
     "construct_ham_cycle",
     "construct_ham_path",
     "ConstructionError",
+    "NoLabellingError",
     "cycle_with",
     "path_with",
     "BudgetExceeded",

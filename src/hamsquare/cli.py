@@ -26,7 +26,7 @@ from .graph import Graph, GraphParseError, parse_edge_list, cycle_edges, path_ed
 from .decomposition import decompose, bc_tree, canonical_text
 from .labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONIAN
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
-from .construct import construct_ham_cycle, construct_ham_path
+from .construct import construct_ham_cycle, construct_ham_path, NoLabellingError
 from .counterexamples import counterexample_for
 from .oracle import cycle_with, path_with, BudgetExceeded
 
@@ -250,15 +250,17 @@ def _cmd_check_hc(g, d, args):
 
 def _cmd_construct_cycle(g, d, args):
     try:
-        v = decide_hamiltonicity(g)
-    except ValueError as e:
-        raise _InputError(str(e))
-    if v.outcome != HAMILTONIAN:
+        order = construct_ham_cycle(g)
+    except NoLabellingError as e:  # the one decision, negative
+        v = e.verdict
         result = {"outcome": v.outcome, "reason": v.reason or ""}
         if v.violated_condition is not None:
             result["violated_condition"] = v.violated_condition
         return result, [f"verdict: {v.outcome}", v.reason or ""]
-    order = construct_ham_cycle(g)
+    except ValueError as e:
+        if g.n >= 3:  # not the decider's "too small"
+            raise
+        raise _InputError(str(e))
     lines = ["cycle: " + " ".join(map(str, order))]
     if args.dot:
         Path(args.dot).write_text(g.square().to_dot(highlight=cycle_edges(order)))

@@ -93,10 +93,21 @@ from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
 from .decomposition import Decomposition, decompose
-from .labelling import Labelling, decide_hamiltonicity, HAMILTONIAN
+from .labelling import (Labelling, HamiltonicityVerdict, decide_hamiltonicity,
+                        HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
 from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, complete_with, cycle_with, path_with
+
+
+class NoLabellingError(ValueError):
+    """construct_ham_cycle's refusal; verdict is the decider's, not
+    HAMILTONIAN."""
+
+    def __init__(self, verdict: HamiltonicityVerdict):
+        super().__init__(f"decision procedure returned {verdict.outcome}; "
+                         "no labelling to build from")
+        self.verdict = verdict
 
 
 class _Store:
@@ -402,21 +413,19 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
 def construct_ham_cycle(g: Graph) -> list:
     """A hamiltonian cycle of square(g), built from the labelling of
     decide_hamiltonicity(g), which must come back positive; that labelling
-    satisfies the six conditions and is not checked again. decompose's
+    satisfies the six conditions and is not checked again. The decider's
+    ValueError stands for a graph of fewer than 3 vertices, and any other
+    verdict raises NoLabellingError, which carries it. decompose's
     traversal of g is the connectivity check.
     """
-    if g.n < 3:
-        raise ValueError("a hamiltonian cycle needs at least 3 vertices")
-    d = decompose(g)
     verdict = decide_hamiltonicity(g)
     if verdict.outcome != HAMILTONIAN:
-        raise ValueError(
-            f"decision procedure returned {verdict.outcome}; no labelling "
-            "to build from")
+        raise NoLabellingError(verdict)
+    d = decompose(g)
 
-    if not d.two_blocks():
+    if not d.two_idx:
         cyc = list(caterpillar_cycle(g._adj).order)  # g is a tree
-    elif len(d.blocks) == 1:
+    elif d.block_count() == 1:
         w = BlockSearch(d)(g.vertices, g.edges)
         if w is None:
             raise ConstructionError("no hamiltonian cycle in the block square")

@@ -11,10 +11,11 @@ bridge forest, a caterpillar when no bn exceeds 2. Its block records
 (its sorted edges) and trivial bridges are built on their first read,
 which no verdict or cycle makes. Any other graph takes one lowpoint DFS
 from the least vertex, which also proves the graph connected by reaching
-every vertex, and one loop over the blocks it finds. The block-cutvertex
-index (Block records, blocks_of, the blocks at each vertex, cuts_of, the
-cutvertices of each block) is built on the first read of any of its
-fields, all three in one loop. The block-cutvertex tree and the
+every vertex, and one loop over the blocks it finds. cuts_of, the
+cutvertices of each block and all the deciders read of the index, is built
+from the records on its own first read. The Block records and blocks_of,
+the blocks at each vertex, are built together on the first read of either,
+which no verdict makes. The block-cutvertex tree and the
 bridge forest P0 left after removing all blocks with more than two
 vertices are read off these; P0 is g itself when there is no 2-block,
 and otherwise a walk over the bridge adjacency, in O(n + m), made once
@@ -106,26 +107,30 @@ class Decomposition:
         return len(self.records) if self.two_idx else self.graph.m
 
     def _index(self) -> None:
-        """Build blocks, blocks_of and cuts_of in one loop."""
-        cut = self.cutvertices
+        """Build blocks and blocks_of in one loop."""
         blocks = []
         blocks_of: dict[int, list[int]] = {v: [] for v in self.graph._adj}
-        cuts_of: dict[int, list[int]] = {}
         for t, r in enumerate(self.records):
             if len(r) == 2:
                 vs, es = frozenset(r), frozenset((r,))
             else:
                 es, vs = r[2], r[3]
             blocks.append(Block(t, vs, es))
-            cuts_of[t] = sorted(cut.intersection(vs))
             for v in vs:
                 blocks_of[v].append(t)
-        self.__dict__.update(blocks=tuple(blocks), blocks_of=blocks_of,
-                             cuts_of=cuts_of)
+        self.__dict__.update(blocks=tuple(blocks), blocks_of=blocks_of)
 
-    # built on first read, all three together; blocks_of and cuts_of ascending
+    def _cuts(self) -> None:
+        """Build cuts_of from the records, without the Block records."""
+        cut = self.cutvertices
+        self.__dict__["cuts_of"] = {
+            t: sorted(cut.intersection(r if len(r) == 2 else r[3]))
+            for t, r in enumerate(self.records)}
+
+    # built on first read, blocks and blocks_of together and cuts_of on its
+    # own, as the deciders read only it; blocks_of and cuts_of ascending
     blocks, blocks_of = _OnRead("_index"), _OnRead("_index")
-    cuts_of = _OnRead("_index")
+    cuts_of = _OnRead("_cuts")
 
     def two_blocks(self) -> list[Block]:
         return [self.blocks[t] for t in self.two_idx]

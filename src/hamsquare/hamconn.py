@@ -50,14 +50,12 @@ def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
             NOT_HAM_CONNECTED, bridge=b,
             reason=(f"nontrivial bridge {b}: its square has no hamiltonian "
                     f"path between {b[0]} and {b[1]}"))
-    overloaded = [b for b in d.two_blocks() if len(d.cuts_of[b.index]) > 2]
-    if overloaded:
-        b = overloaded[0]
-        cuts = len(d.cuts_of[b.index])
-        return HamConnVerdict(
-            STRUCTURALLY_RISKY, risky_block=b.index, risky_cvn=cuts,
-            reason=(f"block {b.index} carries {cuts} cutvertices; replacing it "
-                    "by a cycle of that length yields a graph with the same "
-                    "block-cutvertex tree whose square is not hamiltonian "
-                    "connected"))
+    for t in d.two_idx:  # a tree reads no cuts_of
+        if (cuts := len(d.cuts_of[t])) > 2:
+            return HamConnVerdict(
+                STRUCTURALLY_RISKY, risky_block=t, risky_cvn=cuts,
+                reason=(f"block {t} carries {cuts} cutvertices; replacing "
+                        "it by a cycle of that length yields a graph with "
+                        "the same block-cutvertex tree whose square is not "
+                        "hamiltonian connected"))
     return HamConnVerdict(HAM_CONNECTED)

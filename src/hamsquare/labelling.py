@@ -16,14 +16,19 @@ the matter:
    is the number of 2-blocks containing i.
 
 decide_hamiltonicity builds such a labelling greedily, peeling one 2-block
-at a time from the outside in. A definite NO happens only when some vertex
-meets three or more nontrivial bridges (equivalently, when the bridge
-forest is not a union of caterpillars). When the greedy construction gets
-stuck on condition 5 or 6, the verdict is STRUCTURALLY_RISKY: the input
-itself may still have a hamiltonian square, but some graph with the same
-block-cutvertex tree does not. The verdict names the violated condition,
-the case, and the block or cutvertex where the peel got stuck;
-counterexamples.counterexample_for builds the failing graph from those.
+at a time from the outside in. Each cutvertex keeps its count of
+unlabelled 2-blocks, the bound of condition 6, the running sum of its
+values and the index sum of its unlabelled 2-blocks, so a step does O(1)
+work per (cutvertex, 2-block) incidence besides one heap operation, and
+the peel reads the decomposition's cuts_of and no Block record. A definite
+NO happens only when some vertex meets three or more nontrivial bridges
+(equivalently, when the bridge forest is not a union of caterpillars).
+When the greedy construction gets stuck on condition 5 or 6, the verdict
+is STRUCTURALLY_RISKY: the input itself may still have a hamiltonian
+square, but some graph with the same block-cutvertex tree does not. The
+verdict names the violated condition, the case, and the block or cutvertex
+where the peel got stuck; counterexamples.counterexample_for builds the
+failing graph from those.
 """
 
 from __future__ import annotations
@@ -114,6 +119,11 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
                 reason=("bridge forest component on vertices "
                         f"{sorted(comp.vertices)} is not a caterpillar, so some "
                         "vertex meets at least three nontrivial bridges"))
+    if not d.two_idx:
+        # a tree is its own bridge forest, a caterpillar exactly when no
+        # bn exceeds 2
+        return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
+                                    trivial_reason="caterpillar")
     # A caterpillar star of bridges can hide a third nontrivial bridge at its
     # hub even though every component passes the caterpillar test, so the
     # bridge count itself is gated explicitly. Only a cutvertex meets a
@@ -125,11 +135,7 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
             NOT_HAMILTONIAN,
             reason=(f"vertex {i} meets {d.bn[i]} nontrivial bridges; a "
                     "hamiltonian cycle of the square can absorb at most two"))
-
-    if not d.two_blocks():
-        return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
-                                    trivial_reason="caterpillar")
-    if len(d.blocks) == 1:
+    if d.block_count() == 1:
         return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
                                     trivial_reason="two-block")
 
@@ -137,43 +143,30 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
 
 
 def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
-    two_idx = [b.index for b in d.two_blocks()]
-    # bound once: a Decomposition field read costs several times a local's
-    blocks, blocks_of, cuts_of, bn, dk = (d.blocks, d.blocks_of, d.cuts_of,
-                                          d.bn, d.k)
-
-    def two_at(c: int) -> list[int]:
-        return [t for t in blocks_of[c] if blocks[t].is_two_block]
-
-    m: dict[tuple[int, int], int] = {}
-    labelled: set[int] = set()
-    trace: list[tuple] = []
-    # unl[c]: unlabelled 2-blocks at c; c is active for an unlabelled block
-    # at it while another one is left (unl[c] >= 2). busy[t]: active
-    # cutvertices of t. ready: a min-heap of the unlabelled blocks with
-    # busy <= 1, the blocks that may be peeled next; busy only falls, so
-    # each block enters it once and stays eligible until it is popped.
-    unl = {c: dk[c] for c in d.cutvertices}
-    busy = {t: sum(1 for c in cuts_of[t] if unl[c] >= 2) for t in two_idx}
-    ready = [t for t in two_idx if busy[t] <= 1]
-    heapq.heapify(ready)
-
-    def complete(c: int) -> bool:
-        return unl[c] == 0
-
-    def label(B: int) -> None:
-        labelled.add(B)
-        for c in cuts_of[B]:
-            unl[c] -= 1
-            if unl[c] == 1:
-                (t,) = (t for t in two_at(c) if t not in labelled)
-                busy[t] -= 1
-                if busy[t] == 1:
-                    heapq.heappush(ready, t)
-
-    def cond6_ok(c: int) -> bool:
-        total = sum(m.get((c, t), 0) for t in two_at(c))
-        return total >= 2 * dk[c] + bn[c] - 2
+    two_idx, cuts_of, bn, dk = d.two_idx, d.cuts_of, d.bn, d.k
+    # Per cutvertex c of a 2-block: unl[c], its unlabelled 2-blocks; need[c],
+    # condition 6's bound 2k + bn - 2; got[c], the sum of its values; isum[c],
+    # the index sum of its unlabelled 2-blocks, the last one's index once
+    # one is left. c is active while unl[c] >= 2. busy[t] counts t's active
+    # cutvertices, and ready is a min-heap of the unlabelled blocks with
+    # busy <= 1; busy only falls, so each block enters it once.
+    unl, need, got, isum, busy = {}, {}, {}, {}, {}
+    ready = []  # two_idx ascends, so the list is a heap as built
+    for t in two_idx:
+        active = 0
+        for c in cuts_of[t]:
+            if c in isum:
+                isum[c] += t
+            else:
+                isum[c], got[c] = t, 0
+                unl[c] = kc = dk[c]
+                need[c] = 2 * kc + bn[c] - 2
+            if dk[c] >= 2:
+                active += 1
+        busy[t] = active
+        if active <= 1:
+            ready.append(t)
+    m, trace = {}, []
 
     def risky(cond, case, block, cut=None):
         trace.append((case, block, ()))
@@ -185,7 +178,7 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
                     "with the same block-cutvertex tree has a non-hamiltonian "
                     "square"))
 
-    while len(labelled) < len(two_idx):
+    for _ in two_idx:
         B = heapq.heappop(ready)
         cuts = cuts_of[B]
         k = len(cuts)
@@ -197,46 +190,36 @@ def _peel(g: Graph, d: Decomposition) -> HamiltonicityVerdict:
         if k == 2 and bn[cuts[0]] == 2 and bn[cuts[1]] == 2:
             return risky(5, "c", B)
 
+        # the values, aligned with cuts
         if k == 1:
-            c1 = cuts[0]
-            m[(c1, B)] = 2
-            label(B)
-            trace.append(("d", B, ((c1, 2),)))
-            if complete(c1) and not cond6_ok(c1):
-                return risky(6, "d", B, c1)
+            case, vals = "d", (2,)
         elif k == 2:
-            c1, c2 = cuts
-            if bn[c2] == 2 or bn[c1] == 2:
-                two = c2 if bn[c2] == 2 else c1
-                one = c1 if two == c2 else c2
-                m[(one, B)] = 1
-                m[(two, B)] = 2
+            case, (c1, c2) = "e", cuts
+            if bn[c1] == 2 or bn[c2] == 2:
+                vals = (2, 1) if bn[c1] == 2 else (1, 2)
             else:
-                # the cuts where B is the last unlabelled block
-                done = [c for c in cuts if unl[c] == 1]
-                j = min(done)
-                other = c2 if j == c1 else c1
-                m[(j, B)] = 1
-                if cond6_ok(j):
-                    m[(other, B)] = 2
-                else:
-                    m[(j, B)] = 2
-                    m[(other, B)] = 1
-            label(B)
-            trace.append(("e", B, tuple(sorted((c, m[(c, B)]) for c in cuts))))
-            for c in cuts:
-                if complete(c) and not cond6_ok(c):
-                    return risky(6, "e", B, c)
+                # j, the least cut where B is the last unlabelled block,
+                # takes 1 when condition 6 then holds there, else 2
+                j = c1 if unl[c1] == 1 else c2
+                ok = got[j] + 1 >= need[j]
+                vals = (1, 2) if (j == c1) == ok else (2, 1)
         else:  # k in {3, 4}, every bn <= 1
-            for c in cuts:
-                m[(c, B)] = 1
-            label(B)
-            trace.append(("f", B, tuple((c, 1) for c in cuts)))
-            for c in cuts:
-                if complete(c) and not cond6_ok(c):
-                    return risky(6, "f", B, c)
+            case, vals = "f", (1,) * k
 
-    labelling = Labelling(dict(m))
-    return HamiltonicityVerdict(HAMILTONIAN, labelling=labelling,
+        for c, v in zip(cuts, vals):
+            m[c, B] = v
+            got[c] += v
+            isum[c] -= B
+            unl[c] = left = unl[c] - 1
+            if left == 1:
+                t = isum[c]
+                busy[t] -= 1
+                if busy[t] == 1:
+                    heapq.heappush(ready, t)
+        trace.append((case, B, tuple(zip(cuts, vals))))
+        for c in cuts:
+            if not unl[c] and got[c] < need[c]:
+                return risky(6, case, B, c)
+
+    return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling(m),
                                 trace=tuple(trace))
-

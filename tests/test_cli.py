@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hamsquare import cli
+from hamsquare import cli, labelling
 from hamsquare.cli import main, run
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import Graph, parse_edge_list
@@ -111,18 +111,35 @@ def test_construct_cycle(gfile, capsys, tmp_path):
     assert "penwidth" in text and "--" in text
 
 
+# a C5 with a triangle hung at each of its vertices is risky
+C5_TRIANGLES_TXT = "".join(f"{i} {(i + 1) % 5}\n{i} {2 * i + 5}\n"
+                           f"{i} {2 * i + 6}\n{2 * i + 5} {2 * i + 6}\n"
+                           for i in range(5))
+
+
 def test_construct_cycle_refuses_negative(gfile, capsys):
     assert main(["construct-cycle", gfile(SPIDER_TXT), "--json"]) == 1
     data = _json_out(capsys)
     assert data["result"]["outcome"] == "NOT_HAMILTONIAN"
     assert "witness" not in data["result"]
-    # a C5 with a triangle hung at each of its vertices is risky
-    c5 = "".join(f"{i} {(i + 1) % 5}\n{i} {2 * i + 5}\n{i} {2 * i + 6}\n"
-                 f"{2 * i + 5} {2 * i + 6}\n" for i in range(5))
-    assert main(["construct-cycle", gfile(c5), "--json"]) == 2
+    assert main(["construct-cycle", gfile(C5_TRIANGLES_TXT), "--json"]) == 2
     data = _json_out(capsys)
     assert data["result"]["violated_condition"] == 5
     assert "witness" not in data["result"]
+
+
+def test_construct_cycle_peels_once(gfile, monkeypatch, capsys):
+    peels = []
+    peel = labelling._peel
+    monkeypatch.setattr(labelling, "_peel",
+                        lambda g, d: peels.append(g) or peel(g, d))
+    chain = "".join(f"{2 * t} {2 * t + 1}\n{2 * t + 1} {2 * t + 2}\n"
+                    f"{2 * t} {2 * t + 2}\n" for t in range(4))
+    for text, code in ((chain, 0), (C5_TRIANGLES_TXT, 2)):
+        assert main(["construct-cycle", gfile(text)]) == code
+        assert len(peels) == 1  # the constructor's decision is the CLI's
+        peels.clear()
+    assert capsys.readouterr().out.startswith("cycle: ")
 
 
 def test_construct_path(gfile, capsys):

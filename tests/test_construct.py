@@ -20,6 +20,7 @@ from hamsquare import cli, construct, labelling
 from hamsquare.construct import (
     BlockSearch,
     ConstructionError,
+    NoLabellingError,
     construct_ham_cycle,
     construct_ham_path,
     _fill,
@@ -72,8 +73,10 @@ def test_no_labelling_is_checked_again(monkeypatch, tmp_path):
 
 def test_negative_decision_is_rejected():
     spider = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    with pytest.raises(ValueError, match="NOT_HAMILTONIAN"):
+    with pytest.raises(NoLabellingError, match="NOT_HAMILTONIAN") as e:
         construct_ham_cycle(spider)
+    assert isinstance(e.value, ValueError)
+    assert e.value.verdict == decide_hamiltonicity(spider)
 
 
 def test_small_input_rejected():

@@ -12,7 +12,8 @@ from hamsquare import cli, decomposition
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.counterexamples import counterexample_for
 from hamsquare.graph import Graph, edge
-from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
+from hamsquare.hamconn import (HAM_CONNECTED, NOT_HAM_CONNECTED,
+                              decide_hamiltonian_connectedness)
 from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
                                  STRUCTURALLY_RISKY, decide_hamiltonicity)
 from hamsquare.decomposition import (
@@ -175,12 +176,72 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
         # a later read builds what the two-pass reference finds
         ref = _reference_decompose(g)
         assert d.trivial_bridges == ref["trivial_bridges"]
-        d.cuts_of  # one read builds the whole index, a record per bridge
+        # a read of cuts_of builds it alone, and no Block record; a read of
+        # blocks builds blocks and blocks_of, a record per bridge
+        d.cuts_of
+        assert {"cuts_of"} | lazy <= vars(d).keys() and made == []
+        assert not vars(d).keys() & {"blocks", "blocks_of"}
+        assert d.cuts_of == ref["cuts_of"]
+        d.blocks
         assert index | lazy <= vars(d).keys() and len(made) == g.m
         assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
             == ref["blocks"]
         made.clear()
     assert hamiltonian == [True, True, True, False]
+
+
+def _block_chain(k: int, every: int = 0, hung=()) -> Graph:
+    """C3, C4 and K4 blocks in turn, k in all, the last vertex of each the
+    first of the next. Every every-th block also carries, at its second
+    vertex, a copy of the edges hung, glued at their vertex 0."""
+    shapes = [_ring(3), _ring(4), list(itertools.combinations(range(4), 2))]
+    edges, base, at = [], 0, []
+    for t in range(k):
+        es = shapes[t % 3]
+        edges += [(base + a, base + b) for a, b in es]
+        if every and t % every == 0:
+            at.append(base + 1)
+        base += max(max(e) for e in es)
+    for v in at:
+        label = [v, *range(base + 1, base + 1 + max(max(e) for e in hung))]
+        edges += [(label[a], label[b]) for a, b in hung]
+        base = label[-1]
+    return Graph.from_edges(edges)
+
+
+def test_deciders_on_block_chains_build_no_block_record(monkeypatch,
+                                                       tmp_path):
+    made = []
+    block = decomposition.Block
+    monkeypatch.setattr(decomposition, "Block",
+                        lambda *a: made.append(a) or block(*a))
+    index = {"blocks", "blocks_of"}
+    outcomes = []
+    # a leaf on every fourth block, a triangle on every block (three
+    # cutvertices), and two paths of two bridges (bn 2) on every fifth
+    for g in [_block_chain(600), _block_chain(600, 4, [(0, 1)]),
+              _block_chain(300, 1, _ring(3)),
+              _block_chain(300, 5, [(0, 1), (1, 2), (0, 3), (3, 4)])]:
+        path = tmp_path / "chain.txt"
+        path.write_text(g.edge_list_text())
+        for command in ("check-ham", "check-hc"):
+            report = cli.run([command, str(path)])
+            request = decomposition._last  # what the command decomposed
+            assert request.graph == g and request.graph is not g
+            # the peel reads cuts_of; check-hc may stop at a bridge first
+            assert command == "check-hc" or "cuts_of" in vars(request)
+            assert not vars(request).keys() & index
+            outcomes.append(report.result["outcome"])
+        ham = decide_hamiltonicity(g)
+        hc = decide_hamiltonian_connectedness(g)
+        assert [ham.outcome, hc.outcome] == outcomes[-2:]
+        assert ham.trace  # the peel ran
+        assert not vars(decompose(g)).keys() & index
+        assert made == []
+    assert outcomes == [HAMILTONIAN, HAM_CONNECTED,
+                        HAMILTONIAN, STRUCTURALLY_RISKY,
+                        HAMILTONIAN, STRUCTURALLY_RISKY,
+                        STRUCTURALLY_RISKY, NOT_HAM_CONNECTED]
 
 
 def test_trees_take_no_lowpoint_dfs(monkeypatch):

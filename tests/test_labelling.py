@@ -379,3 +379,65 @@ def test_heap_peel_matches_the_quadratic_scan():
              want.trace), g.sorted_edges()
         outcomes[got.outcome] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+# C3, C4, C5, K4, K2,3 and a bridge, with C3 and C4 listed twice; no path
+# of two bridges, so that more than a few of these large trees peel through
+_LARGE_SHAPES = [_ring(3), _ring(4), _ring(5),
+                 list(itertools.combinations(range(4), 2)),
+                 [(a, b) for a in (0, 1) for b in (2, 3, 4)], [(0, 1)],
+                 _ring(3), _ring(4)]
+
+
+def _large_block_tree(rng):
+    """20 to 120 shapes, each glued by a random vertex of its own to a
+    random vertex of the graph so far."""
+    edges, n = [], 0
+    for _ in range(rng.randint(20, 120)):
+        shape = rng.choice(_LARGE_SHAPES)
+        size = 1 + max(max(e) for e in shape)
+        pos, at = rng.randrange(size), rng.randrange(max(n, 1))
+        fresh = iter(range(n, n + size))
+        label = [at if n and i == pos else next(fresh) for i in range(size)]
+        n = max(label) + 1
+        edges += [(label[a], label[b]) for a, b in shape]
+    return Graph.from_edges(edges)
+
+
+def _case_e_choices(d, trace):
+    """For each case-e entry without a cutvertex of bn 2, the value at j,
+    the least cutvertex at which the block was the last unlabelled 2-block:
+    1 when condition 6 held there with a 1, else 2."""
+    left = {c: d.k[c] for c in d.cutvertices}
+    choices = []
+    for case, t, values in trace:
+        if not values:  # the closing entry of a risky verdict
+            continue
+        cuts = d.cuts_of[t]
+        if case == "e" and all(d.bn[c] <= 1 for c in cuts):
+            j = min(c for c in cuts if left[c] == 1)
+            choices.append(dict(values)[j])
+        for c in cuts:
+            left[c] -= 1
+    return choices
+
+
+def test_peel_matches_the_quadratic_scan_on_large_block_trees():
+    rng = random.Random(25)
+    outcomes = {HAMILTONIAN: 0, STRUCTURALLY_RISKY: 0}
+    cases, choices = set(), set()
+    for _ in range(200):
+        g = _large_block_tree(rng)
+        d = decompose(g)
+        got, want = _peel(g, d), _reference_peel(g, d)
+        assert (got.outcome, got.labelling, got.violated_condition,
+                got.risky_case, got.risky_block, got.risky_cutvertex,
+                got.trace) == \
+            (want.outcome, want.labelling, want.violated_condition,
+             want.risky_case, want.risky_block, want.risky_cutvertex,
+             want.trace), g.sorted_edges()
+        outcomes[got.outcome] += 1
+        cases |= {case for case, _, values in got.trace if values}
+        choices |= set(_case_e_choices(d, got.trace))
+    assert cases == {"d", "e", "f"} and choices == {1, 2}
+    assert min(outcomes.values()) >= 20, outcomes
