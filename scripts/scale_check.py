@@ -8,11 +8,12 @@ without building the square (`is_ham_cycle`/`is_ham_path` with
 triangles (k triangles sharing vertex 0), a chain of 2560 triangles
 (each sharing one vertex with the next), a mixed chain of 6000 blocks
 (C3, C4 and K4 in turn, each sharing one vertex with the next, with a
-pendant leaf on every fourth joint: 17,501 vertices, its cycle and its
-path from end to end) and a lone cycle block C2000, whose witnesses come
-from the oracle. The verdict rows run both deciders, decomposition
-included, on an equal copy of the mixed chain, the windmill k=2000 and the
-triangle chain, and check that both are positive. A row prints its CPU
+pendant leaf on every fourth joint: 17,501 vertices, its cycle, its path
+from end to end, and its path between the two cutvertices of its middle
+block, each with 3000 blocks hanging off it) and a lone cycle block
+C2000, whose witnesses come from the oracle. The verdict rows run both
+deciders, decomposition included, on an equal copy of the mixed chain, the
+windmill k=2000 and the triangle chain, and check that both are positive. A row prints its CPU
 seconds (`time.process_time`). The script exits 1 when a row raises,
 returns an invalid witness or a wrong verdict, or takes more than LIMIT_S
 of CPU; a constructor that is quadratic at a cutvertex of degree a few
@@ -58,7 +59,7 @@ def triangle_chain(k):
 def mixed_chain(k):
     """C3, C4 and K4 blocks in turn, k in all, the last vertex of each the
     first of the next, and a pendant leaf on every fourth of those joints.
-    Returns the graph and the far end of its last block."""
+    Returns the graph and the joints, the far end of the last block last."""
     shapes = [(3, [(0, 1), (1, 2), (0, 2)]),
               (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
               (4, [(a, b) for a in range(4) for b in range(a + 1, 4)])]
@@ -72,7 +73,7 @@ def mixed_chain(k):
     for v in joints[:-1][::4]:
         edges.append((v, leaf))
         leaf += 1
-    return Graph.from_edges(edges), base
+    return Graph.from_edges(edges), joints
 
 
 def copy(g):
@@ -95,9 +96,12 @@ def rows():
     yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
     yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
     yield "triangle chain k=2560 verdicts", copy(chain), VERDICTS
-    mixed, end = mixed_chain(6000)
+    mixed, joints = mixed_chain(6000)
     yield f"mixed C3/C4/K4 chain k=6000 n={mixed.n} cycle", mixed, None
-    yield f"mixed C3/C4/K4 chain k=6000 path 0-{end}", mixed, (0, end)
+    yield f"mixed C3/C4/K4 chain k=6000 path 0-{joints[-1]}", mixed, \
+        (0, joints[-1])
+    a, b = joints[2998:3000]  # the cutvertices of block 2999
+    yield f"mixed C3/C4/K4 chain k=6000 path {a}-{b}", mixed, (a, b)
     yield "mixed C3/C4/K4 chain k=6000 verdicts", copy(mixed), VERDICTS
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None

@@ -12,7 +12,7 @@ from .graph import (
     edge,
     parse_edge_list,
 )
-from .decomposition import decompose, Decomposition, Block
+from .decomposition import decompose, Decomposition
 from .labelling import decide_hamiltonicity, HamiltonicityVerdict
 from .hamconn import decide_hamiltonian_connectedness, HamConnVerdict
 from .construct import (construct_ham_cycle, construct_ham_path,
@@ -31,7 +31,6 @@ __all__ = [
     "parse_edge_list",
     "decompose",
     "Decomposition",
-    "Block",
     "decide_hamiltonicity",
     "HamiltonicityVerdict",
     "decide_hamiltonian_connectedness",

@@ -168,11 +168,12 @@ def _cmd_square(g, d, args):
 
 
 def _cmd_decompose(g, d, args):
-    lines = []
-    for b in d.blocks:
-        kind = "2-block" if b.is_two_block else "bridge"
-        lines.append(f"block {b.index} ({kind}): "
-                     + " ".join(str(v) for v in sorted(b.vertices)))
+    lines, rows = [], []
+    for t, r in enumerate(d.records):
+        kind = "bridge" if len(r) == 2 else "2-block"
+        vs = sorted(r if len(r) == 2 else r[3])
+        lines.append(f"block {t} ({kind}): " + " ".join(map(str, vs)))
+        rows.append({"index": t, "kind": kind, "vertices": vs})
     lines.append("cutvertices: "
                  + (" ".join(map(str, sorted(d.cutvertices))) or "none"))
     lines.append("nontrivial bridges: "
@@ -182,9 +183,7 @@ def _cmd_decompose(g, d, args):
         lines.append(f"  vertex {v}: bn={d.bn[v]} blocks={d.k[v]}")
     result = {
         "outcome": "OK",
-        "blocks": [{"index": b.index,
-                    "kind": "2-block" if b.is_two_block else "bridge",
-                    "vertices": sorted(b.vertices)} for b in d.blocks],
+        "blocks": rows,
         "cutvertices": sorted(d.cutvertices),
         "trivial_bridges": [list(e) for e in sorted(d.trivial_bridges)],
         "nontrivial_bridges": [list(e) for e in sorted(d.nontrivial_bridges)],

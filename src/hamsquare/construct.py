@@ -14,9 +14,12 @@ edges, found through the index, and the resulting fragments, plus any
 pendant leaves, are chained back into a single cycle by linking fragment
 ends. Every fragment end is a neighbor of the cutvertex, so consecutive
 fragment ends are adjacent in the square and any fixed chaining order
-works; we use ascending block index with leaves last. A step touches only
-the cutvertex's own cycle edges and the fragment ends, and the cycle
-becomes a list once, at the end, so the merge runs in O(n + m) besides the
+works; we use ascending block index with leaves last. A fragment is a
+pair (ends, cycle), and the loop over the 2-blocks gathers each
+cutvertex's blocks in that order, so a merge step takes its fragments
+already in chaining order and sorts nothing. A step touches only the
+cutvertex's own cycle edges and the fragment ends, and the cycle becomes
+a list once, at the end, so the merge runs in O(n + m) besides the
 per-block oracle calls.
 
 Cutting only at assigned edges is what makes the merge safe: the edges
@@ -89,7 +92,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 
 from .graph import Graph, edge, is_ham_cycle, is_ham_path
 from .decomposition import Decomposition, decompose
@@ -215,105 +217,97 @@ class BlockSearch:
 
 # -- the merge -------------------------------------------------------------
 
-@dataclass
-class _Frag:
-    """One piece of the cycle assembled at a cutvertex.
-
-    Its interior edges stay where they lie in the CycleSet; only its ends,
-    in the orientation it is laid in, and the edges cut to open it are kept.
-    """
-    kind: str  # "anch" | "open" | "base2" | "leaf"
-    ends: tuple
-    key: tuple
-    cycle: int | None = None  # the cycle it was cut from
-    cut: tuple = ()
-
-
-def _opened(cs: CycleSet, i: int, c: int, key, es) -> _Frag:
-    """Cycle c with i taken out at its two edges es at i: a path between
-    their other ends. Only es are read, so no other edge at i is visited."""
-    if len(set(es)) != 2 or any(i not in e or cs.cycle_of(e) != c for e in es):
+def _opened(cs: CycleSet, i: int, c: int, es, cycles) -> tuple:
+    """The ends, ascending, of cycle c with i taken out at its two edges es
+    at i, whose cycles are cycles. Only es are read, so no other edge at i
+    is visited."""
+    if (len(set(es)) != 2 or i not in es[0] or i not in es[1]
+            or cycles[0] != c or cycles[1] != c):
         cut = [edge(i, w) for w in cs.around(i, c)]
         raise ConstructionError(
             f"cycle edges {sorted(cut)} at {i} differ from the assigned "
             f"{sorted(es)}")
-    ends = tuple(sorted(_partner(e, i) for e in es))
-    return _Frag("open", ends, key, c, tuple(edge(i, w) for w in ends))
+    a, b = _partner(es[0], i), _partner(es[1], i)
+    return (a, b) if a < b else (b, a)
 
 
-def _anchored(i: int, c: int, e, key) -> _Frag:
-    """Cycle c cut at its edge e at i: a path from i to e's other end."""
-    if i not in e:
-        raise ConstructionError(f"vertex {i} is not an end of the fragment")
-    return _Frag("anch", (i, _partner(e, i)), key, c, (e,))
-
-
-def _assemble(i: int, frags) -> list:
-    """The fragments' (first, last) ends in the order the cycle takes them."""
-    base2 = [f for f in frags if f.kind == "base2"]
-    anchs = sorted((f for f in frags if f.kind == "anch"), key=lambda f: f.key)
-    others = sorted((f for f in frags if f.kind in ("open", "leaf")),
-                    key=lambda f: f.key)
-    if len(base2) > 1 or (base2 and anchs) or len(anchs) > 2:
-        raise ConstructionError(
-            f"fragment mix at {i} not realizable: {len(base2)} saturated, "
-            f"{len(anchs)} anchored")
-    if base2:
-        segs = [base2[0].ends]
-    elif len(anchs) == 2:
-        segs = [(anchs[0].ends[1], anchs[1].ends[1])]  # joined at i
-    elif len(anchs) == 1:
-        segs = [anchs[0].ends]
-    else:
-        segs = [(i, i)]
-    return segs + [f.ends for f in others]
-
-
-def _merge_at(cs: CycleSet, g: Graph, i: int, frags) -> tuple:
+def _merge_at(cs: CycleSet, g: Graph, i: int, pair: list, anchs: list,
+              rest: list) -> tuple:
     """Cut the fragments' cycles open and chain them into one cycle through i.
 
+    A fragment is (ends, cycle): a path between its ends, cut from cycle,
+    or from none (None). The three lists are each in chaining order:
+    - pair: the saturated pair edge at i, if any, cut with i kept inside;
+    - anchs: each cut at its edge i-w, ends (i, w); with cycle None, a K2
+      end edge i-w, which comes along as it is;
+    - rest: the open fragments, each cycle with i taken out at its two
+      edges at i, then the leaves of i, ends (leaf, leaf).
     Returns the merged cycle's first and last vertex (it reads from the
     first away from the last) and the edges the step removed for good.
     """
-    consumed = [f.cycle for f in frags if f.cycle is not None]
+    consumed = [c for _, c in (*pair, *anchs, *rest) if c is not None]
+    removed = [e for e, _ in pair]
+    removed += [edge(i, w) for (_, w), c in anchs if c is not None]
+    for (a, b), c in rest:
+        if c is not None:
+            removed += (edge(i, a), edge(i, b))
     if len(set(consumed)) != len(consumed):
         raise ConstructionError(
             f"two fragments at {i} came from one cycle; they should only "
             f"meet when {i} itself is merged")
-    segs = _assemble(i, frags)
-    joins = [(last, nxt) for (_, last), (nxt, _)
-             in zip(segs, segs[1:] + segs[:1])]
+    if (pair and anchs) or len(anchs) > 2:
+        raise ConstructionError(
+            f"fragment mix at {i} not realizable: {len(pair)} saturated, "
+            f"{len(anchs)} anchored")
+    if pair:
+        segs = [pair[0][0]]
+    elif len(anchs) == 2:
+        segs = [(anchs[0][0][1], anchs[1][0][1])]  # joined at i
+    elif anchs:
+        segs = [anchs[0][0]]
+    else:
+        segs = [(i, i)]
+    segs += [ends for ends, _ in rest]
+    joins = [(a, b) for (_, a), (b, _) in zip(segs, segs[1:] + segs[:1])]
     for a, b in joins:
         if not g.square_has_edge(a, b):
             raise ConstructionError(f"assembled cycle uses non-edge ({a}, {b})")
-    # a K2 end fragment brings its one edge along
-    joins += [f.ends for f in frags if f.kind == "anch" and f.cycle is None]
-    removed = {e for f in frags for e in f.cut}
+    joins += [(i, w) for (_, w), c in anchs if c is None]
     for e in removed:
         cs.cut(e)
     c = cs.new_cycle(consumed)
     for a, b in joins:
         cs.link(a, b, c)
-    return segs[0][0], segs[-1][1], removed - {edge(a, b) for a, b in joins}
+    kept = {edge(a, b) for a, b in joins}
+    return segs[0][0], segs[-1][1], [e for e in removed if e not in kept]
 
 
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                   search: BlockSearch) -> list:
-    blocks, blocks_of, cuts_of = d.blocks, d.blocks_of, d.cuts_of
-    bn, k = d.bn, d.k
+    records, cuts_of, bn, k = d.records, d.cuts_of, d.bn, d.k
+    m = labelling.m
     cs = CycleSet()
-    assigned: dict[tuple[int, int], list] = {}
-    for b in d.two_blocks():
-        demands = tuple((i, m) for i in cuts_of[b.index]
-                        if (m := labelling.value(i, b.index)) > 0)
-        w = search(b.vertices, b.edges, demands)
+    # each cutvertex's 2-blocks, ascending, with its assigned edges in each
+    at_cut: dict[int, list] = {}
+    # Every edge still owed to a cutvertex, by owner. A step can only take
+    # away the edges it cuts, so only those are checked against the owners.
+    owed: dict[tuple, list] = {}
+    for t in d.two_idx:
+        _, _, es, vs = records[t]
+        cuts = cuts_of[t]
+        demands = [(i, v) for i in cuts if (v := m.get((i, t), 0)) > 0]
+        w = search(vs, es, demands)
         if w is None:
             raise ConstructionError(
-                f"no block cycle satisfying {demands}; the demands were "
-                "expected to be feasible for any 2-block")
+                f"no block cycle satisfying {tuple(demands)}; the demands "
+                "were expected to be feasible for any 2-block")
         cs.add(w.order)
-        for v, es in w.assignment.items():
-            assigned[(v, b.index)] = es
+        assignment = w.assignment
+        for v, at in assignment.items():
+            for e in at:
+                owed.setdefault(e, []).append(v)
+        for i in cuts:
+            at_cut.setdefault(i, []).append((t, assignment.get(i)))
 
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
@@ -322,11 +316,9 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
         if all(g.degree(a) == 1 or g.degree(b) == 1 for a, b in comp.edges):
             continue  # pendant star; its leaves join as singletons later
         if comp.is_trivial:
-            u, v = sorted(comp.vertices)
-            e = edge(u, v)
+            e = tuple(sorted(comp.vertices))
             k2_edges.add(e)
-            reserved_end[u] = e
-            reserved_end[v] = e
+            reserved_end[e[0]] = reserved_end[e[1]] = e
             continue
         need_end = frozenset(v for v in comp.vertices
                              if bn.get(v, 0) == 1 and k.get(v, 0) >= 1)
@@ -339,36 +331,30 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
             reserved_end[v] = cc.reserved[v]
         for v in need_pair:
             reserved_pair[v] = cc.reserved[v]
-
-    # Every edge still owed to a cutvertex, by owner. A step can only take
-    # away the edges it cuts, so only those are checked against the owners.
-    owed: dict[tuple, list] = {}
-    for (v, _), es in assigned.items():
-        for e in es:
-            owed.setdefault(e, []).append(v)
     for v, e in (*reserved_end.items(), *reserved_pair.items()):
         owed.setdefault(e, []).append(v)
 
-    to_process = sorted(v for v in d.cutvertices if k[v] >= 1)
+    adj = g._adj
     processed: set = set()
     first = last = None
-    for i in to_process:
-        frags: list[_Frag] = []
-        for t in blocks_of[i]:
-            if blocks[t].is_bridge:
-                continue
-            es = assigned.get((i, t))
+    for i in sorted(at_cut):  # the cutvertices on a 2-block
+        pair, anchs, rest = [], [], []
+        for t, es in at_cut[i]:
             if not es:
                 raise ConstructionError(
                     f"cutvertex {i} carries no assigned edges in block {t}")
-            c = cs.cycle_of(es[0])
-            if c is None or any(cs.cycle_of(e) != c for e in es):
+            cycles = [cs.cycle_of(e) for e in es]
+            c = cycles[0]
+            if c is None or cycles.count(c) != len(cycles):
                 raise ConstructionError(
                     f"assigned edges {es} of vertex {i} vanished before its turn")
             if len(es) == 2:
-                frags.append(_opened(cs, i, c, (0, t), es))
+                rest.append((_opened(cs, i, c, es, cycles), c))
+            elif i not in es[0]:
+                raise ConstructionError(
+                    f"vertex {i} is not an end of the fragment")
             else:
-                frags.append(_anchored(i, c, es[0], (0, t)))
+                anchs.append(((i, _partner(es[0], i)), c))
         if i in reserved_pair:
             e = reserved_pair[i]
             c = cs.cycle_of(e)
@@ -376,21 +362,20 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                 raise ConstructionError(f"pair edge {e} for {i} vanished")
             if i in e or not cs.around(i, c):
                 raise ConstructionError(f"pair cut at {e} does not keep {i} inside")
-            frags.append(_Frag("base2", e, (1, 0), c, (e,)))
+            pair.append((e, c))
         elif i in reserved_end:
             e = reserved_end[i]
             c = cs.cycle_of(e)
-            if c is None:
-                if e not in k2_edges:
-                    raise ConstructionError(f"end edge {e} for {i} vanished")
-                frags.append(_Frag("anch", (i, _partner(e, i)), (1, 0)))
-            else:
-                frags.append(_anchored(i, c, e, (1, 0)))
-        for leaf in sorted(g._adj[i]):
-            if g.degree(leaf) == 1 and leaf not in cs.nbrs:
-                frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
+            if c is None and e not in k2_edges:
+                raise ConstructionError(f"end edge {e} for {i} vanished")
+            if c is not None and i not in e:
+                raise ConstructionError(
+                    f"vertex {i} is not an end of the fragment")
+            anchs.append(((i, _partner(e, i)), c))
+        rest += [((leaf, leaf), None) for leaf in sorted(
+            w for w in adj[i] if len(adj[w]) == 1 and w not in cs.nbrs)]
 
-        first, last, removed = _merge_at(cs, g, i, frags)
+        first, last, removed = _merge_at(cs, g, i, pair, anchs, rest)
         processed.add(i)
         for e in removed:
             for j in owed.get(e, ()):
@@ -463,10 +448,13 @@ def _rest(d: Decomposition, piece: dict, c: int, t: int) -> _Run:
     at = piece.get(c)
     if isinstance(at, _Run):  # a hanging part is laid from its first block
         return _Run(at.pairs, at.i + 1)
-    nb, blocks = d.graph._adj[c], d.blocks
-    return _Run(sorted([(min(nb & blocks[s].vertices), s)
-                        for s in (d.blocks_of[c] if at is None else at)
-                        if s != t]))
+    nb, records = d.graph._adj[c], d.records
+    pairs = []
+    for s in (d.blocks_at[c] if at is None else at):
+        if s != t:
+            r = records[s]
+            pairs.append((min(nb.intersection(r if len(r) == 2 else r[3])), s))
+    return _Run(sorted(pairs))
 
 
 def _along(d: Decomposition, x: int, y: int) -> list:
@@ -474,16 +462,21 @@ def _along(d: Decomposition, x: int, y: int) -> list:
     to y, in order: a and b are t's ends on the path, x, every cutvertex
     between, then y. The tree is rooted at y and walked until it reaches x.
     """
-    blocks, blocks_of, cuts_of = d.blocks, d.blocks_of, d.cuts_of
+    blocks_at, cuts_of = d.blocks_at, d.cuts_of
+    # an end that is no cutvertex lies in one block, found by one scan
+    ends = [v for v in (x, y) if v not in blocks_at]
+    at = {v: (t,) for t, r in enumerate(d.records if ends else ())
+          for v in ends if v in (r if len(r) == 2 else r[3])}
+    tx = at[x][0] if x in at else None
     up: dict[int, int] = {}  # vertex -> its block on the way to y
     top: dict[int, int] = {}  # block -> its vertex on the way to y
     todo = [y]
     while x not in up:
         v = todo.pop()
-        for t in blocks_of[v]:
+        for t in at.get(v) or blocks_at[v]:
             if t not in top:
                 top[t] = v
-                if x in blocks[t].vertices:
+                if t == tx:
                     up[x] = t
                 for w in cuts_of[t]:
                     if w != v and w not in up:
@@ -493,7 +486,7 @@ def _along(d: Decomposition, x: int, y: int) -> list:
     while a != y:
         t = up[a]
         b = top[t]
-        part = {a: tuple([s for s in blocks_of[a] if s != prev])}
+        part = {a: tuple([s for s in at.get(a) or blocks_at[a] if s != prev])}
         if b != y:
             part[b] = (t,)
         parts.append((part, a, b, t))
@@ -532,38 +525,38 @@ def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
     cycle edges at c2 are edges of the graph, read from c2 towards the
     smaller of its cycle neighbours. The parts hanging off its blocks are
     left as tasks on todo, their placeholder edges on the returned cycle."""
-    blocks, adj = d.blocks, d.graph._adj
+    records, adj = d.records, d.graph._adj
     piece = {c2: run}
     cs = CycleSet()
-    frags = []
+    rest = []
     for t in sorted(s for _, s in run.pairs[run.i:]):
-        blk = blocks[t]
-        if blk.is_bridge:
+        r = records[t]
+        if len(r) == 2:
             continue
         others = [v for v in _cuts(d, piece, t) if v != c2]
         if len(others) > 1:
             raise ConstructionError(f"block {t} has more than two cutvertices")
         demands = [(c2, 2)] + [(v, 1) for v in others]
-        w = search(blk.vertices, blk.edges, demands)
+        w = search(r[3], r[2], demands)
         if w is None:
             raise ConstructionError(
                 f"no block cycle with two edges at {c2} in block {t}")
         c = cs.add(w.order)
         for yi in others:
             _hang(d, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
-        frags.append(_opened(cs, c2, c, (0, t), w.assignment[c2]))
-    for leaf, _ in run.pairs[run.i:]:  # ascending
-        if len(adj[leaf]) == 1:
-            frags.append(_Frag("leaf", (leaf, leaf), (2, leaf)))
-    _merge_at(cs, d.graph, c2, frags)
+        es = w.assignment[c2]
+        rest.append((_opened(cs, c2, c, es, [cs.cycle_of(e) for e in es]), c))
+    rest += [((leaf, leaf), None) for leaf, _ in run.pairs[run.i:]  # ascending
+             if len(adj[leaf]) == 1]
+    _merge_at(cs, d.graph, c2, [], [], rest)
     return cs.walk(c2, max(cs.nbrs[c2]))
 
 
 def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
-                              piece: dict, blk, x: int, y: int,
+                              piece: dict, t: int, x: int, y: int,
                               search: BlockSearch) -> None:
-    """Lay the x-y path between the two cutvertices of blk when no block
-    path carries an edge at y.
+    """Lay the x-y path between the two cutvertices of block t when no
+    block path carries an edge at y.
 
     A path through some edge u-v between two neighbours of y exists
     instead; the part hanging at y enters between u and v, in the order
@@ -571,18 +564,19 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
     y taken out.
     """
     # a block is an induced subgraph: y's neighbours in it are those in g
-    nbrs = sorted(d.graph.neighbors(y) & blk.vertices)
+    _, _, es, vs = d.records[t]
+    nbrs = sorted(d.graph.neighbors(y) & vs)
     for u, v in itertools.combinations(nbrs, 2):
-        w = search(blk.vertices, blk.edges, [(x, 1)], (x, y), [(u, v)])
+        w = search(vs, es, [(x, 1)], (x, y), [(u, v)])
         if w is not None:
             break
     else:
         raise ConstructionError(
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
     cs.splice(list(w.order))
-    _hang(d, cs, todo, piece, blk.index, x, _partner(w.assignment[x][0], x))
+    _hang(d, cs, todo, piece, t, x, _partner(w.assignment[x][0], x))
     a, b = sorted((u, v), key=w.order.index)
-    h = _rest(d, piece, y, blk.index)
+    h = _rest(d, piece, y, t)
     fn = h.pairs[h.i][0]
     if len(h) == 1 and d.graph.degree(fn) == 1:
         insert = [fn]
@@ -596,12 +590,12 @@ def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
     """Replace the placeholder edge x-y of cs by a hamiltonian x-y path of
     the square of the piece, whose block t holds x and y, and leave a task
     for every part that enters through a placeholder of its own."""
-    blk = d.blocks[t]
+    r = d.records[t]
     cvs = _cuts(d, piece, t)
     if len(cvs) > 2:
         raise ConstructionError(f"block carries {len(cvs)} cutvertices; "
                                 "at most two are buildable")
-    if blk.is_bridge:
+    if len(r) == 2:  # a bridge
         if len(cvs) == 2:
             raise ConstructionError(
                 f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
@@ -616,9 +610,9 @@ def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
         demands = [(c, 1) for c in cvs]
         if cvs == [x]:
             x, y = y, x  # the search starts away from the cutvertex
-    w = search(blk.vertices, blk.edges, demands, (x, y))
+    w = search(r[3], r[2], demands, (x, y))
     if w is None and between_cuts:
-        _rescue_through_neighbors(d, cs, todo, piece, blk, x, y, search)
+        _rescue_through_neighbors(d, cs, todo, piece, t, x, y, search)
         return
     if w is None:
         raise ConstructionError(

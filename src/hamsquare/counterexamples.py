@@ -31,12 +31,12 @@ from .hamconn import decide_hamiltonian_connectedness
 def _exchange(g: Graph, d: Decomposition, bipartite: dict[int, bool]) -> Graph:
     """g with each named 2-block exchanged, keeping the block-cutvertex tree.
 
-    Block t's cutvertices, padded with fresh vertices to three, become the
-    side of K_{2,k} with two fresh hubs when bipartite[t], else a cycle.
+    The cutvertices of block t, padded with fresh vertices to three, become
+    the side of K_{2,k} with two fresh hubs when bipartite[t], else a cycle.
     """
     removed = set()
     for t in bipartite:
-        removed |= d.blocks[t].edges
+        removed |= d.records[t][2]
     new_edges = [e for e in g.sorted_edges() if e not in removed]
     fresh = max(g.vertices) + 1
     for t in sorted(bipartite):
@@ -91,6 +91,6 @@ def counterexample_for(g: Graph, condition) -> Graph:
         # case b calls for a cycle, cases a and c for K_{2,k}
         return _exchange(g, d, {verdict.risky_block: verdict.risky_case != "b"})
     return _exchange(g, d, {t: False
-                            for t in d.blocks_of[verdict.risky_cutvertex]
-                            if d.blocks[t].is_two_block
+                            for t in d.blocks_at[verdict.risky_cutvertex]
+                            if len(d.records[t]) > 2
                             and len(d.cuts_of[t]) >= 2})

@@ -1,27 +1,26 @@
-"""Block-cutvertex structure of a connected graph.
+"""The block-cutvertex structure of a connected graph.
 
 Computes blocks (maximal 2-connected subgraphs and bridges) and
-cutvertices, and only what the deciders read of them: the bridge
-classes, the counters bn and k, the 2-blocks and each vertex's
-neighbours across bridges. Blocks are indexed in the order of their
-least edge. A tree, known from its counts (n >= 2, m = n - 1) and one
-walk that proves it connected, is read off its degrees: every edge is a
-bridge, the cutvertices are the non-leaves, and the graph is its own
-bridge forest, a caterpillar when no bn exceeds 2. Its block records
-(its sorted edges) and trivial bridges are built on their first read,
-which no verdict or cycle makes. Any other graph takes one lowpoint DFS
-from the least vertex, which also proves the graph connected by reaching
-every vertex, and one loop over the blocks it finds. cuts_of, the
-cutvertices of each block and all the deciders read of the index, is built
-from the records on its own first read. The Block records and blocks_of,
-the blocks at each vertex, are built together on the first read of either,
-which no verdict makes. The block-cutvertex tree and the
-bridge forest P0 left after removing all blocks with more than two
-vertices are read off these; P0 is g itself when there is no 2-block,
-and otherwise a walk over the bridge adjacency, in O(n + m), made once
-per decomposition and kept on it (bridge_forest). decompose hands its
-last decomposition back for the same Graph object, so a run of requests
-on one graph costs one traversal, one block index and one bridge forest.
+cutvertices, and only what the deciders and constructors read of them.
+Blocks are indexed in the order of their least edge, and their records,
+one per block, are the one block store: a bridge is its edge (u, v), a
+2-block is (a, b, edges, vertices). A tree, known from its counts
+(n >= 2, m = n - 1) and one walk that proves it connected, is read off
+its degrees: every edge is a bridge, the cutvertices are the non-leaves,
+and the graph is its own bridge forest, a caterpillar when no bn exceeds
+2. Its records (its sorted edges) and trivial bridges are built on their
+first read, which no verdict or cycle makes. Any other graph takes one
+lowpoint DFS from the least vertex, which also proves the graph connected
+by reaching every vertex, and one loop over the blocks it finds. Two
+views of the records are built, each on its own first read: cuts_of, the
+cutvertices of each block, which the deciders read, and blocks_at, the
+blocks at each cutvertex, which no verdict or cycle reads. The
+block-cutvertex tree and the bridge forest P0, what is left after
+removing all 2-blocks, are read off these; P0 is g itself when there is
+no 2-block, and otherwise a walk over the bridge adjacency, in O(n + m),
+made once per decomposition and kept on it (bridge_forest). decompose
+hands its last decomposition back for the same Graph object, so a run of
+requests on one graph costs one traversal.
 """
 
 from __future__ import annotations
@@ -34,22 +33,6 @@ from .graph import Graph
 
 
 _DISCONNECTED = "input graph must be connected"
-
-
-@dataclass(frozen=True, slots=True)
-class Block:
-    """One block of the graph: either a bridge or a 2-block (over two vertices)."""
-    index: int
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def is_two_block(self) -> bool:
-        return len(self.vertices) > 2
-
-    @property
-    def is_bridge(self) -> bool:
-        return not self.is_two_block
 
 
 class _OnRead:
@@ -106,34 +89,25 @@ class Decomposition:
         2-block the blocks are the edges."""
         return len(self.records) if self.two_idx else self.graph.m
 
-    def _index(self) -> None:
-        """Build blocks and blocks_of in one loop."""
-        blocks = []
-        blocks_of: dict[int, list[int]] = {v: [] for v in self.graph._adj}
-        for t, r in enumerate(self.records):
-            if len(r) == 2:
-                vs, es = frozenset(r), frozenset((r,))
-            else:
-                es, vs = r[2], r[3]
-            blocks.append(Block(t, vs, es))
-            for v in vs:
-                blocks_of[v].append(t)
-        self.__dict__.update(blocks=tuple(blocks), blocks_of=blocks_of)
-
     def _cuts(self) -> None:
-        """Build cuts_of from the records, without the Block records."""
+        """Build cuts_of from the records."""
         cut = self.cutvertices
         self.__dict__["cuts_of"] = {
             t: sorted(cut.intersection(r if len(r) == 2 else r[3]))
             for t, r in enumerate(self.records)}
 
-    # built on first read, blocks and blocks_of together and cuts_of on its
-    # own, as the deciders read only it; blocks_of and cuts_of ascending
-    blocks, blocks_of = _OnRead("_index"), _OnRead("_index")
-    cuts_of = _OnRead("_cuts")
+    def _blocks_at(self) -> None:
+        """Build blocks_at from cuts_of."""
+        at: dict[int, list[int]] = {c: [] for c in self.cutvertices}
+        for t, cuts in self.cuts_of.items():
+            for c in cuts:
+                at[c].append(t)
+        self.__dict__["blocks_at"] = at
 
-    def two_blocks(self) -> list[Block]:
-        return [self.blocks[t] for t in self.two_idx]
+    # each built on its first read, ascending: cuts_of[t] the cutvertices of
+    # block t, blocks_at[c] the blocks at cutvertex c, bridges included
+    cuts_of = _OnRead("_cuts")
+    blocks_at = _OnRead("_blocks_at")
 
     @functools.cached_property
     def bridge_forest(self) -> tuple[P0Component, ...]:
@@ -316,10 +290,10 @@ def bc_tree(d: Decomposition) -> BcTree:
     nodes = []
     tags = {}
     adj: dict = {}
-    for b in d.blocks:
-        node = ("block", b.index)
+    for t, r in enumerate(d.records):
+        node = ("block", t)
         nodes.append(node)
-        tags[node] = TWO_BLOCK if b.is_two_block else BRIDGE
+        tags[node] = BRIDGE if len(r) == 2 else TWO_BLOCK
         adj[node] = []
     for v in sorted(d.cutvertices):
         node = ("cut", v)

@@ -248,11 +248,11 @@ def is_ham_cycle(g: Graph, order: list[int], square: bool = False) -> bool:
     With square=True the cycle is checked against g's square, which is not
     built: see Graph.square_has_edge.
     """
-    if g.n < 3 or len(order) != g.n or set(order) != g.vertices:
+    n = g.n
+    if n < 3 or len(order) != n or set(order) != g.vertices:
         return False
     adjacent = g.square_has_edge if square else g.has_edge
-    return all(adjacent(order[i], order[(i + 1) % g.n])
-               for i in range(g.n))
+    return all(map(adjacent, order, [*order[1:], order[0]]))
 
 
 def is_ham_path(g: Graph, order: list[int],
@@ -267,7 +267,7 @@ def is_ham_path(g: Graph, order: list[int],
     if len(order) != g.n or set(order) != g.vertices:
         return False
     adjacent = g.square_has_edge if square else g.has_edge
-    if not all(adjacent(order[i], order[i + 1]) for i in range(g.n - 1)):
+    if not all(map(adjacent, order, order[1:])):
         return False
     if x is None and y is None:
         return True

@@ -20,7 +20,7 @@ at a time from the outside in. Each cutvertex keeps its count of
 unlabelled 2-blocks, the bound of condition 6, the running sum of its
 values and the index sum of its unlabelled 2-blocks, so a step does O(1)
 work per (cutvertex, 2-block) incidence besides one heap operation, and
-the peel reads the decomposition's cuts_of and no Block record. A definite
+the peel reads of the decomposition only two_idx and cuts_of. A definite
 NO happens only when some vertex meets three or more nontrivial bridges
 (equivalently, when the bridge forest is not a union of caterpillars).
 When the greedy construction gets stuck on condition 5 or 6, the verdict
@@ -57,7 +57,7 @@ def check_conditions(g: Graph, labelling: Labelling) -> list[int]:
     """Exactly the condition numbers (1..6) the labelling violates on g."""
     d = decompose(g)
     violated = set()
-    two = {b.index: b for b in d.two_blocks()}
+    two = {t: d.records[t][3] for t in d.two_idx}  # vertices of each
     # per cutvertex, the 2-blocks it holds a value for; values at other
     # vertices and at bridges take part in no condition but the first
     rows: dict[int, list] = {}
@@ -66,7 +66,7 @@ def check_conditions(g: Graph, labelling: Labelling) -> list[int]:
             violated.add(1)
         if i in d.cutvertices and t in two:
             rows.setdefault(i, []).append(t)
-            if v != 0 and i not in two[t].vertices:
+            if v != 0 and i not in two[t]:
                 violated.add(2)
     for t in two:
         vals = []

@@ -16,7 +16,8 @@ import networkx as nx
 
 from hamsquare.graph import Graph
 from hamsquare.decomposition import decompose
-from families import path_graph, cycle_graph, complete_graph, complete_bipartite
+from families import (blocks, path_graph, cycle_graph, complete_graph,
+                      complete_bipartite)
 
 MAX_VERTICES = 8
 MAX_CUTVERTICES = 3
@@ -131,13 +132,13 @@ def is_block_chain(g: Graph) -> bool:
     cutvertex in exactly two blocks."""
     d = decompose(g)
     return (all(len(cs) <= 2 for cs in d.cuts_of.values())
-            and all(len(d.blocks_of[v]) == 2 for v in d.cutvertices))
+            and all(len(ts) == 2 for ts in d.blocks_at.values()))
 
 
 def inner_blocks(g: Graph):
     """Blocks of a chain containing two cutvertices (the non-end blocks)."""
     d = decompose(g)
-    return [b for b in d.blocks if len(d.cuts_of[b.index]) == 2]
+    return [b for b in blocks(d) if len(d.cuts_of[b.index]) == 2]
 
 
 @lru_cache(maxsize=None)

@@ -3,17 +3,40 @@
 path_graph, cycle_graph, complete_graph and complete_bipartite build the
 usual families on 0..n-1. gen_bn3 and gen_hc_counterexample build a risky
 skeleton each, and minimal_families pairs every failure shape with its
-smallest instance, for the certification in the tests and scripts. Needs
-no networkx.
+smallest instance, for the certification in the tests and scripts.
+blocks reads a decomposition's blocks off its records, for the tests that
+compare or pick them. Needs no networkx.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from hamsquare.graph import Graph, edge
 from hamsquare.counterexamples import counterexample_for
+
+
+# -- the blocks of a decomposition ---------------------------------------
+
+class BlockRow(NamedTuple):
+    """Block index of a decomposition, its vertex set and its edge set."""
+    index: int
+    vertices: frozenset
+    edges: frozenset
+
+    @property
+    def is_two_block(self) -> bool:
+        return len(self.vertices) > 2
+
+
+def blocks(d, two_only: bool = False) -> list[BlockRow]:
+    """d's blocks by index, or only its 2-blocks, read off d.records: a
+    bridge record is its edge, a 2-block's is (a, b, edges, vertices)."""
+    return [BlockRow(t, frozenset(r), frozenset((r,))) if len(r) == 2
+            else BlockRow(t, r[3], r[2])
+            for t, r in enumerate(d.records) if len(r) > 2 or not two_only]
 
 
 # -- standard builders ----------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from hamsquare.graph import Graph
 from hamsquare.decomposition import decompose
 from hamsquare.oracle import cycle_with, path_with
+from families import blocks
 
 
 def is_ham_connected(g: Graph, node_budget: int | None = None) -> bool:
@@ -45,8 +46,8 @@ class PropertyResult:
 def _check_two_block(b: Graph, min_order: int):
     if b.n < min_order:
         raise ValueError(f"property needs a 2-block on at least {min_order} vertices")
-    d = decompose(b)
-    if len(d.blocks) != 1 or not d.blocks[0].is_two_block:
+    bs = blocks(decompose(b))
+    if len(bs) != 1 or not bs[0].is_two_block:
         raise ValueError("input is not a 2-block")
 
 

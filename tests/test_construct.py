@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import sys
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 
 from hamsquare.graph import Graph, edge, is_ham_cycle, is_ham_path
 from corpus import corpus
-from families import path_graph, cycle_graph
+from families import blocks, path_graph, cycle_graph
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from hamsquare.hamconn import (
@@ -28,7 +29,7 @@ from hamsquare.construct import (
     _rescue_through_neighbors,
 )
 from hamsquare.caterpillars import CycleSet
-from hamsquare.oracle import cycle_with, path_with
+from hamsquare.oracle import Witness, cycle_with, path_with
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 DUMBBELL = Graph.from_edges([(0, 1), (1, 2), (0, 2),
@@ -100,13 +101,11 @@ def test_cycle_set_cut_removes_exactly_that_adjacency():
 def test_opened_fragment_ends_at_the_neighbors():
     cs = CycleSet()
     c = cs.add([0, 1, 2, 3])
-    f = _opened(cs, 1, c, (0, 0), [edge(1, 2), edge(0, 1)])
-    assert f.ends == (0, 2)
-    assert set(f.cut) == {edge(0, 1), edge(1, 2)}
+    assert _opened(cs, 1, c, [edge(1, 2), edge(0, 1)], [c, c]) == (0, 2)
     for es in ([edge(0, 1), edge(1, 3)], [edge(0, 1), edge(0, 1)],
                [edge(0, 1), edge(2, 3)]):
-        with pytest.raises(ConstructionError):
-            _opened(cs, 1, c, (0, 0), es)
+        with pytest.raises(ConstructionError, match="differ from the assign"):
+            _opened(cs, 1, c, es, [cs.cycle_of(e) for e in es])
 
 
 def test_cycle_set_joins_cycles_and_walks_them():
@@ -129,6 +128,55 @@ def test_cycle_set_joins_cycles_and_walks_them():
     cs.link(0, 9, c)
     with pytest.raises(ConstructionError):
         cs.walk(0, 2)  # 0 and 9 now have three neighbours
+
+
+# -- the merge's own checks ------------------------------------------------
+
+TRIANGLES = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
+                              (4, 5), (5, 6), (4, 6)])
+C5_TRIANGLE = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                                (0, 5), (5, 6), (0, 6)])
+
+
+def _forged(monkeypatch, forge):
+    """Let every block search of a request hand its witness to forge, with
+    the block's vertices and demands, and return what forge returns."""
+    class Forged(BlockSearch):
+        def __call__(self, vertices, edges, demands=(), ends=None,
+                     required=()):
+            w = super().__call__(vertices, edges, demands, ends, required)
+            return forge(vertices, dict(demands), w)
+    monkeypatch.setattr(construct, "BlockSearch", Forged)
+
+
+@pytest.mark.parametrize("g, block, forged, message", [
+    # the labelling of the chain of triangles wants 2 edges at 2 in block
+    # {0, 1, 2}, 1 at 2 and 2 at 4 in {2, 3, 4}, 2 at 4 in {4, 5, 6}
+    (TRIANGLES, 1, lambda w: {2: [(0, 2), (2, 6)]},
+     "assigned edges [(0, 2), (2, 6)] of vertex 2 vanished before its turn"),
+    (TRIANGLES, 1, lambda w: {2: [(0, 2), (0, 2)]},
+     "cycle edges [(0, 2), (1, 2)] at 2 differ from the assigned "
+     "[(0, 2), (0, 2)]"),
+    (TRIANGLES, 1, lambda w: {2: [(2, 3)]},  # block {2, 3, 4}'s edge
+     "two fragments at 2 came from one cycle"),
+    (TRIANGLES, 3, lambda w: {2: [(2, 3)], 4: [(2, 4), (2, 3)]},
+     "edge (2, 3) owed to pending vertex 4 was consumed"),
+    # 0's cycle neighbours 2 and 3 in the C5 are no neighbours of 0 in g
+    (C5_TRIANGLE, 1, lambda w: {0: [(0, 2), (0, 3)]},
+     "assembled cycle uses non-edge (3, 5)"),
+], ids=["vanished", "repeated", "one-cycle", "owed", "non-edge"])
+def test_merge_rejects_forged_block_witnesses(monkeypatch, g, block, forged,
+                                              message):
+    order = {C5_TRIANGLE: (0, 2, 1, 4, 3)}  # a cycle of the C5's square
+    def forge(vertices, demands, w):
+        if block not in vertices:
+            return w
+        return Witness(order.get(g, w.order), forged(w))
+    _forged(monkeypatch, forge)
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        construct_ham_cycle(g)
+    monkeypatch.undo()
+    assert is_ham_cycle(g, construct_ham_cycle(g), square=True)
 
 
 # -- paths -----------------------------------------------------------------
@@ -171,14 +219,14 @@ def test_path_between_the_two_cutvertices_of_an_inner_block():
     assert is_ham_path(g.square(), p, 0, 2)
 
 
-def _forced_rescue(d, blk, x, y):
+def _forced_rescue(d, t, x, y):
     """The x-y path laid by the rescue route between the two cutvertices of
-    blk, whether or not a block path with an edge at y exists."""
+    block t, whether or not a block path with an edge at y exists."""
     cs = CycleSet()
     cs.add([x, y, -1])
     todo, search = [], BlockSearch(d)
     # {} is the piece that holds every block of the graph
-    _rescue_through_neighbors(d, cs, todo, {}, blk, x, y, search)
+    _rescue_through_neighbors(d, cs, todo, {}, t, x, y, search)
     _fill(d, cs, todo, search)
     return cs.walk(x, -1)[:-1]
 
@@ -188,7 +236,7 @@ def test_rescue_through_neighbor_pair_directly():
     # edge joining two neighbors of 2, as a cycle through 2 opened there
     g = _ring_with_triangles()
     d = decompose(g)
-    (ring,) = (b for b in d.blocks if len(b.vertices) == 4)
+    (ring,) = (b.index for b in blocks(d) if len(b.vertices) == 4)
     p = _forced_rescue(d, ring, 0, 2)
     assert p == [0, 5, 4, 1, 6, 7, 3, 2]
     assert is_ham_path(g.square(), p, 0, 2)
@@ -313,12 +361,12 @@ def test_random_block_trees_paths_and_forced_rescues():
         for x, y in itertools.combinations(g.sorted_vertices(), 2):
             p = _outcome(lambda: construct_ham_path(g, x, y))
             digest.update(f"{x} {y} {p}\n".encode())
-        for b in d.two_blocks():
+        for b in blocks(d, two_only=True):
             cuts = sorted(v for v in b.vertices if v in d.cutvertices)
             if len(cuts) != 2:
                 continue
             for x, y in (cuts, cuts[::-1]):
-                p = _outcome(lambda: _forced_rescue(d, b, x, y))
+                p = _outcome(lambda: _forced_rescue(d, b.index, x, y))
                 digest.update(f"rescue {x} {y} {p}\n".encode())
                 rescues += 1
     assert rescues > 100
@@ -422,7 +470,7 @@ def test_witnesses_at_scale_square_no_more_than_a_block(monkeypatch,
     ]:
         # an equal copy, so that decompose holds no decomposition of g
         largest = max(len(b.vertices)
-                      for b in decompose(Graph(g.vertices, g.edges)).blocks)
+                      for b in blocks(decompose(Graph(g.vertices, g.edges))))
         squared.clear()
         decomposed.clear()
         assert valid(build(g))
@@ -548,11 +596,28 @@ def test_constructors_step_once_per_block(monkeypatch):
                      (windmill, lambda g: construct_ham_path(g, 1, 4000)),
                      (star, lambda g: construct_ham_path(g, 1, 2999)),
                      (chain, lambda g: construct_ham_path(g, 2560, 2562))]:
-        blocks = len(decompose(g).blocks)
+        count = decompose(g).block_count()
         for name in calls:
             calls[name] = 0
         build(g)
-        assert all(n <= 8 * blocks for n in calls.values()), (g.n, calls)
+        assert all(n <= 8 * count for n in calls.values()), (g.n, calls)
+
+
+def test_cycle_merge_links_and_cuts_a_bounded_number_of_edges_per_block(
+        monkeypatch):
+    # Work counted, not timed: each triangle lays its three edges, and each
+    # cutvertex cuts the two or three edges at it and links as many joins
+    calls = []
+    for name in ("link", "cut"):
+        real = getattr(CycleSet, name)
+
+        def counted(cs, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(cs, *args)
+        monkeypatch.setattr(CycleSet, name, counted)
+    chain = _triangle_chain(2560)
+    construct_ham_cycle(chain)
+    assert 0 < calls.count("cut") < len(calls) <= 8 * 2560
 
 
 # -- one search per block shape ----------------------------------------------
@@ -618,21 +683,21 @@ def test_block_search_memo_returns_what_the_oracle_returns():
     # memo serves blocks of one shape, so most relabelled searches are hits.
     rng = random.Random(7)
     checked = 0
-    blocks = {frozenset(b.edges) for g in corpus() if g.n >= 3
-              for b in decompose(g).two_blocks()}
-    for i, edges in enumerate(sorted(blocks, key=sorted)):
+    shapes = {b.edges for g in corpus() if g.n >= 3
+              for b in blocks(decompose(g), two_only=True)}
+    for i, edges in enumerate(sorted(shapes, key=sorted)):
         search = BlockSearch(decompose(Graph.from_edges(edges)))
         for b in _relabellings(rng, Graph.from_edges(edges)):
             checked += _memo_matches_the_oracle(search, b, i)
     trees = 0
     while trees < 100:
         g = _random_block_tree(rng)
-        if not decompose(g).two_blocks():
+        if not decompose(g).two_idx:
             continue
         trees += 1
         search = BlockSearch(decompose(g))
         for h in _relabellings(rng, g):
-            for i, blk in enumerate(decompose(h).two_blocks()):
+            for i, blk in enumerate(blocks(decompose(h), two_only=True)):
                 b = Graph.from_edges(blk.edges)
                 checked += _memo_matches_the_oracle(search, b, 100 * trees + i,
                                                     sample=12)
@@ -659,13 +724,13 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
                        square=True)
     assert searches == [] and squared == []
     g = _glued_chain(_WHEELS_AND_THETAS)
-    blocks = len(decompose(g).two_blocks())
+    two = len(decompose(g).two_idx)
     for build in (construct_ham_cycle,
                   lambda g: construct_ham_path(g, 1, g.n - 2)):
         searches.clear()
         first = build(g)
         n = len(searches)
-        assert 1 <= n <= 2 * len(_rank_shapes(g)) < blocks, searches
+        assert 1 <= n <= 2 * len(_rank_shapes(g)) < two, searches
         # a second request shares no searched block with the first: it
         # searches them again
         searches.clear()
@@ -729,7 +794,7 @@ def test_small_block_table_serves_relabelled_and_repeated_requests(
     first = _small_block_requests(g)
     keys = set(construct._complete)
     # every fill is one call of complete_with by its module-global name
-    assert 0 < len(fills) == len(keys) < len(decompose(g).two_blocks())
+    assert 0 < len(fills) == len(keys) < len(decompose(g).two_idx)
     fills.clear()
     assert _small_block_requests(g) == first
     for h in _relabellings(random.Random(3), g)[1:]:
@@ -772,7 +837,7 @@ def _rank_shapes(g):
     """The rank edge sets of g's 2-blocks on more than four vertices, the
     blocks that are searched in their squares."""
     shapes = set()
-    for b in decompose(g).two_blocks():
+    for b in blocks(decompose(g), two_only=True):
         if len(b.vertices) <= 4:
             continue
         rank = {v: i for i, v in enumerate(sorted(b.vertices))}
@@ -815,7 +880,7 @@ def test_requests_on_one_graph_relabel_and_square_each_block_once(
     # one store served every request: a block is relabelled only when its
     # edge set is missing from it, and a shape squared only when missing
     assert construct._store is store and store.of() is decompose(g)
-    assert len(store.ranks) == len(decompose(g).two_blocks())
+    assert len(store.ranks) == len(decompose(g).two_idx)
     assert len(squared) == len(store.shapes) == shapes
     assert {sq.edges for sq in squared} == _rank_shapes(g)
 

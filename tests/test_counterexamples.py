@@ -27,7 +27,7 @@ def _square_not_hamiltonian(g):
 
 def test_substitute_keeps_bc_tree():
     d = decompose(BOWTIE)
-    t0, t1 = sorted(b.index for b in d.two_blocks())
+    t0, t1 = d.two_idx
     # only the cutvertex 0 stays: a cycle pads it with two fresh vertices,
     # K_{2,k} adds two hubs and pads its side the same way
     out = _exchange(BOWTIE, d, {t0: False, t1: True})

@@ -1,5 +1,6 @@
 """Block-cutvertex decomposition against brute-force references."""
 
+import dataclasses
 import itertools
 import random
 import weakref
@@ -26,7 +27,8 @@ from hamsquare.decomposition import (
     _canon_cmp,
 )
 from corpus import corpus, to_nx
-from families import path_graph, cycle_graph, complete_graph, complete_bipartite
+from families import (blocks, path_graph, cycle_graph, complete_graph,
+                      complete_bipartite)
 from test_labelling import _random_block_tree as _peel_block_tree
 from caterpillar_reference import is_caterpillar
 
@@ -65,24 +67,23 @@ def test_cutvertices_match_deletion_oracle(g):
 @pytest.mark.parametrize("g", SAMPLES)
 def test_bridges_match_deletion_oracle(g):
     d = decompose(g)
-    assert {e for b in d.blocks if b.is_bridge for e in b.edges} \
-        == brute_bridges(g)
+    assert {r for r in d.records if len(r) == 2} == brute_bridges(g)
 
 
 @pytest.mark.parametrize("g", SAMPLES)
 def test_blocks_match_networkx(g):
     h = nx.Graph(list(g.edges))
     expect = sorted(sorted(c) for c in nx.biconnected_components(h))
-    got = sorted(sorted(b.vertices) for b in decompose(g).blocks)
+    got = sorted(sorted(b.vertices) for b in blocks(decompose(g)))
     assert got == expect
 
 
 def test_blocks_partition_edges():
     for g in SAMPLES:
         d = decompose(g)
-        union = [e for b in d.blocks for e in b.edges]
+        union = [e for b in blocks(d) for e in b.edges]
         assert sorted(union) == g.sorted_edges()
-        for b1, b2 in itertools.combinations(d.blocks, 2):
+        for b1, b2 in itertools.combinations(blocks(d), 2):
             assert len(set(b1.vertices) & set(b2.vertices)) <= 1
 
 
@@ -91,12 +92,12 @@ def test_bowtie_counters():
     assert set(d.cutvertices) == {0}
     assert d.k[0] == 2
     assert d.bn[0] == 0
-    assert len(d.two_blocks()) == 2
+    assert len(d.two_idx) == 2
 
 
 def test_p4_bridges_and_bn():
     d = decompose(path_graph(4))
-    assert len(d.blocks) == 3
+    assert d.block_count() == len(d.records) == 3
     assert set(d.cutvertices) == {1, 2}
     assert set(d.nontrivial_bridges) == {(1, 2)}
     assert set(d.trivial_bridges) == {(0, 1), (2, 3)}
@@ -109,24 +110,25 @@ def test_spider_center_has_three_heavy_bridges():
 
 
 def test_two_block_flag_is_size_based():
+    # a record of length 2 is a bridge, and every other one a 2-block
     d = decompose(BOWTIE)
-    assert all(b.is_two_block and not b.is_bridge for b in d.blocks)
+    assert [len(r) for r in d.records] == [4, 4] and d.two_idx == (0, 1)
     d = decompose(path_graph(3))
-    assert all(b.is_bridge for b in d.blocks)
+    assert [len(r) for r in d.records] == [2, 2] and d.two_idx == ()
 
 
 def test_cvn_sum_identity():
     for g in SAMPLES:
         d = decompose(g)
-        per_block = sum(len(d.cuts_of[b.index]) for b in d.blocks)
-        per_cut = sum(len(d.blocks_of[v]) for v in d.cutvertices)
+        per_block = sum(len(cuts) for cuts in d.cuts_of.values())
+        per_cut = sum(len(d.blocks_at[v]) for v in d.cutvertices)
         assert per_block == per_cut
 
 
 def test_endblocks():
     d = decompose(path_graph(4))
     # endblocks, the leaves of the bc-tree, hold at most one cutvertex
-    ends = {tuple(sorted(b.vertices)) for b in d.blocks
+    ends = {tuple(sorted(b.vertices)) for b in blocks(d)
             if len(d.cuts_of[b.index]) <= 1}
     assert ends == {(0, 1), (2, 3)}
 
@@ -147,15 +149,12 @@ def _spider(legs: int, length: int) -> Graph:
                             for leg in range(legs) for j in range(length))
 
 
-def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
-    made = []
-    block = decomposition.Block
-    monkeypatch.setattr(decomposition, "Block",
-                        lambda *a: made.append(a) or block(*a))
+def test_deciders_on_trees_build_no_block_record(tmp_path):
+    assert not hasattr(decomposition, "Block")  # records are the one store
+    views = {"cuts_of", "blocks_at"}
+    lazy = {"records", "trivial_bridges"}
     trees = [path_graph(3000), _caterpillar(1000, 2), complete_bipartite(1, 600),
              _spider(3, 1000)]
-    index = {"blocks", "blocks_of", "cuts_of"}
-    lazy = {"records", "trivial_bridges"}
     hamiltonian = []
     for g in trees:
         path = tmp_path / "tree.txt"
@@ -171,22 +170,18 @@ def test_deciders_on_trees_build_no_block_record(monkeypatch, tmp_path):
         hamiltonian.append(verdict.outcome == HAMILTONIAN)
         if hamiltonian[-1]:
             construct_ham_cycle(g)
-        assert made == []
-        assert not vars(d).keys() & (index | lazy)
+        assert not vars(d).keys() & (views | lazy)
         # a later read builds what the two-pass reference finds
         ref = _reference_decompose(g)
         assert d.trivial_bridges == ref["trivial_bridges"]
-        # a read of cuts_of builds it alone, and no Block record; a read of
-        # blocks builds blocks and blocks_of, a record per bridge
+        # a read of cuts_of builds it alone; a read of blocks_at builds it
+        # from cuts_of, at the cutvertices only
         d.cuts_of
-        assert {"cuts_of"} | lazy <= vars(d).keys() and made == []
-        assert not vars(d).keys() & {"blocks", "blocks_of"}
+        assert {"cuts_of"} | lazy <= vars(d).keys()
+        assert "blocks_at" not in vars(d)
         assert d.cuts_of == ref["cuts_of"]
-        d.blocks
-        assert index | lazy <= vars(d).keys() and len(made) == g.m
-        assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
-            == ref["blocks"]
-        made.clear()
+        assert d.blocks_at == ref["blocks_at"]
+        assert blocks(d) == ref["blocks"]
     assert hamiltonian == [True, True, True, False]
 
 
@@ -209,13 +204,17 @@ def _block_chain(k: int, every: int = 0, hung=()) -> Graph:
     return Graph.from_edges(edges)
 
 
-def test_deciders_on_block_chains_build_no_block_record(monkeypatch,
-                                                       tmp_path):
-    made = []
-    block = decomposition.Block
-    monkeypatch.setattr(decomposition, "Block",
-                        lambda *a: made.append(a) or block(*a))
-    index = {"blocks", "blocks_of"}
+# what a decomposition may hold besides its fields: the records, the two
+# views of them and the bridge forest, and no other per-block object
+_BLOCK_STORE = {"records", "trivial_bridges", "cuts_of", "blocks_at",
+                "bridge_forest"}
+
+
+def _held(d) -> set:
+    return vars(d).keys() - {f.name for f in dataclasses.fields(d)}
+
+
+def test_deciders_on_block_chains_build_no_block_record(tmp_path):
     outcomes = []
     # a leaf on every fourth block, a triangle on every block (three
     # cutvertices), and two paths of two bridges (bn 2) on every fifth
@@ -230,14 +229,23 @@ def test_deciders_on_block_chains_build_no_block_record(monkeypatch,
             assert request.graph == g and request.graph is not g
             # the peel reads cuts_of; check-hc may stop at a bridge first
             assert command == "check-hc" or "cuts_of" in vars(request)
-            assert not vars(request).keys() & index
+            assert _held(request) <= _BLOCK_STORE - {"blocks_at"}
             outcomes.append(report.result["outcome"])
+        cli.run(["decompose", str(path)])
+        assert _held(decomposition._last) <= _BLOCK_STORE
         ham = decide_hamiltonicity(g)
         hc = decide_hamiltonian_connectedness(g)
         assert [ham.outcome, hc.outcome] == outcomes[-2:]
         assert ham.trace  # the peel ran
-        assert not vars(decompose(g)).keys() & index
-        assert made == []
+        d = decompose(g)
+        assert _held(d) <= _BLOCK_STORE - {"blocks_at"}
+        if ham.outcome == HAMILTONIAN:
+            construct_ham_cycle(g)  # the merge reads no blocks_at
+            assert _held(d) <= _BLOCK_STORE - {"blocks_at"}
+        if hc.outcome == HAM_CONNECTED:
+            construct_ham_path(g, 0, max(g.vertices))
+            construct_ham_path(g, 3, 5)
+            assert "blocks_at" in vars(d) and _held(d) <= _BLOCK_STORE
     assert outcomes == [HAMILTONIAN, HAM_CONNECTED,
                         HAMILTONIAN, STRUCTURALLY_RISKY,
                         HAMILTONIAN, STRUCTURALLY_RISKY,
@@ -267,18 +275,19 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
 def test_decompositions_compare_and_hash_without_the_index():
     for g in [*corpus(), path_graph(3000), _spider(3, 1000)]:
         a, b = decompose(g), decompose(Graph(g.vertices, g.edges))
-        assert cli._summary(g, a)["blocks"] == len(a.blocks)
-        assert "blocks" not in vars(b)
+        assert cli._summary(g, a)["blocks"] == len(a.records)
+        assert not vars(b).keys() & {"cuts_of", "blocks_at"}
         assert a == b and hash(a) == hash(b)
 
 
 def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
                                                        decompose_calls):
     walks, indexed = [], []
-    walk, index = decomposition.compute_P0, decomposition.Decomposition._index
+    walk, index = (decomposition.compute_P0,
+                   decomposition.Decomposition._blocks_at)
     monkeypatch.setattr(decomposition, "compute_P0",
                         lambda d: walks.append(d) or walk(d))
-    monkeypatch.setattr(decomposition.Decomposition, "_index",
+    monkeypatch.setattr(decomposition.Decomposition, "_blocks_at",
                         lambda d: indexed.append(d) or index(d))
     decompose(path_graph(2))  # so that decompose holds no corpus graph
     rng = random.Random(7)
@@ -300,7 +309,7 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
                 construct_ham_path(g, x, y)
                 paths += 1
         assert decompose(g) is d and decompose_calls == [g.n]
-        # the bridge forest walked once, the block index built at most once
+        # the bridge forest walked once, blocks_at built at most once
         assert [w is d for w in walks] == [True]
         assert [i is d for i in indexed] in ([], [True])
         built += len(indexed)
@@ -318,7 +327,7 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
         assert decompose_calls == [g.n] + ([out.n] if condition != 4 else [])
     assert paths > 1000 and min(conditions[c] for c in (4, 5, 6, "hc")) > 5, \
         conditions
-    assert built > 100  # the spy sees the index being built
+    assert built > 100  # the spy sees blocks_at being built
 
 
 def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):
@@ -391,7 +400,7 @@ def test_bc_tree_node_count_identity():
     for g in SAMPLES:
         d = decompose(g)
         t = bc_tree(d)
-        assert len(t.nodes) == len(d.blocks) + len(d.cutvertices)
+        assert len(t.nodes) == len(d.records) + len(d.cutvertices)
 
 
 def test_bc_isomorphic_examples():
@@ -518,8 +527,8 @@ def _random_block_tree(rng):
 def _reference_P0(g: Graph, d):
     """G minus its 2-blocks' edges, a vertex of a 2-block dropped when all
     its edges lie in 2-blocks, split into components by least vertex."""
-    two_edges = {e for b in d.two_blocks() for e in b.edges}
-    drop = {v for b in d.two_blocks() for v in b.vertices
+    two_edges = {e for b in blocks(d, two_only=True) for e in b.edges}
+    drop = {v for b in blocks(d, two_only=True) for v in b.vertices
             if all(edge(v, w) in two_edges for w in g.neighbors(v))}
     p0 = Graph(g.vertices - drop, g.edges - two_edges)
     comps = []
@@ -554,12 +563,14 @@ def test_index_P0_and_bc_tree_match_scans():
               + [Graph.from_edges((), isolated=(5,))])
     for g in graphs:
         d = decompose(g)
-        assert d.blocks_of == {v: [b.index for b in d.blocks if v in b.vertices]
-                               for v in g.vertices}
+        rows = blocks(d)
+        assert d.blocks_at == {v: [b.index for b in rows if v in b.vertices]
+                               for v in d.cutvertices}
         cuts = {b.index: sorted(v for v in d.cutvertices if v in b.vertices)
-                for b in d.blocks}
+                for b in rows}
         assert d.cuts_of == cuts
-        assert d.k == {v: sum(1 for b in d.two_blocks() if v in b.vertices)
+        assert d.k == {v: sum(1 for b in rows if b.is_two_block
+                              and v in b.vertices)
                        for v in g.vertices}
 
         p0, comps = _reference_P0(g, d)
@@ -567,9 +578,9 @@ def test_index_P0_and_bc_tree_match_scans():
         assert [(c.vertices, c.edges, c.is_caterpillar)
                 for c in d.bridge_forest] == comps
 
-        adj = {("block", b.index): [] for b in d.blocks}
+        adj = {("block", b.index): [] for b in rows}
         adj.update({("cut", v): [] for v in d.cutvertices})
-        for b in d.blocks:
+        for b in rows:
             for v in sorted(b.vertices):
                 if v in d.cutvertices:
                     adj[("block", b.index)].append(("cut", v))
@@ -654,8 +665,8 @@ def _reference_decompose(g: Graph) -> dict:
         "nontrivial_bridges": nontrivial,
         "bn": {v: sum(v in e for e in nontrivial) for v in g.vertices},
         "k": {v: sum(v in vs for _, vs in two) for v in g.vertices},
-        "blocks_of": {v: [t for t, vs, _ in blocks if v in vs]
-                      for v in g.vertices},
+        "blocks_at": {v: [t for t, vs, _ in blocks if v in vs]
+                      for v in arts},
         "cuts_of": cuts_of,
     }
 
@@ -667,7 +678,6 @@ def test_decompose_matches_the_sorted_two_pass_reference():
     for g in graphs:
         d = decompose(g)
         ref = _reference_decompose(g)
-        assert [(b.index, b.vertices, b.edges) for b in d.blocks] \
-            == ref.pop("blocks")
+        assert blocks(d) == ref.pop("blocks")
         for name, want in ref.items():
             assert getattr(d, name) == want, name

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamsquare import graph
+from hamsquare.construct import construct_ham_cycle, construct_ham_path
+from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
+from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from corpus import corpus, to_nx
 from families import path_graph, cycle_graph, complete_graph, complete_bipartite
 from test_labelling import _random_block_tree
@@ -227,6 +230,70 @@ def test_is_ham_cycle_and_path_checkers():
     p = path_graph(4)
     assert is_ham_path(p, [0, 1, 2, 3], 0, 3)
     assert not is_ham_path(p, [0, 1, 2, 3], 0, 2)
+
+
+def _indexed_ham_cycle(g, order, square=False):
+    """is_ham_cycle as it was first written: by index, modulo n."""
+    if g.n < 3 or len(order) != g.n or set(order) != g.vertices:
+        return False
+    adjacent = g.square_has_edge if square else g.has_edge
+    return all(adjacent(order[i], order[(i + 1) % g.n]) for i in range(g.n))
+
+
+def _indexed_ham_path(g, order, x=None, y=None, square=False):
+    """is_ham_path as it was first written: by index."""
+    if len(order) != g.n or set(order) != g.vertices:
+        return False
+    adjacent = g.square_has_edge if square else g.has_edge
+    if not all(adjacent(order[i], order[i + 1]) for i in range(g.n - 1)):
+        return False
+    if x is None and y is None:
+        return True
+    ends = (order[0], order[-1])
+    forward = (x is None or ends[0] == x) and (y is None or ends[1] == y)
+    backward = (x is None or ends[1] == x) and (y is None or ends[0] == y)
+    return forward or backward
+
+
+def _corrupted(order, rng):
+    """order, and copies with two vertices swapped, one vertex repeated in
+    place of another, one dropped, and the last moved to the front."""
+    out = [list(order)]
+    i, j = rng.sample(range(len(order)), 2)
+    swapped = list(order)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    repeated = list(order)
+    repeated[i] = repeated[j]
+    dropped = list(order)
+    del dropped[i]
+    return out + [swapped, repeated, dropped, [order[-1], *order[:-1]]]
+
+
+def test_checkers_agree_with_their_indexed_definitions():
+    # valid witnesses of the square and random orders, each as it is and
+    # corrupted, checked against the graph and against its square
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    graphs = [path_graph(7), cycle_graph(9), complete_graph(5)]
+    graphs += [_random_block_tree(rng) for _ in range(150)]
+    for g in graphs:
+        vs = sorted(g.vertices)
+        bases = [rng.sample(vs, g.n), vs]
+        if decide_hamiltonicity(g).outcome == HAMILTONIAN:
+            bases.append(construct_ham_cycle(g))
+        if decide_hamiltonian_connectedness(g).outcome == HAM_CONNECTED:
+            bases.append(construct_ham_path(g, *rng.sample(vs, 2)))
+        for o in (o for base in bases for o in _corrupted(base, rng)):
+            for square in (False, True):
+                got = is_ham_cycle(g, o, square)
+                assert got == _indexed_ham_cycle(g, o, square)
+                seen[got] += 1
+                for x, y in [(None, None), (o[0], o[-1]), (o[-1], o[0]),
+                             (o[0], None), (None, o[0]), (o[1], o[-1])]:
+                    got = is_ham_path(g, o, x, y, square)
+                    assert got == _indexed_ham_path(g, o, x, y, square)
+                    seen[got] += 1
+    assert min(seen.values()) > 500, seen
 
 
 @st.composite

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hamsquare.graph import Graph
-from families import path_graph, cycle_graph, complete_bipartite
+from families import blocks, path_graph, cycle_graph, complete_bipartite
 from hamsquare.counterexamples import counterexample_for
 from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
 from hamsquare.oracle import cycle_with
@@ -25,7 +25,7 @@ BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 
 
 def _bowtie_blocks():
-    return sorted(b.index for b in decompose(BOWTIE).two_blocks())
+    return sorted(decompose(BOWTIE).two_idx)
 
 
 def test_check_conditions_bowtie_hand_values():
@@ -45,19 +45,19 @@ def test_check_conditions_block_sum_cap():
     es = list(g.edges) + [(v, v + 10) for v in range(2, 7)]
     g = Graph.from_edges(es)
     d = decompose(g)
-    (big,) = d.two_blocks()
-    lab = Labelling({(v, big.index): 1 for v in range(2, 7)})
+    (big,) = d.two_idx
+    lab = Labelling({(v, big): 1 for v in range(2, 7)})
     assert check_conditions(g, lab) == [5]
     # lifting one value to 2 tightens the cap to 3 instead
-    lab2 = Labelling({(v, big.index): (2 if v == 2 else 1) for v in range(2, 7)})
+    lab2 = Labelling({(v, big): (2 if v == 2 else 1) for v in range(2, 7)})
     assert 5 in check_conditions(g, lab2)
     # a triangle with a triangle hung at each corner: the values 2, 2, 1 on
     # the middle one sum to 5, over its cap of 3, and break nothing else
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4),
                           (1, 5), (5, 6), (1, 6), (2, 7), (7, 8), (2, 8)])
     d = decompose(g)
-    m = {(i, b.index): 1 for b in d.two_blocks() for i in d.cuts_of[b.index]}
-    mid = next(b.index for b in d.two_blocks() if b.vertices == {0, 1, 2})
+    m = {(i, t): 1 for t in d.two_idx for i in d.cuts_of[t]}
+    mid = next(b.index for b in blocks(d) if b.vertices == {0, 1, 2})
     m[(0, mid)] = m[(1, mid)] = 2
     assert check_conditions(g, Labelling(m)) == [5]
 
@@ -67,13 +67,13 @@ def test_check_conditions_bridge_floor():
     # triangle plus a pendant path of length two
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
     d = decompose(g)
-    (tri,) = d.two_blocks()
-    assert check_conditions(g, Labelling({(0, tri.index): 1})) == []
+    (tri,) = d.two_idx
+    assert check_conditions(g, Labelling({(0, tri): 1})) == []
     # m = 1 >= bn = 1 holds; forcing the floor violation needs bn = 2
     g2 = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     d2 = decompose(g2)
-    (tri2,) = d2.two_blocks()
-    assert 3 in check_conditions(g2, Labelling({(0, tri2.index): 1}))
+    (tri2,) = d2.two_idx
+    assert 3 in check_conditions(g2, Labelling({(0, tri2): 1}))
 
 
 def test_check_conditions_grid_is_cutvertices_by_two_blocks():
@@ -85,16 +85,16 @@ def test_check_conditions_grid_is_cutvertices_by_two_blocks():
     assert check_conditions(BOWTIE, Labelling({**base, (1, t0): 7})) == [1]
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
     dg = decompose(g)
-    (tri,) = dg.two_blocks()
-    (bridge, _) = [b for b in dg.blocks if b.is_bridge]
+    (tri,) = dg.two_idx
+    (bridge, _) = [b.index for b in blocks(dg) if not b.is_two_block]
     assert check_conditions(
-        g, Labelling({(0, tri.index): 1, (0, bridge.index): 2})) == []
+        g, Labelling({(0, tri): 1, (0, bridge): 2})) == []
     # a chain of three triangles: a value of cutvertex 2 in the far triangle
     # breaks the support rule and still counts toward its column sum
     g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
                           (4, 5), (5, 6), (4, 6)])
     dg = decompose(g)
-    a, b, c = (next(blk.index for blk in dg.blocks if v in blk.vertices)
+    a, b, c = (next(blk.index for blk in blocks(dg) if v in blk.vertices)
                for v in (0, 3, 5))
     lab = {(2, a): 1, (2, b): 0, (2, c): 1, (4, b): 1, (4, c): 1}
     assert check_conditions(g, Labelling(lab)) == [2]
@@ -188,7 +188,7 @@ def _risky(g):
 
 
 def _risky_block_vertices(g, v):
-    return sorted(decompose(g).blocks[v.risky_block].vertices)
+    return sorted(blocks(decompose(g))[v.risky_block].vertices)
 
 
 def _certify_counterexample(g, v):
@@ -267,8 +267,8 @@ def _reference_peel(g, d):
     """The peel with its first candidate rule: at every step rescan each
     unlabelled 2-block and take the least one with at most one active
     cutvertex. Quadratic in the number of blocks; kept as ground truth."""
-    two_idx = [b.index for b in d.two_blocks()]
-    block_by_idx = {b.index: b for b in d.blocks}
+    two_idx = [b.index for b in blocks(d, two_only=True)]
+    block_by_idx = {b.index: b for b in blocks(d)}
     cuts_of = {t: sorted(v for v in block_by_idx[t].vertices
                          if v in d.cutvertices)
                for t in two_idx}
@@ -368,7 +368,7 @@ def test_heap_peel_matches_the_quadratic_scan():
     for _ in range(400):
         g = _random_block_tree(rng)
         d = decompose(g)
-        if not d.two_blocks():
+        if not d.two_idx:
             continue
         got, want = _peel(g, d), _reference_peel(g, d)
         assert (got.outcome, got.labelling, got.violated_condition,
