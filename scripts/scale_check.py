@@ -10,15 +10,21 @@ triangles (k triangles sharing vertex 0), a chain of 2560 triangles
 (C3, C4 and K4 in turn, each sharing one vertex with the next, with a
 pendant leaf on every fourth joint: 17,501 vertices, its cycle, its path
 from end to end, and its path between the two cutvertices of its middle
-block, each with 3000 blocks hanging off it) and a lone cycle block
-C2000, whose witnesses come from the oracle. The verdict rows run both
-deciders, decomposition included, on an equal copy of the mixed chain, the
-windmill k=2000 and the triangle chain, and check that both are positive. A row prints its CPU
-seconds (`time.process_time`). The script exits 1 when a row raises,
-returns an invalid witness or a wrong verdict, or takes more than LIMIT_S
-of CPU; a constructor that is quadratic at a cutvertex of degree a few
-thousand, or an oracle that does O(n) work per node, takes several
-seconds.
+block, each with 3000 blocks hanging off it), a lone cycle block
+C2000, whose witnesses come from the oracle, and two chains whose cycle
+merges the bridge forest: 5000 triangles joined by paths of three bridges,
+a leaf on each inner path vertex and every other triangle entered and left
+at one vertex (34,996 vertices; 2,499 caterpillar components, each with a
+pair reservation), and 2000 triangles joined by single bridges, each a K2
+component. The verdict rows run both deciders, decomposition included, on
+an equal copy of the mixed chain, the windmill k=2000, the triangle chain
+and the leafy bridge chain, and check both verdicts: positive, except that
+no graph with a bridge between two non-leaves has a hamiltonian connected
+square. A row prints its CPU seconds (`time.process_time`). The script
+exits 1 when a row raises, returns an invalid witness or a wrong verdict,
+or takes more than LIMIT_S of CPU; a constructor that is quadratic at a
+cutvertex of degree a few thousand, or an oracle that does O(n) work per
+node, takes several seconds.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
@@ -29,11 +35,15 @@ sys.path.insert(0, "src")
 
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
-from hamsquare.hamconn import HAM_CONNECTED, decide_hamiltonian_connectedness
+from hamsquare.hamconn import (HAM_CONNECTED, NOT_HAM_CONNECTED,
+                               decide_hamiltonian_connectedness)
 from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 
 LIMIT_S = 2.0
-VERDICTS = "verdicts"
+# the verdict pairs a verdict row expects; a bridge between two non-leaves
+# rules out a hamiltonian connected square
+POSITIVE = (HAMILTONIAN, HAM_CONNECTED)
+BRIDGED = (HAMILTONIAN, NOT_HAM_CONNECTED)
 
 
 def star(k):
@@ -76,6 +86,29 @@ def mixed_chain(k):
     return Graph.from_edges(edges), joints
 
 
+def leafy_bridge_chain(k):
+    """k triangles, each joined to the next by a path of three bridges with
+    a leaf on each of its two inner vertices; odd triangles are entered and
+    left at one vertex, even ones at two."""
+    edges = [e for t in range(k) for e in
+             [(3 * t, 3 * t + 1), (3 * t + 1, 3 * t + 2), (3 * t, 3 * t + 2)]]
+    p = 3 * k  # the next fresh vertex
+    for t in range(k - 1):
+        out = 3 * t if t % 2 else 3 * t + 2
+        edges += [(out, p), (p, p + 1), (p + 1, 3 * t + 3),
+                  (p, p + 2), (p + 1, p + 3)]
+        p += 4
+    return Graph.from_edges(edges)
+
+
+def bridged_triangles(k):
+    """k triangles, each joined to the next by one bridge."""
+    return Graph.from_edges(e for t in range(k) for e in
+                            [(3 * t, 3 * t + 1), (3 * t + 1, 3 * t + 2),
+                             (3 * t, 3 * t + 2), (3 * t + 2, 3 * t + 3)]
+                            if e[1] < 3 * k)
+
+
 def copy(g):
     """An equal Graph that decompose has not seen."""
     return Graph(g.vertices, g.edges)
@@ -83,37 +116,42 @@ def copy(g):
 
 def rows():
     """(name, graph, what): what is the path's endpoints, None for the
-    cycle, or VERDICTS for both deciders."""
+    cycle, or the two verdicts both deciders must return."""
     k1 = star(2999)
     yield "K1,2999 path 1-2999", k1, (1, 2999)
     for k in (1000, 2000):
         w = windmill(k)
         yield f"windmill k={k} cycle", w, None
         yield f"windmill k={k} path 1-{2 * k}", w, (1, 2 * k)
-    yield "windmill k=2000 verdicts", copy(w), VERDICTS
+    yield "windmill k=2000 verdicts", copy(w), POSITIVE
     chain = triangle_chain(2560)
     yield "triangle chain k=2560 cycle", chain, None
     yield "triangle chain k=2560 path 0-5120", chain, (0, 5120)
     yield "triangle chain k=2560 path 2560-2562", chain, (2560, 2562)
-    yield "triangle chain k=2560 verdicts", copy(chain), VERDICTS
+    yield "triangle chain k=2560 verdicts", copy(chain), POSITIVE
     mixed, joints = mixed_chain(6000)
     yield f"mixed C3/C4/K4 chain k=6000 n={mixed.n} cycle", mixed, None
     yield f"mixed C3/C4/K4 chain k=6000 path 0-{joints[-1]}", mixed, \
         (0, joints[-1])
     a, b = joints[2998:3000]  # the cutvertices of block 2999
     yield f"mixed C3/C4/K4 chain k=6000 path {a}-{b}", mixed, (a, b)
-    yield "mixed C3/C4/K4 chain k=6000 verdicts", copy(mixed), VERDICTS
+    yield "mixed C3/C4/K4 chain k=6000 verdicts", copy(mixed), POSITIVE
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)
+    leafy = leafy_bridge_chain(5000)
+    yield f"leafy bridge chain k=5000 n={leafy.n} cycle", leafy, None
+    yield "leafy bridge chain k=5000 verdicts", copy(leafy), BRIDGED
+    yield "bridged triangles k=2000 cycle", bridged_triangles(2000), None
 
 
 def main() -> int:
     bad = 0
     for name, g, ends in rows():
         start = time.process_time()
+        verdicts = ends in (POSITIVE, BRIDGED)
         try:
-            if ends is VERDICTS:
+            if verdicts:
                 w = (decide_hamiltonicity(g).outcome,
                      decide_hamiltonian_connectedness(g).outcome)
             elif ends is None:
@@ -125,8 +163,8 @@ def main() -> int:
             bad += 1
             continue
         cpu = time.process_time() - start
-        if ends is VERDICTS:
-            valid = w == (HAMILTONIAN, HAM_CONNECTED)
+        if verdicts:
+            valid = w == ends
         elif ends is None:
             valid = is_ham_cycle(g, w, square=True)
         else:

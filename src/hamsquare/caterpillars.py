@@ -25,6 +25,7 @@ and join.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import edge
@@ -90,14 +91,15 @@ class CycleSet:
 
     Cycles may share vertices (a cutvertex lies on the cycle of every block
     at it until it is merged) but never an edge. `nbrs[v]` holds v's
-    neighbours over all cycles. Every edge keeps the id of the cycle it was
-    laid on, and a union-find over the ids maps that to the cycle holding it
-    now, so joining cycles relabels no edge. A cycle becomes a vertex list
-    only when it is walked.
+    neighbours over all cycles, and v is a key once it has been on one: a
+    vertex on no cycle is read with `in` or `.get` only. Every edge keeps
+    the id of the cycle it was laid on, and a union-find over the ids maps
+    that to the cycle holding it now, so joining cycles relabels no edge. A
+    cycle becomes a vertex list only when it is walked.
     """
 
     def __init__(self):
-        self.nbrs: dict[int, set[int]] = {}
+        self.nbrs: defaultdict[int, set[int]] = defaultdict(set)
         self.live: set[int] = set()
         self._laid: dict[tuple[int, int], int] = {}
         self._parent: list[int] = []
@@ -124,8 +126,8 @@ class CycleSet:
         if e in self._laid:
             raise ConstructionError(f"edge {e} laid twice")
         self._laid[e] = c
-        self.nbrs.setdefault(a, set()).add(b)
-        self.nbrs.setdefault(b, set()).add(a)
+        self.nbrs[a].add(b)
+        self.nbrs[b].add(a)
 
     def cut(self, e: tuple[int, int]) -> None:
         if self._laid.pop(e, None) is None:
@@ -161,8 +163,9 @@ class CycleSet:
             self.link(a, b, c)
 
     def walk(self, start: int, before: int) -> list[int]:
-        """The cycle through start as a list, read away from its neighbour
-        before; every vertex met must have exactly two neighbours."""
+        """The cycle through start, a vertex on a cycle, as a list, read away
+        from its neighbour before; every vertex met must have exactly two
+        neighbours."""
         order, prev, cur = [start], before, start
         while True:
             nxt = [w for w in self.nbrs[cur] if w != prev]

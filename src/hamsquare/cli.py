@@ -185,7 +185,8 @@ def _cmd_decompose(g, d, args):
         "outcome": "OK",
         "blocks": rows,
         "cutvertices": sorted(d.cutvertices),
-        "trivial_bridges": [list(e) for e in sorted(d.trivial_bridges)],
+        "trivial_bridges": [list(r) for r in d.records  # by least edge
+                            if len(r) == 2 and r not in d.nontrivial_bridges],
         "nontrivial_bridges": [list(e) for e in sorted(d.nontrivial_bridges)],
         "bn": {str(v): d.bn[v] for v in sorted(d.bn)},
         "k": {str(v): d.k[v] for v in sorted(d.k)},

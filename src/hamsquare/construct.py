@@ -312,20 +312,18 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     reserved_end: dict[int, tuple] = {}
     reserved_pair: dict[int, tuple] = {}
     k2_edges: set = set()
-    for comp in d.bridge_forest:
-        if all(g.degree(a) == 1 or g.degree(b) == 1 for a, b in comp.edges):
+    for nbrs, _ in d.bridge_forest:
+        if not any(bn[v] for v in nbrs):
             continue  # pendant star; its leaves join as singletons later
-        if comp.is_trivial:
-            e = tuple(sorted(comp.vertices))
+        if len(nbrs) == 2:
+            e = tuple(sorted(nbrs))
             k2_edges.add(e)
             reserved_end[e[0]] = reserved_end[e[1]] = e
             continue
-        need_end = frozenset(v for v in comp.vertices
-                             if bn.get(v, 0) == 1 and k.get(v, 0) >= 1)
-        need_pair = frozenset(v for v in comp.vertices
-                              if bn.get(v, 0) == 2 and k.get(v, 0) >= 1)
-        nbrs = {v: set(ws) for v, ws in comp.nbrs.items()}
-        cc = caterpillar_cycle(nbrs, need_end, need_pair)
+        need_end = frozenset(v for v in nbrs if bn[v] == 1 and k[v] >= 1)
+        need_pair = frozenset(v for v in nbrs if bn[v] == 2 and k[v] >= 1)
+        cc = caterpillar_cycle({v: set(ws) for v, ws in nbrs.items()},
+                               need_end, need_pair)
         cs.add(cc.order)
         for v in need_end:
             reserved_end[v] = cc.reserved[v]

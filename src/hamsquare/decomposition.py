@@ -8,19 +8,19 @@ one per block, are the one block store: a bridge is its edge (u, v), a
 (n >= 2, m = n - 1) and one walk that proves it connected, is read off
 its degrees: every edge is a bridge, the cutvertices are the non-leaves,
 and the graph is its own bridge forest, a caterpillar when no bn exceeds
-2. Its records (its sorted edges) and trivial bridges are built on their
-first read, which no verdict or cycle makes. Any other graph takes one
-lowpoint DFS from the least vertex, which also proves the graph connected
-by reaching every vertex, and one loop over the blocks it finds. Two
-views of the records are built, each on its own first read: cuts_of, the
-cutvertices of each block, which the deciders read, and blocks_at, the
-blocks at each cutvertex, which no verdict or cycle reads. The
-block-cutvertex tree and the bridge forest P0, what is left after
-removing all 2-blocks, are read off these; P0 is g itself when there is
-no 2-block, and otherwise a walk over the bridge adjacency, in O(n + m),
-made once per decomposition and kept on it (bridge_forest). decompose
-hands its last decomposition back for the same Graph object, so a run of
-requests on one graph costs one traversal.
+2. Any other graph takes one lowpoint DFS from the least vertex, which
+also proves the graph connected by reaching every vertex, and one loop
+over the blocks it finds. Every other field is built on its first read:
+a tree's records (its sorted edges), which no verdict or cycle reads;
+cuts_of, the cutvertices of each block, which the deciders read;
+blocks_at, the blocks at each cutvertex, which no verdict or cycle reads;
+and bridge_forest, the bridge forest P0 left after removing all 2-blocks,
+kept as the two facts the deciders and the cycle read of each component:
+its adjacency across bridges and whether it is a caterpillar. P0 is g
+itself when there is no 2-block, and otherwise a walk over the bridge
+adjacency, in O(n + m). The block-cutvertex tree is read off the records.
+decompose hands its last decomposition back for the same Graph object, so
+a run of requests on one graph costs one traversal.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ _DISCONNECTED = "input graph must be connected"
 
 
 class _OnRead:
-    """A field built on its first read by d's method named build, which
-    stores it, and any field built alongside, in d.__dict__; a value stored
-    there first is read as it is. The method is looked up on each build,
-    not bound once. Unlike functools.cached_property it takes no lock, a
-    cost on small graphs."""
+    """A field returned on its first read by d's method named build, looked
+    up then, and stored in d.__dict__, where a value stored first is read
+    as it is. It takes no lock, unlike the standard library's cached
+    property, a cost on small graphs."""
 
     def __init__(self, build: str):
         self.build = build
@@ -51,8 +50,8 @@ class _OnRead:
     def __get__(self, d, owner=None):
         if d is None:
             return self
-        getattr(d, self.build)()
-        return d.__dict__[self.name]
+        value = d.__dict__[self.name] = getattr(d, self.build)()
+        return value
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ class Decomposition:
     with no edge) to a collection of its neighbours across bridges, in
     no defined order; for a tree it is g's own adjacency, g._adj.
 
-    decompose stores records and trivial_bridges on a graph with a
-    2-block; a tree's are built on their first read. Every field follows
-    from the graph, so two decompositions compare and hash by it alone."""
+    decompose stores records on a graph with a 2-block; every other field
+    below is built on its first read. Every field follows from the graph,
+    so two decompositions compare and hash by it alone."""
     graph: Graph
     cutvertices: frozenset[int] = field(compare=False)
     nontrivial_bridges: frozenset[tuple[int, int]] = field(compare=False)
@@ -74,45 +73,40 @@ class Decomposition:
     two_idx: tuple[int, ...] = field(compare=False)
     across: dict = field(compare=False)
 
-    def _tree_bridges(self) -> None:
+    def _tree_records(self) -> tuple:
         """With no 2-block every edge is a bridge, and its own record."""
-        es = self.graph.edges
-        self.__dict__.update(records=tuple(sorted(es)),
-                             trivial_bridges=es - self.nontrivial_bridges)
+        return tuple(sorted(self.graph.edges))
 
-    # a tree's, built on first read, both together
-    records = _OnRead("_tree_bridges")
-    trivial_bridges = _OnRead("_tree_bridges")
+    records = _OnRead("_tree_records")  # a tree's, built on first read
 
     def block_count(self) -> int:
         """len(records), read without building a tree's records: with no
         2-block the blocks are the edges."""
         return len(self.records) if self.two_idx else self.graph.m
 
-    def _cuts(self) -> None:
-        """Build cuts_of from the records."""
+    def _cuts(self) -> dict:
+        """cuts_of, from the records."""
         cut = self.cutvertices
-        self.__dict__["cuts_of"] = {
-            t: sorted(cut.intersection(r if len(r) == 2 else r[3]))
-            for t, r in enumerate(self.records)}
+        return {t: sorted(cut.intersection(r if len(r) == 2 else r[3]))
+                for t, r in enumerate(self.records)}
 
-    def _blocks_at(self) -> None:
-        """Build blocks_at from cuts_of."""
+    def _blocks_at(self) -> dict:
+        """blocks_at, from cuts_of."""
         at: dict[int, list[int]] = {c: [] for c in self.cutvertices}
         for t, cuts in self.cuts_of.items():
             for c in cuts:
                 at[c].append(t)
-        self.__dict__["blocks_at"] = at
+        return at
+
+    def _bridge_forest(self) -> tuple:
+        return compute_P0(self)
 
     # each built on its first read, ascending: cuts_of[t] the cutvertices of
-    # block t, blocks_at[c] the blocks at cutvertex c, bridges included
+    # block t, blocks_at[c] the blocks at cutvertex c, bridges included;
+    # bridge_forest is P0's components, compute_P0(self)
     cuts_of = _OnRead("_cuts")
     blocks_at = _OnRead("_blocks_at")
-
-    @functools.cached_property
-    def bridge_forest(self) -> tuple[P0Component, ...]:
-        """P0's components, compute_P0(self), walked on first use."""
-        return compute_P0(self)
+    bridge_forest = _OnRead("_bridge_forest")
 
 
 def _blocks(g: Graph):
@@ -185,8 +179,8 @@ def _tree(g: Graph) -> Decomposition:
 
     One walk proves g connected, and so a tree: every edge is a bridge,
     the cutvertices are the vertices that are no leaf, and a bridge is
-    nontrivial when neither end is a leaf. Its records and trivial
-    bridges are left to their first read.
+    nontrivial when neither end is a leaf. Its records are left to their
+    first read.
     """
     adj = g._adj
     root = min(adj)
@@ -237,7 +231,7 @@ def decompose(g: Graph) -> Decomposition:
         return d
     raw, arts = _blocks(g)
     adj = g._adj
-    trivial, nontrivial, two = [], [], []
+    nontrivial, two = [], []
     bn = dict.fromkeys(adj, 0)
     k = dict.fromkeys(adj, 0)
     across = defaultdict(list)
@@ -250,9 +244,7 @@ def decompose(g: Graph) -> Decomposition:
         u, v = r
         across[u].append(v)
         across[v].append(u)
-        if len(adj[u]) == 1 or len(adj[v]) == 1:
-            trivial.append(r)
-        else:
+        if len(adj[u]) > 1 and len(adj[v]) > 1:
             nontrivial.append(r)
             bn[u] += 1
             bn[v] += 1
@@ -260,7 +252,7 @@ def decompose(g: Graph) -> Decomposition:
     across = dict(across) if raw else {v: [] for v in adj}
     _last = d = Decomposition(g, frozenset(arts), frozenset(nontrivial), bn, k,
                               tuple(two), across)
-    d.__dict__.update(records=tuple(raw), trivial_bridges=frozenset(trivial))
+    d.__dict__["records"] = tuple(raw)
     return d
 
 
@@ -400,49 +392,36 @@ def bc_isomorphic(t1: BcTree, t2: BcTree) -> bool:
 
 # -- the bridge forest P0 --------------------------------------------------
 
-@dataclass(frozen=True)
-class P0Component:
-    """One tree of the bridge forest; nbrs is its adjacency across bridges."""
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    is_caterpillar: bool
-    nbrs: dict = field(compare=False, repr=False)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.vertices) == 2
-
-
-def compute_P0(d: Decomposition) -> tuple[P0Component, ...]:
+def compute_P0(d: Decomposition) -> tuple[tuple[dict, bool], ...]:
     """G minus the union of its 2-blocks, a forest whose edges are the
     bridges, as its components by least vertex. Its vertices are those on a
     bridge, and a lone vertex on no block. With no 2-block that is the graph
     itself; otherwise the components are walked over the bridge adjacency.
+    A component is a pair (nbrs, caterpillar): nbrs maps each of its
+    vertices to a collection of its neighbours across bridges, and
+    caterpillar tells whether it is one.
     """
-    g, across = d.graph, d.across
+    across = d.across
     if not d.two_idx:
         # a tree is a caterpillar when no vertex has three neighbours that
         # are no leaf, that is three nontrivial bridges
-        return (P0Component(g.vertices, g.edges, max(d.bn.values()) <= 2,
-                            across),)
+        return ((across, max(d.bn.values()) <= 2),)
     seen: set = set()
     comps = []
     for root in sorted(across):
         if root in seen:
             continue
         seen.add(root)
-        es, todo = [], [root]
+        todo = [root]
         nbrs = {}  # vertex -> its neighbours across bridges
         while todo:
             v = todo.pop()
             nbrs[v] = nv = across[v]
             for w in nv:
-                if w not in seen:  # bridges form a forest: v-w is new
+                if w not in seen:
                     seen.add(w)
-                    es.append((v, w) if v < w else (w, v))
                     todo.append(w)
-        comps.append(P0Component(frozenset(nbrs), frozenset(es),
-                                 len(nbrs) <= 2 or _is_caterpillar(nbrs), nbrs))
+        comps.append((nbrs, len(nbrs) <= 2 or _is_caterpillar(nbrs)))
     return tuple(comps)
 
 

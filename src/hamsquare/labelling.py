@@ -21,8 +21,10 @@ unlabelled 2-blocks, the bound of condition 6, the running sum of its
 values and the index sum of its unlabelled 2-blocks, so a step does O(1)
 work per (cutvertex, 2-block) incidence besides one heap operation, and
 the peel reads of the decomposition only two_idx and cuts_of. A definite
-NO happens only when some vertex meets three or more nontrivial bridges
-(equivalently, when the bridge forest is not a union of caterpillars).
+NO happens only when some vertex meets three or more nontrivial bridges:
+a bridge forest component that is no caterpillar (P0 is read as a pair
+(adjacency, caterpillar) per component) has one, and bn is scanned for the
+rest, since three bridges at a hub may each be a component of its own.
 When the greedy construction gets stuck on condition 5 or 6, the verdict
 is STRUCTURALLY_RISKY: the input itself may still have a hamiltonian
 square, but some graph with the same block-cutvertex tree does not. The
@@ -112,12 +114,12 @@ def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
     d = decompose(g)
-    for comp in d.bridge_forest:
-        if not comp.is_caterpillar:
+    for nbrs, caterpillar in d.bridge_forest:
+        if not caterpillar:
             return HamiltonicityVerdict(
                 NOT_HAMILTONIAN,
                 reason=("bridge forest component on vertices "
-                        f"{sorted(comp.vertices)} is not a caterpillar, so some "
+                        f"{sorted(nbrs)} is not a caterpillar, so some "
                         "vertex meets at least three nontrivial bridges"))
     if not d.two_idx:
         # a tree is its own bridge forest, a caterpillar exactly when no

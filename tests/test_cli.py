@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, reports, JSON schema conformance."""
 
 import ast
+import contextlib
+import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +21,8 @@ from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import Graph, parse_edge_list
 from hamsquare.hamconn import decide_hamiltonian_connectedness
 from hamsquare.labelling import decide_hamiltonicity
+from corpus import corpus
+from test_labelling import _random_block_tree
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "verdict.schema.json")
@@ -434,3 +440,38 @@ def test_every_command_emits_schema_valid_json(cmd, gfile, capsys):
     code = main(pair)
     assert code in (0, 1, 2)
     _json_out(capsys)
+
+
+CLI_OUTPUTS_SHA256 = (
+    "511f21fdb15edcedde6e95150800c8ba20a773dbbc390f010bce170c0023159d")
+
+_ELAPSED = re.compile(r'"elapsed_s": [^,\n]*')
+
+
+def test_cli_outputs_are_pinned(monkeypatch):
+    # decompose, check-ham, check-hc and construct-cycle, with and without
+    # --json, on the corpus and on 200 random block trees: the trees reach
+    # bridge forests the corpus barely has (a non-caterpillar component
+    # beside a 2-block, K2 components, caterpillar components whose cycle
+    # carries end and pair reservations)
+    rng = random.Random(7)
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(200)]
+    digest = hashlib.sha256()
+    non_caterpillar = 0
+    for g in graphs:
+        text = g.edge_list_text()
+        for cmd in ("decompose", "check-ham", "check-hc", "construct-cycle"):
+            for flags in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main([cmd, "-", *flags])
+                stdout = _ELAPSED.sub('"elapsed_s": 0', out.getvalue())
+                digest.update(f"{cmd} {flags} {code}\n{stdout}\0"
+                              f"{err.getvalue()}\0".encode())
+                if (cmd == "check-ham" and not flags and g.m >= g.n
+                        and "is not a caterpillar" in stdout):
+                    non_caterpillar += 1
+    assert non_caterpillar >= 5, non_caterpillar
+    assert digest.hexdigest() == CLI_OUTPUTS_SHA256

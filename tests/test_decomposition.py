@@ -1,6 +1,8 @@
 """Block-cutvertex decomposition against brute-force references."""
 
+import argparse
 import dataclasses
+import functools
 import itertools
 import random
 import weakref
@@ -95,12 +97,19 @@ def test_bowtie_counters():
     assert len(d.two_idx) == 2
 
 
+def _cli_trivial_bridges(g: Graph) -> list:
+    """The trivial bridges that the CLI's decompose reports for g."""
+    result, _ = cli._HANDLERS["decompose"](g, decompose(g),
+                                           argparse.Namespace(dot=None))
+    return [tuple(e) for e in result["trivial_bridges"]]
+
+
 def test_p4_bridges_and_bn():
     d = decompose(path_graph(4))
     assert d.block_count() == len(d.records) == 3
     assert set(d.cutvertices) == {1, 2}
     assert set(d.nontrivial_bridges) == {(1, 2)}
-    assert set(d.trivial_bridges) == {(0, 1), (2, 3)}
+    assert _cli_trivial_bridges(path_graph(4)) == [(0, 1), (2, 3)]
     assert d.bn[1] == 1 and d.bn[2] == 1
 
 
@@ -151,8 +160,9 @@ def _spider(legs: int, length: int) -> Graph:
 
 def test_deciders_on_trees_build_no_block_record(tmp_path):
     assert not hasattr(decomposition, "Block")  # records are the one store
+    assert not hasattr(decomposition, "P0Component")  # P0 is plain pairs
     views = {"cuts_of", "blocks_at"}
-    lazy = {"records", "trivial_bridges"}
+    lazy = {"records"}
     trees = [path_graph(3000), _caterpillar(1000, 2), complete_bipartite(1, 600),
              _spider(3, 1000)]
     hamiltonian = []
@@ -173,15 +183,15 @@ def test_deciders_on_trees_build_no_block_record(tmp_path):
         assert not vars(d).keys() & (views | lazy)
         # a later read builds what the two-pass reference finds
         ref = _reference_decompose(g)
-        assert d.trivial_bridges == ref["trivial_bridges"]
-        # a read of cuts_of builds it alone; a read of blocks_at builds it
-        # from cuts_of, at the cutvertices only
+        # a read of cuts_of builds it and the records it reads; a read of
+        # blocks_at builds it from cuts_of, at the cutvertices only
         d.cuts_of
         assert {"cuts_of"} | lazy <= vars(d).keys()
         assert "blocks_at" not in vars(d)
         assert d.cuts_of == ref["cuts_of"]
         assert d.blocks_at == ref["blocks_at"]
         assert blocks(d) == ref["blocks"]
+        assert _cli_trivial_bridges(g) == sorted(ref["trivial_bridges"])
     assert hamiltonian == [True, True, True, False]
 
 
@@ -206,12 +216,22 @@ def _block_chain(k: int, every: int = 0, hung=()) -> Graph:
 
 # what a decomposition may hold besides its fields: the records, the two
 # views of them and the bridge forest, and no other per-block object
-_BLOCK_STORE = {"records", "trivial_bridges", "cuts_of", "blocks_at",
-                "bridge_forest"}
+_BLOCK_STORE = {"records", "cuts_of", "blocks_at", "bridge_forest"}
 
 
 def _held(d) -> set:
     return vars(d).keys() - {f.name for f in dataclasses.fields(d)}
+
+
+def test_every_derived_field_is_built_on_read():
+    # one mechanism for every field that decompose does not pass in
+    attrs = vars(decomposition.Decomposition)
+    on_read = {name for name, value in attrs.items()
+               if isinstance(value, (decomposition._OnRead, property,
+                                     functools.cached_property))}
+    assert on_read == _BLOCK_STORE
+    assert all(isinstance(attrs[name], decomposition._OnRead)
+               for name in on_read)
 
 
 def test_deciders_on_block_chains_build_no_block_record(tmp_path):
@@ -262,8 +282,8 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
     for g in trees:
         d = decompose(g)
         assert d.across is g._adj  # a tree is its own bridge forest
-        assert [(c.vertices, c.edges) for c in compute_P0(d)] \
-            == [(g.vertices, g.edges)]
+        (nbrs, caterpillar), = compute_P0(d)
+        assert nbrs is g._adj and caterpillar == is_caterpillar(g)
         decide_hamiltonian_connectedness(g)
         if g.n >= 3:
             decide_hamiltonicity(g)
@@ -449,10 +469,17 @@ def test_bc_isomorphic_on_a_deep_path():
 
 # -- bridge forest ---------------------------------------------------------
 
+def _component(nbrs) -> tuple:
+    """The vertices and the edges of the component with adjacency nbrs."""
+    return (frozenset(nbrs),
+            frozenset(edge(v, w) for v, nv in nbrs.items() for w in nv))
+
+
 def _forest(comps) -> Graph:
     """The bridge forest itself: its components together."""
-    return Graph(frozenset().union(*(c.vertices for c in comps)),
-                 frozenset().union(*(c.edges for c in comps)))
+    parts = [_component(nbrs) for nbrs, _ in comps]
+    return Graph(frozenset().union(*(vs for vs, _ in parts)),
+                 frozenset().union(*(es for _, es in parts)))
 
 
 def test_p0_of_bowtie_is_empty():
@@ -463,7 +490,7 @@ def test_p0_of_path_is_the_path():
     comps = compute_P0(decompose(path_graph(4)))
     assert _forest(comps) == path_graph(4)
     assert len(comps) == 1
-    assert comps[0].is_caterpillar
+    assert comps[0][1]  # a caterpillar
 
 
 def test_p0_triangle_with_pendant_path():
@@ -474,7 +501,7 @@ def test_p0_triangle_with_pendant_path():
 
 def test_p0_spider_component_is_not_caterpillar():
     comps = compute_P0(decompose(SPIDER))
-    assert not all(c.is_caterpillar for c in comps)
+    assert not all(caterpillar for _, caterpillar in comps)
 
 
 def test_non_caterpillar_component_implies_bn_three():
@@ -489,10 +516,10 @@ def test_non_caterpillar_component_implies_bn_three():
               Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
                                 (0, 5), (5, 6), (0, 7), (7, 8)])]
     for g in extras:
-        if not all(c.is_caterpillar for c in compute_P0(decompose(g))):
+        if not all(cat for _, cat in compute_P0(decompose(g))):
             assert max(decompose(g).bn.values()) >= 3
     assert decompose(triangles).bn[0] == 3
-    assert all(c.is_caterpillar for c in compute_P0(decompose(triangles)))
+    assert all(cat for _, cat in compute_P0(decompose(triangles)))
     assert decide_hamiltonicity(triangles).outcome == NOT_HAMILTONIAN
     counterexample_for(triangles, 4)  # accepted on bn alone
 
@@ -575,8 +602,8 @@ def test_index_P0_and_bc_tree_match_scans():
 
         p0, comps = _reference_P0(g, d)
         assert _forest(d.bridge_forest) == p0
-        assert [(c.vertices, c.edges, c.is_caterpillar)
-                for c in d.bridge_forest] == comps
+        assert [(*_component(nbrs), caterpillar)
+                for nbrs, caterpillar in d.bridge_forest] == comps
 
         adj = {("block", b.index): [] for b in rows}
         adj.update({("cut", v): [] for v in d.cutvertices})
@@ -679,5 +706,7 @@ def test_decompose_matches_the_sorted_two_pass_reference():
         d = decompose(g)
         ref = _reference_decompose(g)
         assert blocks(d) == ref.pop("blocks")
+        # the CLI lists them by least edge, so sorted
+        assert _cli_trivial_bridges(g) == sorted(ref.pop("trivial_bridges"))
         for name, want in ref.items():
             assert getattr(d, name) == want, name
