@@ -11,8 +11,10 @@ triangles (k triangles sharing vertex 0), a chain of 2560 triangles
 pendant leaf on every fourth joint: 17,501 vertices, its cycle, its path
 from end to end, and its path between the two cutvertices of its middle
 block, each with 3000 blocks hanging off it), a lone cycle block
-C2000, whose witnesses come from the oracle, and two chains whose cycle
-merges the bridge forest: 5000 triangles joined by paths of three bridges,
+C2000, whose witnesses come from the oracle, the cycle of a lone cycle
+block C40000, which the oracle lays 40,000 vertices deep (a search that
+recursed once per vertex overflowed the C stack of CPython 3.10 from
+about C25000 on), and two chains whose cycle merges the bridge forest: 5000 triangles joined by paths of three bridges,
 a leaf on each inner path vertex and every other triangle entered and left
 at one vertex (34,996 vertices; 2,499 caterpillar components, each with a
 pair reservation), and 2000 triangles joined by single bridges, each a K2
@@ -139,6 +141,7 @@ def rows():
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)
+    yield "cycle block C40000 cycle", cycle(40000), None
     leafy = leafy_bridge_chain(5000)
     yield f"leafy bridge chain k=5000 n={leafy.n} cycle", leafy, None
     yield "leafy bridge chain k=5000 verdicts", copy(leafy), BRIDGED

@@ -23,7 +23,7 @@ identifier, so the block-cutvertex tree is preserved up to isomorphism:
 from __future__ import annotations
 
 from .graph import Graph, edge
-from .decomposition import Decomposition, decompose, bc_tree, bc_isomorphic
+from .decomposition import Decomposition, decompose, bc_canonical
 from .labelling import decide_hamiltonicity, STRUCTURALLY_RISKY
 from .hamconn import decide_hamiltonian_connectedness
 
@@ -51,7 +51,7 @@ def _exchange(g: Graph, d: Decomposition, bipartite: dict[int, bool]) -> Graph:
         else:
             new_edges += [edge(side[j - 1], side[j]) for j in range(len(side))]
     out = Graph.from_edges(new_edges)
-    if not bc_isomorphic(bc_tree(d), bc_tree(decompose(out))):
+    if bc_canonical(d) != bc_canonical(decompose(out)):
         raise RuntimeError("substitution changed the block-cutvertex tree")
     return out
 

@@ -18,7 +18,8 @@ and bridge_forest, the bridge forest P0 left after removing all 2-blocks,
 kept as the two facts the deciders and the cycle read of each component:
 its adjacency across bridges and whether it is a caterpillar. P0 is g
 itself when there is no 2-block, and otherwise a walk over the bridge
-adjacency, in O(n + m). The block-cutvertex tree is read off the records.
+adjacency, in O(n + m). bc_canonical reads the block-cutvertex tree off
+the records as the text of its canonical form.
 decompose hands its last decomposition back for the same Graph object, so
 a run of requests on one graph costs one traversal.
 """
@@ -258,45 +259,25 @@ def decompose(g: Graph) -> Decomposition:
 
 # -- block-cutvertex tree --------------------------------------------------
 
-CUT = "cut"
-TWO_BLOCK = "2block"
-BRIDGE = "bridge"
+def bc_canonical(d: Decomposition) -> str:
+    """The canonical form of d's block-cutvertex tree as text. Two graphs
+    have tag-respecting isomorphic block-cutvertex trees exactly when their
+    texts are equal."""
+    return canonical_text(_bc_form(d))
 
 
-@dataclass(frozen=True)
-class BcTree:
-    """Bipartite tree on block nodes and cutvertex nodes.
-
-    Nodes are ("cut", v) or ("block", index); tags[node] distinguishes
-    cutvertices, 2-blocks and bridges.
-    """
-    nodes: tuple
-    tags: dict = field(compare=False)
-    adj: dict = field(compare=False)
-
-    def canonical(self):
-        return _tree_canonical(self.nodes, self.tags, self.adj)
-
-
-def bc_tree(d: Decomposition) -> BcTree:
-    nodes = []
-    tags = {}
-    adj: dict = {}
-    for t, r in enumerate(d.records):
-        node = ("block", t)
-        nodes.append(node)
-        tags[node] = BRIDGE if len(r) == 2 else TWO_BLOCK
-        adj[node] = []
-    for v in sorted(d.cutvertices):
-        node = ("cut", v)
-        nodes.append(node)
-        tags[node] = CUT
-        adj[node] = []
+def _bc_form(d: Decomposition):
+    """The canonical form of the tree on nodes ("block", t), tagged
+    "bridge" or "2block", and ("cut", v), tagged "cut"."""
+    tags = {("block", t): "bridge" if len(r) == 2 else "2block"
+            for t, r in enumerate(d.records)}
+    tags.update((("cut", v), "cut") for v in sorted(d.cutvertices))
+    adj: dict = {node: [] for node in tags}
     for t, cuts in d.cuts_of.items():
         for v in cuts:
             adj[("block", t)].append(("cut", v))
             adj[("cut", v)].append(("block", t))
-    return BcTree(tuple(nodes), tags, adj)
+    return _tree_canonical(tags, adj)
 
 
 def _canon_cmp(a, b) -> int:
@@ -342,7 +323,8 @@ def canonical_text(canon) -> str:
     return "".join(out)
 
 
-def _tree_canonical(nodes, tags, adj):
+def _tree_canonical(tags, adj):
+    nodes = list(tags)
     if not nodes:
         return ()
     if len(nodes) == 1:
@@ -382,12 +364,6 @@ def _tree_canonical(nodes, tags, adj):
         layer = nxt
     centers = sorted(alive)
     return min((canon_from(c) for c in centers), key=by_form)
-
-
-def bc_isomorphic(t1: BcTree, t2: BcTree) -> bool:
-    """Tag-respecting tree isomorphism via canonical form comparison."""
-    a, b = t1.canonical(), t2.canonical()
-    return _canon_cmp(a, b) == 0 if a and b else a == b
 
 
 # -- the bridge forest P0 --------------------------------------------------

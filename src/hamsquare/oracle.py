@@ -10,7 +10,9 @@ edges at four vertices, endpoint edges on hamiltonian paths, and so on.
 
 Backtracking is depth first from a fixed start vertex over sorted adjacency,
 so the first complete order accepted is the lexicographically least valid
-one. It prunes on required edge viability, degree feasibility,
+one. It runs as one loop on an explicit stack, with no recursion, so the
+depth of a search is bounded by memory alone and no interpreter limit is
+touched. It prunes on required edge viability, degree feasibility,
 connectivity, and a demand bound: a demanded vertex must still be able to
 reach as many original edges as it asks for (counted one demand at a time;
 distinctness across demands is settled by the matching at the leaf). Each
@@ -43,7 +45,6 @@ vertices is complete, so construct takes such blocks' witnesses from it.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 
 from .graph import Graph, edge
@@ -203,13 +204,7 @@ class _Search:
         self.unlaid.remove(start)
         self.free = {v: len(nv) - (start in nv) for v, nv in self.adj.items()}
 
-        # _dfs recurses once per vertex laid
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, n * 8 + 200))
-        try:
-            return self._dfs([start], {start: 0})
-        finally:
-            sys.setrecursionlimit(old)
+        return self._dfs([start], {start: 0})
 
     # The partial order is order, with pos mapping each laid vertex to its
     # index in order. Its ends are the laid vertices that can still take a
@@ -292,37 +287,44 @@ class _Search:
             stack.extend(new)
         return len(seen)
 
-    def _finish(self, order, pos) -> Witness | None:
-        return _leaf(order, pos, self.cyclic, self.required, self.demands,
-                     self.orig_edges)
-
     def _dfs(self, order, pos) -> Witness | None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(f"search exceeded {self.budget} nodes")
-        adj = self.adj
-        tip = order[-1]
-        if len(order) == len(adj):
-            closed = self.start in adj[tip] if self.cyclic else tip == self.target
-            return self._finish(order, pos) if closed else None
-        if tip == self.target or self._prune(order, pos):
-            return None
-        unlaid, free = self.unlaid, self.free
-        for w in sorted(adj[tip] & unlaid):
+        adj, unlaid, free = self.adj, self.unlaid, self.free
+        # one iterator of untried candidates per expanded laid vertex
+        untried = []
+        while True:
+            # enter the node that order makes
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceeded(f"search exceeded {self.budget} nodes")
+            tip = order[-1]
+            if len(order) == len(adj):
+                closed = self.start in adj[tip] if self.cyclic else tip == self.target
+                res = closed and _leaf(order, pos, self.cyclic, self.required,
+                                       self.demands, self.orig_edges)
+                if res:
+                    return res
+            elif tip != self.target and not self._prune(order, pos):
+                untried.append(iter(sorted(adj[tip] & unlaid)))
+            # back up to the deepest laid vertex with a candidate left,
+            # popping every vertex that is not expanded or has none
+            while True:
+                if len(order) > len(untried):
+                    if not untried:
+                        return None  # the root is done
+                    w = order.pop()
+                    del pos[w]
+                    unlaid.add(w)
+                    for u in adj[w]:
+                        free[u] += 1
+                w = next(untried[-1], None)
+                if w is not None:
+                    break
+                untried.pop()
             pos[w] = len(order)
             order.append(w)
             unlaid.remove(w)
             for u in adj[w]:
                 free[u] -= 1
-            res = self._dfs(order, pos)
-            if res is not None:
-                return res
-            for u in adj[w]:
-                free[u] += 1
-            unlaid.add(w)
-            order.pop()
-            del pos[w]
-        return None
 
 
 def cycle_with(host: Graph, original: Graph,

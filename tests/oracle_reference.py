@@ -9,6 +9,11 @@ its own, rechecks the open degree of every unlaid vertex and walks the
 whole unlaid region, and every leaf builds the whole edge set of its order.
 Each prune drops the same nodes either way, so the tests can require the
 same order, assignment and node count from both.
+
+ReferenceSearch also keeps the recursive depth-first search, one call per
+vertex laid, where _Search runs one loop on an explicit stack: two ways of
+walking the same tree of nodes. Its recursion stays within the default
+recursion limit on the hosts it checks, which have at most 8 vertices.
 """
 
 from hamsquare.graph import cycle_edges, edge, path_edges

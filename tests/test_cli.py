@@ -349,6 +349,44 @@ def test_runtime_imports_no_networkx_and_no_test_helper():
                     (path.name, name)
 
 
+def test_runtime_package_neither_recurses_nor_sets_the_recursion_limit():
+    # a function that calls itself, by name or as self.name, is recursion;
+    # _match_incidences.try_slot is bounded by the demand slots, at most
+    # two per demanded vertex
+    src = Path(__file__).resolve().parent.parent / "src" / "hamsquare"
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + [child.name])
+                for call in ast.walk(child):
+                    f = call.func if isinstance(call, ast.Call) else None
+                    if in_class:  # super().name is another function
+                        hit = (isinstance(f, ast.Attribute)
+                               and f.attr == child.name
+                               and isinstance(f.value, ast.Name)
+                               and f.value.id in ("self", "cls"))
+                    else:
+                        hit = isinstance(f, ast.Name) and f.id == child.name
+                    if hit:
+                        found.append((path.name, name))
+                visit(child, scope + [child.name], False)
+            else:
+                visit(child, scope, in_class)
+
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # a Name, an attribute or an imported alias
+        named = {getattr(n, "id", None) or getattr(n, "attr", None)
+                 or getattr(n, "name", None) for n in ast.walk(tree)}
+        assert "setrecursionlimit" not in named, path.name
+        visit(tree, [], False)
+    assert found == [("oracle.py", "_match_incidences.try_slot")]
+
+
 def test_run_returns_report(gfile):
     report = run(["check-ham", gfile(BOWTIE_TXT)])
     assert report.exit_code == 0

@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from hamsquare.graph import Graph
-from hamsquare.decomposition import decompose, bc_tree, bc_isomorphic
+from hamsquare.decomposition import bc_canonical, decompose
 from hamsquare.labelling import decide_hamiltonicity
 from hamsquare.hamconn import decide_hamiltonian_connectedness
 from hamsquare.oracle import cycle_with
@@ -33,7 +33,7 @@ def test_substitute_keeps_bc_tree():
     out = _exchange(BOWTIE, d, {t0: False, t1: True})
     assert out.sorted_edges() == [(0, 5), (0, 6), (0, 7), (0, 8), (5, 6),
                                   (7, 9), (7, 10), (8, 9), (8, 10)]
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(d))
+    assert bc_canonical(decompose(out)) == bc_canonical(d)
 
 
 def test_substitute_validation():
@@ -61,7 +61,7 @@ def test_bipartite_replacement_marks_every_cutvertex():
     # the two fresh hubs 17 and 18 each meet all five cutvertices
     assert {v for v in out.vertices if out.degree(v) == 5} == {17, 18}
     assert all(out.has_edge(h, c) for h in (17, 18) for c in range(2, 7))
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
+    assert bc_canonical(decompose(out)) == bc_canonical(decompose(g))
     assert _square_not_hamiltonian(out)
 
 
@@ -86,7 +86,7 @@ def test_gen_hc_counterexample():
 def test_counterexample_for_condition_4():
     spider = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     out = counterexample_for(spider, 4)
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(spider)))
+    assert bc_canonical(decompose(out)) == bc_canonical(decompose(spider))
     assert _square_not_hamiltonian(out)
     with pytest.raises(ValueError):
         counterexample_for(BOWTIE, 4)
@@ -96,7 +96,7 @@ def test_counterexample_for_condition_5():
     es = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 5), (5, 6), (1, 7), (2, 8)]
     g = Graph.from_edges(es)
     out = counterexample_for(g, 5)
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
+    assert bc_canonical(decompose(out)) == bc_canonical(decompose(g))
     assert _square_not_hamiltonian(out)
     with pytest.raises(ValueError, match="does not flag"):
         counterexample_for(BOWTIE, 5)
@@ -107,14 +107,14 @@ def test_counterexample_for_condition_6():
           (1, 5), (2, 6), (3, 7), (4, 8), (0, 9), (9, 10)]
     g = Graph.from_edges(es)
     out = counterexample_for(g, 6)
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
+    assert bc_canonical(decompose(out)) == bc_canonical(decompose(g))
     assert _square_not_hamiltonian(out)
 
 
 def test_counterexample_for_hc():
     g = gen_hc_counterexample(4)
     out = counterexample_for(g, "hc")
-    assert bc_isomorphic(bc_tree(decompose(out)), bc_tree(decompose(g)))
+    assert bc_canonical(decompose(out)) == bc_canonical(decompose(g))
     assert not is_ham_connected(out.square())
     with pytest.raises(ValueError):
         counterexample_for(BOWTIE, "hc")
@@ -131,8 +131,8 @@ def test_minimal_families_shape():
     for f in fams:
         assert nx.is_connected(to_nx(f.skeleton))
         assert nx.is_connected(to_nx(f.instance))
-        assert bc_isomorphic(bc_tree(decompose(f.skeleton)),
-                             bc_tree(decompose(f.instance)))
+        assert (bc_canonical(decompose(f.skeleton))
+                == bc_canonical(decompose(f.instance)))
 
 
 def test_minimal_families_instances_fail():

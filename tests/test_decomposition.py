@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 import weakref
 from collections import Counter
 
@@ -22,11 +23,12 @@ from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
 from hamsquare.decomposition import (
     decompose,
     _is_caterpillar,
-    bc_tree,
-    bc_isomorphic,
+    bc_canonical,
     canonical_text,
     compute_P0,
+    _bc_form,
     _canon_cmp,
+    _tree_canonical,
 )
 from corpus import corpus, to_nx
 from families import (blocks, path_graph, cycle_graph, complete_graph,
@@ -398,58 +400,60 @@ def test_decompose_rejects_disconnected(decompose_calls):
 
 # -- bc-tree ---------------------------------------------------------------
 
+def _tags(text):
+    """The tags of the nodes of a canonical text, one per node."""
+    return re.findall(r"'(cut|2block|bridge)'", text)
+
+
 def test_bc_tree_bowtie_is_path_of_three():
-    t = bc_tree(decompose(BOWTIE))
-    assert len(t.nodes) == 3  # block, cutvertex, block
-    degs = sorted(len(t.adj[x]) for x in t.nodes)
-    assert degs == [1, 1, 2]
+    # block, cutvertex, block: a path centred at the cutvertex
+    assert bc_canonical(decompose(BOWTIE)) == \
+        "('cut', (('2block', ()), ('2block', ())))"
 
 
 def test_bc_tree_single_block_single_node():
-    t = bc_tree(decompose(cycle_graph(4)))
-    assert len(t.nodes) == 1
+    assert bc_canonical(decompose(cycle_graph(4))) == "('2block', ())"
 
 
 def test_bc_tree_p4_five_node_path():
-    t = bc_tree(decompose(path_graph(4)))
-    assert len(t.nodes) == 5
-    assert sorted(len(t.adj[x]) for x in t.nodes) == [1, 1, 2, 2, 2]
+    # bridge, cut, bridge, cut, bridge: a path centred at the middle bridge
+    assert bc_canonical(decompose(path_graph(4))) == \
+        "('bridge', (('cut', (('bridge', ()),)), ('cut', (('bridge', ()),))))"
 
 
 def test_bc_tree_node_count_identity():
     for g in SAMPLES:
         d = decompose(g)
-        t = bc_tree(d)
-        assert len(t.nodes) == len(d.records) + len(d.cutvertices)
+        assert len(_tags(bc_canonical(d))) == \
+            len(d.records) + len(d.cutvertices)
 
 
 def test_bc_isomorphic_examples():
-    t = bc_tree(decompose(BOWTIE))
-    assert bc_isomorphic(t, t)
-    p4 = bc_tree(decompose(path_graph(4)))
-    k13 = bc_tree(decompose(Graph.from_edges([(0, 1), (0, 2), (0, 3)])))
-    assert not bc_isomorphic(p4, k13)
+    t = bc_canonical(decompose(BOWTIE))
+    p4 = bc_canonical(decompose(path_graph(4)))
+    k13 = bc_canonical(decompose(Graph.from_edges([(0, 1), (0, 2), (0, 3)])))
+    assert p4 != k13
     two_c4 = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0),
                                (0, 4), (4, 5), (5, 6), (6, 0)])
-    assert bc_isomorphic(t, bc_tree(decompose(two_c4)))
+    assert t == bc_canonical(decompose(two_c4))
 
 
 def test_bc_isomorphic_distinguishes_block_kinds():
     # same tree shape, but a 2-block versus a bridge in the middle
     tri_bridge = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3)])
     two_bridges = path_graph(3)
-    assert not bc_isomorphic(bc_tree(decompose(tri_bridge)),
-                             bc_tree(decompose(two_bridges)))
+    assert bc_canonical(decompose(tri_bridge)) != \
+        bc_canonical(decompose(two_bridges))
 
 
 def test_bc_isomorphic_invariant_under_relabelling():
     for g in SAMPLES:
         shift = g.relabelled({v: v + 100 for v in g.vertices})
-        assert bc_isomorphic(bc_tree(decompose(g)), bc_tree(decompose(shift)))
+        assert bc_canonical(decompose(g)) == bc_canonical(decompose(shift))
 
 
 def test_canonical_forms_order_and_print_like_tuples():
-    forms = {bc_tree(decompose(g)).canonical() for g in corpus()}
+    forms = {_bc_form(decompose(g)) for g in corpus()}
     forms = sorted(f for f in forms if f)
     for a, b in itertools.product(forms, repeat=2):
         assert _canon_cmp(a, b) == (a > b) - (a < b)
@@ -461,10 +465,11 @@ def test_bc_isomorphic_on_a_deep_path():
     # the canonical form nests once per bc-tree level, deeper than the
     # interpreter's recursion limit
     g = path_graph(5000)
-    t = bc_tree(decompose(g))
-    assert bc_isomorphic(t, bc_tree(decompose(g.relabelled(
-        {v: 4999 - v for v in g.vertices}))))
-    assert not bc_isomorphic(t, bc_tree(decompose(path_graph(4999))))
+    t = bc_canonical(decompose(g))
+    assert t == bc_canonical(decompose(g.relabelled(
+        {v: 4999 - v for v in g.vertices})))
+    assert t != bc_canonical(decompose(path_graph(4999)))
+    assert len(_tags(t)) == 4999 + 4998
 
 
 # -- bridge forest ---------------------------------------------------------
@@ -605,14 +610,16 @@ def test_index_P0_and_bc_tree_match_scans():
         assert [(*_component(nbrs), caterpillar)
                 for nbrs, caterpillar in d.bridge_forest] == comps
 
-        adj = {("block", b.index): [] for b in rows}
-        adj.update({("cut", v): [] for v in d.cutvertices})
+        tags = {("block", b.index): "2block" if b.is_two_block else "bridge"
+                for b in rows}
+        tags.update({("cut", v): "cut" for v in d.cutvertices})
+        adj = {node: [] for node in tags}
         for b in rows:
             for v in sorted(b.vertices):
                 if v in d.cutvertices:
                     adj[("block", b.index)].append(("cut", v))
                     adj[("cut", v)].append(("block", b.index))
-        assert bc_tree(d).adj == adj
+        assert _canon_cmp(_tree_canonical(tags, adj), _bc_form(d)) == 0
 
 
 # -- one DFS against the sorted two-pass algorithm -------------------------

@@ -1,8 +1,10 @@
 """Exhaustive search oracle, cross-checked against permutation enumeration."""
 
 import hashlib
+import inspect
 import itertools
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -309,6 +311,25 @@ def test_closing_prune_cuts_the_lone_grid_search(side):
     sq = g.square()
     w = cycle_with(sq, g, node_budget=1000)
     assert w is not None and is_ham_cycle(sq, list(w.order))
+
+
+def test_a_deep_search_runs_under_a_low_recursion_limit(monkeypatch):
+    # both searches lay all 3000 vertices of the square of C3000 on one
+    # branch; neither may recurse per vertex or raise the limit to do so
+    g = cycle_graph(3000)
+    sq = g.square()
+    calls = []
+    set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+    set_limit(len(inspect.stack(0)) + 50)
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    try:
+        c = cycle_with(sq, g)
+        p = path_with(sq, g, 0, 2999)
+    finally:
+        set_limit(old)
+    assert calls == []
+    assert c is not None and is_ham_cycle(sq, list(c.order))
+    assert p is not None and is_ham_path(sq, list(p.order), 0, 2999)
 
 
 def test_is_ham_connected_examples():
