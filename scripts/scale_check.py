@@ -14,22 +14,26 @@ block, each with 3000 blocks hanging off it), a lone cycle block
 C2000, whose witnesses come from the oracle, the cycle of a lone cycle
 block C40000, which the oracle lays 40,000 vertices deep (a search that
 recursed once per vertex overflowed the C stack of CPython 3.10 from
-about C25000 on), and two chains whose cycle merges the bridge forest: 5000 triangles joined by paths of three bridges,
-a leaf on each inner path vertex and every other triangle entered and left
-at one vertex (34,996 vertices; 2,499 caterpillar components, each with a
-pair reservation), and 2000 triangles joined by single bridges, each a K2
-component. The verdict rows run both deciders, decomposition included, on
-an equal copy of the mixed chain, the windmill k=2000, the triangle chain
-and the leafy bridge chain, and check both verdicts: positive, except that
-no graph with a bridge between two non-leaves has a hamiltonian connected
-square. A row prints its CPU seconds (`time.process_time`). The script
-exits 1 when a row raises, returns an invalid witness or a wrong verdict,
-or takes more than LIMIT_S of CPU; a constructor that is quadratic at a
-cutvertex of degree a few thousand, or an oracle that does O(n) work per
-node, takes several seconds.
+about C25000 on), two chains whose cycle merges the bridge forest: 5000
+triangles joined by paths of three bridges, a leaf on each inner path
+vertex and every other triangle entered and left at one vertex (34,996
+vertices; 2,499 caterpillar components, each with a pair reservation), and
+2000 triangles joined by single bridges, each a K2 component, and the cycle
+of a caterpillar on 100,000 vertices, the one row of a tree: a spine of
+60,000 with the other 40,000 on seeded random inner spine vertices, under
+shuffled labels. The verdict rows run both deciders, decomposition
+included, on an equal copy of the mixed chain, the windmill k=2000, the
+triangle chain and the leafy bridge chain, and check both verdicts:
+positive, except that no graph with a bridge between two non-leaves has a
+hamiltonian connected square. A row prints its CPU seconds
+(`time.process_time`). The script exits 1 when a row raises, returns an
+invalid witness or a wrong verdict, or takes more than LIMIT_S of CPU; a
+constructor that is quadratic at a cutvertex of degree a few thousand, or
+an oracle that does O(n) work per node, takes several seconds.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
+import random
 import sys
 import time
 
@@ -111,6 +115,17 @@ def bridged_triangles(k):
                             if e[1] < 3 * k)
 
 
+def caterpillar(n, spine, seed):
+    """A path of spine vertices and n - spine leaves, each on a random inner
+    vertex of the path, with labels shuffled by random.Random(seed)."""
+    rng = random.Random(seed)
+    label = rng.sample(range(n), n)
+    edges = [(label[i], label[i + 1]) for i in range(spine - 1)]
+    edges += [(label[rng.randrange(1, spine - 1)], label[i])
+              for i in range(spine, n)]
+    return Graph.from_edges(edges)
+
+
 def copy(g):
     """An equal Graph that decompose has not seen."""
     return Graph(g.vertices, g.edges)
@@ -146,6 +161,7 @@ def rows():
     yield f"leafy bridge chain k=5000 n={leafy.n} cycle", leafy, None
     yield "leafy bridge chain k=5000 verdicts", copy(leafy), BRIDGED
     yield "bridged triangles k=2000 cycle", bridged_triangles(2000), None
+    yield "caterpillar n=100,000 cycle", caterpillar(100_000, 60_000, 5), None
 
 
 def main() -> int:

@@ -15,7 +15,8 @@ hamiltonian cycle of the square:
 
 It runs through both end-edges of the spine, and it holds, for every inner
 spine vertex x, a dedicated edge whose two endpoints are neighbours of x.
-The constructor returns these edges explicitly: the cycle-merging
+The constructor returns, with the cycle, the end-edge or neighbour-pair
+edge reserved for each vertex the caller names: the cycle-merging
 machinery cuts at them. It reads the tree as a mapping from each vertex to
 its neighbours and lays the cycle in one pass, O(n) besides sorting the
 leaves. CycleSet, below, is the cycle representation the constructors cut
@@ -24,9 +25,7 @@ and join.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .graph import edge
 
@@ -202,38 +201,21 @@ def replace_edge_with(order: list[int], a: int, b: int,
     raise ValueError(f"edge ({a}, {b}) not found in sequence")
 
 
-@dataclass(frozen=True)
-class CatCycle:
-    """Hamiltonian cycle of a caterpillar square with its structural edges.
-
-    order: the cycle as a vertex list.
-    spine: the longest path used.
-    end_edges: the two end-edges of the spine, both on the cycle.
-    pair_edges: one cycle edge per internal spine vertex x, with both endpoints
-        neighbors of x in the tree; pairwise distinct and distinct from the
-        end-edges.
-    reserved: the edge dedicated to each requested vertex (an end-edge for
-        end requests, a pair edge for pair requests).
-    """
-    order: tuple[int, ...]
-    spine: tuple[int, ...]
-    end_edges: tuple[tuple[int, int], tuple[int, int]]
-    pair_edges: dict[int, tuple[int, int]]
-    reserved: dict[int, tuple[int, int]]
-
-
 def caterpillar_cycle(nbrs,
                       need_end: frozenset[int] = frozenset(),
-                      need_pair: frozenset[int] = frozenset()) -> CatCycle:
-    """Hamiltonian cycle of the square of a caterpillar through both spine
-    end-edges.
+                      need_pair: frozenset[int] = frozenset()
+                      ) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Hamiltonian cycle of the square of a caterpillar, and the edge of it
+    reserved for each requested vertex, as the pair (order, reserved).
 
     nbrs maps each vertex of the caterpillar to the set of its neighbours:
-    a tree's own adjacency, or a component of the bridge forest. need_end
-    vertices get a dedicated end-edge containing them; need_pair vertices
-    (internal on the spine) get their dedicated neighbor-pair edge. The
-    spine is a longest path chosen with the end reservations in mind, and
-    the cycle is the closed-form order of the module docstring.
+    a tree's own adjacency, or a component of the bridge forest. The spine
+    is a longest path chosen with the end reservations in mind, and order
+    is the closed-form cycle of the module docstring. A need_end vertex
+    (at most two) is reserved a spine end-edge containing it; a need_pair
+    vertex, internal on the spine, its neighbour-pair edge, which it keeps
+    when it is in need_end too. Every reserved edge is checked before it
+    is returned.
     """
     if len(nbrs) < 3:
         raise ValueError("caterpillar cycle needs at least three vertices")
@@ -251,59 +233,47 @@ def caterpillar_cycle(nbrs,
     cyc += (x[m - 2], x[m - 1])
     cyc += reversed(legs[x[m - 2]])
 
-    pair_edges: dict[int, tuple[int, int]] = {}
-    for j in range(1, m - 2):
-        lj = legs[x[j]]
-        pair_edges[x[j]] = edge(x[j - 1], lj[0]) if lj else edge(x[j - 1], x[j + 1])
-    lj = legs[x[m - 2]]
-    pair_edges[x[m - 2]] = edge(x[m - 1], lj[-1]) if lj else edge(x[m - 1], x[m - 3])
-
-    end_edges = (edge(x[0], x[1]), edge(x[m - 2], x[m - 1]))
-
-    _validate_cat_cycle(nbrs, cyc, end_edges, pair_edges)
-
-    reserved: dict[int, tuple[int, int]] = {}
     wanted = sorted(need_end)
     if len(wanted) > 2:
         raise ConstructionError("at most two end-edge reservations are possible")
-    if wanted:
-        assignment = _assign_end_edges(wanted, end_edges)
-        if assignment is None:
-            raise ConstructionError(
-                f"end-edge reservations for {wanted} are not realizable")
-        reserved.update(assignment)
-    for h in sorted(need_pair):
-        if h not in pair_edges:
-            raise ConstructionError(f"vertex {h} is not internal on the spine")
-        reserved[h] = pair_edges[h]
-    return CatCycle(tuple(cyc), tuple(x), end_edges, pair_edges, reserved)
+    e0, e1 = edge(x[0], x[1]), edge(x[m - 2], x[m - 1])
+    for ends in ((e0, e1), (e1, e0)):
+        if all(h in e for h, e in zip(wanted, ends)):
+            reserved = dict(zip(wanted, ends))
+            break
+    else:
+        raise ConstructionError(
+            f"end-edge reservations for {wanted} are not realizable")
+    if need_pair:
+        inner = {h: j for j, h in enumerate(x[1:m - 1], 1)}
+        for h in sorted(need_pair):
+            j = inner.get(h)
+            if j is None:
+                raise ConstructionError(f"vertex {h} is not internal on the spine")
+            lh = legs[h]
+            reserved[h] = edge(x[j - 1], lh[0] if lh else x[j + 1]) \
+                if j < m - 2 else edge(x[m - 1], lh[-1] if lh else x[m - 3])
+
+    _validate_cat_cycle(nbrs, cyc, reserved, need_pair)
+    return cyc, reserved
 
 
-def _assign_end_edges(wanted, end_edges):
-    for perm in itertools.permutations(end_edges, len(wanted)):
-        if all(h in perm[idx] for idx, h in enumerate(wanted)):
-            if len(set(perm)) == len(wanted):
-                return dict(zip(wanted, perm))
-    return None
-
-
-def _validate_cat_cycle(nbrs, cyc, end_edges, pair_edges):
+def _validate_cat_cycle(nbrs, cyc, reserved, need_pair):
     succ = dict(zip(cyc, cyc[1:] + cyc[:1]))
     if len(succ) != len(cyc) or succ.keys() != nbrs.keys():
         raise ConstructionError("caterpillar cycle does not cover the tree")
     for a, b in succ.items():
         if b not in nbrs[a] and nbrs[a].isdisjoint(nbrs[b]):
             raise ConstructionError(f"cycle edge {edge(a, b)} not in the square")
-    for u, v in end_edges:
-        if succ[u] != v and succ[v] != u:
-            raise ConstructionError(f"end-edge {(u, v)} missing from cycle")
-    seen = set()
-    for xj, e in pair_edges.items():
+    if len(set(reserved.values())) != len(reserved):
+        raise ConstructionError(f"reserved edges {reserved} not distinct")
+    for h, e in reserved.items():
         u, v = e
         if succ[u] != v and succ[v] != u:
-            raise ConstructionError(f"pair edge {e} for {xj} missing from cycle")
-        if e in seen or e in end_edges:
-            raise ConstructionError(f"pair edge {e} not distinct")
-        seen.add(e)
-        if u not in nbrs[xj] or v not in nbrs[xj]:
-            raise ConstructionError(f"pair edge {e} endpoints not neighbors of {xj}")
+            raise ConstructionError(f"edge {e} reserved for {h} missing from cycle")
+        if h in need_pair:
+            if u not in nbrs[h] or v not in nbrs[h]:
+                raise ConstructionError(
+                    f"pair edge {e} endpoints not neighbors of {h}")
+        elif h not in e:
+            raise ConstructionError(f"end edge {e} does not hold {h}")

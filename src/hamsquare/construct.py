@@ -322,13 +322,12 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
             continue
         need_end = frozenset(v for v in nbrs if bn[v] == 1 and k[v] >= 1)
         need_pair = frozenset(v for v in nbrs if bn[v] == 2 and k[v] >= 1)
-        cc = caterpillar_cycle({v: set(ws) for v, ws in nbrs.items()},
-                               need_end, need_pair)
-        cs.add(cc.order)
+        order, reserved = caterpillar_cycle(nbrs, need_end, need_pair)
+        cs.add(order)
         for v in need_end:
-            reserved_end[v] = cc.reserved[v]
+            reserved_end[v] = reserved[v]
         for v in need_pair:
-            reserved_pair[v] = cc.reserved[v]
+            reserved_pair[v] = reserved[v]
     for v, e in (*reserved_end.items(), *reserved_pair.items()):
         owed.setdefault(e, []).append(v)
 
@@ -407,7 +406,7 @@ def construct_ham_cycle(g: Graph) -> list:
     d = decompose(g)
 
     if not d.two_idx:
-        cyc = list(caterpillar_cycle(g._adj).order)  # g is a tree
+        cyc = caterpillar_cycle(g._adj)[0]  # g is a tree
     elif d.block_count() == 1:
         w = BlockSearch(d)(g.vertices, g.edges)
         if w is None:

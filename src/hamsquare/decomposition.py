@@ -60,8 +60,8 @@ class Decomposition:
     """records[t] is block t: a bridge (u, v), or a 2-block (a, b, edges,
     vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
     across maps each vertex on a bridge (or the lone vertex of a graph
-    with no edge) to a collection of its neighbours across bridges, in
-    no defined order; for a tree it is g's own adjacency, g._adj.
+    with no edge) to the set of its neighbours across bridges; for a tree
+    it is g's own adjacency, g._adj.
 
     decompose stores records on a graph with a 2-block; every other field
     below is built on its first read. Every field follows from the graph,
@@ -235,7 +235,7 @@ def decompose(g: Graph) -> Decomposition:
     nontrivial, two = [], []
     bn = dict.fromkeys(adj, 0)
     k = dict.fromkeys(adj, 0)
-    across = defaultdict(list)
+    across = defaultdict(set)
     for t, r in enumerate(raw):
         if len(r) > 2:
             two.append(t)
@@ -243,14 +243,14 @@ def decompose(g: Graph) -> Decomposition:
                 k[v] += 1
             continue
         u, v = r
-        across[u].append(v)
-        across[v].append(u)
+        across[u].add(v)
+        across[v].add(u)
         if len(adj[u]) > 1 and len(adj[v]) > 1:
             nontrivial.append(r)
             bn[u] += 1
             bn[v] += 1
     # a lone vertex, on no block, is a component of P0 by itself
-    across = dict(across) if raw else {v: [] for v in adj}
+    across = dict(across) if raw else {v: set() for v in adj}
     _last = d = Decomposition(g, frozenset(arts), frozenset(nontrivial), bn, k,
                               tuple(two), across)
     d.__dict__["records"] = tuple(raw)
@@ -374,7 +374,7 @@ def compute_P0(d: Decomposition) -> tuple[tuple[dict, bool], ...]:
     bridge, and a lone vertex on no block. With no 2-block that is the graph
     itself; otherwise the components are walked over the bridge adjacency.
     A component is a pair (nbrs, caterpillar): nbrs maps each of its
-    vertices to a collection of its neighbours across bridges, and
+    vertices to the set of its neighbours across bridges, and
     caterpillar tells whether it is one.
     """
     across = d.across
@@ -402,8 +402,8 @@ def compute_P0(d: Decomposition) -> tuple[tuple[dict, bool], ...]:
 
 
 def _is_caterpillar(nbrs) -> bool:
-    """Whether the tree with this adjacency (each vertex to a collection
-    of its neighbours) is a caterpillar.
+    """Whether the tree with this adjacency (each vertex to the set of
+    its neighbours) is a caterpillar.
 
     Its non-leaf vertices span a subtree, so they lie on a path exactly
     when none of them has more than two neighbours besides its leaves.

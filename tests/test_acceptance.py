@@ -167,19 +167,18 @@ def test_criterion_6_caterpillar_reservations():
             ends = frozenset({spine[0], spine[-1]})
             pairs = frozenset(spine[1:-1])
             try:
-                cc = caterpillar_cycle(adjacency(g), need_end=ends,
-                                       need_pair=pairs)
+                order, reserved = caterpillar_cycle(
+                    adjacency(g), need_end=ends, need_pair=pairs)
             except Exception:
                 bad += 1
                 continue
-            order = list(cc.order)
             if not is_ham_cycle(g.square(), order):
                 bad += 1
                 continue
             ring = {frozenset(e) for e in zip(order, order[1:] + order[:1])}
             seen = set()
             for v in ends | pairs:
-                e = frozenset(cc.reserved[v])
+                e = frozenset(reserved[v])
                 if e in seen or e not in ring:
                     bad += 1
                     break

@@ -10,6 +10,7 @@ import pytest
 from hamsquare.graph import Graph, edge, is_ham_cycle
 from hamsquare.caterpillars import (
     ConstructionError,
+    _spine,
     caterpillar_cycle,
     replace_edge_with,
 )
@@ -30,12 +31,12 @@ def test_paths_and_stars_are_caterpillars():
     for n in range(2, 8):
         assert is_caterpillar(path_graph(n))
         if n >= 3:
-            order = caterpillar_cycle(adjacency(path_graph(n))).order
-            assert is_ham_cycle(path_graph(n), list(order), square=True)
+            order = caterpillar_cycle(adjacency(path_graph(n)))[0]
+            assert is_ham_cycle(path_graph(n), order, square=True)
     for k in range(2, 6):
         assert is_caterpillar(star(k))
-        order = caterpillar_cycle(adjacency(star(k))).order
-        assert is_ham_cycle(star(k), list(order), square=True)
+        order = caterpillar_cycle(adjacency(star(k)))[0]
+        assert is_ham_cycle(star(k), order, square=True)
 
 
 def test_spider_is_not_a_caterpillar():
@@ -50,13 +51,13 @@ def test_spider_is_not_a_caterpillar():
 def test_derived_path_of_long_path():
     p6 = path_graph(6)
     assert derived_path(p6) == [1, 2, 3, 4]
-    assert caterpillar_cycle(adjacency(p6)).spine == (0, 1, 2, 3, 4, 5)
+    assert _spine(adjacency(p6), frozenset())[0] == [0, 1, 2, 3, 4, 5]
 
 
 def test_longest_spine_is_longest():
     # caterpillar: spine 0-1-2-3 with a leaf on 1
     t = Graph.from_edges([(0, 1), (1, 2), (2, 3), (1, 4)])
-    for sp in (longest_spine(t), caterpillar_cycle(adjacency(t)).spine):
+    for sp in (longest_spine(t), _spine(adjacency(t), frozenset())[0]):
         assert len(sp) == 4
         assert all(t.has_edge(a, b) for a, b in zip(sp, sp[1:]))
 
@@ -65,8 +66,10 @@ def test_longest_spine_prefers_requested_ends():
     t = star(3)  # any pair of leaves forms a longest path
     sp = longest_spine(t, prefer_ends=frozenset({2, 3}))
     assert set(sp) == {2, 0, 3}
-    cc = caterpillar_cycle(adjacency(t), need_end=frozenset({2, 3}))
-    assert set(cc.spine) == {2, 0, 3}
+    assert set(_spine(adjacency(t), frozenset({2, 3}))[0]) == {2, 0, 3}
+    # the cycle reserves each of them the spine end-edge holding it
+    _, reserved = caterpillar_cycle(adjacency(t), need_end=frozenset({2, 3}))
+    assert reserved == {2: (0, 2), 3: (0, 3)}
 
 
 def test_replace_edge_with_both_orientations():
@@ -79,23 +82,22 @@ def test_replace_edge_with_both_orientations():
 
 
 def test_p3_cycle_reserves_everything():
-    cc = caterpillar_cycle(adjacency(path_graph(3)), need_end=frozenset({0, 2}),
-                           need_pair=frozenset({1}))
-    assert set(cc.order) == {0, 1, 2}
-    assert cc.reserved[0] == (0, 1)
-    assert cc.reserved[2] == (1, 2)
-    assert cc.reserved[1] == (0, 2)
+    order, reserved = caterpillar_cycle(
+        adjacency(path_graph(3)), need_end=frozenset({0, 2}),
+        need_pair=frozenset({1}))
+    assert set(order) == {0, 1, 2}
+    assert reserved == {0: (0, 1), 2: (1, 2), 1: (0, 2)}
 
 
 def test_star_cycle_pairs_through_third_leaf():
     k13 = star(3)
-    cc = caterpillar_cycle(adjacency(k13), need_end=frozenset({1, 3}),
-                           need_pair=frozenset({0}))
-    assert set(cc.order) == {0, 1, 2, 3}
+    order, reserved = caterpillar_cycle(adjacency(k13), need_end=frozenset({1, 3}),
+                                        need_pair=frozenset({0}))
+    assert set(order) == {0, 1, 2, 3}
     # the dedicated pair edge for the hub joins two of its leaves
-    u, v = cc.reserved[0]
+    u, v = reserved[0]
     assert u in k13.neighbors(0) and v in k13.neighbors(0)
-    assert is_ham_cycle(k13.square(), list(cc.order))
+    assert is_ham_cycle(k13.square(), order)
 
 
 def test_cycle_needs_three_vertices():
@@ -118,15 +120,15 @@ def test_every_small_caterpillar_gets_a_valid_cycle(n):
         spine = longest_spine(t)
         need_end = frozenset({spine[0], spine[-1]})
         need_pair = frozenset(v for v in spine[1:-1])
-        cc = caterpillar_cycle(adjacency(t), need_end=need_end,
-                               need_pair=need_pair)
-        assert list(cc.spine) == spine
-        order = list(cc.order)
+        assert _spine(adjacency(t), need_end)[0] == spine
+        order, reserved = caterpillar_cycle(adjacency(t), need_end=need_end,
+                                            need_pair=need_pair)
         assert is_ham_cycle(t.square(), order)
         cyc_edges = {edge(order[i], order[(i + 1) % len(order)])
                      for i in range(len(order))}
+        assert reserved.keys() == need_end | need_pair
         for v in need_end | need_pair:
-            e = cc.reserved[v]
+            e = reserved[v]
             assert e in cyc_edges
             if v in need_end:
                 assert v in e
@@ -134,19 +136,18 @@ def test_every_small_caterpillar_gets_a_valid_cycle(n):
                 a, b = e
                 assert a in t.neighbors(v) and b in t.neighbors(v)
         # the dedicated edges are pairwise distinct
-        assert len({cc.reserved[v] for v in need_end | need_pair}) == \
-            len(need_end | need_pair)
+        assert len(set(reserved.values())) == len(need_end | need_pair)
 
 
 def test_seven_vertex_spine_keeps_both_end_edges():
     # spine of five with one leaf on the second and fourth spine vertex
     t = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6)])
-    cc = caterpillar_cycle(adjacency(t))
-    order = list(cc.order)
+    order = caterpillar_cycle(adjacency(t))[0]
     assert is_ham_cycle(t.square(), order)
     cyc_edges = {edge(order[i], order[(i + 1) % len(order)])
                  for i in range(len(order))}
-    assert set(cc.end_edges) <= cyc_edges
+    x = _spine(adjacency(t), frozenset())[0]
+    assert {edge(x[0], x[1]), edge(x[-2], x[-1])} <= cyc_edges
 
 
 def _spine_or_error(call):
@@ -159,7 +160,8 @@ def _spine_or_error(call):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_spine_matches_reference_scans(n):
     # the spine walked from the adjacency is the reference's longest path,
-    # for every choice of up to three preferred ends, errors included
+    # for every choice of up to three preferred ends, errors included; the
+    # cycle reserves those ends the spine's end-edges or raises
     import networkx as nx
     for t in nx.nonisomorphic_trees(n):
         g = Graph.from_edges(t.edges())
@@ -171,14 +173,22 @@ def test_spine_matches_reference_scans(n):
             for ends in itertools.combinations(g.sorted_vertices(), k):
                 ends = frozenset(ends)
                 want = _spine_or_error(lambda: longest_spine(g, ends))
-                got = _spine_or_error(
-                    lambda: caterpillar_cycle(adjacency(g), need_end=ends).spine)
-                if isinstance(want, list) and not isinstance(got, list):
-                    # the spine exists, the end-edge reservation does not
-                    assert got[0] is ConstructionError
-                    assert "end-edge reservations" in got[1]
-                else:
-                    assert got == want
+                assert _spine_or_error(
+                    lambda: _spine(adjacency(g), ends)[0]) == want
+                try:
+                    _, reserved = caterpillar_cycle(adjacency(g), need_end=ends)
+                except (ValueError, ConstructionError) as exc:
+                    if isinstance(want, list):
+                        # the spine exists, the end-edge reservation does not
+                        assert type(exc) is ConstructionError
+                        assert "end-edge reservations" in str(exc)
+                    else:
+                        assert (type(exc), str(exc)) == want
+                    continue
+                spine_ends = {edge(*want[:2]), edge(*want[-2:])}
+                assert reserved.keys() == ends
+                assert all(h in e and e in spine_ends
+                           for h, e in reserved.items())
 
 
 def _caterpillar_requests(seed=20261019, count=300):
@@ -210,10 +220,10 @@ def _caterpillar_requests(seed=20261019, count=300):
                frozenset(rng.sample(inner + leaves, 1)))
 
 
-# order, spine, end and pair edges and reservations (or the error) of the
-# 1200 requests above, as the splice-built constructor gave them
+# order and reservations (or the error) of the 1200 requests above, as the
+# splice-built constructor gave them
 CATERPILLAR_CYCLES_SHA256 = \
-    "5be5c7c3e45f3381c2a6519e9bb486fdff2a8cbb50a6bd5a48d0d0927c1e65d4"
+    "e408c40f0992a32d480c3218565bfb972c99ff5528a1e1e5bf0753593da7cb86"
 
 
 def test_caterpillar_cycles_pinned_beyond_the_corpus():
@@ -224,9 +234,8 @@ def test_caterpillar_cycles_pinned_beyond_the_corpus():
             nbrs.setdefault(a, set()).add(b)
             nbrs.setdefault(b, set()).add(a)
         try:
-            cc = caterpillar_cycle(nbrs, need_end, need_pair)
-            row = (cc.order, cc.spine, cc.end_edges,
-                   sorted(cc.pair_edges.items()), sorted(cc.reserved.items()))
+            order, reserved = caterpillar_cycle(nbrs, need_end, need_pair)
+            row = (tuple(order), sorted(reserved.items()))
         except Exception as exc:
             row = (type(exc).__name__, str(exc))
         h.update(repr(row).encode())
@@ -242,6 +251,6 @@ def test_hundred_thousand_vertex_caterpillar():
     edges += [(label[rng.randrange(1, spine - 1)], label[i])
               for i in range(spine, n)]
     t = Graph.from_edges(edges)
-    cc = caterpillar_cycle(adjacency(t))
-    assert len(cc.spine) == spine
-    assert is_ham_cycle(t, list(cc.order), square=True)
+    nbrs = adjacency(t)
+    assert len(_spine(nbrs, frozenset())[0]) == spine
+    assert is_ham_cycle(t, caterpillar_cycle(nbrs)[0], square=True)

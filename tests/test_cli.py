@@ -280,11 +280,19 @@ def test_undecodable_input_is_invalid_input(tmp_path, monkeypatch, capsys):
         assert len(err) == 1 and err[0].startswith(f"error: cannot read {path}:")
 
 
-def test_internal_error_exits_70(gfile, tmp_path, capsys):
+def test_internal_error_exits_70(gfile, tmp_path, monkeypatch, capsys):
     dot = str(tmp_path / "no-such-dir" / "out.dot")
     assert main(["check-ham", gfile(BOWTIE_TXT), "--dot", dot]) == 70
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("internal error:")
+
+    # construct-cycle reads a ValueError as bad input only below 3 vertices
+    def broken(g):
+        raise ValueError("broken constructor")
+    monkeypatch.setattr(cli, "construct_ham_cycle", broken)
+    assert main(["construct-cycle", gfile(BOWTIE_TXT)]) == 70
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: ValueError: broken constructor"]
 
 
 def test_decompose_deep_path(gfile, capsys):

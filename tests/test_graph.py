@@ -33,6 +33,14 @@ def test_edge_rejects_loop():
         edge(3, 3)
 
 
+def test_no_vertex_is_adjacent_to_itself():
+    # edge() rejects a loop, but adjacency in g and in its square is False
+    p3 = path_graph(3)
+    for v in p3.vertices:
+        assert not p3.has_edge(v, v)
+        assert not p3.square_has_edge(v, v)
+
+
 def test_graph_validates_edges():
     with pytest.raises(ValueError):
         Graph(frozenset({0, 1}), frozenset({(1, 0)}))  # not normalized
