@@ -29,23 +29,29 @@ hamiltonian connected square. A row prints its CPU seconds
 (`time.process_time`). The script exits 1 when a row raises, returns an
 invalid witness or a wrong verdict, or takes more than LIMIT_S of CPU; a
 constructor that is quadratic at a cutvertex of degree a few thousand, or
-an oracle that does O(n) work per node, takes several seconds.
+an oracle that does O(n) work per node, takes several seconds. A last
+row parses the canonical text of a chain of 100,000 triangles (200,001
+vertices) and exits 1 when tracemalloc counts more than MEMORY_LIMIT_MB
+held by the parsed graph: a graph that stored its edges twice, or held a
+vertex as one int object per mention, holds over 100 MB.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
 import random
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, "src")
 
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
-from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
+from hamsquare.graph import Graph, is_ham_cycle, is_ham_path, parse_edge_list
 from hamsquare.hamconn import (HAM_CONNECTED, NOT_HAM_CONNECTED,
                                decide_hamiltonian_connectedness)
 from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 
 LIMIT_S = 2.0
+MEMORY_LIMIT_MB = 70
 # the verdict pairs a verdict row expects; a bridge between two non-leaves
 # rules out a hamiltonian connected square
 POSITIVE = (HAMILTONIAN, HAM_CONNECTED)
@@ -164,6 +170,18 @@ def rows():
     yield "caterpillar n=100,000 cycle", caterpillar(100_000, 60_000, 5), None
 
 
+def parsed_mb(text):
+    """The graph that parse_edge_list makes of text, and the MB (10**6
+    bytes) that tracemalloc counts as held by it."""
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return g, held / 1e6
+
+
 def main() -> int:
     bad = 0
     for name, g, ends in rows():
@@ -192,6 +210,13 @@ def main() -> int:
             "INVALID" if not valid else f"over {LIMIT_S} s")
         print(f"{name}: {cpu:.3f} s CPU, {verdict}")
         bad += verdict != "ok"
+    chain = triangle_chain(100_000)
+    g, held = parsed_mb(chain.edge_list_text())
+    verdict = ("INVALID" if g != chain else "ok" if held <= MEMORY_LIMIT_MB
+               else f"over {MEMORY_LIMIT_MB} MB")
+    print(f"triangle chain k=100,000 n={g.n} parsed: {held:.1f} MB held, "
+          f"{verdict}")
+    bad += verdict != "ok"
     return 1 if bad else 0
 
 

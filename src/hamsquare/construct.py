@@ -199,7 +199,7 @@ class BlockSearch:
                 w = self._found[key]
             except KeyError:
                 if es not in self._shapes:
-                    b = Graph._unchecked(frozenset(range(len(label))), es)
+                    b = Graph(frozenset(range(len(label))), es)
                     self._shapes[es] = b, b.square()
                 b, sq = self._shapes[es]
                 if ends is None:
@@ -331,7 +331,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     for v, e in (*reserved_end.items(), *reserved_pair.items()):
         owed.setdefault(e, []).append(v)
 
-    adj = g._adj
+    adj = g.adj
     processed: set = set()
     first = last = None
     for i in sorted(at_cut):  # the cutvertices on a 2-block
@@ -406,9 +406,10 @@ def construct_ham_cycle(g: Graph) -> list:
     d = decompose(g)
 
     if not d.two_idx:
-        cyc = caterpillar_cycle(g._adj)[0]  # g is a tree
+        cyc = caterpillar_cycle(g.adj)[0]  # g is a tree
     elif d.block_count() == 1:
-        w = BlockSearch(d)(g.vertices, g.edges)
+        _, _, es, vs = d.records[0]
+        w = BlockSearch(d)(vs, es)
         if w is None:
             raise ConstructionError("no hamiltonian cycle in the block square")
         cyc = list(w.order)
@@ -445,7 +446,7 @@ def _rest(d: Decomposition, piece: dict, c: int, t: int) -> _Run:
     at = piece.get(c)
     if isinstance(at, _Run):  # a hanging part is laid from its first block
         return _Run(at.pairs, at.i + 1)
-    nb, records = d.graph._adj[c], d.records
+    nb, records = d.graph.adj[c], d.records
     pairs = []
     for s in (d.blocks_at[c] if at is None else at):
         if s != t:
@@ -503,7 +504,7 @@ def _hang(d: Decomposition, cs: CycleSet, todo: list, piece: dict, t: int,
     at the head of the run go in with it, in one splice c, fn, lk, ..., l1,
     p: the path a task per leaf would lay."""
     run = _rest(d, piece, c, t)
-    adj, pairs, i = d.graph._adj, run.pairs, run.i
+    adj, pairs, i = d.graph.adj, run.pairs, run.i
     laid = [p]
     while i < len(pairs) and len(adj[pairs[i][0]]) == 1:
         laid.append(pairs[i][0])
@@ -522,7 +523,7 @@ def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
     cycle edges at c2 are edges of the graph, read from c2 towards the
     smaller of its cycle neighbours. The parts hanging off its blocks are
     left as tasks on todo, their placeholder edges on the returned cycle."""
-    records, adj = d.records, d.graph._adj
+    records, adj = d.records, d.graph.adj
     piece = {c2: run}
     cs = CycleSet()
     rest = []

@@ -61,7 +61,7 @@ class Decomposition:
     vertices) with (a, b) its least edge. two_idx lists the 2-blocks;
     across maps each vertex on a bridge (or the lone vertex of a graph
     with no edge) to the set of its neighbours across bridges; for a tree
-    it is g's own adjacency, g._adj.
+    it is g's own adjacency, g.adj.
 
     decompose stores records on a graph with a 2-block; every other field
     below is built on its first read. Every field follows from the graph,
@@ -76,14 +76,14 @@ class Decomposition:
 
     def _tree_records(self) -> tuple:
         """With no 2-block every edge is a bridge, and its own record."""
-        return tuple(sorted(self.graph.edges))
+        return tuple(self.graph.sorted_edges())
 
     records = _OnRead("_tree_records")  # a tree's, built on first read
 
     def block_count(self) -> int:
         """len(records), read without building a tree's records: with no
-        2-block the blocks are the edges."""
-        return len(self.records) if self.two_idx else self.graph.m
+        2-block the graph is a tree (or one vertex) of n - 1 edge blocks."""
+        return len(self.records) if self.two_idx else self.graph.n - 1
 
     def _cuts(self) -> dict:
         """cuts_of, from the records."""
@@ -117,7 +117,7 @@ def _blocks(g: Graph):
     adjacency; the blocks do not depend on the visiting order. Raises
     ValueError when the DFS does not reach every vertex.
     """
-    adj = g._adj
+    adj = g.adj
     root = min(g.vertices)
     disc = {root: 0}
     low = {root: 0}
@@ -183,7 +183,7 @@ def _tree(g: Graph) -> Decomposition:
     nontrivial when neither end is a leaf. Its records are left to their
     first read.
     """
-    adj = g._adj
+    adj = g.adj
     root = min(adj)
     seen = {root}
     todo = [root]
@@ -194,16 +194,14 @@ def _tree(g: Graph) -> Decomposition:
                 todo.append(w)
     if len(seen) != len(adj):
         raise ValueError(_DISCONNECTED)
-    leaves = {v for v, nv in adj.items() if len(nv) == 1}
-    nontrivial = [e for e in g.edges
-                  if e[0] not in leaves and e[1] not in leaves]
+    cuts = frozenset(v for v, nv in adj.items() if len(nv) > 1)
+    nontrivial = [(u, v) for u in cuts for v in adj[u] if u < v and v in cuts]
     bn = dict.fromkeys(adj, 0)
     for u, v in nontrivial:
         bn[u] += 1
         bn[v] += 1
-    return Decomposition(g, frozenset(adj.keys() - leaves),
-                         frozenset(nontrivial), bn, dict.fromkeys(adj, 0),
-                         (), adj)
+    return Decomposition(g, cuts, frozenset(nontrivial), bn,
+                         dict.fromkeys(adj, 0), (), adj)
 
 
 _last: Decomposition | None = None  # what decompose returned last
@@ -231,7 +229,7 @@ def decompose(g: Graph) -> Decomposition:
         _last = d = _tree(g)
         return d
     raw, arts = _blocks(g)
-    adj = g._adj
+    adj = g.adj
     nontrivial, two = [], []
     bn = dict.fromkeys(adj, 0)
     k = dict.fromkeys(adj, 0)

@@ -1,18 +1,19 @@
 """Immutable undirected graphs on integer vertices, plus the edge-list wire format.
 
-Vertices are arbitrary non-negative integers; edges are stored as normalized
-(min, max) tuples. The text format is one edge per line ("u v"), a line with a
-single token declaring an isolated vertex, with blank lines and '#' comments
-ignored.
+Vertices are arbitrary non-negative integers; edges are stored once, as
+adjacency. The text format is one edge per line ("u v"), a line with a single
+token declaring an isolated vertex, with blank lines and '#' comments
+ignored; a vertex token is ASCII digits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -33,48 +34,55 @@ def edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _adjacency(ends: list, isolated: Iterable[int] = ()) -> tuple:
+    """The vertices and adjacency of the edges ends[0]-ends[1], ends[2]-
+    ends[3], ... and the vertices isolated, checked by the caller. Equal ints
+    become one object: a vertex is held once, however often it is named."""
+    one = dict(zip(ends, ends))
+    one.update(zip(isolated, isolated))
+    adj: dict[int, set[int]] = {v: set() for v in one.values()}
+    it = map(one.__getitem__, ends)
+    for u, v in zip(it, it):
+        adj[u].add(v)
+        adj[v].add(u)
+    return frozenset(adj), adj
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
     """A finite simple undirected graph.
 
-    Hashable and comparable by vertex and edge sets alone; the adjacency map
-    is a cached derived structure.
+    adj, read-only like the graph, maps each vertex to the set of its
+    neighbours: the one stored form of the edges, from which edges is built
+    on each read. Hashable and comparable by vertex and edge sets alone.
     """
 
     vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    _adj: dict | None = field(default=None, compare=False, repr=False)
+    adj: dict[int, Set[int]]
 
-    def __post_init__(self):
-        for u, v in self.edges:
+    def __init__(self, vertices: frozenset[int],
+                 edges: frozenset[tuple[int, int]]):
+        for u, v in edges:
             if u >= v:
                 raise ValueError(f"edge ({u}, {v}) not normalized")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) uses undeclared vertex")
-        for x in self.vertices:
+        for x in vertices:
             if not isinstance(x, int) or x < 0:
                 raise ValueError(f"vertex {x!r} is not a non-negative integer")
-        self._index()
+        vertices, adj = _adjacency([*itertools.chain(*edges)], vertices)
+        self.__dict__.update(vertices=vertices, adj=adj)
 
     @classmethod
-    def _unchecked(cls, vertices, edges, adj=None) -> "Graph":
-        """A graph the library derives itself, from edges it has normalized
-        on vertices it has declared: built without __post_init__'s checks.
-        adj, when given, is its adjacency, built alongside the edges."""
+    def _unchecked(cls, vertices: frozenset[int], adj: dict) -> "Graph":
+        """The graph on vertices whose adjacency is adj, which the library
+        has built and checked itself: built without __init__'s checks."""
         g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges, _adj=adj)
-        if adj is None:
-            g._index()
+        g.__dict__.update(vertices=vertices, adj=adj)
         return g
 
-    def _index(self) -> None:
-        """Each vertex's neighbourhood, a set filled edge by edge and never
-        changed after: neighbors() hands out a frozen copy of it."""
-        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        object.__setattr__(self, "_adj", nbrs)
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     # -- construction -----------------------------------------------------
 
@@ -82,8 +90,7 @@ class Graph:
     def from_edges(edges: Iterable[tuple[int, int]],
                    isolated: Iterable[int] = ()) -> "Graph":
         es = frozenset(edge(u, v) for u, v in edges)
-        vs = frozenset(itertools.chain((x for e in es for x in e), isolated))
-        return Graph(vs, es)
+        return Graph(frozenset(itertools.chain(*es, isolated)), es)
 
     # -- basic queries ----------------------------------------------------
 
@@ -91,29 +98,34 @@ class Graph:
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj.values())) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (min, max) pairs, built from adj on each read."""
+        return frozenset([(u, v) for u, nu in self.adj.items() for v in nu
+                          if u < v])
 
     def neighbors(self, v: int) -> Set[int]:
         """v's neighbourhood, read-only: a frozenset copy of the graph's own
         set, so that no caller can change the graph through it."""
-        return frozenset(self._adj[v])
+        return frozenset(self.adj[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return edge(u, v) in self.edges
+        """True iff u-v is an edge; False when u or v is no vertex."""
+        return v in self.adj.get(u, ())
 
     def square_has_edge(self, u: int, v: int) -> bool:
         """True iff u and v are adjacent in the square, which is not built."""
         if u == v:
             return False
-        nu = self._adj[u]
-        return v in nu or not nu.isdisjoint(self._adj[v])
+        nu = self.adj[u]
+        return v in nu or not nu.isdisjoint(self.adj[v])
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
@@ -124,34 +136,30 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def square(self) -> "Graph":
-        """The graph on the same vertices joining pairs at distance <= 2.
-        Each vertex's neighbourhood in it, N(v) and N(N(v)) less v, is
-        filled in the loop that collects the edges."""
-        adj = self._adj
-        es = []
+        """The graph on the same vertices joining pairs at distance <= 2:
+        each vertex's neighbourhood in it is N(v) and N(N(v)) less v."""
+        adj = self.adj
         sq = {}
         for v, nv in adj.items():
             near = set(nv)
             for w in nv:
                 near |= adj[w]
             near.discard(v)
-            sq[v] = frozenset(near)
-            es += [(v, w) for w in near if v < w]
-        return Graph._unchecked(self.vertices, frozenset(es), sq)
+            sq[v] = near
+        return Graph._unchecked(self.vertices, sq)
 
     def relabelled(self, mapping: dict[int, int]) -> "Graph":
         """Apply an injective vertex relabelling."""
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("relabelling is not injective")
-        vs = frozenset(mapping[v] for v in self.vertices)
-        es = frozenset(edge(mapping[u], mapping[v]) for u, v in self.edges)
-        return Graph(vs, es)
+        pairs = [(mapping[u], mapping[v]) for u, v in self.edges]
+        return Graph.from_edges(pairs, map(mapping.__getitem__, self.vertices))
 
     # -- wire formats -----------------------------------------------------
 
     def edge_list_text(self) -> str:
         lines = [f"{u} {v}" for u, v in self.sorted_edges()]
-        isolated = sorted(v for v in self.vertices if not self._adj[v])
+        isolated = sorted(v for v in self.vertices if not self.adj[v])
         lines.extend(str(v) for v in isolated)
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -187,48 +195,44 @@ def parse_edge_list(text: str) -> Graph:
             nums = list(map(int, text.split()))
         except ValueError:  # a token past int()'s digit limit
             return _parse_lines(text)
-        us, vs = nums[0::2], nums[1::2]
-        if all(map(operator.lt, us, vs)):
-            # unchecked: digits make non-negative vertices, u < v a
-            # normalized edge
-            return Graph._unchecked(frozenset(nums), frozenset(zip(us, vs)))
+        it = iter(nums)
+        if all(map(operator.lt, it, it)):
+            # unchecked: digits make non-negative vertices, u < v no loop
+            return Graph._unchecked(*_adjacency(nums))
     return _parse_lines(text)
 
 
 def _parse_lines(text: str) -> Graph:
     """The edge-list format line by line, every check made on its line."""
-    edges: set[tuple[int, int]] = set()
-    isolated: set[int] = set()
+    ends: list[int] = []
+    isolated: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) == 1:
-            try:
-                x = int(tokens[0])
-            except ValueError:
-                raise GraphParseError(f"bad vertex token {tokens[0]!r}", line_no)
-            if x < 0:
-                raise GraphParseError("vertices must be non-negative", line_no)
-            isolated.add(x)
-        elif len(tokens) == 2:
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise GraphParseError(f"bad edge tokens {line!r}", line_no)
-            if u < 0 or v < 0:
-                raise GraphParseError("vertices must be non-negative", line_no)
-            if u == v:
-                raise GraphParseError(f"self-loop at vertex {u}", line_no)
-            edges.add((u, v) if u < v else (v, u))
-        else:
+        if len(tokens) > 2:
             raise GraphParseError(
                 f"expected 1 or 2 tokens, got {len(tokens)}", line_no)
-    # unchecked: every check of __post_init__ is made above
-    ends = itertools.chain.from_iterable(edges)
-    return Graph._unchecked(frozenset(itertools.chain(ends, isolated)),
-                            frozenset(edges))
+        try:  # ASCII digits; a signed token is read to name its error
+            nums = [int(t) for t in tokens
+                    if t.isascii() and t.lstrip("-").isdigit()]
+        except ValueError:  # "--1", or a token past int()'s digit limit
+            nums = []
+        if len(nums) < len(tokens):
+            raise GraphParseError(
+                f"bad vertex token {tokens[0]!r}" if len(tokens) == 1
+                else f"bad edge tokens {line!r}", line_no)
+        if "-" in line:
+            raise GraphParseError("vertices must be non-negative", line_no)
+        if len(nums) == 1:
+            isolated += nums
+        elif nums[0] == nums[1]:
+            raise GraphParseError(f"self-loop at vertex {nums[0]}", line_no)
+        else:
+            ends += nums
+    # unchecked: every check of __init__ is made above
+    return Graph._unchecked(*_adjacency(ends, isolated))
 
 
 def cycle_edges(order: list[int]) -> list[tuple[int, int]]:

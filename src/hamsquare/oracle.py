@@ -60,12 +60,11 @@ class Witness:
     assignment: dict = field(default_factory=dict, compare=False)
 
 
-def _match_incidences(witness_edges, orig_edges, demands):
-    """Assign globally distinct original edges to the (vertex, count) demands.
-
-    Kuhn matching on slots; returns {v: [edges]} or None.
-    """
-    available = sorted(e for e in witness_edges if e in orig_edges)
+def _match_incidences(witness_edges, is_orig, demands):
+    """Assign globally distinct original edges, the (u, v) with is_orig(u, v),
+    to the (vertex, count) demands: Kuhn matching on slots, {v: [edges]} or
+    None."""
+    available = sorted(e for e in witness_edges if is_orig(*e))
     slots = []
     for v, c in demands:
         slots.extend([v] * c)
@@ -104,7 +103,7 @@ def _pick_start(demands, required, vertices, degree) -> int:
     return min(vertices, key=lambda v: (degree(v), v))
 
 
-def _leaf(order, pos, cyclic, required, demands, orig_edges) -> Witness | None:
+def _leaf(order, pos, cyclic, required, demands, is_orig) -> Witness | None:
     """The witness that the complete order makes, pos its index map, or None
     when it misses a required edge or cannot give the demands distinct
     original edges. The required edges are checked by position, and the
@@ -122,7 +121,7 @@ def _leaf(order, pos, cyclic, required, demands, orig_edges) -> Witness | None:
                 wedges.add(edge(order[i - 1], v))
             if i + 1 < n or cyclic:
                 wedges.add(edge(v, order[(i + 1) % n]))
-        assignment = _match_incidences(wedges, orig_edges, demands)
+        assignment = _match_incidences(wedges, is_orig, demands)
         if assignment is None:
             return None
     return Witness(tuple(order), assignment)
@@ -142,11 +141,9 @@ class _Search:
         self.nodes = 0
         self.g = host
         self.orig = original
-        self.orig_edges = original.edges
-        self.orig_adj = original._adj
         self.required = frozenset(edge(*e) for e in required_edges)
         for e in self.required:
-            if e not in host.edges:
+            if not host.has_edge(*e):
                 raise ValueError(f"required edge {e} not in host graph")
         self.demands = tuple((v, c) for v, c in incidences if c > 0)
         for v, c in self.demands:
@@ -169,8 +166,7 @@ class _Search:
             cap = 1 if (not self.cyclic and v in ends) else 2
             if c > cap:
                 return True
-            orig_deg = self.orig.degree(v) if v in self.orig.vertices else 0
-            if c > orig_deg:
+            if c > len(self.orig.adj.get(v, ())):
                 return True
         return False
 
@@ -199,7 +195,7 @@ class _Search:
 
         # the vertices not yet laid, and each vertex's count of neighbours
         # among them
-        self.adj = g._adj
+        self.adj = g.adj
         self.unlaid = set(g.vertices)
         self.unlaid.remove(start)
         self.free = {v: len(nv) - (start in nv) for v, nv in self.adj.items()}
@@ -230,7 +226,7 @@ class _Search:
                 return True  # an end of it is closed
         # every demand must stay within reach of its vertex: an upper bound
         # on the original edges it can end up with, counted per demand
-        orig = self.orig_adj
+        orig = self.orig.adj
         for v, c in self.demands:
             nbrs = orig[v]
             if v in unlaid or not below_root:
@@ -300,7 +296,7 @@ class _Search:
             if len(order) == len(adj):
                 closed = self.start in adj[tip] if self.cyclic else tip == self.target
                 res = closed and _leaf(order, pos, self.cyclic, self.required,
-                                       self.demands, self.orig_edges)
+                                       self.demands, self.orig.has_edge)
                 if res:
                     return res
             elif tip != self.target and not self._prune(order, pos):
@@ -382,7 +378,7 @@ def complete_with(n: int, original_edges, incidences=(), ends=None,
     for rest in itertools.permutations(middle):
         order = (first, *rest, *last)
         w = _leaf(order, {v: i for i, v in enumerate(order)}, ends is None,
-                  required, demands, original_edges)
+                  required, demands, lambda u, v: (u, v) in original_edges)
         if w is not None:
             return w
     return None

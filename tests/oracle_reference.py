@@ -16,7 +16,7 @@ walking the same tree of nodes. Its recursion stays within the default
 recursion limit on the hosts it checks, which have at most 8 vertices.
 """
 
-from hamsquare.graph import cycle_edges, edge, path_edges
+from hamsquare.graph import cycle_edges, path_edges
 from hamsquare.oracle import BudgetExceeded, Witness, _match_incidences, _Search
 
 
@@ -27,9 +27,9 @@ class ReferenceSearch(_Search):
         """Original edges at the laid vertex v along the partial order."""
         i = pos[v]
         cnt = 0
-        if i > 0 and edge(order[i - 1], v) in self.orig_edges:
+        if i > 0 and self.orig.has_edge(order[i - 1], v):
             cnt += 1
-        if i + 1 < len(order) and edge(v, order[i + 1]) in self.orig_edges:
+        if i + 1 < len(order) and self.orig.has_edge(v, order[i + 1]):
             cnt += 1
         return cnt
 
@@ -92,7 +92,8 @@ class ReferenceSearch(_Search):
             return None
         assignment = {}
         if self.demands:
-            assignment = _match_incidences(wedges, self.orig_edges, self.demands)
+            assignment = _match_incidences(wedges, self.orig.has_edge,
+                                           self.demands)
             if assignment is None:
                 return None
         return Witness(order, assignment)

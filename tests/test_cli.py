@@ -395,6 +395,21 @@ def test_runtime_package_neither_recurses_nor_sets_the_recursion_limit():
     assert found == [("oracle.py", "_match_incidences.try_slot")]
 
 
+def test_only_graph_reads_the_adjacency_store_or_the_edge_set():
+    # adj is a Graph's one stored form of its edges, and edges a frozenset
+    # built on each read: the package reads edges, and the private name
+    # _adj, in graph.py alone
+    src = Path(__file__).resolve().parent.parent / "src" / "hamsquare"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "graph.py":
+            found += [(path.name, node.lineno, node.attr)
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and node.attr in ("_adj", "edges")]
+    assert found == []
+
+
 def test_run_returns_report(gfile):
     report = run(["check-ham", gfile(BOWTIE_TXT)])
     assert report.exit_code == 0

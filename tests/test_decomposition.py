@@ -283,9 +283,9 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
              complete_bipartite(1, 3000), _spider(3, 1000)]
     for g in trees:
         d = decompose(g)
-        assert d.across is g._adj  # a tree is its own bridge forest
+        assert d.across is g.adj  # a tree is its own bridge forest
         (nbrs, caterpillar), = compute_P0(d)
-        assert nbrs is g._adj and caterpillar == is_caterpillar(g)
+        assert nbrs is g.adj and caterpillar == is_caterpillar(g)
         decide_hamiltonian_connectedness(g)
         if g.n >= 3:
             decide_hamiltonicity(g)

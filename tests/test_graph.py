@@ -64,19 +64,45 @@ def test_neighbors_cannot_change_the_graph():
     assert g.neighbors(1) == {0, 2} and g.degree(1) == 2
 
 
+def _same_graph(want, got):
+    """got reads as want does: vertices, edges, m, adj, == and hash. It
+    holds each vertex as one int object, in vertices and in adj."""
+    assert got.vertices == want.vertices and got.edges == want.edges
+    assert got.m == want.m == len(want.edges)
+    assert got.adj == want.adj
+    assert got == want and hash(got) == hash(want)
+    one = {id(v) for v in got.adj}
+    assert {id(v) for v in got.vertices} == one
+    assert all(id(w) in one for nw in got.adj.values() for w in nw)
+
+
+def _routes(g):
+    """g built again by every other route: checked, from its edges, by both
+    parsers from its text, and relabelled by the identity."""
+    text = g.edge_list_text()
+    return (Graph(g.vertices, g.edges),
+            Graph.from_edges(g.edges, isolated=g.vertices),
+            parse_edge_list(text), graph._parse_lines(text),
+            g.relabelled({v: v for v in g.vertices}))
+
+
 def test_square_equals_a_validated_build():
-    # square() skips the checks of Graph(...) on edges it normalizes itself
+    # square() builds its adjacency without the checks of Graph(...); every
+    # other route to the same graph reads the same
     rng = random.Random(3)
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(100)]
     for _ in range(200):
         n = rng.randint(1, 30)
         vs = rng.sample(range(3 * n), n)
         es = {edge(*rng.sample(vs, 2)) for _ in range(rng.randint(0, 2 * n))
               if n > 1}
         g = Graph(frozenset(vs), frozenset(es))
+        assert g.vertices == set(vs) and g.edges == es
+        graphs.append(g)
+    for g in graphs:
         sq = g.square()
-        checked = Graph(sq.vertices, sq.edges)
-        assert sq == checked
-        assert sq._adj == checked._adj
+        for got in _routes(sq):
+            _same_graph(sq, got)
 
 
 def test_square_adjacency_is_the_index_of_its_edges():
@@ -85,25 +111,28 @@ def test_square_adjacency_is_the_index_of_its_edges():
     graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(200)]
     for g in graphs:
         sq = g.square()
-        assert sq._adj == Graph._unchecked(sq.vertices, sq.edges)._adj, g
+        assert sq.adj == Graph(sq.vertices, sq.edges).adj, g
         assert sq.edges == _square_by_bfs(g).edges, g
 
 
 def test_parse_equals_a_validated_build():
     # parse_edge_list skips the checks of Graph(...): it has made them all
     rng = random.Random(5)
-    graphs = list(corpus())
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(100)]
     for _ in range(100):
         n = rng.randint(1, 200)
         label = rng.sample(range(3 * n), n)
-        graphs.append(Graph.from_edges(
-            ((label[i], label[rng.randrange(i)]) for i in range(1, n)),
-            isolated=label[:1]))
+        es = {edge(label[i], label[rng.randrange(i)]) for i in range(1, n)}
+        g = Graph.from_edges(es, isolated=label[:1])
+        assert g.vertices == set(label) and g.edges == es
+        graphs.append(g)
     for g in graphs:
         rows = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
                 for u, v in g.edges] + [str(v) for v in g.vertices]
         rng.shuffle(rows)
         want = Graph.from_edges(g.edges, isolated=g.vertices)
+        for got in _routes(g):
+            _same_graph(want, got)
         canon = g.edge_list_text()
         first, _, rest = canon.partition("\n")
         flipped = " ".join(reversed(first.split())) + "\n" + rest
@@ -111,9 +140,8 @@ def test_parse_equals_a_validated_build():
         for text in (canon, "# shuffled\n" + "\n".join(rows), flipped,
                      canon.replace("\n", "\r\n"), canon.replace(" ", "\t"),
                      canon.replace(" ", "  "), canon.rstrip("\n")):
-            got = parse_edge_list(text)
-            assert got == want == graph._parse_lines(text)
-            assert got._adj == want._adj
+            _same_graph(want, parse_edge_list(text))
+            _same_graph(want, graph._parse_lines(text))
 
 
 def test_canonical_text_is_parsed_in_bulk(monkeypatch):
@@ -161,13 +189,19 @@ def test_parse_comments_isolated_and_errors():
         parse_edge_list("0 1 2")
     with pytest.raises(GraphParseError):
         parse_edge_list("a b")
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError, match="vertices must be non-negative"):
         parse_edge_list("-1 2")
+    assert parse_edge_list("00 01\n").edges == {(0, 1)}  # leading zeros
     # the parser's own checks are the only ones its graph gets
     big = "9" * 5000  # past int()'s digit limit
     for text, line_no in (("0 1\n-1\n", 2), ("0 1\n\nx\n", 3),
                           ("0 1\n1 -2\n", 2), ("0 1\n2 2\n", 2),
-                          (f"0 1\n1 {big}\n", 2), (f"{big} 1\n", 1)):
+                          (f"0 1\n1 {big}\n", 2), (f"{big} 1\n", 1),
+                          # a vertex token is ASCII digits, with no sign,
+                          # underscore or other script's digit
+                          ("0 1_0\n1_0 +2\n+2 0\n", 1), ("0 1\n+2 0\n", 2),
+                          ("0 1\n0 \u0662\n", 2), ("0 1\n\u0662\n", 2),
+                          ("0 1\n-0\n", 2)):
         with pytest.raises(GraphParseError) as exc:
             parse_edge_list(text)
         assert exc.value.line_no == line_no
@@ -184,7 +218,7 @@ def test_parse_comments_isolated_and_errors():
             assert (str(exc.value), exc.value.line_no) == (str(e), e.line_no)
         else:
             got = parse_edge_list(text)
-            assert got == want and got._adj == want._adj
+            assert got == want and got.adj == want.adj
 
 
 def _square_by_bfs(g: Graph) -> Graph:
