@@ -20,10 +20,10 @@ vertices, whose square is complete, without either.
 
 block-search must also build at most 240 squares per pass
 (`graph.square.calls`). Its 96 graphs hold 240 2-blocks in all, and
-construct keeps each rank-space block and its square for every request on
-a graph, so a pass squares each block shape at most once per graph,
-whatever the number of requests. A square per request and shape, the
-cost this bound guards against, comes to 928 per pass.
+construct keeps each 2-block's square for every request on a graph, so a
+pass has each 2-block squared once per graph, whatever the number of
+requests. A square per request and block, the cost this bound guards
+against, comes to 960 per pass.
 
 forest-square must build no square at all (`graph.square.calls` 0): its
 trees get verdicts and cycles through the CLI, whose witnesses, the

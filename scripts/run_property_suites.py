@@ -14,10 +14,7 @@ import time
 sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
-import networkx as nx
-
-from hamsquare.graph import Graph
-from properties import verify_property
+from properties import two_connected, verify_property
 
 RANGES = {
     "twoBlockCycle": (3, 7),
@@ -26,17 +23,6 @@ RANGES = {
     "H4": (4, 7),
     "F4": (4, 7),
 }
-
-
-def two_connected(nmin, nmax):
-    for h in nx.graph_atlas_g():
-        n = h.number_of_nodes()
-        if n < max(nmin, 3) or n > nmax:
-            continue
-        if not nx.is_connected(h) or nx.number_of_selfloops(h):
-            continue
-        if nx.is_biconnected(h):
-            yield Graph.from_edges(h.edges())
 
 
 def main() -> int:

@@ -56,16 +56,17 @@ walk from x away from -1. Nothing recurses, and besides the block searches
 a path costs O(n + m) and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
-hands it down to every block search it runs. BlockSearch relabels a
-block by vertex rank and takes the oracle's answer on the rank-space
-block. That answer maps back to exactly the witness a search on the
+hands it down to every block search it runs. A block of more than four
+vertices is searched in its own labels, in its own square. A block of at
+most four vertices is relabelled by vertex rank and answered from a
+table. That answer maps back to exactly the witness a search on the
 block's own labels would find, because the oracle reads labels only
 through their order: it walks sorted neighbourhoods, picks its start by
 min and max, and matches the demands in their given order against the
 sorted witness edges. An order-preserving relabelling therefore relabels
 the witness and nothing else.
 
-What BlockSearch keeps has three lifetimes:
+What BlockSearch keeps has two lifetimes:
 - Per process, the small-block table. A block of at most four vertices
   (C3, C4, K4-e or K4) has a complete square, so the oracle's answer on
   it is complete_with's, a pure function of the rank-space key that
@@ -74,18 +75,15 @@ What BlockSearch keeps has three lifetimes:
   shapes times the demand patterns sent here, so it needs no bound: the
   cycle and an end-to-end path of a 17,501-vertex chain of C3, C4 and K4
   blocks fill 11 keys.
-- Per graph, the store. Each block's rank form, and each searched
-  rank-space shape's graph and square, depend on the graph only: every
-  request on one decomposition shares them, so a cycle and every pair's
-  path on one graph relabel each block once and square each shape once.
+- Per graph, the store. A small block's rank form, and a larger block's
+  Graph and square, depend on the graph only: every request on one
+  decomposition shares them, so a cycle and every pair's path on one
+  graph relabel each small block once and square each larger block once.
   The store sits in one module-level slot, holds its decomposition
   weakly, and the first constructor call on another decomposition
   replaces it.
-- Per request, the memo of searched blocks, those of more than four
-  vertices. Blocks of one shape with one demand pattern are searched
-  once per request, and no search carries over to the next request, so
-  the searches a request runs, with their node counts, never depend on
-  history.
+Nothing is kept per request, so the searches a request runs, with their
+node counts, never depend on history.
 """
 
 from __future__ import annotations
@@ -114,22 +112,22 @@ class NoLabellingError(ValueError):
 
 class _Store:
     """The part of the block searches that depends on the graph alone:
-    ranks maps a block's edge set to its rank form (its sorted labels,
-    their rank map and the rank edge set), shapes maps a rank edge set to
-    its rank-space Graph and square. Two dicts, because a block on
-    0..k-1 has the same edge set as its rank form."""
-    __slots__ = ("of", "ranks", "shapes")
+    blocks maps a block's edge set to its rank form (its sorted labels,
+    their rank map and the rank edge set) when it has at most four
+    vertices, and else to its Graph and square."""
+    __slots__ = ("of", "blocks")
 
     def __init__(self, d: Decomposition):
         self.of = weakref.ref(d)
-        self.ranks: dict = {}
-        self.shapes: dict = {}
+        self.blocks: dict = {}
 
 
 _store: _Store | None = None  # the store of the last decomposition searched
 
 # complete_with's answer on each rank-space block of at most four vertices,
-# keyed as BlockSearch keys a search, for the life of the process
+# keyed by the frozenset of rank pairs of the block's edges, the demands in
+# their given order, the endpoints (None for a cycle) and the required
+# edges, all in ranks, for the life of the process
 _complete: dict = {}
 
 
@@ -147,66 +145,52 @@ def _store_of(d: Decomposition) -> _Store:
 class BlockSearch:
     """The block searches of one request.
 
-    A search is keyed by its block relabelled by vertex rank: the frozenset
-    of rank pairs of the block's edges, the demands in their given order,
-    the endpoints (None for a cycle) and the required edges, all in ranks.
-    The oracle's answer on the rank-space block is found only on a miss
-    and then kept, None included, since None certifies that no witness
-    exists; a call that raises keeps nothing. What is kept has three
-    lifetimes:
-    - per process, the small-block table: complete_with's answer on a
-      block of at most four vertices;
-    - per graph, the store of d, taken once here and shared with every
-      request on d: the rank forms of the blocks, and the rank-space
-      blocks with their squares;
-    - per request, this memo: the answer of a search of the square of a
-      block of more than four vertices.
+    A block of more than four vertices is searched by the oracle in its
+    own labels, with the block's Graph and square from the store of d,
+    taken once here and shared with every request on d. A block of at
+    most four vertices is relabelled by vertex rank, its rank form kept in
+    that store, and answered from the process-wide small-block table.
     Every call hands back a witness of its own.
     """
 
     def __init__(self, d: Decomposition):
-        store = _store_of(d)
-        self._ranks, self._shapes = store.ranks, store.shapes
-        self._found: dict = {}
+        self._blocks = _store_of(d).blocks
 
     def __call__(self, vertices, edges, demands=(), ends=None,
                  required=()) -> Witness | None:
         """The search of the block (vertices, edges), in its own labels:
         a cycle, or with ends (x, y) an x-y path, of the block's square.
-        edges is the block's frozenset of edges."""
+        vertices and edges are the block's frozensets."""
+        # the oracle's functions are looked up by name at each call, so a
+        # rebinding of them (as a tracer or a spy does) sees every call
+        if len(vertices) > 4:
+            try:
+                b, sq = self._blocks[edges]
+            except KeyError:
+                b = Graph(vertices, edges)
+                sq = b.square()
+                self._blocks[edges] = b, sq
+            if ends is None:
+                return cycle_with(sq, b, demands, required)
+            return path_with(sq, b, *ends, demands, required)
+        # the block's square is complete
         try:
-            label, rank, es = self._ranks[edges]
+            label, rank, es = self._blocks[edges]
         except KeyError:
             label = sorted(vertices)
             rank = {v: i for i, v in enumerate(label)}
             es = frozenset([(rank[u], rank[v]) for u, v in edges])
-            self._ranks[edges] = label, rank, es
+            self._blocks[edges] = label, rank, es
         demands = tuple([(rank[v], c) for v, c in demands])
         if ends is not None:
             ends = (rank[ends[0]], rank[ends[1]])
         required = tuple([edge(rank[u], rank[v]) for u, v in required])
         key = (es, demands, ends, required)
-        # the oracle's functions are looked up by name at each call, so a
-        # rebinding of them (as a tracer or a spy does) sees every call
-        if len(label) <= 4:  # the block's square is complete
-            try:
-                w = _complete[key]
-            except KeyError:
-                w = _complete[key] = complete_with(len(label), es, demands,
-                                                   ends, required)
-        else:
-            try:
-                w = self._found[key]
-            except KeyError:
-                if es not in self._shapes:
-                    b = Graph(frozenset(range(len(label))), es)
-                    self._shapes[es] = b, b.square()
-                b, sq = self._shapes[es]
-                if ends is None:
-                    w = cycle_with(sq, b, demands, required)
-                else:
-                    w = path_with(sq, b, *ends, demands, required)
-                self._found[key] = w
+        try:
+            w = _complete[key]
+        except KeyError:
+            w = _complete[key] = complete_with(len(label), es, demands, ends,
+                                               required)
         if w is None:
             return None
         return Witness(

@@ -45,6 +45,7 @@ def _adjacency(ends: list, isolated: Iterable[int] = ()) -> tuple:
     for u, v in zip(it, it):
         adj[u].add(v)
         adj[v].add(u)
+    del one, it  # freed before the vertex set is built, to lower the peak
     return frozenset(adj), adj
 
 

@@ -3,7 +3,8 @@
 These are the evidence behind the labelling conditions: the 2-block
 properties of PROPERTY_KINDS, and all-pairs hamiltonian connectedness.
 They search every vertex subset or pair, so they run on small blocks in
-the tests and scripts only. Needs no networkx.
+the tests and scripts only. Only two_connected, which lists the atlas
+blocks they run on, needs networkx.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ def is_ham_connected(g: Graph, node_budget: int | None = None) -> bool:
             if path_with(g, g, x, y, node_budget=node_budget) is None:
                 return False
     return True
+
+
+def two_connected(nmin: int, nmax: int):
+    """The 2-connected graphs of the networkx atlas, every graph on up to 7
+    vertices, with nmin to nmax vertices and at least 3."""
+    import networkx as nx  # here, so that the rest of the module needs none
+
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n < max(nmin, 3) or n > nmax:
+            continue
+        if not nx.is_connected(h) or nx.number_of_selfloops(h):
+            continue
+        if nx.is_biconnected(h):
+            yield Graph.from_edges(h.edges())
 
 
 # -- property checkers over a 2-block -------------------------------------

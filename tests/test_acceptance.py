@@ -15,13 +15,14 @@ import pytest
 from hamsquare.graph import Graph, is_ham_cycle, is_ham_path
 from hamsquare.decomposition import bc_canonical, decompose
 from hamsquare.labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONIAN
-from hamsquare.hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
+from hamsquare.hamconn import (decide_hamiltonian_connectedness, HAM_CONNECTED,
+                               NOT_HAM_CONNECTED)
 from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.caterpillars import caterpillar_cycle
 from hamsquare.oracle import cycle_with
 from corpus import corpus, block_chains, inner_blocks
 from families import minimal_families
-from properties import is_ham_connected, verify_property
+from properties import is_ham_connected, two_connected, verify_property
 from caterpillar_reference import adjacency, is_caterpillar, longest_spine
 
 
@@ -97,28 +98,17 @@ def test_criterion_3_counterexample_certification():
                    + (f", failing: {failures}" if failures else ""))
 
 
-def _two_connected(nmin, nmax):
-    for h in nx.graph_atlas_g():
-        n = h.number_of_nodes()
-        if n < max(nmin, 3) or n > nmax:
-            continue
-        if not nx.is_connected(h) or nx.number_of_selfloops(h):
-            continue
-        if nx.is_biconnected(h):
-            yield Graph.from_edges(h.edges())
-
-
 def test_criterion_4_property_suites():
     checked = 0
     failures = []
     for kind, nmin in [("twoBlockCycle", 3), ("strongF3", 3),
                        ("strongF3ends", 3), ("H4", 4), ("F4", 4)]:
-        for b in _two_connected(nmin, 7):
+        for b in two_connected(nmin, 7):
             checked += 1
             if not verify_property(kind, b):
                 failures.append((kind, b.edge_list_text()))
     # the negative side: some 2-block on more than 4 vertices lacks H5
-    h5_failures = [b for b in _two_connected(5, 5)
+    h5_failures = [b for b in two_connected(5, 5)
                    if not verify_property("H5", b)]
     ok = not failures and h5_failures
     _report(4, ok, f"{checked} property checks all hold, "
@@ -138,8 +128,13 @@ def test_criterion_5_constructor_validity(ham_sweep, hc_sweep):
                 cyc_bad += 1
         except Exception:
             cyc_bad += 1
-    path_total = path_bad = 0
+    path_total = path_bad = neg_total = neg_bad = 0
     for g, v in hc_sweep:
+        if v.outcome == NOT_HAM_CONNECTED:
+            # a negative has no witness to validate: the oracle confirms it
+            neg_total += 1
+            if is_ham_connected(g.square()):
+                neg_bad += 1
         if v.outcome != HAM_CONNECTED:
             continue
         sq = g.square()
@@ -150,9 +145,12 @@ def test_criterion_5_constructor_validity(ham_sweep, hc_sweep):
                     path_bad += 1
             except Exception:
                 path_bad += 1
-    ok = cyc_bad == 0 and path_bad == 0 and cyc_total and path_total
+    ok = (cyc_bad == 0 and path_bad == 0 and neg_bad == 0 and cyc_total
+          and path_total and neg_total)
     _report(5, ok, f"{cyc_total} cycles and {path_total} pair paths "
-                   f"all validated, {cyc_bad + path_bad} failures")
+                   f"all validated, {neg_total} connectedness negatives "
+                   f"checked against the oracle, "
+                   f"{cyc_bad + path_bad + neg_bad} failures")
 
 
 def test_criterion_6_caterpillar_reservations():

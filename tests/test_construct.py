@@ -664,8 +664,8 @@ def _relabellings(rng, g, count=3):
     return out
 
 
-def _memo_matches_the_oracle(search, b, seed, sample=None) -> int:
-    """Compare the memo with the oracle on b's search patterns, drawn from
+def _search_matches_the_oracle(search, b, seed, sample=None) -> int:
+    """Compare BlockSearch with the oracle on b's search patterns, drawn from
     the seed: relabelled copies of one block draw the same ones in ranks."""
     rng = random.Random(seed)
     patterns = _block_patterns(b, rng)
@@ -678,9 +678,9 @@ def _memo_matches_the_oracle(search, b, seed, sample=None) -> int:
     return len(patterns)
 
 
-def test_block_search_memo_returns_what_the_oracle_returns():
-    # One memo serves each block and its relabelled copies, as a request's
-    # memo serves blocks of one shape, so most relabelled searches are hits.
+def test_block_search_returns_what_the_oracle_returns():
+    # One BlockSearch serves each block and its relabelled copies, so a
+    # small block's relabelled copies share its table keys.
     rng = random.Random(7)
     checked = 0
     shapes = {b.edges for g in corpus() if g.n >= 3
@@ -688,7 +688,7 @@ def test_block_search_memo_returns_what_the_oracle_returns():
     for i, edges in enumerate(sorted(shapes, key=sorted)):
         search = BlockSearch(decompose(Graph.from_edges(edges)))
         for b in _relabellings(rng, Graph.from_edges(edges)):
-            checked += _memo_matches_the_oracle(search, b, i)
+            checked += _search_matches_the_oracle(search, b, i)
     trees = 0
     while trees < 100:
         g = _random_block_tree(rng)
@@ -699,13 +699,14 @@ def test_block_search_memo_returns_what_the_oracle_returns():
         for h in _relabellings(rng, g):
             for i, blk in enumerate(blocks(decompose(h), two_only=True)):
                 b = Graph.from_edges(blk.edges)
-                checked += _memo_matches_the_oracle(search, b, 100 * trees + i,
+                checked += _search_matches_the_oracle(search, b, 100 * trees + i,
                                                     sample=12)
     assert checked > 20000
 
 
-def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
-    searches = []
+def test_block_searches_run_one_search_per_call_on_larger_blocks(
+        monkeypatch):
+    searches, calls = [], []
 
     def counting(real):
         def counted(*args, **kwargs):
@@ -715,6 +716,14 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
 
     for name in ("cycle_with", "path_with"):
         monkeypatch.setattr(construct, name, counting(getattr(construct, name)))
+    call = BlockSearch.__call__
+
+    def called(self, vertices, *args, **kwargs):
+        if len(vertices) > 4:
+            calls.append(vertices)
+        return call(self, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(BlockSearch, "__call__", called)
     squared = _counted_squares(monkeypatch)
     # blocks of at most four vertices take the oracle's answer without a
     # search or a square
@@ -722,17 +731,19 @@ def test_block_searches_scale_with_shapes_not_blocks(monkeypatch):
     assert is_ham_cycle(chain, construct_ham_cycle(chain), square=True)
     assert is_ham_path(chain, construct_ham_path(chain, 1, 1280), 1, 1280,
                        square=True)
-    assert searches == [] and squared == []
+    assert searches == [] and squared == [] and calls == []
     g = _glued_chain(_WHEELS_AND_THETAS)
-    two = len(decompose(g).two_idx)
     for build in (construct_ham_cycle,
                   lambda g: construct_ham_path(g, 1, g.n - 2)):
         searches.clear()
+        calls.clear()
         first = build(g)
         n = len(searches)
-        assert 1 <= n <= 2 * len(_rank_shapes(g)) < two, searches
-        # a second request shares no searched block with the first: it
-        # searches them again
+        # every call on a block of more than four vertices is one search:
+        # blocks of one shape are searched one by one
+        assert n == len(calls) >= len(_searched_blocks(g)), searches
+        # a second request shares no search with the first: it searches
+        # them again
         searches.clear()
         assert build(g) == first
         assert len(searches) == n
@@ -833,16 +844,11 @@ def _glued_chain(blocks):
     return Graph.from_edges(edges)
 
 
-def _rank_shapes(g):
-    """The rank edge sets of g's 2-blocks on more than four vertices, the
+def _searched_blocks(g):
+    """The edge sets of g's 2-blocks on more than four vertices, the
     blocks that are searched in their squares."""
-    shapes = set()
-    for b in blocks(decompose(g), two_only=True):
-        if len(b.vertices) <= 4:
-            continue
-        rank = {v: i for i, v in enumerate(sorted(b.vertices))}
-        shapes.add(frozenset(edge(rank[u], rank[v]) for u, v in b.edges))
-    return shapes
+    return {b.edges for b in blocks(decompose(g), two_only=True)
+            if len(b.vertices) > 4}
 
 
 def _counted_squares(monkeypatch) -> list:
@@ -862,11 +868,11 @@ _WHEELS_AND_THETAS = [_wheel(5), _theta((2, 2, 3)), _wheel(6),
                       _theta((2, 3, 4)), _wheel(5), _theta((3, 3, 3))] * 4
 
 
-@pytest.mark.parametrize("g, shapes", [
-    (_triangle_chain(640), 0), (_glued_chain(_WHEELS_AND_THETAS), 5),
+@pytest.mark.parametrize("g, squares", [
+    (_triangle_chain(640), 0), (_glued_chain(_WHEELS_AND_THETAS), 24),
 ], ids=["triangles", "wheels-and-thetas"])
 def test_requests_on_one_graph_relabel_and_square_each_block_once(
-        monkeypatch, g, shapes):
+        monkeypatch, g, squares):
     squared = _counted_squares(monkeypatch)
     assert decide_hamiltonicity(g).outcome == HAMILTONIAN
     assert decide_hamiltonian_connectedness(g).outcome == HAM_CONNECTED
@@ -877,12 +883,12 @@ def test_requests_on_one_graph_relabel_and_square_each_block_once(
     for x, y in ((vs[0], vs[-1]), (vs[1], vs[-2]), (vs[0], vs[1]),
                  (vs[k // 2], vs[-1]), (vs[k // 3], vs[2 * k // 3])):
         assert is_ham_path(g, construct_ham_path(g, x, y), x, y, square=True)
-    # one store served every request: a block is relabelled only when its
-    # edge set is missing from it, and a shape squared only when missing
+    # one store served every request: a block is relabelled, or squared,
+    # only when its edge set is missing from it
     assert construct._store is store and store.of() is decompose(g)
-    assert len(store.ranks) == len(decompose(g).two_idx)
-    assert len(squared) == len(store.shapes) == shapes
-    assert {sq.edges for sq in squared} == _rank_shapes(g)
+    assert len(store.blocks) == len(decompose(g).two_idx)
+    assert len(squared) == squares
+    assert {b.edges for b in squared} == _searched_blocks(g)
 
 
 def test_block_store_holds_its_decomposition_weakly():
@@ -891,7 +897,7 @@ def test_block_store_holds_its_decomposition_weakly():
     construct_ham_cycle(g)
     construct_ham_path(g, 0, g.n - 1)
     store = construct._store
-    assert store.of() is decompose(g) and store.ranks
+    assert store.of() is decompose(g) and store.blocks
     del g
     assert ref() is not None  # decompose's memo still holds it
     decompose(path_graph(3))
@@ -907,13 +913,13 @@ def test_block_store_serves_one_decomposition_at_a_time(monkeypatch):
     cyc = construct_ham_cycle(g)
     store = construct._store
     search = BlockSearch(decompose(g))  # takes g's store
-    assert search._ranks is store.ranks
-    assert len(squared) == len(_rank_shapes(g)) == 4
+    assert search._blocks is store.blocks
+    assert len(squared) == len(_searched_blocks(g)) == 4
     # the next constructor call on another graph replaces the store, and
-    # an equal graph gets a store of its own: it squares every shape again
+    # an equal graph gets a store of its own: it squares every block again
     assert construct_ham_cycle(copy) == cyc
     assert construct._store is not store
     assert construct._store.of() is decompose(copy)
     assert len(squared) == 8
     # a search under way keeps the store it took
-    assert search._ranks is store.ranks
+    assert search._blocks is store.blocks
