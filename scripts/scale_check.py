@@ -19,21 +19,23 @@ triangles joined by paths of three bridges, a leaf on each inner path
 vertex and every other triangle entered and left at one vertex (34,996
 vertices; 2,499 caterpillar components, each with a pair reservation), and
 2000 triangles joined by single bridges, each a K2 component, and the cycle
-of a caterpillar on 100,000 vertices, the one row of a tree: a spine of
-60,000 with the other 40,000 on seeded random inner spine vertices, under
-shuffled labels. The verdict rows run both deciders, decomposition
-included, on an equal copy of the mixed chain, the windmill k=2000, the
-triangle chain and the leafy bridge chain, and check both verdicts:
-positive, except that no graph with a bridge between two non-leaves has a
-hamiltonian connected square. A row prints its CPU seconds
-(`time.process_time`). The script exits 1 when a row raises, returns an
-invalid witness or a wrong verdict, or takes more than LIMIT_S of CPU; a
-constructor that is quadratic at a cutvertex of degree a few thousand, or
-an oracle that does O(n) work per node, takes several seconds. A last
-row parses the canonical text of a chain of 100,000 triangles (200,001
-vertices) and exits 1 when tracemalloc counts more than MEMORY_LIMIT_MB
-held by the parsed graph: a graph that stored its edges twice, or held a
-vertex as one int object per mention, holds over 100 MB.
+of a caterpillar on 100,000 vertices: a spine of 60,000 with the other
+40,000 on seeded random inner spine vertices, under shuffled labels. The
+verdict rows run both deciders, decomposition included, on an equal copy
+of the mixed chain, the windmill k=2000, the triangle chain, the leafy
+bridge chain and the caterpillar, and on a spider of three legs on 100,000
+vertices under shuffled labels, and check both verdicts: positive, except
+that no graph with a bridge between two non-leaves has a hamiltonian
+connected square, and that the square of a tree that is no caterpillar
+has no hamiltonian cycle (Harary and Schwenk 1971). A row prints its CPU
+seconds (`time.process_time`). The script exits 1 when a row raises,
+returns an invalid witness or a wrong verdict, or takes more than LIMIT_S
+of CPU; a constructor that is quadratic at a cutvertex of degree a few
+thousand, or an oracle that does O(n) work per node, takes several
+seconds. A last row parses the canonical text of a chain of 100,000
+triangles (200,001 vertices) and exits 1 when tracemalloc counts more than
+MEMORY_LIMIT_MB held by the parsed graph: a graph that stored its edges
+twice, or held a vertex as one int object per mention, holds over 100 MB.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
@@ -48,7 +50,8 @@ from hamsquare.construct import construct_ham_cycle, construct_ham_path
 from hamsquare.graph import Graph, is_ham_cycle, is_ham_path, parse_edge_list
 from hamsquare.hamconn import (HAM_CONNECTED, NOT_HAM_CONNECTED,
                                decide_hamiltonian_connectedness)
-from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
+from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
+                                 decide_hamiltonicity)
 
 LIMIT_S = 2.0
 MEMORY_LIMIT_MB = 70
@@ -56,6 +59,7 @@ MEMORY_LIMIT_MB = 70
 # rules out a hamiltonian connected square
 POSITIVE = (HAMILTONIAN, HAM_CONNECTED)
 BRIDGED = (HAMILTONIAN, NOT_HAM_CONNECTED)
+NEGATIVE = (NOT_HAMILTONIAN, NOT_HAM_CONNECTED)
 
 
 def star(k):
@@ -132,6 +136,17 @@ def caterpillar(n, spine, seed):
     return Graph.from_edges(edges)
 
 
+def spider(legs, length, seed):
+    """legs paths of length vertices, each joined to one centre, with labels
+    shuffled by random.Random(seed)."""
+    n = 1 + legs * length
+    label = random.Random(seed).sample(range(n), n)
+    return Graph.from_edges(
+        (label[0 if j == 0 else 1 + leg * length + j - 1],
+         label[1 + leg * length + j])
+        for leg in range(legs) for j in range(length))
+
+
 def copy(g):
     """An equal Graph that decompose has not seen."""
     return Graph(g.vertices, g.edges)
@@ -167,7 +182,10 @@ def rows():
     yield f"leafy bridge chain k=5000 n={leafy.n} cycle", leafy, None
     yield "leafy bridge chain k=5000 verdicts", copy(leafy), BRIDGED
     yield "bridged triangles k=2000 cycle", bridged_triangles(2000), None
-    yield "caterpillar n=100,000 cycle", caterpillar(100_000, 60_000, 5), None
+    cat = caterpillar(100_000, 60_000, 5)
+    yield "caterpillar n=100,000 cycle", cat, None
+    yield "caterpillar n=100,000 verdicts", copy(cat), BRIDGED
+    yield "spider of 3 legs n=100,000 verdicts", spider(3, 33_333, 5), NEGATIVE
 
 
 def parsed_mb(text):
@@ -186,7 +204,7 @@ def main() -> int:
     bad = 0
     for name, g, ends in rows():
         start = time.process_time()
-        verdicts = ends in (POSITIVE, BRIDGED)
+        verdicts = ends in (POSITIVE, BRIDGED, NEGATIVE)
         try:
             if verdicts:
                 w = (decide_hamiltonicity(g).outcome,

@@ -39,33 +39,38 @@ def _spine(nbrs, prefer_ends: frozenset[int]):
     each inner vertex of the path mapped to its neighbours off the path,
     ascending.
 
-    The inner vertices are the core, the vertices of degree at least 2,
-    walked from the least end of the core. Each end adds one leaf of the
-    core's end vertex: the least, unless a leaf of prefer_ends can sit
-    there. Raises ValueError when the core is not a path.
+    One pass over the leaves, ascending, hangs each on its neighbour in the
+    core, the vertices of degree at least 2; a vertex's degree in the core
+    is its degree less its legs. The core is walked from its least end.
+    Each end adds one leaf of the core's end vertex: the least, unless a
+    leaf of prefer_ends can sit there. Raises ValueError when the core is
+    not a path.
     """
     bad = ValueError("not a caterpillar: the non-leaf vertices form no path")
-    core = {v for v, nv in nbrs.items() if len(nv) >= 2}
-    along, legs, ends = {}, {}, []
+    leaves = sorted(v for v, nv in nbrs.items() if len(nv) < 2)
+    core = nbrs.keys() - leaves
+    legs = {v: [] for v in core}
+    for v in leaves:
+        for w in nbrs[v]:
+            if w in legs:  # no leg of a leaf
+                legs[w].append(v)
+    ends = []
     for v in core:
-        nv = nbrs[v]
-        along[v] = on = [w for w in nv if w in core]
-        if len(on) != 2:
-            if len(on) > 2 or not on and len(core) > 1:
+        on = len(nbrs[v]) - len(legs[v])
+        if on != 2:
+            if on > 2 or not on and len(core) > 1:
                 raise bad
             ends.append(v)
-        legs[v] = sorted([w for w in nv if w not in core]) \
-            if len(on) < len(nv) else []
     if not ends or len(ends) > 2:
         raise bad
     prev, path = None, [min(ends)]
     for _ in range(len(core) - 1):
-        on = along[path[-1]]
-        nxt = on[0] if on[0] != prev else on[-1]
-        if nxt == prev:
+        on = core & nbrs[path[-1]]
+        on.discard(prev)
+        if len(on) != 1:
             raise bad
         prev = path[-1]
-        path.append(nxt)
+        path.append(on.pop())
     leaf_pref = sorted(p for p in prefer_ends if len(nbrs[p]) == 1)
     d0, dk = path[0], path[-1]
     p0 = [p for p in leaf_pref if d0 in nbrs[p]]

@@ -27,7 +27,8 @@ assigned to different vertices are globally distinct, so processing one
 cutvertex can never consume an edge that a later cutvertex still needs.
 Each step checks the edges it cuts against the vertices still owed them,
 and the edges it adds against the square. The final cycle is validated
-from scratch, so a wrong assembly can never be returned silently. All
+from scratch, so a wrong assembly can never be returned silently; a
+tree's cycle is checked once, by caterpillar_cycle, on g.adj itself. All
 these checks test square adjacency pairwise; no square of the whole graph
 is built.
 
@@ -389,9 +390,9 @@ def construct_ham_cycle(g: Graph) -> list:
         raise NoLabellingError(verdict)
     d = decompose(g)
 
-    if not d.two_idx:
-        cyc = caterpillar_cycle(g.adj)[0]  # g is a tree
-    elif d.block_count() == 1:
+    if not d.two_idx:  # a tree: caterpillar_cycle checks its cycle on g.adj
+        return caterpillar_cycle(g.adj)[0]
+    if d.block_count() == 1:
         _, _, es, vs = d.records[0]
         w = BlockSearch(d)(vs, es)
         if w is None:

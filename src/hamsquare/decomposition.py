@@ -7,18 +7,20 @@ one per block, are the one block store: a bridge is its edge (u, v), a
 2-block is (a, b, edges, vertices). A tree, known from its counts
 (n >= 2, m = n - 1) and one walk that proves it connected, is read off
 its degrees: every edge is a bridge, the cutvertices are the non-leaves,
-and the graph is its own bridge forest, a caterpillar when no bn exceeds
-2. Any other graph takes one lowpoint DFS from the least vertex, which
-also proves the graph connected by reaching every vertex, and one loop
-over the blocks it finds. Every other field is built on its first read:
-a tree's records (its sorted edges), which no verdict or cycle reads;
-cuts_of, the cutvertices of each block, which the deciders read;
-blocks_at, the blocks at each cutvertex, which no verdict or cycle reads;
-and bridge_forest, the bridge forest P0 left after removing all 2-blocks,
-kept as the two facts the deciders and the cycle read of each component:
-its adjacency across bridges and whether it is a caterpillar. P0 is g
-itself when there is no 2-block, and otherwise a walk over the bridge
-adjacency, in O(n + m). bc_canonical reads the block-cutvertex tree off
+bn[v] is v's degree less the leaves at v, and the graph is its own bridge
+forest, a caterpillar when no bn exceeds 2. Any other graph takes one
+lowpoint DFS from the least vertex, which also proves the graph connected
+by reaching every vertex, and one loop over the blocks it finds. Every
+other field is built on its first read: a tree's records (its sorted
+edges), which no verdict or cycle reads; a tree's nontrivial bridges (its
+edges between two non-leaves), which only the connectedness decider and
+the CLI's decompose read; cuts_of, the cutvertices of each block, which
+the deciders read; blocks_at, the blocks at each cutvertex, which no
+verdict or cycle reads; and bridge_forest, the bridge forest P0 left
+after removing all 2-blocks, kept as the two facts the deciders and the
+cycle read of each component: its adjacency across bridges and whether it
+is a caterpillar. P0 is g itself when there is no 2-block, and otherwise
+a walk over the bridge adjacency, in O(n + m). bc_canonical reads the block-cutvertex tree off
 the records as the text of its canonical form.
 decompose hands its last decomposition back for the same Graph object, so
 a run of requests on one graph costs one traversal.
@@ -63,12 +65,12 @@ class Decomposition:
     with no edge) to the set of its neighbours across bridges; for a tree
     it is g's own adjacency, g.adj.
 
-    decompose stores records on a graph with a 2-block; every other field
-    below is built on its first read. Every field follows from the graph,
-    so two decompositions compare and hash by it alone."""
+    nontrivial_bridges holds the bridges between two vertices that are no
+    leaf. decompose stores it and records on any graph but a tree; every
+    other field below is built on its first read. Every field follows from
+    the graph, so two decompositions compare and hash by it alone."""
     graph: Graph
     cutvertices: frozenset[int] = field(compare=False)
-    nontrivial_bridges: frozenset[tuple[int, int]] = field(compare=False)
     bn: dict[int, int] = field(compare=False)
     k: dict[int, int] = field(compare=False)
     two_idx: tuple[int, ...] = field(compare=False)
@@ -78,7 +80,15 @@ class Decomposition:
         """With no 2-block every edge is a bridge, and its own record."""
         return tuple(self.graph.sorted_edges())
 
-    records = _OnRead("_tree_records")  # a tree's, built on first read
+    def _tree_bridges(self) -> frozenset:
+        """With no 2-block the nontrivial bridges join two cutvertices."""
+        cuts, adj = self.cutvertices, self.graph.adj
+        return frozenset([(u, v) for u in cuts for v in adj[u]
+                          if u < v and v in cuts])
+
+    # a tree's, built on first read
+    records = _OnRead("_tree_records")
+    nontrivial_bridges = _OnRead("_tree_bridges")
 
     def block_count(self) -> int:
         """len(records), read without building a tree's records: with no
@@ -179,9 +189,9 @@ def _tree(g: Graph) -> Decomposition:
     """decompose of a graph with n >= 2 and m = n - 1, read off the degrees.
 
     One walk proves g connected, and so a tree: every edge is a bridge,
-    the cutvertices are the vertices that are no leaf, and a bridge is
-    nontrivial when neither end is a leaf. Its records are left to their
-    first read.
+    the cutvertices are the vertices that are no leaf, and bn[v] is v's
+    degree less the leaves at v, 0 at a leaf. Its records and nontrivial
+    bridges are left to their first read.
     """
     adj = g.adj
     root = min(adj)
@@ -194,13 +204,13 @@ def _tree(g: Graph) -> Decomposition:
                 todo.append(w)
     if len(seen) != len(adj):
         raise ValueError(_DISCONNECTED)
-    cuts = frozenset(v for v, nv in adj.items() if len(nv) > 1)
-    nontrivial = [(u, v) for u in cuts for v in adj[u] if u < v and v in cuts]
-    bn = dict.fromkeys(adj, 0)
-    for u, v in nontrivial:
-        bn[u] += 1
-        bn[v] += 1
-    return Decomposition(g, cuts, frozenset(nontrivial), bn,
+    bn = dict(zip(adj, map(len, adj.values())))
+    leaves = [v for v, deg in bn.items() if deg == 1]
+    for v in leaves:
+        for w in adj[v]:
+            bn[w] -= 1
+    bn.update(dict.fromkeys(leaves, 0))
+    return Decomposition(g, g.vertices.difference(leaves), bn,
                          dict.fromkeys(adj, 0), (), adj)
 
 
@@ -249,9 +259,9 @@ def decompose(g: Graph) -> Decomposition:
             bn[v] += 1
     # a lone vertex, on no block, is a component of P0 by itself
     across = dict(across) if raw else {v: set() for v in adj}
-    _last = d = Decomposition(g, frozenset(arts), frozenset(nontrivial), bn, k,
-                              tuple(two), across)
-    d.__dict__["records"] = tuple(raw)
+    _last = d = Decomposition(g, frozenset(arts), bn, k, tuple(two), across)
+    d.__dict__.update(records=tuple(raw),
+                      nontrivial_bridges=frozenset(nontrivial))
     return d
 
 

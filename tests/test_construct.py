@@ -17,7 +17,7 @@ from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from hamsquare.hamconn import (
     HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
 )
-from hamsquare import cli, construct, labelling
+from hamsquare import caterpillars, cli, construct, labelling
 from hamsquare.construct import (
     BlockSearch,
     ConstructionError,
@@ -49,6 +49,27 @@ def test_caterpillar_branch():
     for g in (path_graph(5), Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)])):
         cyc = construct_ham_cycle(g)
         assert is_ham_cycle(g.square(), cyc)
+
+
+def test_tree_cycle_is_checked_once_and_still_checked(monkeypatch, tmp_path):
+    # a caterpillar on 40 vertices: the path 0..19, a leg 20 + i on each i
+    g = Graph.from_edges([(i, i + 1) for i in range(19)]
+                         + [(i, 20 + i) for i in range(20)])
+    spine = caterpillars._spine
+
+    def swapped(nbrs, prefer_ends):
+        x, legs = spine(nbrs, prefer_ends)
+        legs[2], legs[15] = legs[15], legs[2]  # every vertex still covered
+        return x, legs
+
+    f = tmp_path / "caterpillar.txt"
+    f.write_text(g.edge_list_text())
+    assert is_ham_cycle(g, construct_ham_cycle(g), square=True)
+    assert cli.main(["construct-cycle", str(f)]) == 0
+    monkeypatch.setattr(caterpillars, "_spine", swapped)
+    with pytest.raises(ConstructionError, match="not in the square"):
+        construct_ham_cycle(g)
+    assert cli.main(["construct-cycle", str(f)]) == 70
 
 
 def test_single_block_branch():

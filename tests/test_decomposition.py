@@ -169,22 +169,30 @@ def test_deciders_on_trees_build_no_block_record(tmp_path):
              _spider(3, 1000)]
     hamiltonian = []
     for g in trees:
+        ref = _reference_decompose(g)
         path = tmp_path / "tree.txt"
         path.write_text(g.edge_list_text())
-        for command in ("check-ham", "check-hc"):
+        for command in ("check-ham", "construct-cycle", "check-hc"):
             cli.run([command, str(path)])
             request = decomposition._last  # what the command decomposed
             assert request.graph == g and request.graph is not g
             assert not vars(request).keys() & lazy
+            # only check-hc reads the nontrivial bridges, built on that read
+            if command == "check-hc":
+                assert (vars(request)["nontrivial_bridges"]
+                        == ref["nontrivial_bridges"])
+            else:
+                assert "nontrivial_bridges" not in vars(request)
         d = decompose(g)
         verdict = decide_hamiltonicity(g)
-        decide_hamiltonian_connectedness(g)
         hamiltonian.append(verdict.outcome == HAMILTONIAN)
         if hamiltonian[-1]:
             construct_ham_cycle(g)
+        assert "nontrivial_bridges" not in vars(d)
+        decide_hamiltonian_connectedness(g)
+        assert vars(d)["nontrivial_bridges"] == ref["nontrivial_bridges"]
         assert not vars(d).keys() & (views | lazy)
         # a later read builds what the two-pass reference finds
-        ref = _reference_decompose(g)
         # a read of cuts_of builds it and the records it reads; a read of
         # blocks_at builds it from cuts_of, at the cutvertices only
         d.cuts_of
@@ -217,8 +225,10 @@ def _block_chain(k: int, every: int = 0, hung=()) -> Graph:
 
 
 # what a decomposition may hold besides its fields: the records, the two
-# views of them and the bridge forest, and no other per-block object
-_BLOCK_STORE = {"records", "cuts_of", "blocks_at", "bridge_forest"}
+# views of them, the nontrivial bridges and the bridge forest, and no
+# other per-block object
+_BLOCK_STORE = {"records", "cuts_of", "blocks_at", "nontrivial_bridges",
+                "bridge_forest"}
 
 
 def _held(d) -> set:
