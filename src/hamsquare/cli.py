@@ -25,7 +25,7 @@ from pathlib import Path
 from .graph import Graph, GraphParseError, parse_edge_list, cycle_edges, path_edges
 from .decomposition import decompose, bc_canonical
 from .labelling import decide_hamiltonicity, HAMILTONIAN, NOT_HAMILTONIAN
-from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED, NOT_HAM_CONNECTED
+from .hamconn import decide_hamiltonian_connectedness, NOT_HAM_CONNECTED
 from .construct import construct_ham_cycle, construct_ham_path, NoLabellingError
 from .counterexamples import counterexample_for
 from .oracle import cycle_with, path_with, BudgetExceeded
@@ -138,10 +138,6 @@ def _edge_rows(g: Graph) -> list:
     return [[u, v] for u, v in g.sorted_edges()]
 
 
-def _labelling_rows(lab) -> list:
-    return [[c, t, v] for (c, t), v in sorted(lab.m.items())]
-
-
 def _trace_lines(trace) -> list[str]:
     out = []
     for case, block, values in trace:
@@ -162,9 +158,7 @@ def _check_pair(g: Graph, pair) -> tuple[int, int]:
 def _cmd_square(g, d, args):
     sq = g.square()
     lines = [sq.edge_list_text().rstrip()]
-    if args.dot:
-        Path(args.dot).write_text(sq.to_dot())
-    return {"outcome": "OK", "edges": _edge_rows(sq)}, lines
+    return {"outcome": "OK", "edges": _edge_rows(sq)}, lines, sq.to_dot
 
 
 def _cmd_decompose(g, d, args):
@@ -192,9 +186,7 @@ def _cmd_decompose(g, d, args):
         "k": {str(v): d.k[v] for v in sorted(d.k)},
         "bc_canonical": bc_canonical(d),
     }
-    if args.dot:
-        Path(args.dot).write_text(g.to_dot())
-    return result, lines
+    return result, lines, g.to_dot
 
 
 def _cmd_check_ham(g, d, args):
@@ -206,7 +198,8 @@ def _cmd_check_ham(g, d, args):
     result = {"outcome": v.outcome}
     if v.outcome == HAMILTONIAN:
         if v.labelling is not None and v.labelling.m:
-            result["labelling"] = _labelling_rows(v.labelling)
+            result["labelling"] = [[c, t, val] for (c, t), val
+                                   in sorted(v.labelling.m.items())]
             lines.append("labelling:")
             lines += [f"  m(vertex {c}, block {t}) = {val}"
                       for c, t, val in result["labelling"]]
@@ -222,9 +215,7 @@ def _cmd_check_ham(g, d, args):
         result["trace"] = [[case, block, [list(x) for x in values]]
                            for case, block, values in v.trace]
         lines += _trace_lines(v.trace)
-    if args.dot:
-        Path(args.dot).write_text(g.to_dot())
-    return result, lines
+    return result, lines, g.to_dot
 
 
 def _cmd_check_hc(g, d, args):
@@ -243,42 +234,27 @@ def _cmd_check_hc(g, d, args):
     if v.outcome == "STRUCTURALLY_RISKY":
         result["risky_block"] = v.risky_block
         result["risky_cvn"] = v.risky_cvn
-    if args.dot:
-        Path(args.dot).write_text(g.to_dot())
-    return result, lines
+    return result, lines, g.to_dot
 
 
 def _cmd_construct_cycle(g, d, args):
     try:
         order = construct_ham_cycle(g)
-    except NoLabellingError as e:  # the one decision, negative
-        v = e.verdict
-        result = {"outcome": v.outcome, "reason": v.reason or ""}
-        if v.violated_condition is not None:
-            result["violated_condition"] = v.violated_condition
-        return result, [f"verdict: {v.outcome}", v.reason or ""]
     except ValueError as e:
-        if g.n >= 3:  # not the decider's "too small"
+        if g.n >= 3:  # not the decider's "too small": a refusal or a fault
             raise
         raise _InputError(str(e))
     lines = ["cycle: " + " ".join(map(str, order))]
-    if args.dot:
-        Path(args.dot).write_text(g.square().to_dot(highlight=cycle_edges(order)))
-    return {"outcome": "HAMILTONIAN", "witness": order}, lines
+    return ({"outcome": "HAMILTONIAN", "witness": order}, lines,
+            lambda: g.square().to_dot(highlight=cycle_edges(order)))
 
 
 def _cmd_construct_path(g, d, args):
     x, y = _check_pair(g, args.pair)
-    v = decide_hamiltonian_connectedness(g)
-    if v.outcome != HAM_CONNECTED:
-        result = {"outcome": v.outcome, "reason": v.reason or ""}
-        return result, [f"verdict: {v.outcome}", v.reason or ""]
     order = construct_ham_path(g, x, y)
     lines = [f"path {x} to {y}: " + " ".join(map(str, order))]
-    if args.dot:
-        Path(args.dot).write_text(g.square().to_dot(highlight=path_edges(order)))
-    return {"outcome": "HAM_CONNECTED", "witness": order,
-            "pair": [x, y]}, lines
+    return ({"outcome": "HAM_CONNECTED", "witness": order, "pair": [x, y]},
+            lines, lambda: g.square().to_dot(highlight=path_edges(order)))
 
 
 def _cmd_counterexample(g, d, args):
@@ -290,33 +266,26 @@ def _cmd_counterexample(g, d, args):
     iso = bc_canonical(d) == bc_canonical(decompose(out))
     lines = [out.edge_list_text().rstrip(),
              f"bc-isomorphic to input: {'yes' if iso else 'NO'}"]
-    if args.dot:
-        Path(args.dot).write_text(out.to_dot())
-    return {"outcome": "OK", "edges": _edge_rows(out),
-            "bc_isomorphic": iso}, lines
+    return ({"outcome": "OK", "edges": _edge_rows(out), "bc_isomorphic": iso},
+            lines, out.to_dot)
 
 
 def _cmd_oracle(g, d, args):
     pair = None if args.pair is None else _check_pair(g, args.pair)
     sq = g.square()
-    try:
-        if pair is None:
-            w = cycle_with(sq, g, node_budget=args.node_budget)
-        else:
-            w = path_with(sq, g, *pair, node_budget=args.node_budget)
-    except BudgetExceeded as e:
-        return ({"outcome": "BUDGET_EXCEEDED", "reason": str(e)},
-                [f"no verdict: {e}"])
+    if pair is None:
+        w = cycle_with(sq, g, node_budget=args.node_budget)
+        kind, edges = "cycle", cycle_edges
+    else:
+        w = path_with(sq, g, *pair, node_budget=args.node_budget)
+        kind, edges = "path", path_edges
     if w is None:
-        kind = "cycle" if args.pair is None else "path"
         return ({"outcome": "NOT_FOUND"},
-                [f"no hamiltonian {kind} in the square"])
+                [f"no hamiltonian {kind} in the square"], None)
     order = list(w.order)
-    lines = ["found: " + " ".join(map(str, order))]
-    if args.dot:
-        es = (cycle_edges(order) if args.pair is None else path_edges(order))
-        Path(args.dot).write_text(sq.to_dot(highlight=es))
-    return {"outcome": "FOUND", "witness": order}, lines
+    return ({"outcome": "FOUND", "witness": order},
+            ["found: " + " ".join(map(str, order))],
+            lambda: sq.to_dot(highlight=edges(order)))
 
 
 _HANDLERS = {
@@ -333,14 +302,28 @@ _HANDLERS = {
 
 def _execute(args) -> RunReport:
     """Run one command; the graph is decomposed once, for the summary and,
-    through decompose's memo, the handler; that traversal proves it connected."""
+    through decompose's memo, the handler; that traversal proves it connected.
+    A handler returns its result, its lines and a callable giving the --dot
+    text, or None; a constructor's refusal and an overrun are rendered here."""
     g = _load(args.file)
     t0 = time.perf_counter()
     try:
         d = decompose(g)
     except ValueError as e:  # g is not connected
         raise _InputError(str(e))
-    result, lines = _HANDLERS[args.command](g, d, args)
+    try:
+        result, lines, dot = _HANDLERS[args.command](g, d, args)
+    except NoLabellingError as e:  # the command's one decision, not positive
+        v = e.verdict
+        result = {"outcome": v.outcome, "reason": v.reason or ""}
+        if getattr(v, "violated_condition", None) is not None:
+            result["violated_condition"] = v.violated_condition
+        lines, dot = [f"verdict: {v.outcome}", v.reason or ""], None
+    except BudgetExceeded as e:
+        result = {"outcome": "BUDGET_EXCEEDED", "reason": str(e)}
+        lines, dot = [f"no verdict: {e}"], None
+    if args.dot and dot is not None:
+        Path(args.dot).write_text(dot())
     elapsed = time.perf_counter() - t0
     return RunReport(args.command, _summary(g, d), result, elapsed,
                      tuple(lines))

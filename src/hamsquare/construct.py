@@ -1,10 +1,12 @@
 """Building hamiltonian cycles and paths in the square of a graph.
 
-The cycle constructor works bottom up. Every 2-block gets a hamiltonian
-cycle of its own square carrying, for each cutvertex i with label m_i, that
-many distinct block edges at i (the oracle returns the cycle together with
-the distinct-edge assignment). Every nontrivial caterpillar component of
-the bridge forest gets a hamiltonian cycle of its square through dedicated
+Either constructor asks its decider first and refuses any verdict but a
+positive one with NoLabellingError, which carries that verdict. The cycle
+constructor works bottom up. Every 2-block gets a hamiltonian cycle of its
+own square carrying, for each cutvertex i with label m_i, that many
+distinct block edges at i (the oracle returns the cycle together with the
+distinct-edge assignment). Every nontrivial caterpillar component of the
+bridge forest gets a hamiltonian cycle of its square through dedicated
 end-edges and neighbor-pair edges. All these cycles live in one CycleSet
 (see caterpillars): each vertex's cycle neighbors, and an index from every
 edge to the cycle holding it, kept through a union-find over cycle ids.
@@ -12,15 +14,15 @@ Then cutvertices are processed one at a time, in ascending order: each
 cycle meeting the cutvertex is cut open exactly at that vertex's assigned
 edges, found through the index, and the resulting fragments, plus any
 pendant leaves, are chained back into a single cycle by linking fragment
-ends. Every fragment end is a neighbor of the cutvertex, so consecutive
-fragment ends are adjacent in the square and any fixed chaining order
-works; we use ascending block index with leaves last. A fragment is a
-pair (ends, cycle), and the loop over the 2-blocks gathers each
-cutvertex's blocks in that order, so a merge step takes its fragments
-already in chaining order and sorts nothing. A step touches only the
-cutvertex's own cycle edges and the fragment ends, and the cycle becomes
-a list once, at the end, so the merge runs in O(n + m) besides the
-per-block oracle calls.
+ends; a lone block's cycle is left as its search found it. Every fragment
+end is a neighbor of the cutvertex, so consecutive fragment ends are
+adjacent in the square and any fixed chaining order works; we use ascending
+block index with leaves last. A fragment is a pair (ends, cycle), and the
+loop over the 2-blocks gathers each cutvertex's blocks in that order, so a
+merge step takes its fragments already in chaining order and sorts nothing.
+A step touches only the cutvertex's own cycle edges and the fragment ends,
+and the cycle becomes a list once, at the end, so the merge runs in
+O(n + m) besides the per-block oracle calls.
 
 Cutting only at assigned edges is what makes the merge safe: the edges
 assigned to different vertices are globally distinct, so processing one
@@ -97,17 +99,17 @@ from .decomposition import Decomposition, decompose
 from .labelling import (Labelling, HamiltonicityVerdict, decide_hamiltonicity,
                         HAMILTONIAN)
 from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
-from .hamconn import decide_hamiltonian_connectedness, HAM_CONNECTED
+from .hamconn import HamConnVerdict, decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, complete_with, cycle_with, path_with
 
 
 class NoLabellingError(ValueError):
-    """construct_ham_cycle's refusal; verdict is the decider's, not
-    HAMILTONIAN."""
+    """A constructor's refusal: verdict is its decider's, not positive
+    (not HAMILTONIAN for a cycle, not HAM_CONNECTED for a path)."""
 
-    def __init__(self, verdict: HamiltonicityVerdict):
+    def __init__(self, verdict: HamiltonicityVerdict | HamConnVerdict):
         super().__init__(f"decision procedure returned {verdict.outcome}; "
-                         "no labelling to build from")
+                         "no witness is built")
         self.verdict = verdict
 
 
@@ -318,7 +320,8 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
 
     adj = g.adj
     processed: set = set()
-    first = last = None
+    # a lone block's cycle is returned as it was found
+    first, last = w.order[0], w.order[-1]
     for i in sorted(at_cut):  # the cutvertices on a 2-block
         pair, anchs, rest = [], [], []
         for t, es in at_cut[i]:
@@ -371,7 +374,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                 f"end edge {e} reserved for pending vertex {_partner(e, i)} "
                 "did not appear")
 
-    if len(cs.live) != 1 or first is None:
+    if len(cs.live) != 1:
         raise ConstructionError(
             f"merging finished with {len(cs.live)} cycles instead of one")
     return cs.walk(first, last)
@@ -392,15 +395,7 @@ def construct_ham_cycle(g: Graph) -> list:
 
     if not d.two_idx:  # a tree: caterpillar_cycle checks its cycle on g.adj
         return caterpillar_cycle(g.adj)[0]
-    if d.block_count() == 1:
-        _, _, es, vs = d.records[0]
-        w = BlockSearch(d)(vs, es)
-        if w is None:
-            raise ConstructionError("no hamiltonian cycle in the block square")
-        cyc = list(w.order)
-    else:
-        cyc = _merge_cycles(g, d, verdict.labelling, BlockSearch(d))
-
+    cyc = _merge_cycles(g, d, verdict.labelling, BlockSearch(d))
     if not is_ham_cycle(g, cyc, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian cycle")
     return cyc
@@ -544,14 +539,15 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
     A path through some edge u-v between two neighbours of y exists
     instead; the part hanging at y enters between u and v, in the order
     they have on the block path, as its leaf or as a cycle through y with
-    y taken out.
+    y taken out. u-v may not be x's designated edge, which the part
+    hanging at x takes.
     """
     # a block is an induced subgraph: y's neighbours in it are those in g
     _, _, es, vs = d.records[t]
     nbrs = sorted(d.graph.neighbors(y) & vs)
     for u, v in itertools.combinations(nbrs, 2):
         w = search(vs, es, [(x, 1)], (x, y), [(u, v)])
-        if w is not None:
+        if w is not None and (u, v) not in w.assignment[x]:
             break
     else:
         raise ConstructionError(
@@ -614,12 +610,11 @@ def _fill(d: Decomposition, cs: CycleSet, todo: list,
 
 
 def construct_ham_path(g: Graph, x: int, y: int) -> list:
-    """A hamiltonian x-y path of square(g).
-
-    Requires the connectedness decision to pass: no nontrivial bridge and
-    at most two cutvertices per block. decompose's traversal of g is the
-    connectivity check.
-    """
+    """A hamiltonian x-y path of square(g), built when
+    decide_hamiltonian_connectedness(g) is HAM_CONNECTED; any other verdict
+    raises NoLabellingError, which carries it. Endpoints that are equal or
+    no vertices raise a plain ValueError. decompose's traversal of g is the
+    connectivity check."""
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
@@ -627,8 +622,7 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     d = decompose(g)
     verdict = decide_hamiltonian_connectedness(g)
     if verdict.outcome != HAM_CONNECTED:
-        raise ValueError(
-            f"square not guaranteed hamiltonian connected: {verdict.outcome}")
+        raise NoLabellingError(verdict)
     # vertices are non-negative, so -1 can close the path into a cycle
     cs = CycleSet()
     cs.add([x, y, -1])

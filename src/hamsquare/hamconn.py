@@ -8,10 +8,11 @@ risk: replacing it by a plain cycle (keeping the block-cutvertex tree) gives
 a graph whose square is not hamiltonian connected, though the given graph's
 square might be.
 
-Both facts come from one decomposition: its nontrivial bridges and its
-per-block cutvertex counts, so the decision costs one decompose plus
-O(n + m). When both obstructions are present the bridge is reported; the
-smallest bridge and the lowest-indexed overloaded block are named.
+Both facts come from one decomposition: its nontrivial bridges (a tree's
+least one read off its least cutvertex) and its per-block cutvertex
+counts, so the decision costs one decompose plus O(n + m). When both
+obstructions are present the bridge is reported; the smallest bridge and
+the lowest-indexed overloaded block are named.
 """
 
 from __future__ import annotations
@@ -43,9 +44,16 @@ def decide_hamiltonian_connectedness(g: Graph) -> HamConnVerdict:
     if g.n < 2:
         raise ValueError("hamiltonian connectedness needs at least 2 vertices")
     d = decompose(g)
-
-    if d.nontrivial_bridges:
-        b = min(d.nontrivial_bridges)
+    if d.two_idx:
+        b = min(d.nontrivial_bridges, default=None)
+    elif len(cuts := d.cutvertices) > 1:
+        # a tree's cutvertices span a subtree: its least bridge joins the
+        # least of them to its least cutvertex neighbour
+        u = min(cuts)
+        b = (u, min(d.graph.adj[u] & cuts))
+    else:
+        b = None
+    if b is not None:
         return HamConnVerdict(
             NOT_HAM_CONNECTED, bridge=b,
             reason=(f"nontrivial bridge {b}: its square has no hamiltonian "

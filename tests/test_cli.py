@@ -166,6 +166,37 @@ def test_construct_path_pair_errors(gfile, capsys):
     assert main(["construct-path", gfile(P4_TXT), "--pair", "0", "3"]) == 1
 
 
+def test_construct_path_decides_once(gfile, monkeypatch, capsys):
+    calls, real = [], decide_hamiltonian_connectedness
+    for name, mod in list(sys.modules.items()):  # each module that binds it
+        if name.startswith("hamsquare") and vars(mod).get(
+                "decide_hamiltonian_connectedness") is real:
+            monkeypatch.setattr(mod, "decide_hamiltonian_connectedness",
+                                lambda g: calls.append(g) or real(g))
+    for text, pair, code in ((BOWTIE_TXT, ["1", "4"], 0),
+                             (P4_TXT, ["0", "3"], 1),
+                             (RISKY_TXT, ["3", "4"], 2)):
+        calls.clear()
+        assert main(["construct-path", gfile(text), "--pair", *pair]) == code
+        assert len(calls) == 1  # the constructor's decision is the CLI's
+    assert "verdict: STRUCTURALLY_RISKY" in capsys.readouterr().out
+
+
+def test_no_dot_file_without_a_witness(gfile, tmp_path, capsys):
+    dot = tmp_path / "out.dot"
+    for cmd, text, code in (
+            (["construct-cycle"], SPIDER_TXT, 1),
+            (["construct-cycle"], C5_TRIANGLES_TXT, 2),
+            (["construct-path", "--pair", "0", "3"], P4_TXT, 1),
+            (["construct-path", "--pair", "3", "4"], RISKY_TXT, 2),
+            (["oracle"], SPIDER_TXT, 1),
+            (["oracle", "--node-budget", "1"], BOWTIE_TXT, 75),
+            (["oracle", "--pair", "0", "3", "--node-budget", "1"], P4_TXT,
+             75)):
+        assert main([cmd[0], gfile(text), *cmd[1:], "--dot", str(dot)]) == code
+        assert not dot.exists(), cmd
+
+
 _DOT = [(["square"], None), (["decompose"], None), (["check-hc"], None),
         (["construct-path", "--pair", "1", "4"], "path"),
         (["counterexample", "--condition", "4"], None),
@@ -536,3 +567,49 @@ def test_cli_outputs_are_pinned(monkeypatch):
                     non_caterpillar += 1
     assert non_caterpillar >= 5, non_caterpillar
     assert digest.hexdigest() == CLI_OUTPUTS_SHA256
+
+
+OTHER_CLI_OUTPUTS_SHA256 = (
+    "fea69c2cd4f86697ba45bd5fffc643ac2cc1bec9100b83001c4eb02902fdf518")
+
+
+def test_other_cli_outputs_are_pinned(tmp_path):
+    # square, construct-path, counterexample and oracle, with and without
+    # --json, each asked for a --dot file: the stdout, stderr and exit code,
+    # and the text of the --dot file when one is written. The corpus holds
+    # NOT_HAM_CONNECTED and risky graphs, so construct-path refuses some
+    # pairs; every condition is asked for, so counterexample also refuses;
+    # on graphs of at most 8 vertices a budget of 50 nodes stops some oracle
+    # searches (exit 75).
+    rng = random.Random(11)
+    graphs = list(corpus()) + [_random_block_tree(rng) for _ in range(40)]
+    src, dot = tmp_path / "g.txt", tmp_path / "g.dot"
+    digest = hashlib.sha256()
+    codes = set()
+    for g in graphs:
+        src.write_text(g.edge_list_text())
+        vs = g.sorted_vertices()
+        pairs = [(vs[0], vs[-1]), (vs[-1], vs[len(vs) // 2])]
+        cmds = [["square"]]
+        cmds += [["construct-path", "--pair", str(x), str(y)] for x, y in pairs]
+        cmds += [["counterexample", "--condition", c]
+                 for c in ("4", "5", "6", "hc")]
+        if g.n <= 8:
+            cmds += [["oracle", "--node-budget", "50"],
+                     ["oracle", "--node-budget", "50", "--pair",
+                      str(vs[0]), str(vs[-1])]]
+        for cmd in cmds:
+            for flags in ([], ["--json"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = main([cmd[0], str(src), *cmd[1:], *flags,
+                                 "--dot", str(dot)])
+                codes.add(code)
+                stdout = _ELAPSED.sub('"elapsed_s": 0', out.getvalue())
+                drawn = dot.read_text() if dot.exists() else None
+                dot.unlink(missing_ok=True)
+                digest.update(f"{cmd} {flags} {code}\n{stdout}\0"
+                              f"{err.getvalue()}\0{drawn}\0".encode())
+    assert codes == {0, 1, 2, 65, 75}, codes
+    assert digest.hexdigest() == OTHER_CLI_OUTPUTS_SHA256

@@ -11,7 +11,8 @@ import pytest
 
 from hamsquare.graph import Graph, edge, is_ham_cycle, is_ham_path
 from corpus import corpus
-from families import blocks, path_graph, cycle_graph
+from families import (blocks, path_graph, cycle_graph, complete_graph,
+                      complete_bipartite)
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from hamsquare.hamconn import (
@@ -73,8 +74,13 @@ def test_tree_cycle_is_checked_once_and_still_checked(monkeypatch, tmp_path):
 
 
 def test_single_block_branch():
-    cyc = construct_ham_cycle(cycle_graph(6))
-    assert is_ham_cycle(cycle_graph(6).square(), cyc)
+    # a 2-connected graph's cycle is the oracle's witness on its square
+    for g in (cycle_graph(3), complete_graph(4), cycle_graph(6),
+              complete_bipartite(2, 3), Graph.from_edges(_wheel(6)[0]),
+              Graph.from_edges(_theta((2, 3, 4))[0])):
+        cyc = construct_ham_cycle(g)
+        assert cyc == list(cycle_with(g.square(), g).order), g.sorted_edges()
+        assert is_ham_cycle(g.square(), cyc)
 
 
 def test_no_labelling_is_checked_again(monkeypatch, tmp_path):
@@ -99,6 +105,15 @@ def test_negative_decision_is_rejected():
         construct_ham_cycle(spider)
     assert isinstance(e.value, ValueError)
     assert e.value.verdict == decide_hamiltonicity(spider)
+    # the path constructor refuses alike, with its own decider's verdict
+    risky = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+    for g, x, y, outcome in ((path_graph(4), 0, 3, NOT_HAM_CONNECTED),
+                             (risky, 3, 4, "STRUCTURALLY_RISKY")):
+        with pytest.raises(NoLabellingError, match=outcome) as e:
+            construct_ham_path(g, x, y)
+        assert isinstance(e.value, ValueError)
+        assert e.value.verdict == decide_hamiltonian_connectedness(g)
+        assert e.value.verdict.outcome == outcome
 
 
 def test_small_input_rejected():
@@ -263,6 +278,21 @@ def test_rescue_through_neighbor_pair_directly():
     assert is_ham_path(g.square(), p, 0, 2)
 
 
+def test_rescue_skips_the_pair_edge_that_x_enters_by():
+    # K4 on 0..3 with a C5 hung at 1 and a C6 at 2. Forced from 1 to 2,
+    # the first neighbour pair of 2 with a block path, 0-1, is also 1's
+    # designated edge, which the C5 enters by; the pair 0-3 is taken
+    # instead. From 2 to 1 likewise 0-2 gives way to 0-3.
+    g = Graph.from_edges(list(itertools.combinations(range(4), 2))
+                         + [(1, 11), (11, 10), (10, 9), (9, 12), (12, 1)]
+                         + [(2, 4), (4, 8), (8, 7), (7, 6), (6, 5), (5, 2)])
+    d = decompose(g)
+    (k4,) = (b.index for b in blocks(d) if len(b.vertices) == 4)
+    for x, y in ((1, 2), (2, 1)):
+        p = _forced_rescue(d, k4, x, y)
+        assert is_ham_path(g, p, x, y, square=True), (x, y, p)
+
+
 def _theta(lengths):
     """Poles 0 and 1 joined by paths of the given lengths."""
     es, nxt = [], 2
@@ -362,10 +392,10 @@ def _outcome(build) -> str:
 # SHA-256 of every all-pairs path of the random block trees below and of
 # every forced rescue: the path, or the class of the exception it raised
 # (forced where a block path with edges at both ends exists, the rescue
-# fails on about half of the blocks). It pins them exactly: a change that
-# alters any of them updates it and says why.
+# fails on 66 of the 160). It pins them exactly: a change that alters any
+# of them updates it and says why.
 RANDOM_TREE_WITNESSES_SHA256 = (
-    "437ba6c3921788795b91794f3611bdd142af7e1924b7c66eb527584e5dc5991c")
+    "d4572b794d3857f4385fcc054a9eb14accf33f00b553b6d1783ed38b0025b21e")
 
 
 def test_random_block_trees_paths_and_forced_rescues():
