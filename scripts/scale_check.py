@@ -10,11 +10,17 @@ triangles (k triangles sharing vertex 0), a chain of 2560 triangles
 (C3, C4 and K4 in turn, each sharing one vertex with the next, with a
 pendant leaf on every fourth joint: 17,501 vertices, its cycle, its path
 from end to end, and its path between the two cutvertices of its middle
-block, each with 3000 blocks hanging off it), a lone cycle block
-C2000, whose witnesses come from the oracle, the cycle of a lone cycle
-block C40000, which the oracle lays 40,000 vertices deep (a search that
-recursed once per vertex overflowed the C stack of CPython 3.10 from
-about C25000 on), two chains whose cycle merges the bridge forest: 5000
+block, each with 3000 blocks hanging off it), a chain of 2001
+theta(1,4,4) blocks (two poles joined by an edge and by two paths of four
+edges), each sharing a pole with the next (14,008 vertices), and its path
+between the poles of block 1000, for which no block path has an edge of
+the graph at both poles: it takes the rescue route once, and the 1000
+blocks beyond the far pole go in as a cycle through that pole opened
+there, a lone cycle block C2000, whose witnesses come from the oracle,
+the cycle of a lone cycle block C40000, which the oracle lays 40,000
+vertices deep (a search that recursed once per vertex overflowed the C
+stack of CPython 3.10 from about C25000 on), two chains whose cycle
+merges the bridge forest: 5000
 triangles joined by paths of three bridges, a leaf on each inner path
 vertex and every other triangle entered and left at one vertex (34,996
 vertices; 2,499 caterpillar components, each with a pair reservation), and
@@ -102,6 +108,19 @@ def mixed_chain(k):
     return Graph.from_edges(edges), joints
 
 
+def theta_chain(k):
+    """k theta(1,4,4) blocks, block t with poles 7t and 7t + 7 joined by an
+    edge and by the paths through 7t + 1..7t + 3 and 7t + 4..7t + 6."""
+    edges = []
+    for t in range(k):
+        a, b = 7 * t, 7 * t + 7
+        edges.append((a, b))
+        for s in (1, 4):
+            walk = [a, 7 * t + s, 7 * t + s + 1, 7 * t + s + 2, b]
+            edges += zip(walk, walk[1:])
+    return Graph.from_edges(edges)
+
+
 def leafy_bridge_chain(k):
     """k triangles, each joined to the next by a path of three bridges with
     a leaf on each of its two inner vertices; odd triangles are entered and
@@ -174,6 +193,9 @@ def rows():
     a, b = joints[2998:3000]  # the cutvertices of block 2999
     yield f"mixed C3/C4/K4 chain k=6000 path {a}-{b}", mixed, (a, b)
     yield "mixed C3/C4/K4 chain k=6000 verdicts", copy(mixed), POSITIVE
+    thetas = theta_chain(2001)
+    yield f"theta(1,4,4) chain k=2001 n={thetas.n} path 7000-7007", thetas, \
+        (7000, 7007)
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)

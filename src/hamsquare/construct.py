@@ -34,19 +34,21 @@ tree's cycle is checked once, by caterpillar_cycle, on g.adj itself. All
 these checks test square adjacency pairwise; no square of the whole graph
 is built.
 
-The path constructor works top down in one CycleSet. The x-y path is
-first laid as the cycle x, y, -1 (vertices are non-negative, so -1 can
-close it), whose edge x-y is a placeholder for the path still to come. A
-task (piece, a, b, t) replaces a placeholder edge a-b by a hamiltonian a-b
-path of the square of the piece, whose block t holds a and b. A piece is a
-handle on the block-cutvertex tree, not a set of blocks: a dict from each
-of its boundary vertices (at most two, both ends of its task) to its
-blocks there; at any other vertex it holds all the vertex's blocks, so the
-whole graph is {}. The bc-tree path from x to y, read off the tree rooted
-at y once per request, splits the graph into one part per block of it:
-every cutvertex on it separates x from y, so the path crosses the parts
-in turn. A task lays a path of its block with a designated block edge c-p
-at each cutvertex c of the block. The part hanging there, {c: the other
+The path constructor works top down and cuts nothing, so it keeps no
+CycleSet: it records splices. A splice replaces a placeholder edge a-b,
+still to be laid, by an a-b path, and is kept as that path under the key
+edge(a, b), once per edge. The x-y path starts as the placeholder edge
+x-y. A task (piece, a, b, t) replaces a placeholder edge a-b by a
+hamiltonian a-b path of the square of the piece, whose block t holds a and
+b. A piece is a handle on the block-cutvertex tree, not a set of blocks: a
+dict from each of its boundary vertices (at most two, both ends of its
+task) to its blocks there; at any other vertex it holds all the vertex's
+blocks, so the whole graph is {}. The bc-tree path from x to y, read off
+the tree rooted at y once per request, splits the graph into one part per
+block of it: every cutvertex on it separates x from y, so the path
+crosses the parts in turn, and the first splice is x, those cutvertices,
+y. A task lays a path of its block with a designated block edge c-p at
+each cutvertex c of the block. The part hanging there, {c: the other
 blocks at c}, enters through that edge: c, fn, p take its place, fn the
 least neighbour of c in the part, and the part is the task of the edge
 c-fn. Those blocks are kept ordered by fn, so the next part hanging at c
@@ -54,9 +56,12 @@ drops the first in O(1), and pendant leaves at c go in as one splice. When
 both endpoints are the block's two cutvertices the designated edge may not
 exist at the far end y; a path through an edge u-v between two neighbours
 of y is used instead, and the part hanging at y goes in between u and v as
-a cycle through y opened up at y. Once no task is left, the path is one
-walk from x away from -1. Nothing recurses, and besides the block searches
-a path costs O(n + m) and one sort of the blocks at each cutvertex.
+a cycle through y opened up at y, merged in a CycleSet of its own. Once no
+task is left, the splices are expanded once, from x-y down, on an explicit
+stack, each read backwards when it is met from its b end; a splice the
+expansion never meets is an error. Nothing recurses, and besides the block
+searches a path costs O(n + m) and one sort of the blocks at each
+cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
 hands it down to every block search it runs. A block of more than four
@@ -472,17 +477,60 @@ def _along(d: Decomposition, x: int, y: int) -> list:
     return parts
 
 
+class _Splices:
+    """An x-y path as the splices that lay it: for each edge a-b that a
+    splice replaced, keyed by edge(a, b), the a-b path that replaced it. The
+    path is read out once, by expand."""
+    __slots__ = ("paths",)
+
+    def __init__(self):
+        self.paths: dict = {}
+
+    def splice(self, path) -> None:
+        """Replace the edge between path's two ends by path. A path of two
+        vertices is that edge and changes nothing; an edge replaced twice
+        raises ConstructionError."""
+        if len(path) > 2:
+            e = edge(path[0], path[-1])
+            if e in self.paths:
+                raise ConstructionError(f"edge {e} spliced twice")
+            self.paths[e] = path
+
+    def expand(self, x: int, y: int) -> list:
+        """The x-y path that the splices make of the edge x-y, read on an
+        explicit stack of the vertices still to come; a splice met from its
+        far end is read backwards. Every splice is used up, and one that
+        the path never reached raises ConstructionError."""
+        paths = self.paths
+        path, todo = [x], [y]
+        while todo:
+            a, b = path[-1], todo.pop()
+            p = paths.pop((a, b) if a < b else (b, a), None)
+            if p is None:
+                path.append(b)
+            elif p[0] == a:
+                todo += p[:0:-1]
+            else:
+                todo += p[:-1]
+        if paths:
+            raise ConstructionError(
+                f"the splice of edge {next(iter(paths))} lies off the path")
+        return path
+
+
 def _partner(e, v):
     return e[0] if e[1] == v else e[1]
 
 
-def _hang(d: Decomposition, cs: CycleSet, todo: list, piece: dict, t: int,
-          c: int, p: int) -> None:
+def _hang(d: Decomposition, laid_in: _Splices | CycleSet, todo: list,
+          piece: dict, t: int, c: int, p: int) -> None:
     """Let the part of the piece hanging at c off block t enter through the
     block edge c-p: c, fn, p take its place, fn the least neighbour of c in
     the part, and the part's c-fn path is left as a task. The leaves of c
     at the head of the run go in with it, in one splice c, fn, lk, ..., l1,
-    p: the path a task per leaf would lay."""
+    p: the path a task per leaf would lay. The splice goes into laid_in:
+    the path's _Splices, or the CycleSet in which _cycle_with_two_edges_at
+    merges its cycle."""
     run = _rest(d, piece, c, t)
     adj, pairs, i = d.graph.adj, run.pairs, run.i
     laid = [p]
@@ -494,7 +542,7 @@ def _hang(d: Decomposition, cs: CycleSet, todo: list, piece: dict, t: int,
         laid.append(fn)
         todo.append(({c: _Run(pairs, i)}, c, fn, s))
     laid.append(c)
-    cs.splice(laid[::-1])
+    laid_in.splice(laid[::-1])
 
 
 def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
@@ -530,17 +578,17 @@ def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
     return cs.walk(c2, max(cs.nbrs[c2]))
 
 
-def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
+def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
                               piece: dict, t: int, x: int, y: int,
                               search: BlockSearch) -> None:
-    """Lay the x-y path between the two cutvertices of block t when no
-    block path carries an edge at y.
+    """Splice into sp the x-y path between the two cutvertices of block t
+    when no block path carries an edge at y.
 
     A path through some edge u-v between two neighbours of y exists
     instead; the part hanging at y enters between u and v, in the order
     they have on the block path, as its leaf or as a cycle through y with
-    y taken out. u-v may not be x's designated edge, which the part
-    hanging at x takes.
+    y taken out, one splice over u-v. u-v may not be x's designated edge,
+    which the part hanging at x takes.
     """
     # a block is an induced subgraph: y's neighbours in it are those in g
     _, _, es, vs = d.records[t]
@@ -552,8 +600,8 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
     else:
         raise ConstructionError(
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
-    cs.splice(list(w.order))
-    _hang(d, cs, todo, piece, t, x, _partner(w.assignment[x][0], x))
+    sp.splice(w.order)
+    _hang(d, sp, todo, piece, t, x, _partner(w.assignment[x][0], x))
     a, b = sorted((u, v), key=w.order.index)
     h = _rest(d, piece, y, t)
     fn = h.pairs[h.i][0]
@@ -561,14 +609,14 @@ def _rescue_through_neighbors(d: Decomposition, cs: CycleSet, todo: list,
         insert = [fn]
     else:
         insert = _cycle_with_two_edges_at(d, h, y, todo, search)[1:]
-    cs.splice([a, *insert, b])
+    sp.splice([a, *insert, b])
 
 
-def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
+def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,
          piece: dict, x: int, y: int, t: int) -> None:
-    """Replace the placeholder edge x-y of cs by a hamiltonian x-y path of
-    the square of the piece, whose block t holds x and y, and leave a task
-    for every part that enters through a placeholder of its own."""
+    """Splice into sp, over the placeholder edge x-y, a hamiltonian x-y
+    path of the square of the piece, whose block t holds x and y, and leave
+    a task for every part that enters through a placeholder of its own."""
     r = d.records[t]
     cvs = _cuts(d, piece, t)
     if len(cvs) > 2:
@@ -580,7 +628,7 @@ def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
                 f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
                 "path between its ends exists in the square")
         for c in cvs:
-            _hang(d, cs, todo, piece, t, c, _partner((x, y), c))
+            _hang(d, sp, todo, piece, t, c, _partner((x, y), c))
         return
     between_cuts = set(cvs) == {x, y}
     if between_cuts:
@@ -591,22 +639,23 @@ def _lay(d: Decomposition, cs: CycleSet, todo: list, search: BlockSearch,
             x, y = y, x  # the search starts away from the cutvertex
     w = search(r[3], r[2], demands, (x, y))
     if w is None and between_cuts:
-        _rescue_through_neighbors(d, cs, todo, piece, t, x, y, search)
+        _rescue_through_neighbors(d, sp, todo, piece, t, x, y, search)
         return
     if w is None:
         raise ConstructionError(
             f"no {x}-{y} path in the square of block {t} with a block "
             f"edge at each of {cvs}")
-    cs.splice(list(w.order))
+    sp.splice(w.order)
     for c in cvs:
-        _hang(d, cs, todo, piece, t, c, _partner(w.assignment[c][0], c))
+        _hang(d, sp, todo, piece, t, c, _partner(w.assignment[c][0], c))
 
 
-def _fill(d: Decomposition, cs: CycleSet, todo: list,
+def _fill(d: Decomposition, sp: _Splices, todo: list,
           search: BlockSearch) -> None:
-    """Work off the tasks (piece, a, b, t) with _lay, one at a time."""
+    """Work off the tasks (piece, a, b, t) with _lay, one at a time, each
+    splicing into sp."""
     while todo:
-        _lay(d, cs, todo, search, *todo.pop())
+        _lay(d, sp, todo, search, *todo.pop())
 
 
 def construct_ham_path(g: Graph, x: int, y: int) -> list:
@@ -614,7 +663,8 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     decide_hamiltonian_connectedness(g) is HAM_CONNECTED; any other verdict
     raises NoLabellingError, which carries it. Endpoints that are equal or
     no vertices raise a plain ValueError. decompose's traversal of g is the
-    connectivity check."""
+    connectivity check. The path is laid as splices over the edge x-y,
+    expanded once, and validated from scratch."""
     if x == y:
         raise ValueError("endpoints must be distinct")
     if x not in g.vertices or y not in g.vertices:
@@ -623,13 +673,11 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     verdict = decide_hamiltonian_connectedness(g)
     if verdict.outcome != HAM_CONNECTED:
         raise NoLabellingError(verdict)
-    # vertices are non-negative, so -1 can close the path into a cycle
-    cs = CycleSet()
-    cs.add([x, y, -1])
+    sp = _Splices()
     todo = _along(d, x, y)
-    cs.splice([x] + [b for _, _, b, _ in todo])
-    _fill(d, cs, todo, BlockSearch(d))
-    path = cs.walk(x, -1)[:-1]
+    sp.splice([x] + [b for _, _, b, _ in todo])
+    _fill(d, sp, todo, BlockSearch(d))
+    path = sp.expand(x, y)
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")
     return path

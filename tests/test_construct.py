@@ -25,6 +25,7 @@ from hamsquare.construct import (
     NoLabellingError,
     construct_ham_cycle,
     construct_ham_path,
+    _Splices,
     _fill,
     _opened,
     _rescue_through_neighbors,
@@ -166,6 +167,44 @@ def test_cycle_set_joins_cycles_and_walks_them():
         cs.walk(0, 2)  # 0 and 9 now have three neighbours
 
 
+def test_splices_expand_in_either_orientation():
+    # the splice of 2-5 is stored from 5: the path from 0 meets it at 2 and
+    # reads it backwards, the path from 5 reads it as stored. The splice of
+    # 0-2, made after that of 2-5, is met before it.
+    sp = _Splices()
+    for path in ([0, 2, 5], [5, 4, 3, 2], [0, 1, 2]):
+        sp.splice(path)
+    assert sp.expand(0, 5) == [0, 1, 2, 3, 4, 5]
+    sp = _Splices()
+    for path in ([0, 2, 5], [5, 4, 3, 2], (2, 1, 0)):
+        sp.splice(path)
+    assert sp.expand(5, 0) == [5, 4, 3, 2, 1, 0]
+
+
+def test_splice_of_two_vertices_changes_nothing():
+    # the bowtie's bc-tree path from 0 to 1 is [0, 1], laid over 0-1 itself
+    sp = _Splices()
+    sp.splice([0, 1])
+    sp.splice([0, 2, 1])
+    sp.splice([1, 0])
+    assert sp.expand(0, 1) == [0, 2, 1]
+
+
+def test_splice_of_an_edge_replaced_before_is_refused():
+    sp = _Splices()
+    sp.splice([0, 1, 2])
+    with pytest.raises(ConstructionError, match=r"edge \(0, 2\) spliced twice"):
+        sp.splice([2, 3, 0])
+
+
+def test_splice_the_path_never_reaches_is_named():
+    sp = _Splices()
+    sp.splice([0, 1, 2])
+    sp.splice([5, 4, 3])  # 3-5 is no edge of the path
+    with pytest.raises(ConstructionError, match=r"edge \(3, 5\) lies off"):
+        sp.expand(0, 2)
+
+
 # -- the merge's own checks ------------------------------------------------
 
 TRIANGLES = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4),
@@ -258,13 +297,12 @@ def test_path_between_the_two_cutvertices_of_an_inner_block():
 def _forced_rescue(d, t, x, y):
     """The x-y path laid by the rescue route between the two cutvertices of
     block t, whether or not a block path with an edge at y exists."""
-    cs = CycleSet()
-    cs.add([x, y, -1])
+    sp = _Splices()
     todo, search = [], BlockSearch(d)
     # {} is the piece that holds every block of the graph
-    _rescue_through_neighbors(d, cs, todo, {}, t, x, y, search)
-    _fill(d, cs, todo, search)
-    return cs.walk(x, -1)[:-1]
+    _rescue_through_neighbors(d, sp, todo, {}, t, x, y, search)
+    _fill(d, sp, todo, search)
+    return sp.expand(x, y)
 
 
 def test_rescue_through_neighbor_pair_directly():
@@ -618,10 +656,13 @@ def test_high_degree_witnesses():
 
 def test_constructors_step_once_per_block(monkeypatch):
     # Work counted, not timed: every cycle lookup of the CycleSet, every
-    # piece the path constructor lays, and every block sorted into a run of
-    # the blocks at a cutvertex. A cutvertex with k blocks used to cost O(k)
-    # for each of them (8,006,000 lookups on the windmill of 2000's cycle).
-    calls = {"cycle_of": 0, "_lay": 0, "sorted into runs": 0}
+    # piece the path constructor lays, every splice of a path, and every
+    # block sorted into a run of the blocks at a cutvertex. A cutvertex with
+    # k blocks used to cost O(k) for each of them (8,006,000 lookups on the
+    # windmill of 2000's cycle). None of the paths takes the rescue route,
+    # so none lays an edge in a CycleSet.
+    calls = {"cycle_of": 0, "_lay": 0, "splice": 0, "sorted into runs": 0,
+             "link": 0}
 
     def counting(name, real):
         def counted(*args):
@@ -639,18 +680,23 @@ def test_constructors_step_once_per_block(monkeypatch):
 
     monkeypatch.setattr(CycleSet, "cycle_of",
                         counting("cycle_of", CycleSet.cycle_of))
+    monkeypatch.setattr(CycleSet, "link", counting("link", CycleSet.link))
     monkeypatch.setattr(construct, "_lay", counting("_lay", construct._lay))
+    monkeypatch.setattr(_Splices, "splice",
+                        counting("splice", _Splices.splice))
     monkeypatch.setattr(construct, "_Run", Run)
     windmill, chain = _hub(2000, 3), _triangle_chain(2560)
     star = _hub(2999, 2)
-    for g, build in [(windmill, construct_ham_cycle),
-                     (windmill, lambda g: construct_ham_path(g, 1, 4000)),
-                     (star, lambda g: construct_ham_path(g, 1, 2999)),
-                     (chain, lambda g: construct_ham_path(g, 2560, 2562))]:
+    for g, ends in [(windmill, None), (windmill, (1, 4000)),
+                    (star, (1, 2999)), (chain, (2560, 2562))]:
         count = decompose(g).block_count()
         for name in calls:
             calls[name] = 0
-        build(g)
+        if ends is None:
+            construct_ham_cycle(g)
+        else:
+            construct_ham_path(g, *ends)
+            assert calls["link"] == 0, (g.n, ends, calls)
         assert all(n <= 8 * count for n in calls.values()), (g.n, calls)
 
 
