@@ -42,6 +42,10 @@ seconds. A last row parses the canonical text of a chain of 100,000
 triangles (200,001 vertices) and exits 1 when tracemalloc counts more than
 MEMORY_LIMIT_MB held by the parsed graph: a graph that stored its edges
 twice, or held a vertex as one int object per mention, holds over 100 MB.
+Another builds the cycle of a chain of 5000 triangles, already built, and
+exits 1 when tracemalloc's peak over the constructor passes
+CYCLE_MEMORY_LIMIT_MB: a merge that kept every cycle edge indexed, with
+each vertex's neighbour set and the edges still owed, peaks at 22 MB.
 Run it from the root of the checkout: `python scripts/scale_check.py`.
 """
 
@@ -61,6 +65,7 @@ from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
 
 LIMIT_S = 2.0
 MEMORY_LIMIT_MB = 70
+CYCLE_MEMORY_LIMIT_MB = 18
 # the verdict pairs a verdict row expects; a bridge between two non-leaves
 # rules out a hamiltonian connected square
 POSITIVE = (HAMILTONIAN, HAM_CONNECTED)
@@ -222,6 +227,18 @@ def parsed_mb(text):
     return g, held / 1e6
 
 
+def cycle_peak_mb(g):
+    """The cycle that construct_ham_cycle builds of g, and the MB that
+    tracemalloc counts at its peak while it does."""
+    tracemalloc.start()
+    try:
+        cyc = construct_ham_cycle(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return cyc, peak / 1e6
+
+
 def main() -> int:
     bad = 0
     for name, g, ends in rows():
@@ -256,6 +273,13 @@ def main() -> int:
                else f"over {MEMORY_LIMIT_MB} MB")
     print(f"triangle chain k=100,000 n={g.n} parsed: {held:.1f} MB held, "
           f"{verdict}")
+    bad += verdict != "ok"
+    chain = triangle_chain(5000)
+    cyc, peak = cycle_peak_mb(chain)
+    verdict = ("INVALID" if not is_ham_cycle(chain, cyc, square=True)
+               else "ok" if peak <= CYCLE_MEMORY_LIMIT_MB
+               else f"over {CYCLE_MEMORY_LIMIT_MB} MB")
+    print(f"triangle chain k=5000 cycle: {peak:.1f} MB peak, {verdict}")
     bad += verdict != "ok"
     return 1 if bad else 0
 

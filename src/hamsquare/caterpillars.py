@@ -1,4 +1,4 @@
-"""Caterpillar trees: the square's hamiltonian cycle, and CycleSet.
+"""Caterpillar trees: the square's hamiltonian cycle.
 
 A caterpillar is a tree whose non-leaf vertices, its core, induce a path.
 The square of a tree on at least three vertices is hamiltonian iff the tree
@@ -16,16 +16,13 @@ hamiltonian cycle of the square:
 It runs through both end-edges of the spine, and it holds, for every inner
 spine vertex x, a dedicated edge whose two endpoints are neighbours of x.
 The constructor returns, with the cycle, the end-edge or neighbour-pair
-edge reserved for each vertex the caller names: the cycle-merging
-machinery cuts at them. It reads the tree as a mapping from each vertex to
-its neighbours and lays the cycle in one pass, O(n) besides sorting the
-leaves. CycleSet, below, is the cycle representation the constructors cut
-and join.
+edge reserved for each vertex the caller names: the cycle merge opens the
+cycle at them. It reads the tree as a mapping from each vertex to its
+neighbours and lays the cycle in one pass, O(n) besides sorting the
+leaves.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from .graph import edge
 
@@ -88,98 +85,6 @@ def _spine(nbrs, prefer_ends: frozenset[int]):
         xm = pk[0] if pk else legs[dk][0]
     legs[dk].remove(xm)
     return [x0, *path, xm], legs
-
-
-class CycleSet:
-    """Cycles kept as edges, so that no cut or join depends on their length.
-
-    Cycles may share vertices (a cutvertex lies on the cycle of every block
-    at it until it is merged) but never an edge. `nbrs[v]` holds v's
-    neighbours over all cycles, and v is a key once it has been on one: a
-    vertex on no cycle is read with `in` or `.get` only. Every edge keeps
-    the id of the cycle it was laid on, and a union-find over the ids maps
-    that to the cycle holding it now, so joining cycles relabels no edge. A
-    cycle becomes a vertex list only when it is walked.
-    """
-
-    def __init__(self):
-        self.nbrs: defaultdict[int, set[int]] = defaultdict(set)
-        self.live: set[int] = set()
-        self._laid: dict[tuple[int, int], int] = {}
-        self._parent: list[int] = []
-
-    def new_cycle(self, parts=()) -> int:
-        """A fresh cycle id; the cycles in parts become part of it."""
-        c = len(self._parent)
-        self._parent.append(c)
-        for p in parts:
-            self._parent[p] = c
-            self.live.discard(p)
-        self.live.add(c)
-        return c
-
-    def add(self, order) -> int:
-        """Lay the closed walk order as a new cycle."""
-        c = self.new_cycle()
-        for a, b in zip(order, order[1:] + order[:1]):
-            self.link(a, b, c)
-        return c
-
-    def link(self, a: int, b: int, c: int) -> None:
-        e = edge(a, b)
-        if e in self._laid:
-            raise ConstructionError(f"edge {e} laid twice")
-        self._laid[e] = c
-        self.nbrs[a].add(b)
-        self.nbrs[b].add(a)
-
-    def cut(self, e: tuple[int, int]) -> None:
-        if self._laid.pop(e, None) is None:
-            raise ConstructionError(f"edge {e} is on no cycle")
-        a, b = e
-        self.nbrs[a].discard(b)
-        self.nbrs[b].discard(a)
-
-    def cycle_of(self, e: tuple[int, int]) -> int | None:
-        """The cycle holding edge e, or None."""
-        c = self._laid.get(e)
-        if c is None:
-            return None
-        parent = self._parent
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def around(self, v: int, c: int) -> list[int]:
-        """v's neighbours on cycle c, ascending."""
-        return sorted(w for w in self.nbrs.get(v, ())
-                      if self.cycle_of(edge(v, w)) == c)
-
-    def splice(self, path: list[int]) -> None:
-        """Replace the cycle edge between path's two ends by path."""
-        e = edge(path[0], path[-1])
-        c = self.cycle_of(e)
-        if c is None:
-            raise ConstructionError(f"edge {e} is on no cycle")
-        self.cut(e)
-        for a, b in zip(path, path[1:]):
-            self.link(a, b, c)
-
-    def walk(self, start: int, before: int) -> list[int]:
-        """The cycle through start, a vertex on a cycle, as a list, read away
-        from its neighbour before; every vertex met must have exactly two
-        neighbours."""
-        order, prev, cur = [start], before, start
-        while True:
-            nxt = [w for w in self.nbrs[cur] if w != prev]
-            if len(nxt) != 1:
-                raise ConstructionError(
-                    f"vertex {cur} does not lie on exactly one cycle")
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                return order
-            order.append(cur)
 
 
 def replace_edge_with(order: list[int], a: int, b: int,

@@ -1,66 +1,68 @@
 """Building hamiltonian cycles and paths in the square of a graph.
 
 Either constructor asks its decider first and refuses any verdict but a
-positive one with NoLabellingError, which carries that verdict. The cycle
-constructor works bottom up. Every 2-block gets a hamiltonian cycle of its
-own square carrying, for each cutvertex i with label m_i, that many
-distinct block edges at i (the oracle returns the cycle together with the
-distinct-edge assignment). Every nontrivial caterpillar component of the
-bridge forest gets a hamiltonian cycle of its square through dedicated
-end-edges and neighbor-pair edges. All these cycles live in one CycleSet
-(see caterpillars): each vertex's cycle neighbors, and an index from every
-edge to the cycle holding it, kept through a union-find over cycle ids.
-Then cutvertices are processed one at a time, in ascending order: each
-cycle meeting the cutvertex is cut open exactly at that vertex's assigned
-edges, found through the index, and the resulting fragments, plus any
-pendant leaves, are chained back into a single cycle by linking fragment
-ends; a lone block's cycle is left as its search found it. Every fragment
-end is a neighbor of the cutvertex, so consecutive fragment ends are
-adjacent in the square and any fixed chaining order works; we use ascending
-block index with leaves last. A fragment is a pair (ends, cycle), and the
-loop over the 2-blocks gathers each cutvertex's blocks in that order, so a
-merge step takes its fragments already in chaining order and sorts nothing.
-A step touches only the cutvertex's own cycle edges and the fragment ends,
-and the cycle becomes a list once, at the end, so the merge runs in
-O(n + m) besides the per-block oracle calls.
+positive one with NoLabellingError, which carries that verdict. Both lay
+their witness as splices. A splice replaces an edge a-b, laid or still to
+be laid, by an a-b path, and is kept as that path under the key edge(a, b),
+once per edge; the witness is read out once, at the end, by expanding the
+splices on an explicit stack, each read backwards when it is met from its b
+end, and a splice the expansion never meets is an error.
 
-Cutting only at assigned edges is what makes the merge safe: the edges
-assigned to different vertices are globally distinct, so processing one
-cutvertex can never consume an edge that a later cutvertex still needs.
-Each step checks the edges it cuts against the vertices still owed them,
-and the edges it adds against the square. The final cycle is validated
-from scratch, so a wrong assembly can never be returned silently; a
-tree's cycle is checked once, by caterpillar_cycle, on g.adj itself. All
-these checks test square adjacency pairwise; no square of the whole graph
-is built.
+The cycle constructor walks the tree of the graph's cycles from its first
+2-block. Every 2-block gets a hamiltonian cycle of its own square carrying,
+for each cutvertex i with label m_i, that many distinct block edges at i
+(the oracle returns the cycle together with the distinct-edge assignment),
+checked right after its search: each assigned edge holds its vertex, is an
+edge of the cycle and is assigned once. Every nontrivial caterpillar
+component of the bridge forest gets a hamiltonian cycle of its square
+through dedicated end-edges and neighbor-pair edges; a K2 component is the
+two-vertex cycle of its edge. A cycle is searched when the walk first
+reaches it and dropped after its last step. At each cutvertex i the cycle
+the walk came from is laid already and every other cycle at i is fresh.
+Each is opened at its edges at i into a fragment, and the fragments, plus
+any pendant leaves, are chained into one cycle in a fixed order: the pair
+edge, else the anchors joined at i, then the open fragments by ascending
+block, then the leaves. Every fragment end is a neighbor of i, so
+consecutive ends are adjacent in the square. The fresh fragments go in as
+plain lists, in one splice over the laid cycle's edge at i, or in two over
+its two edges at i when that cycle is opened there. The first 2-block's
+closed order is expanded once, and read from the first vertex of the step
+at the largest cutvertex away from its last; a lone block's cycle is left
+as its search found it. Since the chaining at each i is fixed, the cycle
+does not depend on the order of the walk. The merge runs in O(n + m)
+besides the block searches.
 
-The path constructor works top down and cuts nothing, so it keeps no
-CycleSet: it records splices. A splice replaces a placeholder edge a-b,
-still to be laid, by an a-b path, and is kept as that path under the key
-edge(a, b), once per edge. The x-y path starts as the placeholder edge
-x-y. A task (piece, a, b, t) replaces a placeholder edge a-b by a
-hamiltonian a-b path of the square of the piece, whose block t holds a and
-b. A piece is a handle on the block-cutvertex tree, not a set of blocks: a
-dict from each of its boundary vertices (at most two, both ends of its
-task) to its blocks there; at any other vertex it holds all the vertex's
-blocks, so the whole graph is {}. The bc-tree path from x to y, read off
-the tree rooted at y once per request, splits the graph into one part per
-block of it: every cutvertex on it separates x from y, so the path
-crosses the parts in turn, and the first splice is x, those cutvertices,
-y. A task lays a path of its block with a designated block edge c-p at
-each cutvertex c of the block. The part hanging there, {c: the other
-blocks at c}, enters through that edge: c, fn, p take its place, fn the
-least neighbour of c in the part, and the part is the task of the edge
-c-fn. Those blocks are kept ordered by fn, so the next part hanging at c
-drops the first in O(1), and pendant leaves at c go in as one splice. When
-both endpoints are the block's two cutvertices the designated edge may not
-exist at the far end y; a path through an edge u-v between two neighbours
-of y is used instead, and the part hanging at y goes in between u and v as
-a cycle through y opened up at y, merged in a CycleSet of its own. Once no
-task is left, the splices are expanded once, from x-y down, on an explicit
-stack, each read backwards when it is met from its b end; a splice the
-expansion never meets is an error. Nothing recurses, and besides the block
-searches a path costs O(n + m) and one sort of the blocks at each
+Splicing only over assigned edges is what makes the merge safe: the edges
+a block assigns to its vertices are distinct, and two blocks share no edge,
+so no step splices over an edge that another step needs. Each step checks
+its joins against the square. The final cycle is validated from scratch,
+so a wrong assembly can never be returned silently; a tree's cycle is
+checked once, by caterpillar_cycle, on g.adj itself. All these checks test
+square adjacency pairwise; no square of the whole graph is built.
+
+The path constructor works top down too. The x-y path starts as the
+placeholder edge x-y. A task (piece, a, b, t) replaces a placeholder edge
+a-b by a hamiltonian a-b path of the square of the piece, whose block t
+holds a and b. A piece is a handle on the block-cutvertex tree, not a set
+of blocks: a dict from each of its boundary vertices (at most two, both
+ends of its task) to its blocks there; at any other vertex it holds all the
+vertex's blocks, so the whole graph is {}. The bc-tree path from x to y,
+read off the tree rooted at y once per request, splits the graph into one
+part per block of it: every cutvertex on it separates x from y, so the path
+crosses the parts in turn, and the first splice is x, those cutvertices, y.
+A task lays a path of its block with a designated block edge c-p at each
+cutvertex c of the block. The part hanging there, {c: the other blocks at
+c}, enters through that edge: c, fn, p take its place, fn the least
+neighbour of c in the part, and the part is the task of the edge c-fn.
+Those blocks are kept ordered by fn, so the next part hanging at c drops
+the first in O(1), and pendant leaves at c go in as one splice. When both
+endpoints are the block's two cutvertices the designated edge may not exist
+at the far end y; a path through an edge u-v between two neighbours of y is
+used instead, and the part hanging at y goes in between u and v as a cycle
+through y opened up at y: its blocks' cycles, each with y taken out, and
+y's leaves, chained as the cycle merge chains them. Once no task is left,
+the splices are expanded once, from x-y down. Nothing recurses, and besides
+the block searches a path costs O(n + m) and one sort of the blocks at each
 cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
@@ -103,7 +105,7 @@ from .graph import Graph, edge, is_ham_cycle, is_ham_path
 from .decomposition import Decomposition, decompose
 from .labelling import (Labelling, HamiltonicityVerdict, decide_hamiltonicity,
                         HAMILTONIAN)
-from .caterpillars import ConstructionError, CycleSet, caterpillar_cycle
+from .caterpillars import ConstructionError, caterpillar_cycle
 from .hamconn import HamConnVerdict, decide_hamiltonian_connectedness, HAM_CONNECTED
 from .oracle import Witness, complete_with, cycle_with, path_with
 
@@ -207,182 +209,261 @@ class BlockSearch:
              for v, at in w.assignment.items()})
 
 
+# -- splices --------------------------------------------------------------
+
+class _Splices:
+    """A path or a cycle as the splices that lay it: for each edge a-b that
+    a splice replaced, keyed by edge(a, b), the a-b path that replaced it.
+    It is read out once, by expand."""
+    __slots__ = ("paths",)
+
+    def __init__(self):
+        self.paths: dict = {}
+
+    def splice(self, path) -> None:
+        """Replace the edge between path's two ends by path. A path of two
+        vertices is that edge and changes nothing; an edge replaced twice
+        raises ConstructionError."""
+        if len(path) > 2:
+            e = edge(path[0], path[-1])
+            if e in self.paths:
+                raise ConstructionError(f"edge {e} spliced twice")
+            self.paths[e] = path
+
+    def expand(self, seq) -> list:
+        """What the splices make of the walk seq, each of its edges
+        expanded in turn (an x-y path is laid over (x, y), a cycle over its
+        closed order), read on an explicit stack of the vertices still to
+        come; a splice met from its far end is read backwards. Every splice
+        is used up, and one that the walk never reached raises
+        ConstructionError."""
+        paths = self.paths
+        path, todo = [seq[0]], list(seq[:0:-1])
+        while todo:
+            a, b = path[-1], todo.pop()
+            p = paths.pop((a, b) if a < b else (b, a), None)
+            if p is None:
+                path.append(b)
+            elif p[0] == a:
+                todo += p[:0:-1]
+            else:
+                todo += p[:-1]
+        if paths:
+            raise ConstructionError(
+                f"the splice of edge {next(iter(paths))} lies off the walk")
+        return path
+
+
+def _partner(e, v):
+    return e[0] if e[1] == v else e[1]
+
+
 # -- the merge -------------------------------------------------------------
 
-def _opened(cs: CycleSet, i: int, c: int, es, cycles) -> tuple:
-    """The ends, ascending, of cycle c with i taken out at its two edges es
-    at i, whose cycles are cycles. Only es are read, so no other edge at i
-    is visited."""
-    if (len(set(es)) != 2 or i not in es[0] or i not in es[1]
-            or cycles[0] != c or cycles[1] != c):
-        cut = [edge(i, w) for w in cs.around(i, c)]
-        raise ConstructionError(
-            f"cycle edges {sorted(cut)} at {i} differ from the assigned "
-            f"{sorted(es)}")
-    a, b = _partner(es[0], i), _partner(es[1], i)
-    return (a, b) if a < b else (b, a)
+def _check_assigned(w: Witness, t: int, demands) -> None:
+    """Raise ConstructionError unless the cycle w of block t gives each
+    demanded vertex v its count of edges of w's cycle at v, no edge twice."""
+    order = w.order
+    succ = dict(zip(order, order[1:] + order[:1]))
+    seen = set()
+    for v, c in demands:
+        at = w.assignment.get(v, ())
+        for e in at:
+            a, b = e
+            if v not in e or (succ.get(a) != b and succ.get(b) != a):
+                raise ConstructionError(
+                    f"assigned edge {e} of vertex {v} is no edge of block "
+                    f"{t}'s cycle at {v}")
+            if e in seen:
+                raise ConstructionError(f"edge {e} is assigned twice in block {t}")
+            seen.add(e)
+        if len(at) != c:
+            raise ConstructionError(
+                f"block {t} assigns {len(at)} edges to vertex {v}, not {c}")
 
 
-def _merge_at(cs: CycleSet, g: Graph, i: int, pair: list, anchs: list,
-              rest: list) -> tuple:
-    """Cut the fragments' cycles open and chain them into one cycle through i.
+def _cut(order, a: int, b: int) -> list:
+    """The a-b path that the closed order makes without its edge a-b."""
+    k = order.index(a)
+    path = [*order[k:], *order[:k]]
+    return path if path[-1] == b else [a, *path[:0:-1]]
 
-    A fragment is (ends, cycle): a path between its ends, cut from cycle,
-    or from none (None). The three lists are each in chaining order:
-    - pair: the saturated pair edge at i, if any, cut with i kept inside;
-    - anchs: each cut at its edge i-w, ends (i, w); with cycle None, a K2
-      end edge i-w, which comes along as it is;
-    - rest: the open fragments, each cycle with i taken out at its two
-      edges at i, then the leaves of i, ends (leaf, leaf).
-    Returns the merged cycle's first and last vertex (it reads from the
-    first away from the last) and the edges the step removed for good.
+
+def _without(order, i: int) -> list:
+    """The path that the closed order makes with i taken out, read from the
+    smaller of i's two neighbours on it."""
+    k = order.index(i)
+    path = [*order[k + 1:], *order[:k]]
+    return path if path[0] < path[-1] else path[::-1]
+
+
+def _check_joins(g: Graph, ends: list) -> None:
+    """Raise ConstructionError unless each fragment's last vertex is
+    adjacent in the square to the next fragment's first, cyclically."""
+    for (_, a), (b, _) in zip(ends, ends[1:] + ends[:1]):
+        if not g.square_has_edge(a, b):
+            raise ConstructionError(f"assembled cycle uses non-edge ({a}, {b})")
+
+
+def _merge_at(g: Graph, sp: _Splices, held: dict, i: int, parent: int,
+              blocks: list, comp: int | None, leaves: list) -> tuple:
+    """Chain the cycles at cutvertex i into one cycle, as splices into sp.
+
+    The nodes at i are its 2-blocks, ascending, and comp, its bridge-forest
+    component, if any; held maps each to its closed order and its edges at
+    each of its cutvertices. The node parent is laid already; every other
+    node is fresh. Each comes in as a fragment, a path between its ends:
+    - a pair: comp cut at its pair edge u-v, ends (u, v), i kept inside;
+    - an anchor: a node cut at its one edge i-w, ends (i, w);
+    - an open fragment: a 2-block with i taken out at its two edges at i,
+      ends ascending;
+    - a leaf of i, ends (leaf, leaf).
+    The chaining order is the pair, else the anchors (the 2-blocks', then
+    comp's) joined at i, then the open fragments, then the leaves. The
+    fresh fragments go in as lists, around the parent's laid one, in one
+    splice over the edge it is cut at; an open parent takes two, over its
+    edges at i, split at i. Returns the merged cycle's first and last
+    vertex (it reads from the first away from the last) and the fresh
+    nodes.
     """
-    consumed = [c for _, c in (*pair, *anchs, *rest) if c is not None]
-    removed = [e for e, _ in pair]
-    removed += [edge(i, w) for (_, w), c in anchs if c is not None]
-    for (a, b), c in rest:
-        if c is not None:
-            removed += (edge(i, a), edge(i, b))
-    if len(set(consumed)) != len(consumed):
-        raise ConstructionError(
-            f"two fragments at {i} came from one cycle; they should only "
-            f"meet when {i} itself is merged")
+    pair, anchs, rest = [], [], []
+    for t in blocks:
+        es = held[t][1].get(i)
+        if not es:
+            raise ConstructionError(
+                f"cutvertex {i} carries no assigned edges in block {t}")
+        if len(es) == 2:
+            rest.append((t, *sorted(_partner(e, i) for e in es)))
+        else:
+            anchs.append((t, i, _partner(es[0], i)))
+    if comp is not None:
+        e = held[comp][1][i]
+        if i in e:
+            anchs.append((comp, i, _partner(e, i)))
+        else:
+            pair.append((comp, *e))
+    rest += [(None, leaf, leaf) for leaf in leaves]
     if (pair and anchs) or len(anchs) > 2:
         raise ConstructionError(
             f"fragment mix at {i} not realizable: {len(pair)} saturated, "
             f"{len(anchs)} anchored")
-    if pair:
-        segs = [pair[0][0]]
-    elif len(anchs) == 2:
-        segs = [(anchs[0][0][1], anchs[1][0][1])]  # joined at i
-    elif anchs:
-        segs = [anchs[0][0]]
+    if len(anchs) == 2:  # joined at i
+        head = [(anchs[0][0], anchs[0][2], i), anchs[1]]
     else:
-        segs = [(i, i)]
-    segs += [ends for ends, _ in rest]
-    joins = [(a, b) for (_, a), (b, _) in zip(segs, segs[1:] + segs[:1])]
-    for a, b in joins:
-        if not g.square_has_edge(a, b):
-            raise ConstructionError(f"assembled cycle uses non-edge ({a}, {b})")
-    joins += [(i, w) for (_, w), c in anchs if c is None]
-    for e in removed:
-        cs.cut(e)
-    c = cs.new_cycle(consumed)
-    for a, b in joins:
-        cs.link(a, b, c)
-    kept = {edge(a, b) for a, b in joins}
-    return segs[0][0], segs[-1][1], [e for e in removed if e not in kept]
+        head = pair or anchs or [(None, i, i)]
+    ends = [(head[0][1], head[-1][2])] + [(a, b) for _, a, b in rest]
+    _check_joins(g, ends)
+
+    pieces, fresh, p = [], [], 0
+    for j, (node, a, b) in enumerate(head + rest):
+        if node == parent:
+            p = j
+            pieces.append([a, b])
+        elif node is None:
+            pieces.append([a])
+        else:
+            fresh.append(node)
+            order = held[node][0]
+            pieces.append(_cut(order, a, b) if j < len(head)
+                          else _without(order, i))
+    if len(head) == 2:  # i once, in the parent if it is an anchor
+        if p == 1:
+            pieces[0].pop()
+        else:
+            del pieces[1][0]
+    a, b = pieces[p]
+    around = [b]  # from the parent's far end around to its near end
+    for piece in pieces[p + 1:] + pieces[:p]:
+        around += piece
+    around.append(a)
+    if p < len(head):
+        sp.splice(around)
+    else:
+        j = around.index(i)
+        sp.splice(around[:j + 1])
+        sp.splice(around[j:])
+    return ends[0][0], ends[-1][1], fresh
+
+
+def _block_cycle(d: Decomposition, m: dict, search: BlockSearch,
+                 t: int) -> tuple:
+    """The closed order of 2-block t's cycle and its edges at each
+    cutvertex i, m[(i, t)] of them, checked."""
+    _, _, es, vs = d.records[t]
+    demands = [(i, v) for i in d.cuts_of[t] if (v := m.get((i, t), 0)) > 0]
+    w = search(vs, es, demands)
+    if w is None:
+        raise ConstructionError(
+            f"no block cycle satisfying {tuple(demands)}; the demands "
+            "were expected to be feasible for any 2-block")
+    _check_assigned(w, t, demands)
+    return w.order, w.assignment
 
 
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                   search: BlockSearch) -> list:
-    records, cuts_of, bn, k = d.records, d.cuts_of, d.bn, d.k
-    m = labelling.m
-    cs = CycleSet()
-    # each cutvertex's 2-blocks, ascending, with its assigned edges in each
-    at_cut: dict[int, list] = {}
-    # Every edge still owed to a cutvertex, by owner. A step can only take
-    # away the edges it cuts, so only those are checked against the owners.
-    owed: dict[tuple, list] = {}
+    cuts_of, bn, k, m = d.cuts_of, d.bn, d.k, labelling.m
+    at_cut: dict[int, list] = {}  # each cutvertex's 2-blocks, ascending
     for t in d.two_idx:
-        _, _, es, vs = records[t]
-        cuts = cuts_of[t]
-        demands = [(i, v) for i in cuts if (v := m.get((i, t), 0)) > 0]
-        w = search(vs, es, demands)
-        if w is None:
-            raise ConstructionError(
-                f"no block cycle satisfying {tuple(demands)}; the demands "
-                "were expected to be feasible for any 2-block")
-        cs.add(w.order)
-        assignment = w.assignment
-        for v, at in assignment.items():
-            for e in at:
-                owed.setdefault(e, []).append(v)
-        for i in cuts:
-            at_cut.setdefault(i, []).append((t, assignment.get(i)))
-
-    reserved_end: dict[int, tuple] = {}
-    reserved_pair: dict[int, tuple] = {}
-    k2_edges: set = set()
-    for nbrs, _ in d.bridge_forest:
+        for i in cuts_of[t]:
+            at_cut.setdefault(i, []).append(t)
+    # node -> (closed order, its edges at each of its cutvertices), from
+    # its search to its last step: a 2-block by index, a component by ~j
+    held: dict = {}
+    comp_at: dict[int, int] = {}
+    for j, (nbrs, _) in enumerate(d.bridge_forest):
         if not any(bn[v] for v in nbrs):
-            continue  # pendant star; its leaves join as singletons later
-        if len(nbrs) == 2:
+            continue  # pendant star; its leaves join as singletons
+        if len(nbrs) == 2:  # a K2, the two-vertex cycle of its edge
             e = tuple(sorted(nbrs))
-            k2_edges.add(e)
-            reserved_end[e[0]] = reserved_end[e[1]] = e
-            continue
-        need_end = frozenset(v for v in nbrs if bn[v] == 1 and k[v] >= 1)
-        need_pair = frozenset(v for v in nbrs if bn[v] == 2 and k[v] >= 1)
-        order, reserved = caterpillar_cycle(nbrs, need_end, need_pair)
-        cs.add(order)
-        for v in need_end:
-            reserved_end[v] = reserved[v]
-        for v in need_pair:
-            reserved_pair[v] = reserved[v]
-    for v, e in (*reserved_end.items(), *reserved_pair.items()):
-        owed.setdefault(e, []).append(v)
+            held[~j] = e, dict.fromkeys(e, e)
+        else:
+            need_end = frozenset(v for v in nbrs if bn[v] == 1 and k[v] >= 1)
+            need_pair = frozenset(v for v in nbrs if bn[v] == 2 and k[v] >= 1)
+            held[~j] = caterpillar_cycle(nbrs, need_end, need_pair)
+        for v in held[~j][1]:
+            comp_at[v] = ~j
 
     adj = g.adj
-    processed: set = set()
+    root = d.two_idx[0]
+    order, _ = held[root] = _block_cycle(d, m, search, root)
     # a lone block's cycle is returned as it was found
-    first, last = w.order[0], w.order[-1]
-    for i in sorted(at_cut):  # the cutvertices on a 2-block
-        pair, anchs, rest = [], [], []
-        for t, es in at_cut[i]:
-            if not es:
-                raise ConstructionError(
-                    f"cutvertex {i} carries no assigned edges in block {t}")
-            cycles = [cs.cycle_of(e) for e in es]
-            c = cycles[0]
-            if c is None or cycles.count(c) != len(cycles):
-                raise ConstructionError(
-                    f"assigned edges {es} of vertex {i} vanished before its turn")
-            if len(es) == 2:
-                rest.append((_opened(cs, i, c, es, cycles), c))
-            elif i not in es[0]:
-                raise ConstructionError(
-                    f"vertex {i} is not an end of the fragment")
-            else:
-                anchs.append(((i, _partner(es[0], i)), c))
-        if i in reserved_pair:
-            e = reserved_pair[i]
-            c = cs.cycle_of(e)
-            if c is None:
-                raise ConstructionError(f"pair edge {e} for {i} vanished")
-            if i in e or not cs.around(i, c):
-                raise ConstructionError(f"pair cut at {e} does not keep {i} inside")
-            pair.append((e, c))
-        elif i in reserved_end:
-            e = reserved_end[i]
-            c = cs.cycle_of(e)
-            if c is None and e not in k2_edges:
-                raise ConstructionError(f"end edge {e} for {i} vanished")
-            if c is not None and i not in e:
-                raise ConstructionError(
-                    f"vertex {i} is not an end of the fragment")
-            anchs.append(((i, _partner(e, i)), c))
-        rest += [((leaf, leaf), None) for leaf in sorted(
-            w for w in adj[i] if len(adj[w]) == 1 and w not in cs.nbrs)]
+    first, last = order[0], order[-1]
+    final = max(at_cut, default=None)
+    sp = _Splices()
+    todo = [(root, None)]  # laid nodes, each with the cutvertex it came by
+    while todo:
+        node, came = todo.pop()
+        for i in cuts_of[node] if node >= 0 else held[node][1]:
+            if i == came:
+                continue
+            blocks = at_cut.pop(i)
+            for t in blocks:
+                if t != node:
+                    held[t] = _block_cycle(d, m, search, t)
+            comp = comp_at.get(i)
+            leaves = [] if comp is not None else sorted(
+                w for w in adj[i] if len(adj[w]) == 1)
+            a, b, fresh = _merge_at(g, sp, held, i, node, blocks, comp, leaves)
+            if i == final:
+                first, last = a, b
+            todo += [(n, i) for n in fresh]
+        del held[node]
+    return _laid_cycle(sp, order, first, last)
 
-        first, last, removed = _merge_at(cs, g, i, pair, anchs, rest)
-        processed.add(i)
-        for e in removed:
-            for j in owed.get(e, ()):
-                if j not in processed:
-                    raise ConstructionError(
-                        f"edge {e} owed to pending vertex {j} was consumed")
-        e = reserved_end.get(i)
-        if (e in k2_edges and _partner(e, i) not in processed
-                and cs.cycle_of(e) is None):
-            raise ConstructionError(
-                f"end edge {e} reserved for pending vertex {_partner(e, i)} "
-                "did not appear")
 
-    if len(cs.live) != 1:
+def _laid_cycle(sp: _Splices, order, first: int, last: int) -> list:
+    """The cycle that the splices make of the closed order, read from first
+    away from last, which must be its neighbour there."""
+    cyc = sp.expand([*order, order[0]])[:-1]
+    j = cyc.index(first)
+    cyc = cyc[j:] + cyc[:j]
+    if cyc[-1] != last:
+        cyc[1:] = cyc[:0:-1]
+    if cyc[-1] != last:
         raise ConstructionError(
-            f"merging finished with {len(cs.live)} cycles instead of one")
-    return cs.walk(first, last)
+            f"the merged cycle does not close at {first} from {last}")
+    return cyc
 
 
 def construct_ham_cycle(g: Graph) -> list:
@@ -477,60 +558,13 @@ def _along(d: Decomposition, x: int, y: int) -> list:
     return parts
 
 
-class _Splices:
-    """An x-y path as the splices that lay it: for each edge a-b that a
-    splice replaced, keyed by edge(a, b), the a-b path that replaced it. The
-    path is read out once, by expand."""
-    __slots__ = ("paths",)
-
-    def __init__(self):
-        self.paths: dict = {}
-
-    def splice(self, path) -> None:
-        """Replace the edge between path's two ends by path. A path of two
-        vertices is that edge and changes nothing; an edge replaced twice
-        raises ConstructionError."""
-        if len(path) > 2:
-            e = edge(path[0], path[-1])
-            if e in self.paths:
-                raise ConstructionError(f"edge {e} spliced twice")
-            self.paths[e] = path
-
-    def expand(self, x: int, y: int) -> list:
-        """The x-y path that the splices make of the edge x-y, read on an
-        explicit stack of the vertices still to come; a splice met from its
-        far end is read backwards. Every splice is used up, and one that
-        the path never reached raises ConstructionError."""
-        paths = self.paths
-        path, todo = [x], [y]
-        while todo:
-            a, b = path[-1], todo.pop()
-            p = paths.pop((a, b) if a < b else (b, a), None)
-            if p is None:
-                path.append(b)
-            elif p[0] == a:
-                todo += p[:0:-1]
-            else:
-                todo += p[:-1]
-        if paths:
-            raise ConstructionError(
-                f"the splice of edge {next(iter(paths))} lies off the path")
-        return path
-
-
-def _partner(e, v):
-    return e[0] if e[1] == v else e[1]
-
-
-def _hang(d: Decomposition, laid_in: _Splices | CycleSet, todo: list,
-          piece: dict, t: int, c: int, p: int) -> None:
+def _hang(d: Decomposition, sp: _Splices, todo: list, piece: dict, t: int,
+          c: int, p: int) -> None:
     """Let the part of the piece hanging at c off block t enter through the
     block edge c-p: c, fn, p take its place, fn the least neighbour of c in
     the part, and the part's c-fn path is left as a task. The leaves of c
-    at the head of the run go in with it, in one splice c, fn, lk, ..., l1,
-    p: the path a task per leaf would lay. The splice goes into laid_in:
-    the path's _Splices, or the CycleSet in which _cycle_with_two_edges_at
-    merges its cycle."""
+    at the head of the run go in with it, in one splice into sp, c, fn, lk,
+    ..., l1, p: the path a task per leaf would lay."""
     run = _rest(d, piece, c, t)
     adj, pairs, i = d.graph.adj, run.pairs, run.i
     laid = [p]
@@ -542,19 +576,20 @@ def _hang(d: Decomposition, laid_in: _Splices | CycleSet, todo: list,
         laid.append(fn)
         todo.append(({c: _Run(pairs, i)}, c, fn, s))
     laid.append(c)
-    laid_in.splice(laid[::-1])
+    sp.splice(laid[::-1])
 
 
-def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
-                             todo: list, search: BlockSearch) -> list:
+def _cycle_with_two_edges_at(d: Decomposition, sp: _Splices, todo: list,
+                             run: _Run, c2: int, search: BlockSearch) -> list:
     """Hamiltonian cycle of the square of the part {c2: run} whose two
     cycle edges at c2 are edges of the graph, read from c2 towards the
-    smaller of its cycle neighbours. The parts hanging off its blocks are
-    left as tasks on todo, their placeholder edges on the returned cycle."""
+    smaller of its cycle neighbours. Each 2-block's cycle comes in with c2
+    taken out at its two edges at c2, ascending by block, and the leaves of
+    c2 last. The parts hanging off its blocks are left as tasks on todo,
+    their splices in sp, over edges of the returned cycle."""
     records, adj = d.records, d.graph.adj
     piece = {c2: run}
-    cs = CycleSet()
-    rest = []
+    parts = []
     for t in sorted(s for _, s in run.pairs[run.i:]):
         r = records[t]
         if len(r) == 2:
@@ -567,15 +602,17 @@ def _cycle_with_two_edges_at(d: Decomposition, run: _Run, c2: int,
         if w is None:
             raise ConstructionError(
                 f"no block cycle with two edges at {c2} in block {t}")
-        c = cs.add(w.order)
+        _check_assigned(w, t, demands)
         for yi in others:
-            _hang(d, cs, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
-        es = w.assignment[c2]
-        rest.append((_opened(cs, c2, c, es, [cs.cycle_of(e) for e in es]), c))
-    rest += [((leaf, leaf), None) for leaf, _ in run.pairs[run.i:]  # ascending
-             if len(adj[leaf]) == 1]
-    _merge_at(cs, d.graph, c2, [], [], rest)
-    return cs.walk(c2, max(cs.nbrs[c2]))
+            _hang(d, sp, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
+        parts.append(_without(w.order, c2))
+    parts += [[leaf] for leaf, _ in run.pairs[run.i:]  # ascending
+              if len(adj[leaf]) == 1]
+    _check_joins(d.graph, [(c2, c2)] + [(p[0], p[-1]) for p in parts])
+    cyc = [c2]
+    for p in parts:
+        cyc += p
+    return cyc if cyc[1] < cyc[-1] else [c2, *cyc[:0:-1]]
 
 
 def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
@@ -608,7 +645,7 @@ def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
     if len(h) == 1 and d.graph.degree(fn) == 1:
         insert = [fn]
     else:
-        insert = _cycle_with_two_edges_at(d, h, y, todo, search)[1:]
+        insert = _cycle_with_two_edges_at(d, sp, todo, h, y, search)[1:]
     sp.splice([a, *insert, b])
 
 
@@ -677,7 +714,7 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     todo = _along(d, x, y)
     sp.splice([x] + [b for _, _, b, _ in todo])
     _fill(d, sp, todo, BlockSearch(d))
-    path = sp.expand(x, y)
+    path = sp.expand((x, y))
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")
     return path

@@ -27,10 +27,8 @@ from hamsquare.construct import (
     construct_ham_path,
     _Splices,
     _fill,
-    _opened,
     _rescue_through_neighbors,
 )
-from hamsquare.caterpillars import CycleSet
 from hamsquare.oracle import Witness, cycle_with, path_with
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
@@ -124,47 +122,44 @@ def test_small_input_rejected():
 
 # -- helper surgery --------------------------------------------------------
 
-def test_cycle_set_cut_removes_exactly_that_adjacency():
-    cs = CycleSet()
-    c = cs.add([0, 1, 2, 3])
-    cs.cut(edge(1, 2))
-    assert cs.cycle_of(edge(1, 2)) is None
-    assert all(cs.cycle_of(e) == c for e in [(0, 1), (2, 3), (0, 3)])
-    assert cs.nbrs == {0: {1, 3}, 1: {0}, 2: {3}, 3: {0, 2}}
-    with pytest.raises(ConstructionError):
-        cs.cut(edge(1, 2))
-
-
 def test_opened_fragment_ends_at_the_neighbors():
-    cs = CycleSet()
-    c = cs.add([0, 1, 2, 3])
-    assert _opened(cs, 1, c, [edge(1, 2), edge(0, 1)], [c, c]) == (0, 2)
-    for es in ([edge(0, 1), edge(1, 3)], [edge(0, 1), edge(0, 1)],
-               [edge(0, 1), edge(2, 3)]):
-        with pytest.raises(ConstructionError, match="differ from the assign"):
-            _opened(cs, 1, c, es, [cs.cycle_of(e) for e in es])
+    # C4 0-1-2-3 opened at 1: cut at one edge of 1, it reads from 1 away
+    # from that edge's far end; with both edges taken, 1 is left out and
+    # the rest reads from the smaller of 1's neighbours, whichever side
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 3, 0, 1)):
+        assert construct._cut(order, 1, 2) == [1, 0, 3, 2]
+        assert construct._cut(order, 1, 0) == [1, 2, 3, 0]
+        assert construct._without(order, 1) == [0, 3, 2]
+    assert construct._cut((0, 1), 1, 0) == [1, 0]  # a K2's two-vertex cycle
 
 
-def test_cycle_set_joins_cycles_and_walks_them():
-    cs = CycleSet()
-    a = cs.add([0, 1, 2])
-    b = cs.add([0, 3, 4])
-    assert cs.around(0, a) == [1, 2] and cs.around(0, b) == [3, 4]
-    for e in [(0, 1), (0, 4)]:
-        cs.cut(e)
-    c = cs.new_cycle([a, b])
-    cs.link(1, 4, c)
-    assert cs.live == {c}
-    assert cs.cycle_of(edge(1, 2)) == cs.cycle_of(edge(3, 4)) == c
-    assert cs.walk(0, 2) == [0, 3, 4, 1, 2]
-    assert cs.walk(0, 3) == [0, 2, 1, 4, 3]
-    cs.splice([4, 9, 1])
-    assert cs.walk(0, 2) == [0, 3, 4, 9, 1, 2]
-    with pytest.raises(ConstructionError):
-        cs.link(0, 3, c)  # already laid
-    cs.link(0, 9, c)
-    with pytest.raises(ConstructionError):
-        cs.walk(0, 2)  # 0 and 9 now have three neighbours
+def test_assigned_edges_must_be_distinct_cycle_edges_at_their_vertex():
+    check = construct._check_assigned
+    w = Witness((0, 1, 2, 3, 4), {1: [(0, 1), (1, 2)], 3: [(3, 4)]})
+    check(w, 7, [(1, 2), (3, 1)])
+    for assignment, message in [
+            ({1: [(0, 1), (1, 3)]}, "edge (1, 3) of vertex 1 is no edge"),
+            ({1: [(0, 1), (2, 3)]}, "edge (2, 3) of vertex 1 is no edge"),
+            ({1: [(0, 1), (0, 1)]}, "edge (0, 1) is assigned twice"),
+            ({1: [(0, 1), (1, 2)], 3: [(1, 2)]}, "edge (1, 2) of vertex 3"),
+            ({1: [(0, 1), (1, 2)], 3: []}, "assigns 0 edges to vertex 3, not 1")]:
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            check(Witness(w.order, assignment), 7, [(1, 2), (3, 1)])
+
+
+def test_root_cycle_expands_from_first_away_from_last():
+    # the root 0-1-2-3 with 1-2 spliced, met from 1 or, stored the other way
+    # round, from 2; the cycle comes out from first, away from last
+    for path in ([1, 5, 6, 2], [2, 6, 5, 1]):
+        for first, last, want in [(0, 3, [0, 1, 5, 6, 2, 3]),
+                                  (0, 1, [0, 3, 2, 6, 5, 1]),
+                                  (6, 5, [6, 2, 3, 0, 1, 5])]:
+            sp = _Splices()
+            sp.splice(path)
+            assert construct._laid_cycle(sp, (0, 1, 2, 3), first, last) == want
+    sp = _Splices()
+    with pytest.raises(ConstructionError, match="does not close at 0 from 2"):
+        construct._laid_cycle(sp, (0, 1, 2, 3), 0, 2)
 
 
 def test_splices_expand_in_either_orientation():
@@ -174,11 +169,11 @@ def test_splices_expand_in_either_orientation():
     sp = _Splices()
     for path in ([0, 2, 5], [5, 4, 3, 2], [0, 1, 2]):
         sp.splice(path)
-    assert sp.expand(0, 5) == [0, 1, 2, 3, 4, 5]
+    assert sp.expand((0, 5)) == [0, 1, 2, 3, 4, 5]
     sp = _Splices()
     for path in ([0, 2, 5], [5, 4, 3, 2], (2, 1, 0)):
         sp.splice(path)
-    assert sp.expand(5, 0) == [5, 4, 3, 2, 1, 0]
+    assert sp.expand((5, 0)) == [5, 4, 3, 2, 1, 0]
 
 
 def test_splice_of_two_vertices_changes_nothing():
@@ -187,7 +182,7 @@ def test_splice_of_two_vertices_changes_nothing():
     sp.splice([0, 1])
     sp.splice([0, 2, 1])
     sp.splice([1, 0])
-    assert sp.expand(0, 1) == [0, 2, 1]
+    assert sp.expand((0, 1)) == [0, 2, 1]
 
 
 def test_splice_of_an_edge_replaced_before_is_refused():
@@ -202,7 +197,7 @@ def test_splice_the_path_never_reaches_is_named():
     sp.splice([0, 1, 2])
     sp.splice([5, 4, 3])  # 3-5 is no edge of the path
     with pytest.raises(ConstructionError, match=r"edge \(3, 5\) lies off"):
-        sp.expand(0, 2)
+        sp.expand((0, 2))
 
 
 # -- the merge's own checks ------------------------------------------------
@@ -228,14 +223,13 @@ def _forged(monkeypatch, forge):
     # the labelling of the chain of triangles wants 2 edges at 2 in block
     # {0, 1, 2}, 1 at 2 and 2 at 4 in {2, 3, 4}, 2 at 4 in {4, 5, 6}
     (TRIANGLES, 1, lambda w: {2: [(0, 2), (2, 6)]},
-     "assigned edges [(0, 2), (2, 6)] of vertex 2 vanished before its turn"),
+     "assigned edge (2, 6) of vertex 2 is no edge of block 0's cycle at 2"),
     (TRIANGLES, 1, lambda w: {2: [(0, 2), (0, 2)]},
-     "cycle edges [(0, 2), (1, 2)] at 2 differ from the assigned "
-     "[(0, 2), (0, 2)]"),
+     "edge (0, 2) is assigned twice in block 0"),
     (TRIANGLES, 1, lambda w: {2: [(2, 3)]},  # block {2, 3, 4}'s edge
-     "two fragments at 2 came from one cycle"),
+     "assigned edge (2, 3) of vertex 2 is no edge of block 0's cycle at 2"),
     (TRIANGLES, 3, lambda w: {2: [(2, 3)], 4: [(2, 4), (2, 3)]},
-     "edge (2, 3) owed to pending vertex 4 was consumed"),
+     "assigned edge (2, 3) of vertex 4 is no edge of block 1's cycle at 4"),
     # 0's cycle neighbours 2 and 3 in the C5 are no neighbours of 0 in g
     (C5_TRIANGLE, 1, lambda w: {0: [(0, 2), (0, 3)]},
      "assembled cycle uses non-edge (3, 5)"),
@@ -302,7 +296,7 @@ def _forced_rescue(d, t, x, y):
     # {} is the piece that holds every block of the graph
     _rescue_through_neighbors(d, sp, todo, {}, t, x, y, search)
     _fill(d, sp, todo, search)
-    return sp.expand(x, y)
+    return sp.expand((x, y))
 
 
 def test_rescue_through_neighbor_pair_directly():
@@ -655,14 +649,12 @@ def test_high_degree_witnesses():
 
 
 def test_constructors_step_once_per_block(monkeypatch):
-    # Work counted, not timed: every cycle lookup of the CycleSet, every
-    # piece the path constructor lays, every splice of a path, and every
-    # block sorted into a run of the blocks at a cutvertex. A cutvertex with
-    # k blocks used to cost O(k) for each of them (8,006,000 lookups on the
-    # windmill of 2000's cycle). None of the paths takes the rescue route,
-    # so none lays an edge in a CycleSet.
-    calls = {"cycle_of": 0, "_lay": 0, "splice": 0, "sorted into runs": 0,
-             "link": 0}
+    # Work counted, not timed: every merge step at a cutvertex, every piece
+    # the path constructor lays, every splice, and every block sorted into
+    # a run of the blocks at a cutvertex. A cutvertex with k blocks used to
+    # cost O(k) for each of them (8,006,000 cycle lookups on the windmill
+    # of 2000's cycle).
+    calls = {"_merge_at": 0, "_lay": 0, "splice": 0, "sorted into runs": 0}
 
     def counting(name, real):
         def counted(*args):
@@ -678,10 +670,9 @@ def test_constructors_step_once_per_block(monkeypatch):
                 calls["sorted into runs"] += len(pairs)
             super().__init__(pairs, i)
 
-    monkeypatch.setattr(CycleSet, "cycle_of",
-                        counting("cycle_of", CycleSet.cycle_of))
-    monkeypatch.setattr(CycleSet, "link", counting("link", CycleSet.link))
-    monkeypatch.setattr(construct, "_lay", counting("_lay", construct._lay))
+    for name in ("_merge_at", "_lay"):
+        monkeypatch.setattr(construct, name,
+                            counting(name, getattr(construct, name)))
     monkeypatch.setattr(_Splices, "splice",
                         counting("splice", _Splices.splice))
     monkeypatch.setattr(construct, "_Run", Run)
@@ -696,25 +687,25 @@ def test_constructors_step_once_per_block(monkeypatch):
             construct_ham_cycle(g)
         else:
             construct_ham_path(g, *ends)
-            assert calls["link"] == 0, (g.n, ends, calls)
         assert all(n <= 8 * count for n in calls.values()), (g.n, calls)
 
 
-def test_cycle_merge_links_and_cuts_a_bounded_number_of_edges_per_block(
-        monkeypatch):
-    # Work counted, not timed: each triangle lays its three edges, and each
-    # cutvertex cuts the two or three edges at it and links as many joins
+def test_cycle_merge_splices_once_or_twice_per_cutvertex(monkeypatch):
+    # Work counted, not timed: each cutvertex lays its fresh triangle in
+    # one splice over the parent's edge at it, or two if the parent is
+    # opened there
     calls = []
-    for name in ("link", "cut"):
-        real = getattr(CycleSet, name)
+    real = _Splices.splice
 
-        def counted(cs, *args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(cs, *args)
-        monkeypatch.setattr(CycleSet, name, counted)
+    def counted(sp, path):
+        calls.append(len(path))
+        return real(sp, path)
+    monkeypatch.setattr(_Splices, "splice", counted)
     chain = _triangle_chain(2560)
+    cuts = sum(1 for v in range(chain.n) if chain.degree(v) == 4)
+    assert cuts == 2559
     construct_ham_cycle(chain)
-    assert 0 < calls.count("cut") < len(calls) <= 8 * 2560
+    assert cuts <= len(calls) <= 2 * cuts
 
 
 # -- one search per block shape ----------------------------------------------
