@@ -16,7 +16,10 @@ edges), each sharing a pole with the next (14,008 vertices), and its path
 between the poles of block 1000, for which no block path has an edge of
 the graph at both poles: it takes the rescue route once, and the 1000
 blocks beyond the far pole go in as a cycle through that pole opened
-there, a lone cycle block C2000, whose witnesses come from the oracle,
+there, a hub theta: a theta(1,4,4) with a triangle at pole 0 and 2000
+triangles and a leaf at pole 1, and its path from pole 0 to pole 1, which
+takes the rescue route once and lays the 2001 parts hanging at pole 1 in
+one merge step there, a lone cycle block C2000, whose witnesses come from the oracle,
 the cycle of a lone cycle block C40000, which the oracle lays 40,000
 vertices deep (a search that recursed once per vertex overflowed the C
 stack of CPython 3.10 from about C25000 on), two chains whose cycle
@@ -126,6 +129,17 @@ def theta_chain(k):
     return Graph.from_edges(edges)
 
 
+def hub_theta(k):
+    """A theta(1,4,4), poles 0 and 1 joined by an edge and by the paths
+    through 2..4 and 5..7, with the triangle 0, 8, 9 at pole 0, and k
+    triangles 1, 10 + 2j, 11 + 2j and the leaf 10 + 2k at pole 1."""
+    edges = [(0, 1), (0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 7),
+             (7, 1), (0, 8), (8, 9), (0, 9), (1, 10 + 2 * k)]
+    edges += [e for j in range(k) for e in
+              [(1, 10 + 2 * j), (10 + 2 * j, 11 + 2 * j), (1, 11 + 2 * j)]]
+    return Graph.from_edges(edges)
+
+
 def leafy_bridge_chain(k):
     """k triangles, each joined to the next by a path of three bridges with
     a leaf on each of its two inner vertices; odd triangles are entered and
@@ -201,6 +215,7 @@ def rows():
     thetas = theta_chain(2001)
     yield f"theta(1,4,4) chain k=2001 n={thetas.n} path 7000-7007", thetas, \
         (7000, 7007)
+    yield "hub theta k=2000 path 0-1", hub_theta(2000), (0, 1)
     c = cycle(2000)
     yield "cycle block C2000 cycle", c, None
     yield "cycle block C2000 path 0-1000", c, (0, 1000)

@@ -58,12 +58,12 @@ Those blocks are kept ordered by fn, so the next part hanging at c drops
 the first in O(1), and pendant leaves at c go in as one splice. When both
 endpoints are the block's two cutvertices the designated edge may not exist
 at the far end y; a path through an edge u-v between two neighbours of y is
-used instead, and the part hanging at y goes in between u and v as a cycle
-through y opened up at y: its blocks' cycles, each with y taken out, and
-y's leaves, chained as the cycle merge chains them. Once no task is left,
-the splices are expanded once, from x-y down. Nothing recurses, and besides
-the block searches a path costs O(n + m) and one sort of the blocks at each
-cutvertex.
+used instead, and the part hanging at y goes in over u-v by one step of
+the cycle merge at y, with the block path as its pair node: its blocks'
+cycles, each with y taken out at its two edges there, then y's leaves.
+Once no task is left, the splices are expanded once, from x-y down.
+Nothing recurses, and besides the block searches a path costs O(n + m)
+and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
 hands it down to every block search it runs. A block of more than four
@@ -312,7 +312,9 @@ def _merge_at(g: Graph, sp: _Splices, held: dict, i: int, parent: int,
     The nodes at i are its 2-blocks, ascending, and comp, its bridge-forest
     component, if any; held maps each to its closed order and its edges at
     each of its cutvertices. The node parent is laid already; every other
-    node is fresh. Each comes in as a fragment, a path between its ends:
+    node is fresh. In the path constructor's rescue route, comp and parent
+    are the block path, held with its edge u-v between two neighbours of i
+    as a pair node. Each comes in as a fragment, a path between its ends:
     - a pair: comp cut at its pair edge u-v, ends (u, v), i kept inside;
     - an anchor: a node cut at its one edge i-w, ends (i, w);
     - an open fragment: a 2-block with i taken out at its two edges at i,
@@ -385,17 +387,16 @@ def _merge_at(g: Graph, sp: _Splices, held: dict, i: int, parent: int,
     return ends[0][0], ends[-1][1], fresh
 
 
-def _block_cycle(d: Decomposition, m: dict, search: BlockSearch,
-                 t: int) -> tuple:
-    """The closed order of 2-block t's cycle and its edges at each
-    cutvertex i, m[(i, t)] of them, checked."""
+def _block_cycle(d: Decomposition, search: BlockSearch, t: int,
+                 demands: list) -> tuple:
+    """The closed order of 2-block t's cycle and its edges at each vertex
+    v of the demands (v, c), c of them, checked."""
     _, _, es, vs = d.records[t]
-    demands = [(i, v) for i in d.cuts_of[t] if (v := m.get((i, t), 0)) > 0]
     w = search(vs, es, demands)
     if w is None:
         raise ConstructionError(
-            f"no block cycle satisfying {tuple(demands)}; the demands "
-            "were expected to be feasible for any 2-block")
+            f"no cycle of block {t} satisfying {tuple(demands)}; the "
+            "demands were expected to be feasible for any 2-block")
     _check_assigned(w, t, demands)
     return w.order, w.assignment
 
@@ -403,6 +404,11 @@ def _block_cycle(d: Decomposition, m: dict, search: BlockSearch,
 def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
                   search: BlockSearch) -> list:
     cuts_of, bn, k, m = d.cuts_of, d.bn, d.k, labelling.m
+
+    def cycle_of(t):  # 2-block t's cycle, m[(i, t)] edges at each i
+        return _block_cycle(d, search, t, [
+            (i, v) for i in cuts_of[t] if (v := m.get((i, t), 0)) > 0])
+
     at_cut: dict[int, list] = {}  # each cutvertex's 2-blocks, ascending
     for t in d.two_idx:
         for i in cuts_of[t]:
@@ -426,7 +432,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
 
     adj = g.adj
     root = d.two_idx[0]
-    order, _ = held[root] = _block_cycle(d, m, search, root)
+    order, _ = held[root] = cycle_of(root)
     # a lone block's cycle is returned as it was found
     first, last = order[0], order[-1]
     final = max(at_cut, default=None)
@@ -440,7 +446,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
             blocks = at_cut.pop(i)
             for t in blocks:
                 if t != node:
-                    held[t] = _block_cycle(d, m, search, t)
+                    held[t] = cycle_of(t)
             comp = comp_at.get(i)
             leaves = [] if comp is not None else sorted(
                 w for w in adj[i] if len(adj[w]) == 1)
@@ -579,42 +585,6 @@ def _hang(d: Decomposition, sp: _Splices, todo: list, piece: dict, t: int,
     sp.splice(laid[::-1])
 
 
-def _cycle_with_two_edges_at(d: Decomposition, sp: _Splices, todo: list,
-                             run: _Run, c2: int, search: BlockSearch) -> list:
-    """Hamiltonian cycle of the square of the part {c2: run} whose two
-    cycle edges at c2 are edges of the graph, read from c2 towards the
-    smaller of its cycle neighbours. Each 2-block's cycle comes in with c2
-    taken out at its two edges at c2, ascending by block, and the leaves of
-    c2 last. The parts hanging off its blocks are left as tasks on todo,
-    their splices in sp, over edges of the returned cycle."""
-    records, adj = d.records, d.graph.adj
-    piece = {c2: run}
-    parts = []
-    for t in sorted(s for _, s in run.pairs[run.i:]):
-        r = records[t]
-        if len(r) == 2:
-            continue
-        others = [v for v in _cuts(d, piece, t) if v != c2]
-        if len(others) > 1:
-            raise ConstructionError(f"block {t} has more than two cutvertices")
-        demands = [(c2, 2)] + [(v, 1) for v in others]
-        w = search(r[3], r[2], demands)
-        if w is None:
-            raise ConstructionError(
-                f"no block cycle with two edges at {c2} in block {t}")
-        _check_assigned(w, t, demands)
-        for yi in others:
-            _hang(d, sp, todo, piece, t, yi, _partner(w.assignment[yi][0], yi))
-        parts.append(_without(w.order, c2))
-    parts += [[leaf] for leaf, _ in run.pairs[run.i:]  # ascending
-              if len(adj[leaf]) == 1]
-    _check_joins(d.graph, [(c2, c2)] + [(p[0], p[-1]) for p in parts])
-    cyc = [c2]
-    for p in parts:
-        cyc += p
-    return cyc if cyc[1] < cyc[-1] else [c2, *cyc[:0:-1]]
-
-
 def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
                               piece: dict, t: int, x: int, y: int,
                               search: BlockSearch) -> None:
@@ -622,14 +592,16 @@ def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
     when no block path carries an edge at y.
 
     A path through some edge u-v between two neighbours of y exists
-    instead; the part hanging at y enters between u and v, in the order
-    they have on the block path, as its leaf or as a cycle through y with
-    y taken out, one splice over u-v. u-v may not be x's designated edge,
-    which the part hanging at x takes.
+    instead. u-v may not be x's designated edge, which the part hanging at
+    x takes. The part hanging at y goes in over u-v by one merge step at y,
+    the block path its pair node: the part's 2-blocks, each with two edges
+    at y and one at its other cutvertex, where the part hanging there
+    enters, then y's leaves.
     """
     # a block is an induced subgraph: y's neighbours in it are those in g
     _, _, es, vs = d.records[t]
-    nbrs = sorted(d.graph.neighbors(y) & vs)
+    g = d.graph
+    nbrs = sorted(g.neighbors(y) & vs)
     for u, v in itertools.combinations(nbrs, 2):
         w = search(vs, es, [(x, 1)], (x, y), [(u, v)])
         if w is not None and (u, v) not in w.assignment[x]:
@@ -639,14 +611,17 @@ def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
     sp.splice(w.order)
     _hang(d, sp, todo, piece, t, x, _partner(w.assignment[x][0], x))
-    a, b = sorted((u, v), key=w.order.index)
-    h = _rest(d, piece, y, t)
-    fn = h.pairs[h.i][0]
-    if len(h) == 1 and d.graph.degree(fn) == 1:
-        insert = [fn]
-    else:
-        insert = _cycle_with_two_edges_at(d, sp, todo, h, y, search)[1:]
-    sp.splice([a, *insert, b])
+    run = _rest(d, piece, y, t)
+    part, pairs = {y: run}, run.pairs[run.i:]
+    held = {t: (w.order, {y: edge(u, v)})}
+    blocks = sorted(s for _, s in pairs if len(d.records[s]) > 2)
+    for s in blocks:
+        cs = [c for c in _cuts(d, part, s) if c != y]
+        held[s] = _block_cycle(d, search, s, [(y, 2)] + [(c, 1) for c in cs])
+        for c in cs:
+            _hang(d, sp, todo, part, s, c, _partner(held[s][1][c][0], c))
+    leaves = [fn for fn, _ in pairs if g.degree(fn) == 1]  # ascending
+    _merge_at(g, sp, held, y, t, blocks, t, leaves)
 
 
 def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,

@@ -306,7 +306,7 @@ def test_rescue_through_neighbor_pair_directly():
     d = decompose(g)
     (ring,) = (b.index for b in blocks(d) if len(b.vertices) == 4)
     p = _forced_rescue(d, ring, 0, 2)
-    assert p == [0, 5, 4, 1, 6, 7, 3, 2]
+    assert p == [0, 5, 4, 1, 7, 6, 3, 2]
     assert is_ham_path(g.square(), p, 0, 2)
 
 
@@ -336,16 +336,33 @@ def _theta(lengths):
     return es, nxt
 
 
+def _hang_ring(es, nxt, at, length):
+    """Add to es a ring of the given length hung at vertex at, its other
+    vertices labelled from nxt; a ring of 2 is a pendant leaf. Returns the
+    ring's walk from at."""
+    walk = [at, *range(nxt, nxt + length - 1)]
+    es += zip(walk, walk[1:])
+    if length > 2:
+        es.append((walk[-1], at))
+    return walk
+
+
 def _hung_at_poles(lengths, ring):
-    """A theta with a ring of the given length hung at both poles; a ring
-    of 2 is a pendant leaf."""
+    """A theta with a ring of the given length hung at both poles."""
     es, nxt = _theta(lengths)
     for pole in (0, 1):
-        walk = [pole, *range(nxt, nxt + ring - 1)]
-        nxt += ring - 1
-        es += zip(walk, walk[1:])
-        if ring > 2:
-            es.append((walk[-1], pole))
+        nxt = _hang_ring(es, nxt, pole, ring)[-1] + 1
+    return Graph.from_edges(es)
+
+
+def _parts_at_pole_1(lengths):
+    """A theta with a triangle hung at pole 0, and two triangles, a leaf
+    and a C5 at pole 1, the C5 carrying a triangle at its third vertex."""
+    es, nxt = _theta(lengths)
+    for at, length in ((0, 3), (1, 3), (1, 3), (1, 2), (1, 5)):
+        walk = _hang_ring(es, nxt, at, length)
+        nxt = walk[-1] + 1
+    _hang_ring(es, nxt, walk[2], 3)
     return Graph.from_edges(es)
 
 
@@ -355,22 +372,31 @@ def _hung_at_poles(lengths, ring):
 def test_rescue_route_reached_unforced(monkeypatch, lengths):
     # from 8 vertices up, a 0-1 path of the theta's square with an edge of
     # the theta at both ends may not exist; the path then goes through the
-    # rescue route, once per request. theta(1,3,5) never needs it.
+    # rescue route, once per request, and the part hanging at the far pole
+    # y goes in by one merge step at y. theta(1,3,5) never needs it. In the
+    # last graph the C5 hanging at 1 has a part of its own, which enters
+    # it at its other cutvertex.
     calls = []
 
-    def counted(*args):
-        calls.append(args[4:7])
-        return _rescue_through_neighbors(*args)
+    def counted(real, at):
+        def call(*args):
+            calls.append((real.__name__, args[at]))
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(construct, "_rescue_through_neighbors", counted)
+    monkeypatch.setattr(construct, "_rescue_through_neighbors",
+                        counted(_rescue_through_neighbors, 6))
+    monkeypatch.setattr(construct, "_merge_at",
+                        counted(construct._merge_at, 3))
     want = 0 if lengths == (1, 3, 5) else 1
-    for ring in (2, 3, 4):
-        g = _hung_at_poles(lengths, ring)
+    graphs = [_hung_at_poles(lengths, ring) for ring in (2, 3, 4)]
+    for g in graphs + [_parts_at_pole_1(lengths)]:
         for x, y in ((0, 1), (1, 0)):
             calls.clear()
             p = construct_ham_path(g, x, y)
-            assert is_ham_path(g, p, x, y, square=True), (ring, x, y)
-            assert len(calls) == want, (ring, x, y, calls)
+            assert is_ham_path(g, p, x, y, square=True), (g.n, x, y)
+            assert calls == [("_rescue_through_neighbors", y),
+                             ("_merge_at", y)] * want, (g.n, x, y)
 
 
 def test_paths_on_mixed_small_family():
@@ -427,7 +453,7 @@ def _outcome(build) -> str:
 # fails on 66 of the 160). It pins them exactly: a change that alters any
 # of them updates it and says why.
 RANDOM_TREE_WITNESSES_SHA256 = (
-    "d4572b794d3857f4385fcc054a9eb14accf33f00b553b6d1783ed38b0025b21e")
+    "294bafbea7a01009d3a5161f33bc2faf71fccf2a2498440503716d70e8540841")
 
 
 def test_random_block_trees_paths_and_forced_rescues():
