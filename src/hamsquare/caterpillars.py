@@ -123,12 +123,15 @@ def caterpillar_cycle(nbrs,
     is a longest path chosen with the end reservations in mind, and order
     is the closed-form cycle of the module docstring. A need_end vertex
     (at most two) is reserved a spine end-edge containing it; a need_pair
-    vertex, internal on the spine, its neighbour-pair edge, which it keeps
-    when it is in need_end too. Every reserved edge is checked before it
+    vertex, internal on the spine, its neighbour-pair edge; a vertex in
+    both raises ConstructionError. Every reserved edge is checked before it
     is returned.
     """
     if len(nbrs) < 3:
         raise ValueError("caterpillar cycle needs at least three vertices")
+    if both := set(need_end).intersection(need_pair):
+        raise ConstructionError(f"vertices {sorted(both)} are asked for both "
+                                "an end edge and a pair edge")
     x, legs = _spine(nbrs, frozenset(need_end))
     m = len(x)
 

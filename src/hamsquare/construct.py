@@ -41,29 +41,29 @@ checked once, by caterpillar_cycle, on g.adj itself. All these checks test
 square adjacency pairwise; no square of the whole graph is built.
 
 The path constructor works top down too. The x-y path starts as the
-placeholder edge x-y. A task (piece, a, b, t) replaces a placeholder edge
-a-b by a hamiltonian a-b path of the square of the piece, whose block t
-holds a and b. A piece is a handle on the block-cutvertex tree, not a set
-of blocks: a dict from each of its boundary vertices (at most two, both
-ends of its task) to its blocks there; at any other vertex it holds all the
-vertex's blocks, so the whole graph is {}. The bc-tree path from x to y,
-read off the tree rooted at y once per request, splits the graph into one
-part per block of it: every cutvertex on it separates x from y, so the path
-crosses the parts in turn, and the first splice is x, those cutvertices, y.
-A task lays a path of its block with a designated block edge c-p at each
-cutvertex c of the block. The part hanging there, {c: the other blocks at
-c}, enters through that edge: c, fn, p take its place, fn the least
-neighbour of c in the part, and the part is the task of the edge c-fn.
-Those blocks are kept ordered by fn, so the next part hanging at c drops
-the first in O(1), and pendant leaves at c go in as one splice. When both
-endpoints are the block's two cutvertices the designated edge may not exist
-at the far end y; a path through an edge u-v between two neighbours of y is
-used instead, and the part hanging at y goes in over u-v by one step of
-the cycle merge at y, with the block path as its pair node: its blocks'
-cycles, each with y taken out at its two edges there, then y's leaves.
-Once no task is left, the splices are expanded once, from x-y down.
-Nothing recurses, and besides the block searches a path costs O(n + m)
-and one sort of the blocks at each cutvertex.
+placeholder edge x-y. A task (runs, a, b, t) replaces a placeholder edge
+a-b by a hamiltonian a-b path of the square of block t, which holds a and
+b, and of the parts hanging at t's cutvertices. runs maps a cutvertex c of
+t to its run, the pairs (fn, s) of the blocks s still hanging at c, fn the
+least neighbour of c in s, ordered by fn; at a cutvertex missing from runs,
+all its blocks but t hang there, and the task makes their run when it first
+reads it. The bc-tree path from x to y, read off the tree rooted at y once
+per request, splits the graph into one part per block of it: every
+cutvertex on it separates x from y, so the path crosses the parts in turn,
+and the first splice is x, those cutvertices, y. A task lays a path of its
+block with a designated block edge c-p at each cutvertex c whose run is not
+empty. The part hanging there enters through that edge: c, fn, p take its
+place, and the task of the edge c-fn lays the run's next block s, with the
+rest of the run hanging at c. The leaves of c ahead of s go in with it, as
+one splice. A run is handed on, never copied, and each pair is taken off it
+once, in O(1). When both endpoints are the block's two cutvertices the
+designated edge may not exist at the far end y; a path through an edge u-v
+between two neighbours of y is used instead, and the part hanging at y goes
+in over u-v by one step of the cycle merge at y, with the block path as its
+pair node: its blocks' cycles, each with y taken out at its two edges
+there, then y's leaves. Once no task is left, the splices are expanded
+once, from x-y down. Nothing recurses, and besides the block searches a
+path costs O(n + m) and one sort of the blocks at each cutvertex.
 
 Each request, one call of either constructor, makes one BlockSearch and
 hands it down to every block search it runs. A block of more than four
@@ -495,42 +495,25 @@ def construct_ham_cycle(g: Graph) -> list:
 
 # -- hamiltonian paths -----------------------------------------------------
 
-class _Run:
-    """A piece's blocks at its boundary vertex c, as pairs (fn, t) from
-    index i on, ordered by fn, the least neighbour of c in block t. The
-    part hanging at c off the first block is the same pairs from i + 1 on."""
-    __slots__ = ("pairs", "i")
-
-    def __init__(self, pairs: list, i: int = 0):
-        self.pairs, self.i = pairs, i
-
-    def __len__(self) -> int:
-        return len(self.pairs) - self.i
-
-
-def _cuts(d: Decomposition, piece: dict, t: int) -> list:
-    """The cutvertices of the piece in block t, ascending."""
-    return [v for v in d.cuts_of[t] if v not in piece or len(piece[v]) > 1]
-
-
-def _rest(d: Decomposition, piece: dict, c: int, t: int) -> _Run:
-    """The run of the piece's blocks at c other than t."""
-    at = piece.get(c)
-    if isinstance(at, _Run):  # a hanging part is laid from its first block
-        return _Run(at.pairs, at.i + 1)
+def _run(d: Decomposition, c: int, skip) -> list:
+    """The pairs (fn, s) of the blocks s at cutvertex c not in skip, fn the
+    least neighbour of c in block s, by descending fn: the next part hanging
+    at c is read off the end."""
     nb, records = d.graph.adj[c], d.records
     pairs = []
-    for s in (d.blocks_at[c] if at is None else at):
-        if s != t:
+    for s in d.blocks_at[c]:
+        if s not in skip:
             r = records[s]
             pairs.append((min(nb.intersection(r if len(r) == 2 else r[3])), s))
-    return _Run(sorted(pairs))
+    pairs.sort(reverse=True)
+    return pairs
 
 
 def _along(d: Decomposition, x: int, y: int) -> list:
-    """The tasks (part, a, b, t) of the blocks t of the bc-tree path from x
+    """The tasks (runs, a, b, t) of the blocks t of the bc-tree path from x
     to y, in order: a and b are t's ends on the path, x, every cutvertex
-    between, then y. The tree is rooted at y and walked until it reaches x.
+    between, then y; runs gives a the run of its blocks off the path, and b
+    an empty one unless b is y. The tree is rooted at y and walked until x.
     """
     blocks_at, cuts_of = d.blocks_at, d.cuts_of
     # an end that is no cutvertex lies in one block, found by one scan
@@ -552,51 +535,51 @@ def _along(d: Decomposition, x: int, y: int) -> list:
                     if w != v and w not in up:
                         up[w] = t
                         todo.append(w)
-    parts, a, prev = [], x, None
+    tasks, a, prev = [], x, None
     while a != y:
         t = up[a]
         b = top[t]
-        part = {a: tuple([s for s in at.get(a) or blocks_at[a] if s != prev])}
+        runs = {a: _run(d, a, (prev, t)) if a in blocks_at else []}
         if b != y:
-            part[b] = (t,)
-        parts.append((part, a, b, t))
+            runs[b] = []
+        tasks.append((runs, a, b, t))
         a, prev = b, t
-    return parts
+    return tasks
 
 
-def _hang(d: Decomposition, sp: _Splices, todo: list, piece: dict, t: int,
-          c: int, p: int) -> None:
-    """Let the part of the piece hanging at c off block t enter through the
-    block edge c-p: c, fn, p take its place, fn the least neighbour of c in
-    the part, and the part's c-fn path is left as a task. The leaves of c
-    at the head of the run go in with it, in one splice into sp, c, fn, lk,
-    ..., l1, p: the path a task per leaf would lay."""
-    run = _rest(d, piece, c, t)
-    adj, pairs, i = d.graph.adj, run.pairs, run.i
+def _hang(d: Decomposition, sp: _Splices, todo: list, run: list, c: int,
+          p: int) -> None:
+    """Let the part still hanging at c, the run, enter through the block
+    edge c-p: c, fn, p take its place, fn the least neighbour of c in the
+    part, and the part's c-fn path is left as a task that lays the run's
+    next block s, the rest of the run hanging at c. The leaves of c ahead of
+    s in the run go in with it, in one splice into sp, c, fn, lk, ..., l1,
+    p: the path a task per leaf would lay."""
+    adj = d.graph.adj
     laid = [p]
-    while i < len(pairs) and len(adj[pairs[i][0]]) == 1:
-        laid.append(pairs[i][0])
-        i += 1
-    if i < len(pairs):
-        fn, s = pairs[i]
+    while run and len(adj[run[-1][0]]) == 1:
+        laid.append(run.pop()[0])
+    if run:
+        fn, s = run.pop()
         laid.append(fn)
-        todo.append(({c: _Run(pairs, i)}, c, fn, s))
+        todo.append(({c: run}, c, fn, s))
     laid.append(c)
     sp.splice(laid[::-1])
 
 
 def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
-                              piece: dict, t: int, x: int, y: int,
+                              runs: dict, t: int, x: int, y: int,
                               search: BlockSearch) -> None:
     """Splice into sp the x-y path between the two cutvertices of block t
-    when no block path carries an edge at y.
+    when no block path carries an edge at y; runs[x] and runs[y] hang there,
+    and a missing one is all the other blocks.
 
     A path through some edge u-v between two neighbours of y exists
     instead. u-v may not be x's designated edge, which the part hanging at
     x takes. The part hanging at y goes in over u-v by one merge step at y,
     the block path its pair node: the part's 2-blocks, each with two edges
-    at y and one at its other cutvertex, where the part hanging there
-    enters, then y's leaves.
+    at y and one at its other cutvertex, where all its other blocks enter,
+    then y's leaves.
     """
     # a block is an induced subgraph: y's neighbours in it are those in g
     _, _, es, vs = d.records[t]
@@ -610,27 +593,32 @@ def _rescue_through_neighbors(d: Decomposition, sp: _Splices, todo: list,
         raise ConstructionError(
             f"neither an edge at {y} nor a neighbor-pair edge is achievable")
     sp.splice(w.order)
-    _hang(d, sp, todo, piece, t, x, _partner(w.assignment[x][0], x))
-    run = _rest(d, piece, y, t)
-    part, pairs = {y: run}, run.pairs[run.i:]
+    rx, ry = (runs[c] if c in runs else _run(d, c, (t,)) for c in (x, y))
+    _hang(d, sp, todo, rx, x, _partner(w.assignment[x][0], x))
     held = {t: (w.order, {y: edge(u, v)})}
-    blocks = sorted(s for _, s in pairs if len(d.records[s]) > 2)
+    blocks = sorted(s for _, s in ry if len(d.records[s]) > 2)
     for s in blocks:
-        cs = [c for c in _cuts(d, part, s) if c != y]
+        cs = [c for c in d.cuts_of[s] if c != y]
         held[s] = _block_cycle(d, search, s, [(y, 2)] + [(c, 1) for c in cs])
         for c in cs:
-            _hang(d, sp, todo, part, s, c, _partner(held[s][1][c][0], c))
-    leaves = [fn for fn, _ in pairs if g.degree(fn) == 1]  # ascending
+            _hang(d, sp, todo, _run(d, c, (s,)), c,
+                  _partner(held[s][1][c][0], c))
+    leaves = [fn for fn, _ in reversed(ry) if g.degree(fn) == 1]  # ascending
     _merge_at(g, sp, held, y, t, blocks, t, leaves)
 
 
 def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,
-         piece: dict, x: int, y: int, t: int) -> None:
+         runs: dict, x: int, y: int, t: int) -> None:
     """Splice into sp, over the placeholder edge x-y, a hamiltonian x-y
-    path of the square of the piece, whose block t holds x and y, and leave
-    a task for every part that enters through a placeholder of its own."""
+    path of the square of block t, which holds x and y, and of the parts
+    hanging at its cutvertices: runs[c] at c, or all of c's other blocks
+    when c is missing from runs. Leave a task for every part that enters
+    through a placeholder of its own."""
     r = d.records[t]
-    cvs = _cuts(d, piece, t)
+    for c in d.cuts_of[t]:
+        if c not in runs:
+            runs[c] = _run(d, c, (t,))
+    cvs = [c for c in d.cuts_of[t] if runs[c]]
     if len(cvs) > 2:
         raise ConstructionError(f"block carries {len(cvs)} cutvertices; "
                                 "at most two are buildable")
@@ -640,7 +628,7 @@ def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,
                 f"bridge ({cvs[0]}, {cvs[1]}) joins two cutvertices; no "
                 "path between its ends exists in the square")
         for c in cvs:
-            _hang(d, sp, todo, piece, t, c, _partner((x, y), c))
+            _hang(d, sp, todo, runs[c], c, _partner((x, y), c))
         return
     between_cuts = set(cvs) == {x, y}
     if between_cuts:
@@ -651,7 +639,7 @@ def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,
             x, y = y, x  # the search starts away from the cutvertex
     w = search(r[3], r[2], demands, (x, y))
     if w is None and between_cuts:
-        _rescue_through_neighbors(d, sp, todo, piece, t, x, y, search)
+        _rescue_through_neighbors(d, sp, todo, runs, t, x, y, search)
         return
     if w is None:
         raise ConstructionError(
@@ -659,15 +647,7 @@ def _lay(d: Decomposition, sp: _Splices, todo: list, search: BlockSearch,
             f"edge at each of {cvs}")
     sp.splice(w.order)
     for c in cvs:
-        _hang(d, sp, todo, piece, t, c, _partner(w.assignment[c][0], c))
-
-
-def _fill(d: Decomposition, sp: _Splices, todo: list,
-          search: BlockSearch) -> None:
-    """Work off the tasks (piece, a, b, t) with _lay, one at a time, each
-    splicing into sp."""
-    while todo:
-        _lay(d, sp, todo, search, *todo.pop())
+        _hang(d, sp, todo, runs[c], c, _partner(w.assignment[c][0], c))
 
 
 def construct_ham_path(g: Graph, x: int, y: int) -> list:
@@ -688,7 +668,9 @@ def construct_ham_path(g: Graph, x: int, y: int) -> list:
     sp = _Splices()
     todo = _along(d, x, y)
     sp.splice([x] + [b for _, _, b, _ in todo])
-    _fill(d, sp, todo, BlockSearch(d))
+    search = BlockSearch(d)
+    while todo:
+        _lay(d, sp, todo, search, *todo.pop())
     path = sp.expand((x, y))
     if not is_ham_path(g, path, x, y, square=True):
         raise ConstructionError("assembled sequence is not a hamiltonian path")

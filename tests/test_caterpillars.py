@@ -100,6 +100,16 @@ def test_star_cycle_pairs_through_third_leaf():
     assert is_ham_cycle(k13.square(), order)
 
 
+def test_a_vertex_holds_one_reservation():
+    # 1 is in a spine end-edge and internal on the spine, so each request
+    # alone is met; asked for both, the cycle refuses instead of keeping one
+    p4 = adjacency(path_graph(4))
+    assert caterpillar_cycle(p4, need_end=frozenset({1}))[1] == {1: (0, 1)}
+    assert caterpillar_cycle(p4, need_pair=frozenset({1}))[1] == {1: (0, 2)}
+    with pytest.raises(ConstructionError, match=r"\[1\] are asked for both"):
+        caterpillar_cycle(p4, need_end=frozenset({1}), need_pair=frozenset({1}))
+
+
 def test_cycle_needs_three_vertices():
     with pytest.raises(ValueError):
         caterpillar_cycle(adjacency(path_graph(2)))
@@ -221,9 +231,10 @@ def _caterpillar_requests(seed=20261019, count=300):
 
 
 # order and reservations (or the error) of the 1200 requests above, as the
-# splice-built constructor gave them
+# splice-built constructor gave them; the 15 that name a vertex in both
+# need_end and need_pair raise that error
 CATERPILLAR_CYCLES_SHA256 = \
-    "e408c40f0992a32d480c3218565bfb972c99ff5528a1e1e5bf0753593da7cb86"
+    "65f6606b282630a6d6aa08cfd7606b282502c41f6d2c51ce93729dad614e40d0"
 
 
 def test_caterpillar_cycles_pinned_beyond_the_corpus():

@@ -26,7 +26,7 @@ from hamsquare.construct import (
     construct_ham_cycle,
     construct_ham_path,
     _Splices,
-    _fill,
+    _lay,
     _rescue_through_neighbors,
 )
 from hamsquare.oracle import Witness, cycle_with, path_with
@@ -293,9 +293,10 @@ def _forced_rescue(d, t, x, y):
     block t, whether or not a block path with an edge at y exists."""
     sp = _Splices()
     todo, search = [], BlockSearch(d)
-    # {} is the piece that holds every block of the graph
+    # with no runs given, every other block at x and at y hangs there
     _rescue_through_neighbors(d, sp, todo, {}, t, x, y, search)
-    _fill(d, sp, todo, search)
+    while todo:
+        _lay(d, sp, todo, search, *todo.pop())
     return sp.expand((x, y))
 
 
@@ -674,8 +675,47 @@ def test_high_degree_witnesses():
     assert digest.hexdigest() == HIGH_DEGREE_WITNESSES_SHA256
 
 
+def _mixed_hub(k, pattern):
+    """Hub 0 with k rounds of parts, one per letter of pattern, each on the
+    next free labels n, n + 1, ...: l a leaf 0-n, t a triangle on 0, n,
+    n + 1, c a C4 0-n-(n+1)-(n+2)-0. Leaves sit between blocks in the run
+    at 0."""
+    es, n = [], 1
+    for _ in range(k):
+        for part in pattern:
+            walk = [0, *range(n, n + "ltc".index(part) + 1)]
+            es += zip(walk, walk[1:])
+            if part != "l":
+                es.append((walk[-1], 0))
+            n = walk[-1] + 1
+    return Graph.from_edges(es)
+
+
+# SHA-256 of the cycle (or the class of the exception it raised) and of
+# every path of the hubs below, whose runs mix leaves and blocks, in the
+# line format of test_high_degree_witnesses
+MIXED_HUB_WITNESSES_SHA256 = (
+    "c6ef2bee19a3621fc519121f81e181d1820b9867f842b2786999cf5f62d9da42")
+
+
+def test_mixed_hub_witnesses():
+    digest = hashlib.sha256()
+    paths = 0
+    for k in range(1, 9):
+        for pattern in ("lt", "tl", "ltt", "tll", "lc", "cl", "ltc"):
+            g = _mixed_hub(k, pattern)
+            cyc = _outcome(lambda: construct_ham_cycle(g))
+            digest.update(f"{g.sorted_edges()} {cyc}\n".encode())
+            for x, y in itertools.combinations(g.sorted_vertices(), 2):
+                p = _outcome(lambda: construct_ham_path(g, x, y))
+                digest.update(f"{x} {y} {p}\n".encode())
+                paths += 1
+    assert paths == 13476
+    assert digest.hexdigest() == MIXED_HUB_WITNESSES_SHA256
+
+
 def test_constructors_step_once_per_block(monkeypatch):
-    # Work counted, not timed: every merge step at a cutvertex, every piece
+    # Work counted, not timed: every merge step at a cutvertex, every block
     # the path constructor lays, every splice, and every block sorted into
     # a run of the blocks at a cutvertex. A cutvertex with k blocks used to
     # cost O(k) for each of them (8,006,000 cycle lookups on the windmill
@@ -688,24 +728,24 @@ def test_constructors_step_once_per_block(monkeypatch):
             return real(*args)
         return counted
 
-    class Run(construct._Run):
-        __slots__ = ()
-
-        def __init__(self, pairs, i=0):
-            if i == 0:
-                calls["sorted into runs"] += len(pairs)
-            super().__init__(pairs, i)
+    def run(d, c, skip, real=construct._run):
+        pairs = real(d, c, skip)
+        calls["sorted into runs"] += len(pairs)
+        return pairs
 
     for name in ("_merge_at", "_lay"):
         monkeypatch.setattr(construct, name,
                             counting(name, getattr(construct, name)))
     monkeypatch.setattr(_Splices, "splice",
                         counting("splice", _Splices.splice))
-    monkeypatch.setattr(construct, "_Run", Run)
+    monkeypatch.setattr(construct, "_run", run)
     windmill, chain = _hub(2000, 3), _triangle_chain(2560)
     star = _hub(2999, 2)
+    # leaf, triangle, leaf, ... at 0; the last triangle is 2999-3000
+    mixed = _mixed_hub(1000, "lt")
     for g, ends in [(windmill, None), (windmill, (1, 4000)),
-                    (star, (1, 2999)), (chain, (2560, 2562))]:
+                    (star, (1, 2999)), (chain, (2560, 2562)),
+                    (mixed, None), (mixed, (2, 3000))]:
         count = decompose(g).block_count()
         for name in calls:
             calls[name] = 0
