@@ -7,11 +7,15 @@ the root of the checkout and exits 1 unless there are exactly three result
 lines, each with `"correct": true` and `"failed": 0`. It then runs three
 workloads once more with `--trace 1` and exits 1 unless each run is
 correct, failed nothing and saw its layers: chain-witness must report
-the self time of `decomposition.decompose`, block-search `oracle.search`
-calls, forest-square the self time of `graph.parse_edge_list`,
-`caterpillars.caterpillar_cycle`, `decomposition.decompose` and
-`decomposition.compute_P0`. The tracer rebinds these functions by name,
+the self time of `decomposition.decompose` and `decomposition.compute_P0`,
+block-search `oracle.search` calls, forest-square the self time of
+`graph.parse_edge_list`, `caterpillars.caterpillar_cycle` and
+`decomposition.decompose`. The tracer rebinds these functions by name,
 and a module that stopped calling them by name would hide them from it.
+The bridge forest is walked only by the cycle merge, for a graph with a
+2-block, so chain-witness, whose cycle requests walk the bridge forests
+of its pendant leaves, is where `compute_P0` shows; the verdicts on
+forest-square's trees read bn and walk no bridge forest.
 
 chain-witness must run no oracle search and build no square
 (`oracle.search.calls` and `graph.square.calls` 0): its blocks are C3, C4
@@ -42,12 +46,12 @@ import sys
 WORKLOADS = 3
 # workload -> the per-layer metrics that its traced run must report above 0
 TRACED = {
-    "chain-witness": ("decomposition.decompose.self_ms",),
+    "chain-witness": ("decomposition.decompose.self_ms",
+                      "decomposition.compute_P0.self_ms"),
     "block-search": ("oracle.search.calls",),
     "forest-square": ("graph.parse_edge_list.self_ms",
                       "caterpillars.caterpillar_cycle.self_ms",
-                      "decomposition.decompose.self_ms",
-                      "decomposition.compute_P0.self_ms"),
+                      "decomposition.decompose.self_ms"),
 }
 # workload -> the per-layer metrics that its traced run must keep at or
 # below a ceiling per pass

@@ -417,7 +417,7 @@ def _merge_cycles(g: Graph, d: Decomposition, labelling: Labelling,
     # its search to its last step: a 2-block by index, a component by ~j
     held: dict = {}
     comp_at: dict[int, int] = {}
-    for j, (nbrs, _) in enumerate(d.bridge_forest):
+    for j, nbrs in enumerate(d.bridge_forest):
         if not any(bn[v] for v in nbrs):
             continue  # pendant star; its leaves join as singletons
         if len(nbrs) == 2:  # a K2, the two-vertex cycle of its edge

@@ -8,20 +8,20 @@ one per block, are the one block store: a bridge is its edge (u, v), a
 (n >= 2, m = n - 1) and one walk that proves it connected, is read off
 its degrees: every edge is a bridge, the cutvertices are the non-leaves,
 bn[v] is v's degree less the leaves at v, and the graph is its own bridge
-forest, a caterpillar when no bn exceeds 2. Any other graph takes one
-lowpoint DFS from the least vertex, which also proves the graph connected
-by reaching every vertex, and one loop over the blocks it finds. Every
+forest. Any other graph takes one lowpoint DFS from the least vertex,
+which also proves the graph connected by reaching every vertex, and one
+loop over the blocks it finds. Every
 other field is built on its first read: a tree's records (its sorted
 edges), which no verdict or cycle reads; a tree's nontrivial bridges (its
 edges between two non-leaves), which only the connectedness decider and
 the CLI's decompose read; cuts_of, the cutvertices of each block, which
 the deciders read; blocks_at, the blocks at each cutvertex, which no
-verdict or cycle reads; and bridge_forest, the bridge forest P0 left
-after removing all 2-blocks, kept as the two facts the deciders and the
-cycle read of each component: its adjacency across bridges and whether it
-is a caterpillar. P0 is g itself when there is no 2-block, and otherwise
-a walk over the bridge adjacency, in O(n + m). bc_canonical reads the block-cutvertex tree off
-the records as the text of its canonical form.
+verdict or cycle reads; and bridge_forest, the components of the bridge
+forest P0 left after removing all 2-blocks, each as its adjacency across
+bridges, which only the cycle merge reads. P0 is g itself when there is
+no 2-block, and otherwise a walk over the bridge adjacency, in O(n + m).
+bc_canonical reads the block-cutvertex tree off the records as the text
+of its canonical form.
 decompose hands its last decomposition back for the same Graph object, so
 a run of requests on one graph costs one traversal.
 """
@@ -114,7 +114,7 @@ class Decomposition:
 
     # each built on its first read, ascending: cuts_of[t] the cutvertices of
     # block t, blocks_at[c] the blocks at cutvertex c, bridges included;
-    # bridge_forest is P0's components, compute_P0(self)
+    # bridge_forest is P0's adjacencies, compute_P0(self), read by the merge
     cuts_of = _OnRead("_cuts")
     blocks_at = _OnRead("_blocks_at")
     bridge_forest = _OnRead("_bridge_forest")
@@ -376,20 +376,17 @@ def _tree_canonical(tags, adj):
 
 # -- the bridge forest P0 --------------------------------------------------
 
-def compute_P0(d: Decomposition) -> tuple[tuple[dict, bool], ...]:
+def compute_P0(d: Decomposition) -> tuple[dict, ...]:
     """G minus the union of its 2-blocks, a forest whose edges are the
     bridges, as its components by least vertex. Its vertices are those on a
     bridge, and a lone vertex on no block. With no 2-block that is the graph
     itself; otherwise the components are walked over the bridge adjacency.
-    A component is a pair (nbrs, caterpillar): nbrs maps each of its
-    vertices to the set of its neighbours across bridges, and
-    caterpillar tells whether it is one.
+    A component is its adjacency: each of its vertices mapped to the set of
+    its neighbours across bridges.
     """
     across = d.across
     if not d.two_idx:
-        # a tree is a caterpillar when no vertex has three neighbours that
-        # are no leaf, that is three nontrivial bridges
-        return ((across, max(d.bn.values()) <= 2),)
+        return (across,)
     seen: set = set()
     comps = []
     for root in sorted(across):
@@ -405,20 +402,6 @@ def compute_P0(d: Decomposition) -> tuple[tuple[dict, bool], ...]:
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
-        comps.append((nbrs, len(nbrs) <= 2 or _is_caterpillar(nbrs)))
+        comps.append(nbrs)
     return tuple(comps)
 
-
-def _is_caterpillar(nbrs) -> bool:
-    """Whether the tree with this adjacency (each vertex to the set of
-    its neighbours) is a caterpillar.
-
-    Its non-leaf vertices span a subtree, so they lie on a path exactly
-    when none of them has more than two neighbours besides its leaves.
-    """
-    leaves = dict.fromkeys(nbrs, 0)
-    for nv in nbrs.values():
-        if len(nv) == 1:
-            for w in nv:
-                leaves[w] += 1
-    return all(len(nv) - leaves[v] <= 2 for v, nv in nbrs.items())

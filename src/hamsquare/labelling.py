@@ -21,11 +21,11 @@ unlabelled 2-blocks, the bound of condition 6, the running sum of its
 values and the index sum of its unlabelled 2-blocks, so a step does O(1)
 work per (cutvertex, 2-block) incidence besides one heap operation, and
 the peel reads of the decomposition only two_idx and cuts_of. A definite
-NO happens only when some vertex meets three or more nontrivial bridges:
-a bridge forest component that is no caterpillar (P0 is read as a pair
-(adjacency, caterpillar) per component) has one, and bn is scanned for the
-rest, since three bridges at a hub may each be a component of its own.
-When the greedy construction gets stuck on condition 5 or 6, the verdict
+NO happens exactly when some vertex meets three or more nontrivial
+bridges, and is read off bn before anything else: a bridge forest
+component that is no caterpillar has such a vertex, and so do three
+bridges at a hub that are each a component of its own. When the greedy
+construction gets stuck on condition 5 or 6, the verdict
 is STRUCTURALLY_RISKY: the input itself may still have a hamiltonian
 square, but some graph with the same block-cutvertex tree does not. The
 verdict names the violated condition, the case, and the block or cutvertex
@@ -109,34 +109,23 @@ class HamiltonicityVerdict:
 def decide_hamiltonicity(g: Graph) -> HamiltonicityVerdict:
     """Run the peeling labelling construction on a connected graph, n >= 3.
 
-    decompose's traversal of g is the connectivity check.
+    The verdict is NOT_HAMILTONIAN, naming the least vertex that meets
+    three nontrivial bridges, exactly when bn reaches 3; decompose's
+    traversal of g is the connectivity check.
     """
     if g.n < 3:
         raise ValueError("hamiltonicity of the square needs at least 3 vertices")
     d = decompose(g)
-    for nbrs, caterpillar in d.bridge_forest:
-        if not caterpillar:
-            return HamiltonicityVerdict(
-                NOT_HAMILTONIAN,
-                reason=("bridge forest component on vertices "
-                        f"{sorted(nbrs)} is not a caterpillar, so some "
-                        "vertex meets at least three nontrivial bridges"))
-    if not d.two_idx:
-        # a tree is its own bridge forest, a caterpillar exactly when no
-        # bn exceeds 2
-        return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
-                                    trivial_reason="caterpillar")
-    # A caterpillar star of bridges can hide a third nontrivial bridge at its
-    # hub even though every component passes the caterpillar test, so the
-    # bridge count itself is gated explicitly. Only a cutvertex meets a
-    # nontrivial bridge, so the scan of bn finds cutvertices.
-    over = [i for i, b in d.bn.items() if b >= 3]
-    if over:
-        i = min(over)
+    bn = d.bn
+    if max(bn.values()) >= 3:
+        i = min(v for v, b in bn.items() if b >= 3)
         return HamiltonicityVerdict(
             NOT_HAMILTONIAN,
-            reason=(f"vertex {i} meets {d.bn[i]} nontrivial bridges; a "
+            reason=(f"vertex {i} meets {bn[i]} nontrivial bridges; a "
                     "hamiltonian cycle of the square can absorb at most two"))
+    if not d.two_idx:  # a tree with no bn above 2 is a caterpillar
+        return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
+                                    trivial_reason="caterpillar")
     if d.block_count() == 1:
         return HamiltonicityVerdict(HAMILTONIAN, labelling=Labelling({}),
                                     trivial_reason="two-block")

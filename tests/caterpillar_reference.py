@@ -9,13 +9,19 @@ the other.
 import networkx as nx
 
 from hamsquare.caterpillars import ConstructionError
-from hamsquare.graph import Graph
+from hamsquare.graph import Graph, edge
 from corpus import to_nx
 
 
 def adjacency(g: Graph) -> dict:
     """g as the vertex -> neighbours mapping caterpillar_cycle reads."""
     return {v: g.neighbors(v) for v in g.vertices}
+
+
+def from_adjacency(nbrs) -> Graph:
+    """The graph with this adjacency, each vertex to its neighbours."""
+    return Graph(frozenset(nbrs), frozenset(
+        edge(v, w) for v, nv in nbrs.items() for w in nv))
 
 
 def is_tree(g: Graph) -> bool:

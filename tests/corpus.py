@@ -40,14 +40,15 @@ def to_nx(g: Graph) -> nx.Graph:
 
 
 class _IsoPool:
-    """Keeps one representative per isomorphism class."""
+    """Keeps one representative per isomorphism class. Graphs are compared
+    only within a bucket of equal counts and sorted degrees."""
 
     def __init__(self):
         self._buckets: dict = {}
 
     def add(self, g: Graph) -> bool:
         h = to_nx(g)
-        key = (g.n, g.m, nx.weisfeiler_lehman_graph_hash(h))
+        key = (g.n, g.m, tuple(sorted(map(g.degree, g.vertices))))
         bucket = self._buckets.setdefault(key, [])
         for seen in bucket:
             if nx.is_isomorphic(h, seen):

@@ -265,3 +265,14 @@ def test_hundred_thousand_vertex_caterpillar():
     nbrs = adjacency(t)
     assert len(_spine(nbrs, frozenset())[0]) == spine
     assert is_ham_cycle(t, caterpillar_cycle(nbrs)[0], square=True)
+
+
+@pytest.mark.parametrize("edges", [
+    [(i, (i + 1) % 5) for i in range(5)],  # C5: a core with no end
+    [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)],  # four core ends
+    [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7)],  # the walk
+], ids=["C5", "two P4", "P4 and C4"])
+def test_caterpillar_cycle_rejects_a_core_that_is_no_path(edges):
+    with pytest.raises(ValueError, match="^not a caterpillar: the non-leaf "
+                       "vertices form no path$"):
+        caterpillar_cycle(adjacency(Graph.from_edges(edges)))

@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from families import (blocks, path_graph, cycle_graph, complete_graph,
 from hamsquare.decomposition import decompose
 from hamsquare.labelling import HAMILTONIAN, decide_hamiltonicity
 from hamsquare.hamconn import (
-    HAM_CONNECTED, NOT_HAM_CONNECTED, decide_hamiltonian_connectedness,
+    HAM_CONNECTED, NOT_HAM_CONNECTED, HamConnVerdict,
+    decide_hamiltonian_connectedness,
 )
 from hamsquare import caterpillars, cli, construct, labelling
 from hamsquare.construct import (
@@ -1077,3 +1079,37 @@ def test_block_store_serves_one_decomposition_at_a_time(monkeypatch):
     assert len(squared) == 8
     # a search under way keeps the store it took
     assert search._blocks is store.blocks
+
+
+def test_path_builder_without_its_connectedness_gate(monkeypatch):
+    # with the gate bypassed, the builder on every pair of every corpus
+    # graph the decider does not call HAM_CONNECTED returns a valid path or
+    # refuses with ConstructionError, and nothing else comes out
+    graphs = {outcome: [] for outcome in (NOT_HAM_CONNECTED, "RISKY")}
+    for g in corpus():
+        if g.n >= 2:
+            outcome = decide_hamiltonian_connectedness(g).outcome
+            if outcome != HAM_CONNECTED:
+                graphs[outcome if outcome == NOT_HAM_CONNECTED
+                       else "RISKY"].append(g)
+    monkeypatch.setattr(construct, "decide_hamiltonian_connectedness",
+                        lambda g: HamConnVerdict(HAM_CONNECTED))
+    counts = {}
+    for outcome, gs in graphs.items():
+        paths, refusals = 0, Counter()
+        for g in gs:
+            for x, y in itertools.combinations(g.sorted_vertices(), 2):
+                try:
+                    path = construct_ham_path(g, x, y)
+                except ConstructionError as e:
+                    refusals[re.sub(r"\d+", "N", str(e))] += 1
+                    continue
+                assert is_ham_path(g, path, x, y, square=True)
+                paths += 1
+        counts[outcome] = len(gs), paths, dict(refusals)
+    assert counts == {
+        NOT_HAM_CONNECTED: (167, 2903, {
+            "bridge (N, N) joins two cutvertices; no path between its ends "
+            "exists in the square": 1275}),
+        "RISKY": (21, 398, {
+            "block carries N cutvertices; at most two are buildable": 149})}

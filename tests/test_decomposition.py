@@ -22,7 +22,6 @@ from hamsquare.labelling import (HAMILTONIAN, NOT_HAMILTONIAN,
                                  STRUCTURALLY_RISKY, decide_hamiltonicity)
 from hamsquare.decomposition import (
     decompose,
-    _is_caterpillar,
     bc_canonical,
     canonical_text,
     compute_P0,
@@ -34,7 +33,7 @@ from corpus import corpus, to_nx
 from families import (blocks, path_graph, cycle_graph, complete_graph,
                       complete_bipartite)
 from test_labelling import _random_block_tree as _peel_block_tree
-from caterpillar_reference import is_caterpillar
+from caterpillar_reference import from_adjacency, is_caterpillar
 
 BOWTIE = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
 SPIDER = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
@@ -293,11 +292,12 @@ def test_trees_take_no_lowpoint_dfs(monkeypatch):
     for g in trees:
         d = decompose(g)
         assert d.across is g.adj  # a tree is its own bridge forest
-        (nbrs, caterpillar), = compute_P0(d)
-        assert nbrs is g.adj and caterpillar == is_caterpillar(g)
+        nbrs, = compute_P0(d)
+        assert nbrs is g.adj
         decide_hamiltonian_connectedness(g)
         if g.n >= 3:
-            decide_hamiltonicity(g)
+            ham = decide_hamiltonicity(g).outcome == HAMILTONIAN
+            assert ham == is_caterpillar(g)
     assert runs == []
     decide_hamiltonicity(BOWTIE)
     assert runs == [BOWTIE]
@@ -340,8 +340,10 @@ def test_one_traversal_per_graph_for_a_run_of_requests(monkeypatch,
                 construct_ham_path(g, x, y)
                 paths += 1
         assert decompose(g) is d and decompose_calls == [g.n]
-        # the bridge forest walked once, blocks_at built at most once
-        assert [w is d for w in walks] == [True]
+        # the bridge forest walked once when a cycle is built on a graph
+        # with a 2-block, never otherwise; blocks_at built at most once
+        walked = ham.outcome == HAMILTONIAN and bool(d.two_idx)
+        assert [w is d for w in walks] == [True] * walked
         assert [i is d for i in indexed] in ([], [True])
         built += len(indexed)
         if ham.outcome == STRUCTURALLY_RISKY:
@@ -380,12 +382,31 @@ def test_decompose_memo_holds_one_graph_by_identity(decompose_calls):
     assert ref() is None
 
 
-def test_caterpillar_test_from_leaf_counts():
-    for n in range(3, 10):
-        for t in nx.nonisomorphic_trees(n):
-            g = Graph.from_edges(t.edges())
-            nbrs = {v: sorted(g.neighbors(v)) for v in g.vertices}
-            assert _is_caterpillar(nbrs) == is_caterpillar(g)
+def test_not_hamiltonian_exactly_at_three_nontrivial_bridges():
+    # a bridge is nontrivial when both its ends have degree at least 2;
+    # the verdict names the least vertex that meets three of them
+    rng = random.Random(5)
+    trees = [Graph.from_edges(t.edges()) for n in range(3, 11)
+             for t in nx.nonisomorphic_trees(n)]
+    graphs = trees + list(corpus()) + [_peel_block_tree(rng)
+                                       for _ in range(300)]
+    negatives = 0
+    for g in graphs:
+        if g.n < 3:
+            continue
+        h = to_nx(g)
+        heavy = Counter(v for e in nx.bridges(h)
+                        if min(h.degree(e[0]), h.degree(e[1])) >= 2
+                        for v in e)
+        over = sorted(v for v, count in heavy.items() if count >= 3)
+        v = decide_hamiltonicity(g)
+        assert (v.outcome == NOT_HAMILTONIAN) == bool(over)
+        if over:
+            negatives += 1
+            assert v.reason.startswith(
+                f"vertex {over[0]} meets {heavy[over[0]]} nontrivial "
+                "bridges;")
+    assert negatives == 87, negatives
 
 
 def test_decompose_rejects_disconnected(decompose_calls):
@@ -485,13 +506,13 @@ def test_bc_isomorphic_on_a_deep_path():
 
 def _component(nbrs) -> tuple:
     """The vertices and the edges of the component with adjacency nbrs."""
-    return (frozenset(nbrs),
-            frozenset(edge(v, w) for v, nv in nbrs.items() for w in nv))
+    g = from_adjacency(nbrs)
+    return g.vertices, g.edges
 
 
 def _forest(comps) -> Graph:
     """The bridge forest itself: its components together."""
-    parts = [_component(nbrs) for nbrs, _ in comps]
+    parts = [_component(nbrs) for nbrs in comps]
     return Graph(frozenset().union(*(vs for vs, _ in parts)),
                  frozenset().union(*(es for _, es in parts)))
 
@@ -504,7 +525,7 @@ def test_p0_of_path_is_the_path():
     comps = compute_P0(decompose(path_graph(4)))
     assert _forest(comps) == path_graph(4)
     assert len(comps) == 1
-    assert comps[0][1]  # a caterpillar
+    assert is_caterpillar(from_adjacency(comps[0]))
 
 
 def test_p0_triangle_with_pendant_path():
@@ -515,7 +536,7 @@ def test_p0_triangle_with_pendant_path():
 
 def test_p0_spider_component_is_not_caterpillar():
     comps = compute_P0(decompose(SPIDER))
-    assert not all(caterpillar for _, caterpillar in comps)
+    assert not all(is_caterpillar(from_adjacency(nbrs)) for nbrs in comps)
 
 
 def test_non_caterpillar_component_implies_bn_three():
@@ -529,11 +550,16 @@ def test_non_caterpillar_component_implies_bn_three():
     extras = [SPIDER, path_graph(6), BOWTIE, triangles,
               Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
                                 (0, 5), (5, 6), (0, 7), (7, 8)])]
+
+    def caterpillars(g):
+        return all(is_caterpillar(from_adjacency(nbrs))
+                   for nbrs in compute_P0(decompose(g)))
+
     for g in extras:
-        if not all(cat for _, cat in compute_P0(decompose(g))):
+        if not caterpillars(g):
             assert max(decompose(g).bn.values()) >= 3
     assert decompose(triangles).bn[0] == 3
-    assert all(cat for _, cat in compute_P0(decompose(triangles)))
+    assert caterpillars(triangles)
     assert decide_hamiltonicity(triangles).outcome == NOT_HAMILTONIAN
     counterexample_for(triangles, 4)  # accepted on bn alone
 
@@ -575,8 +601,7 @@ def _reference_P0(g: Graph, d):
     comps = []
     for comp in sorted(map(frozenset, nx.connected_components(to_nx(p0))),
                        key=min):
-        sub = Graph(comp, frozenset(e for e in p0.edges if e[0] in comp))
-        comps.append((comp, sub.edges, is_caterpillar(sub)))
+        comps.append((comp, frozenset(e for e in p0.edges if e[0] in comp)))
     return p0, comps
 
 
@@ -616,8 +641,7 @@ def test_index_P0_and_bc_tree_match_scans():
 
         p0, comps = _reference_P0(g, d)
         assert _forest(d.bridge_forest) == p0
-        assert [(*_component(nbrs), caterpillar)
-                for nbrs, caterpillar in d.bridge_forest] == comps
+        assert list(map(_component, d.bridge_forest)) == comps
 
         tags = {("block", b.index): "2block" if b.is_two_block else "bridge"
                 for b in rows}

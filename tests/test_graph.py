@@ -359,3 +359,9 @@ def test_square_grows_monotonically(g):
     sq = g.square()
     assert g.edges <= sq.edges
     assert sq == _square_by_bfs(g)
+
+
+def test_relabelled_rejects_a_map_that_is_not_injective():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="^relabelling is not injective$"):
+        g.relabelled({0: 0, 1: 1, 2: 1})

@@ -487,3 +487,9 @@ def test_k23_fails_h5():
     assert res.counterexample == (0, 1, 2, 3, 4)
     # the same five-vertex block still satisfies the four-vertex property
     assert verify_property("H4", complete_bipartite(2, 3))
+
+
+def test_complete_with_on_k2_is_the_oracle():
+    k2 = path_graph(2)
+    assert complete_with(2, {(0, 1)}) is None
+    assert cycle_with(k2.square(), k2) is None
